@@ -1,6 +1,7 @@
 """Randomized sparse tensor CP decomposition on a simulated processor grid."""
 
-from .als import AlsConfig, DecompResult, init_factors, run_als, run_trials
+from .als import (AlsConfig, DecompResult, DegenerateSketchError, init_factors, run_als,
+                  run_trials)
 from .grid import CommLedger, ProcessorGrid, ledger_report, optimal_grid
 from .linalg import (FactorBlocks, compute_fit, gram, hadamard_gram_chain,
                      khatri_rao, normalize_columns, pseudo_inverse)

@@ -24,6 +24,15 @@ SAMPLERS = ("exact", "arls-lev", "sts")
 SCHEDULES = ("tensor-stationary", "accumulator-stationary")
 
 
+class DegenerateSketchError(RuntimeError):
+    """A sketched solve left its factor all zero.
+
+    This happens when the sampled columns hit (almost) no nonzeros, as on
+    hypersparse tensors with small J; the next solve's sampler would
+    find no leverage mass, so the run stops here with the cause.
+    """
+
+
 @dataclass
 class AlsConfig:
     rank: int
@@ -75,6 +84,8 @@ class DecompResult:
     grid_dims: tuple
     stored_nnz: int
     sample_log: list = field(default_factory=list)
+    distinct_samples: int = 0   # distinct sample tuples per sketched solve, summed
+    sampled_nnz: int = 0        # nonzeros extracted for those distinct columns
 
     def summary(self) -> str:
         lines = ["config rank=%d rounds=%d sampler=%s samples=%d schedule=%s "
@@ -87,6 +98,10 @@ class DecompResult:
         for (r, f), m in zip(self.fit_history, self.running_max):
             lines.append("fit round=%d fit=%.6f running_max=%.6f" % (r, f, m))
         lines.append("final_fit %.6f" % self.final_fit)
+        if self.config.sampler != "exact":
+            drawn = self.config.samples * len(self.factors) * self.config.rounds
+            lines.append("sketch samples=%d distinct=%d sampled_nnz=%d"
+                         % (drawn, self.distinct_samples, self.sampled_nnz))
         for phase, secs in sorted(self.timings.items()):
             lines.append("time %s %.3f" % (phase, secs))
         for kind in gridmod.KINDS:
@@ -196,12 +211,18 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     for rnd in range(1, cfg.rounds + 1):
         ctx.round_id = rnd
         for k in range(N):
+            nnz_before = ctx.stats["sampled_nnz"]
             batch = solve_mode(ctx, k)
             if cfg.record_samples and batch is not None:
                 sample_log.append(batch.X.copy())
             if not all(np.isfinite(b).all() for b in ctx.factors[k].blocks):
                 raise FloatingPointError(
                     "non-finite factor entries after round %d mode %d solve" % (rnd, k))
+            if batch is not None and not any(b.any() for b in ctx.factors[k].blocks):
+                raise DegenerateSketchError(
+                    "sketched solve left the mode-%d factor all zero in round %d "
+                    "(J=%d samples hit %d sampled nonzeros)"
+                    % (k, rnd, ctx.J, ctx.stats["sampled_nnz"] - nnz_before))
             sigma = _renormalize(ctx, k)
             _rebuild_mode_state(ctx, k)
             if cfg.schedule == "tensor-stationary" and cfg.sampler == "exact":
@@ -215,7 +236,9 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     timings.update(ctx.timings)
     return DecompResult(factors_out, sigma, fit_history, running_max, final_fit,
                         ledger, timings, cfg, grid.grid_dims,
-                        partition.stored_nnz(), sample_log)
+                        partition.stored_nnz(), sample_log,
+                        distinct_samples=ctx.stats["distinct_samples"],
+                        sampled_nnz=ctx.stats["sampled_nnz"])
 
 
 def run_trials(cfg: AlsConfig, trials: int):

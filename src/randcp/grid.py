@@ -117,6 +117,19 @@ class ProcessorGrid:
         return np.searchsorted(self.chunk_offsets[j], np.asarray(rows), side="right") - 1
 
 
+def group_by_rank(ranks, P):
+    """Stable grouping of items by rank: (order, bounds), with the items of
+    rank p at ``order[bounds[p]:bounds[p + 1]]`` in their original order.
+
+    Ranks are narrowed to the smallest unsigned dtype holding P, for
+    which numpy's stable sort is a radix sort.
+    """
+    ranks = np.asarray(ranks).astype(np.min_scalar_type(P), copy=False)
+    order = np.argsort(ranks, kind="stable")
+    bounds = np.searchsorted(ranks[order], np.arange(P + 1))
+    return order, bounds
+
+
 def factorizations(P, N):
     """All ordered factorizations of P into N positive integers."""
     if N == 1:

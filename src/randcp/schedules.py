@@ -15,7 +15,11 @@ solves; exact solves must use the tensor-stationary schedule.
 Sketched solves minimize the sketched problem: the right-hand side is
 the downsampled MTTKRP with weights applied to both the sampled tensor
 columns and the sampled design rows, and the system matrix is the Gram
-matrix of the weighted sampled rows.
+matrix of the weighted sampled rows.  Once per solve the J draws are
+merged into their distinct off-mode columns, each carrying the summed
+squared weight of its copies (the sketch S^T S is unchanged), and the
+sorted distinct keys are shared by every rank's extraction.  Metering
+still follows the J draws.
 """
 
 import time
@@ -24,6 +28,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .linalg import hadamard_gram_chain, pseudo_inverse
+from .matricization import column_keys, distinct_keys
 from .mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
 from .samplers import arls_lev_sample, sample_weights, sts_sample
 
@@ -51,9 +56,9 @@ class SolveContext:
         self.arls_states = [None] * len(factors)
         self.trees = [None] * len(factors)
         self.gathered = {}              # mode -> list over chunks of row arrays
-        self.timings = {"sampling": 0.0, "gather": 0.0, "mttkrp": 0.0,
+        self.timings = {"sampling": 0.0, "gather": 0.0, "extract": 0.0, "mttkrp": 0.0,
                         "reduction": 0.0, "postprocess": 0.0}
-        self.stats = {"sampled_nnz": 0}
+        self.stats = {"distinct_samples": 0, "sampled_nnz": 0}
 
     def tick(self, phase, t0):
         t1 = time.perf_counter()
@@ -83,15 +88,31 @@ def _meter_allgather_model(ledger, round_id, ranks, member_words):
         ledger.add(round_id, gridmod.ALLGATHER, rank, total - int(w), q - 1)
 
 
+def distinct_columns(batch, dims, k):
+    """Merge repeated sample tuples of a weighted batch into one column each.
+
+    Returns (keys, X, H, weights): the sorted distinct column keys (int64
+    or object, as ``matricization.column_keys`` gives them), the index
+    tuple and design row of each, and the merged weights, whose squares
+    sum the squared weights of the repeated draws.  sum_s w_s^2 a_s a_s^T
+    over the J draws equals sum_u (sum of w_s^2 over u's copies) a_u a_u^T
+    over the distinct tuples u, so the sketched Gram and the downsampled
+    MTTKRP are unchanged up to rounding.
+    """
+    keys, where, inverse = distinct_keys(column_keys(batch.X, dims, k))
+    sq = np.bincount(inverse, weights=batch.weights * batch.weights, minlength=keys.shape[0])
+    return keys, batch.X.take(where, axis=0), batch.H.take(where, axis=0), np.sqrt(sq)
+
+
 def draw_batch(ctx: SolveContext, k: int):
     """Run the configured sampler for a mode-k solve."""
     t0 = time.perf_counter()
-    chain_pinv = pseudo_inverse(hadamard_gram_chain(ctx.grams, skip=k))
     if ctx.sampler == "arls-lev":
-        full = [fb.assemble() for fb in ctx.factors]
+        full = [fb.assemble() if i != k else None for i, fb in enumerate(ctx.factors)]
         batch = arls_lev_sample(ctx.arls_states, k, ctx.J, full, ctx.seed,
                                 round_id=ctx.round_id, ledger=ctx.ledger)
     elif ctx.sampler == "sts":
+        chain_pinv = pseudo_inverse(hadamard_gram_chain(ctx.grams, skip=k))
         batch = sts_sample(ctx.trees, k, ctx.J, chain_pinv, ctx.grams, ctx.factors,
                            ctx.seed, round_id=ctx.round_id, grid=ctx.grid,
                            ledger=ctx.ledger)
@@ -102,23 +123,49 @@ def draw_batch(ctx: SolveContext, k: int):
 
 
 def _sketched_gram(ctx: SolveContext, k: int, batch, metered: bool):
-    """Gram of the weighted sampled rows, summed in cell-owner rank order."""
-    Hw = batch.H * batch.weights[:, None]
+    """Merge the batch's repeated draws; Gram of the weighted distinct columns.
+
+    The metered Gram is summed in cell-owner rank order.  Returns the
+    Gram and the columns as ``distinct_columns`` gives them; the merge is
+    timed as sampling, the Gram as postprocessing.
+    """
+    t0 = time.perf_counter()
+    cols = distinct_columns(batch, ctx.grid.tensor_dims, k)
+    _, X, H, weights = cols
+    ctx.stats["distinct_samples"] += X.shape[0]
+    t0 = ctx.tick("sampling", t0)
+    Hw = H * weights[:, None]
     grid = ctx.grid
     if not metered or grid.P == 1:
-        return Hw.T @ Hw
-    cell = np.zeros(batch.J, dtype=np.int64)
-    for j in range(grid.N):
-        c = grid.chunk_of(j, batch.X[:, j]) if j != k else np.zeros(batch.J, dtype=np.int64)
-        cell = cell * grid.grid_dims[j] + c
-    order = np.argsort(cell, kind="stable")
-    bounds = np.searchsorted(cell[order], np.arange(grid.P + 1))
-    partials = []
-    for p in range(grid.P):
-        rows = Hw[order[bounds[p]:bounds[p + 1]]]
-        partials.append(rows.T @ rows)
-    return gridmod.allreduce(partials, list(range(grid.P)),
-                             ledger=ctx.ledger, round_id=ctx.round_id)
+        Gs = Hw.T @ Hw
+    else:
+        cell = np.zeros(X.shape[0], dtype=np.int64)
+        for j in range(grid.N):
+            c = grid.chunk_of(j, X[:, j]) if j != k else np.zeros(X.shape[0], dtype=np.int64)
+            cell = cell * grid.grid_dims[j] + c
+        order, bounds = gridmod.group_by_rank(cell, grid.P)
+        partials = []
+        for p in range(grid.P):
+            rows = Hw[order[bounds[p]:bounds[p + 1]]]
+            partials.append(rows.T @ rows)
+        Gs = gridmod.allreduce(partials, list(range(grid.P)),
+                               ledger=ctx.ledger, round_id=ctx.round_id)
+    ctx.tick("postprocess", t0)
+    return Gs, cols
+
+
+def _sampled_mttkrp(ctx: SolveContext, k: int, cols):
+    """Every rank's extraction of the distinct sampled columns and downsampled MTTKRP."""
+    keys, X, H, weights = cols
+    out = []
+    t0 = time.perf_counter()
+    for p in range(ctx.grid.P):
+        csr = gather_sampled_nonzeros_to_csr(ctx.local.local(p, k), X, k, keys=keys)
+        ctx.stats["sampled_nnz"] += csr.nnz
+        t0 = ctx.tick("extract", t0)
+        out.append(downsampled_mttkrp(csr, H, weights, workers=ctx.workers))
+        t0 = ctx.tick("mttkrp", t0)
+    return out
 
 
 def _postprocess(ctx, k, per_rank_blocks, system_pinv):
@@ -166,15 +213,10 @@ def solve_mode_tensor_stationary(ctx: SolveContext, k: int, injected_batch=None)
         sample_weights(batch)
     t0 = time.perf_counter()
     _meter_sampled_gathers_ts(ctx, k, batch)
-    t0 = ctx.tick("gather", t0)
-    Gs = _sketched_gram(ctx, k, batch, metered=True)
-    accumulators = []
-    for p in range(grid.P):
-        csr = gather_sampled_nonzeros_to_csr(ctx.local.local(p, k), batch.X, k)
-        ctx.stats["sampled_nnz"] += csr.nnz
-        accumulators.append(downsampled_mttkrp(csr, batch.H, batch.weights,
-                                               workers=ctx.workers))
-    t0 = ctx.tick("mttkrp", t0)
+    ctx.tick("gather", t0)
+    Gs, cols = _sketched_gram(ctx, k, batch, metered=True)
+    accumulators = _sampled_mttkrp(ctx, k, cols)
+    t0 = time.perf_counter()
     out_blocks = _reduce_along_mode(ctx, k, accumulators)
     ctx.tick("reduction", t0)
     _postprocess(ctx, k, out_blocks, pseudo_inverse(Gs))
@@ -244,16 +286,9 @@ def solve_mode_accumulator_stationary(ctx: SolveContext, k: int, injected_batch=
         counts = np.bincount(grid.row_owner(i, batch.X[:, i]), minlength=grid.P)
         _meter_allgather_model(ctx.ledger, ctx.round_id, list(range(grid.P)),
                                counts * per_sample)
-    t0 = ctx.tick("gather", t0)
-
-    Gs = _sketched_gram(ctx, k, batch, metered=False)
-    new_blocks = []
-    for p in range(grid.P):
-        csr = gather_sampled_nonzeros_to_csr(ctx.local.local(p, k), batch.X, k)
-        ctx.stats["sampled_nnz"] += csr.nnz
-        new_blocks.append(downsampled_mttkrp(csr, batch.H, batch.weights,
-                                             workers=ctx.workers))
-    ctx.tick("mttkrp", t0)
+    ctx.tick("gather", t0)
+    Gs, cols = _sketched_gram(ctx, k, batch, metered=False)
+    new_blocks = _sampled_mttkrp(ctx, k, cols)
     _postprocess(ctx, k, new_blocks, pseudo_inverse(Gs))
     return batch
 

@@ -168,3 +168,54 @@ class TestConfigValidation:
         res = run_als(cfg, tensor=t)
         text = res.summary()
         assert "final_fit" in text and "ledger_total" in text and "time" in text
+
+
+class TestSketchReport:
+    @pytest.mark.parametrize("sampler,schedule", [
+        ("sts", "accumulator-stationary"),
+        ("arls-lev", "tensor-stationary"),
+    ])
+    def test_counts_samples_and_extraction(self, sampler, schedule):
+        t = make_sparse((10, 9, 8), 200, seed=15)
+        cfg = AlsConfig(rank=2, rounds=3, sampler=sampler, samples=256,
+                        schedule=schedule, procs=4, seed=16, fit_every=3,
+                        permute=False, record_samples=True)
+        res = run_als(cfg, tensor=t)
+        distinct = 0
+        for s, X in enumerate(res.sample_log):
+            off = [i for i in range(3) if i != s % 3]
+            distinct += np.unique(X[:, off], axis=0).shape[0]
+        assert res.distinct_samples == distinct < 256 * 3 * 3
+        assert res.sampled_nnz > 0
+        assert res.timings["extract"] > 0.0
+        assert ("sketch samples=%d distinct=%d sampled_nnz=%d"
+                % (256 * 3 * 3, distinct, res.sampled_nnz)) in res.summary()
+
+    def test_exact_run_reports_no_sketch(self):
+        t = make_sparse((6, 6, 6), 60, seed=17)
+        cfg = AlsConfig(rank=2, rounds=1, sampler="exact", procs=2, seed=18,
+                        fit_every=1, permute=False)
+        res = run_als(cfg, tensor=t)
+        assert (res.distinct_samples, res.sampled_nnz) == (0, 0)
+        assert "sketch" not in res.summary()
+
+
+def hypersparse_tensor():
+    """500 nonzeros in a 4,194,304^3 x 5 index space: a sketch of 256 columns
+    hits none of them, so the first sketched solve zeroes its factor."""
+    dims = (1 << 22, 1 << 22, 1 << 22, 5)
+    gen = np.random.default_rng(19)
+    idx = np.stack([gen.integers(0, d, 500) for d in dims], axis=1)
+    return SparseTensorCOO(dims, idx, gen.standard_normal(500))
+
+
+@pytest.mark.parametrize("sampler", ["sts", "arls-lev"])
+def test_zeroed_factor_raises_degenerate_sketch_error(sampler):
+    from randcp.als import DegenerateSketchError
+    cfg = AlsConfig(rank=4, rounds=1, sampler=sampler, samples=256,
+                    schedule="accumulator-stationary", procs=4, seed=20,
+                    permute=False, compute_fits=False)
+    with pytest.raises(DegenerateSketchError,
+                       match=r"mode-0 factor all zero in round 1 \(J=256 samples hit 0 "
+                             r"sampled nonzeros\)"):
+        run_als(cfg, tensor=hypersparse_tensor())

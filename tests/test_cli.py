@@ -92,3 +92,21 @@ def test_comm_report(tns_file, capsys):
     out = capsys.readouterr().out
     assert "analytic exact tensor-stationary" in out
     assert "kind=allgather" in out
+
+
+def test_degenerate_sketch_exits_1_with_cause(tmp_path, capsys):
+    # 300 nonzeros spread over a 65,536^3 x 5 index space: no sampled column hits.
+    gen = np.random.default_rng(1)
+    dims = (1 << 16, 1 << 16, 1 << 16, 5)
+    path = tmp_path / "hyper.tns"
+    with open(path, "w") as fh:
+        for row, v in zip(np.stack([gen.integers(0, d, 300) for d in dims], 1),
+                          gen.standard_normal(300)):
+            fh.write(" ".join(str(i + 1) for i in row) + " %.17g\n" % v)
+    rc = main(["decompose", "--tensor", str(path), "--rank", "4", "--rounds", "2",
+               "--sampler", "sts", "--samples", "256",
+               "--schedule", "accumulator-stationary", "--procs", "4"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: sketched solve left the mode-0 factor all zero in round 1" in err
+    assert "J=256 samples hit 0 sampled nonzeros" in err

@@ -3,6 +3,7 @@ import pytest
 
 from randcp import grid as gridmod
 from randcp.linalg import FactorBlocks, gram, hadamard_gram_chain, pseudo_inverse
+from randcp import samplers
 from randcp.samplers import (DegenerateWalkError, arls_lev_build, arls_lev_sample,
                              consistent_multinomial, exact_krp_leverage_oracle,
                              krp_leverage_scores, local_sts_leaf_search, sample_weights,
@@ -295,6 +296,67 @@ class TestLocalLeafSearch:
         idx = local_sts_leaf_search(np.ones(2), W, grams, np.array([0, 2]),
                                     np.eye(2), 0.9, row_offset=10)
         assert idx in (10, 11)
+
+
+class TestBatchedLeafSearch:
+    """The batched two-stage search against per-row enumeration of the block."""
+
+    @staticmethod
+    def case(leaf_block_size, n=11, R=3, n_designs=6):
+        gen = np.random.default_rng(31)
+        W = gen.standard_normal((n, R))
+        tree = sts_build(FactorBlocks(0, [W], [0], [n]), leaf_block_size=leaf_block_size)
+        B = gen.standard_normal((R, R))
+        cond = B @ B.T
+        designs = gen.standard_normal((n_designs, R))
+        # row masses (w_q * h)^T cond (w_q * h), enumerated row by row
+        masses = np.array([[(W[q] * h) @ cond @ (W[q] * h) for q in range(n)]
+                           for h in designs])
+        cdf = np.cumsum(masses, axis=1)
+        # sample (d, q) steers design d to the middle of row q's segment
+        which = np.repeat(np.arange(n_designs), n)
+        r = ((cdf - 0.5 * masses) / cdf[:, -1:]).reshape(-1)
+        expected_prob = (masses / cdf[:, -1:]).reshape(-1)
+        return W, tree, cond, designs, which, r, expected_prob
+
+    @pytest.mark.parametrize("leaf_block_size", [1, 3, 11])
+    def test_matches_row_enumeration(self, leaf_block_size):
+        W, tree, cond, designs, which, r, expected = self.case(leaf_block_size)
+        assert len(tree.leaf_offsets[0]) - 1 == -(-11 // leaf_block_size)
+        rows, prob, r_out = samplers._leaf_search_batch(
+            W, tree.leaf_offsets[0], tree.leaf_grams[0], cond, designs, which, r)
+        assert np.array_equal(rows, np.tile(np.arange(11), len(designs)))
+        assert np.allclose(prob, expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(r_out, 0.5, atol=1e-9)   # midpoints stay midpoints
+
+    def test_shared_design_rows_and_chunks(self, monkeypatch):
+        W, tree, cond, designs, which, r, _ = self.case(3)
+        args = (W, tree.leaf_offsets[0], tree.leaf_grams[0], cond)
+        shared = samplers._leaf_search_batch(*args, designs, which, r)
+        per_sample = samplers._leaf_search_batch(*args, designs[which],
+                                                 np.arange(which.size), r)
+        monkeypatch.setattr(samplers, "LEAF_SEARCH_BUDGET", 1)   # one sample per chunk
+        chunked = samplers._leaf_search_batch(*args, designs, which, r)
+        # single-row products may round differently, so only the rows are exact
+        for other in (per_sample, chunked):
+            assert np.array_equal(other[0], shared[0])
+            assert np.allclose(other[1], shared[1], rtol=1e-12, atol=0.0)
+            assert np.allclose(other[2], shared[2], rtol=1e-9, atol=1e-12)
+
+
+def test_route_meter_counts_words_and_source_ranks():
+    gen = np.random.default_rng(33)
+    P, payload = 6, 7
+    old = gen.integers(0, P, 300)
+    new = np.where(gen.random(300) < 0.3, old, gen.integers(0, P, 300))
+    led = gridmod.CommLedger()
+    samplers._route_meter(led, 2, old, new, payload, P)
+    moved = old != new
+    for p in range(P):
+        into_p = moved & (new == p)
+        assert led.words(rank=p) == payload * into_p.sum()
+        assert led.messages(rank=p) == np.unique(old[into_p]).size
+    assert led.rounds() == [2]
 
 
 class TestSampleWeights:

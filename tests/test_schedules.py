@@ -5,9 +5,10 @@ from randcp import grid as gridmod
 from randcp.als import AlsConfig, run_als
 from randcp.linalg import FactorBlocks, gram, hadamard_gram_chain, pseudo_inverse
 from randcp.matricization import matricize, partition_to_grid
-from randcp.mttkrp import mttkrp_exact
-from randcp.samplers import sample_weights, sts_build, sts_sample
-from randcp.schedules import (ScheduleError, SolveContext, refresh_gathered,
+from randcp.mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
+from randcp.samplers import SampleBatch, sample_weights, sts_build, sts_sample
+from randcp.schedules import (ScheduleError, SolveContext, _sampled_mttkrp, _sketched_gram,
+                              distinct_columns, refresh_gathered,
                               solve_mode_accumulator_stationary,
                               solve_mode_tensor_stationary)
 from conftest import make_sparse, unit_factors
@@ -177,3 +178,118 @@ class TestExactRoundCost:
                 meas = (res.ledger.words(kind=gridmod.ALLGATHER, round_id=rnd)
                         + res.ledger.words(kind=gridmod.REDUCE_SCATTER, round_id=rnd))
                 assert meas == pred
+
+
+def repeated_batch(dims, factors, k, n_distinct, J, seed):
+    """J draws of only n_distinct tuples, with unequal per-draw weights."""
+    gen = np.random.default_rng(seed)
+    base = np.stack([gen.integers(0, d, n_distinct) for d in dims], axis=1)
+    base[:, k] = -1
+    X = base[gen.integers(0, n_distinct, J)]
+    H = np.ones((J, factors[0].shape[1]))
+    for i, U in enumerate(factors):
+        if i != k:
+            H *= U[X[:, i]]
+    batch = SampleBatch(X, H, np.ones(X.shape), gen.random(J) + 0.05)
+    sample_weights(batch)
+    return batch
+
+
+def rel_err(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+class TestDistinctColumns:
+    @pytest.mark.parametrize("schedule", ["tensor-stationary", "accumulator-stationary"])
+    def test_matches_j_row_reference(self, schedule):
+        t = make_sparse((8, 7, 6), 200, seed=40)
+        factors = unit_factors(t.dims, 3, seed=41)
+        g = gridmod.ProcessorGrid(t.dims, (2, 2, 1))
+        for k in range(3):
+            # a few tuples per mode pair cover most nonzero columns
+            batch = repeated_batch(t.dims, factors, k, n_distinct=15, J=600, seed=42 + k)
+            keys = distinct_columns(batch, t.dims, k)[0]
+            assert keys.shape[0] == np.unique(batch.X, axis=0).shape[0] < batch.J
+
+            Hw = batch.H * batch.weights[:, None]
+            ref_gram = Hw.T @ Hw
+            ref_rhs = downsampled_mttkrp(
+                gather_sampled_nonzeros_to_csr(matricize(t, k), batch.X, k),
+                batch.H, batch.weights)
+            assert np.abs(ref_rhs).max() > 0.0
+
+            ctx = make_ctx(t, g, schedule, "sts", factors, J=batch.J)
+            gram, cols = _sketched_gram(ctx, k, batch,
+                                        metered=schedule == "tensor-stationary")
+            assert np.array_equal(cols[0], keys)
+            assert rel_err(gram, ref_gram) < 1e-12
+            rhs = np.zeros_like(ref_rhs)
+            for p, acc in enumerate(_sampled_mttkrp(ctx, k, cols)):
+                mat = ctx.local.local(p, k)
+                rhs[mat.row_lo:mat.row_hi] += acc
+            assert rel_err(rhs, ref_rhs) < 1e-12
+
+            solve = (solve_mode_tensor_stationary if schedule == "tensor-stationary"
+                     else solve_mode_accumulator_stationary)
+            solve(ctx, k, injected_batch=batch)
+            ref = ref_rhs @ pseudo_inverse(ref_gram)
+            assert rel_err(ctx.factors[k].assemble(), ref) < 1e-10
+
+    def test_merged_weight_is_root_sum_of_squares(self):
+        X = np.array([[-1, 1, 2], [-1, 0, 0], [-1, 1, 2], [-1, 1, 2]], dtype=np.int64)
+        batch = SampleBatch(X, np.ones((4, 2)), np.ones((4, 3)), np.ones(4))
+        batch.weights = np.array([1.0, 2.0, 3.0, 4.0])
+        keys, Xd, _, weights = distinct_columns(batch, (3, 3, 3), 0)
+        assert np.array_equal(keys, [0, 7])          # key = i_1 + 3 * i_2
+        assert np.array_equal(Xd, X[[1, 0]])
+        assert np.allclose(weights, [2.0, np.sqrt(1.0 + 9.0 + 16.0)], rtol=1e-15)
+
+    def test_object_keys(self):
+        dims = (4, 1 << 40, 1 << 40, 3)   # mode-0 key space overflows int64
+        X = np.array([[-1, 5, 1 << 39, 2], [-1, 5, 1 << 39, 2], [-1, 7, 3, 0]],
+                     dtype=np.int64)
+        batch = SampleBatch(X, np.ones((3, 2)), np.ones((3, 4)), np.full(3, 0.5))
+        sample_weights(batch)
+        keys, Xd, _, weights = distinct_columns(batch, dims, 0)
+        assert keys.dtype == object and list(keys) == sorted(keys)
+        assert np.array_equal(Xd, X[[2, 0]])
+        assert np.allclose(weights ** 2, [1.0 / 1.5, 2.0 / 1.5])
+
+
+def _record_words(report, kind):
+    """Words per round summed over the ``record`` lines of a ledger report."""
+    words = {}
+    for line in report.splitlines():
+        if not line.startswith("record "):
+            continue
+        fields = dict(f.split("=") for f in line.split()[1:])
+        if fields["kind"] == kind:
+            r = int(fields["round"])
+            words[r] = words.get(r, 0) + int(fields["words"])
+    return words
+
+
+class TestLedgerReportClosedForms:
+    def test_sts_accumulator_stationary_gathers(self):
+        t = make_sparse((12, 10, 8), 250, seed=50)
+        R, J, P = 3, 512, 4
+        cfg = AlsConfig(rank=R, rounds=2, sampler="sts", samples=J,
+                        schedule="accumulator-stationary", procs=P, seed=51,
+                        permute=False, compute_fits=False)
+        report = gridmod.ledger_report(run_als(cfg, tensor=t).ledger, P=P)
+        per_solve = gridmod.as_gather_words_total_per_solve(J, R, 3, P, "sts")
+        assert _record_words(report, gridmod.ALLGATHER) == {1: 3 * per_solve,
+                                                            2: 3 * per_solve}
+        assert _record_words(report, gridmod.REDUCE_SCATTER) == {}
+
+    def test_arls_tensor_stationary_reductions(self):
+        t = make_sparse((12, 10, 8), 250, seed=52)
+        R, P = 3, 4
+        cfg = AlsConfig(rank=R, rounds=2, sampler="arls-lev", samples=512,
+                        schedule="tensor-stationary", procs=P, seed=53,
+                        permute=False, compute_fits=False)
+        report = gridmod.ledger_report(run_als(cfg, tensor=t).ledger, P=P)
+        # sampling leaves the reduce-scatter at its exact-round size, which is
+        # half of the closed-form gather + reduce total
+        half = gridmod.ts_exact_round_words_total(gridmod.optimal_grid(t.dims, P), R) // 2
+        assert _record_words(report, gridmod.REDUCE_SCATTER) == {1: half, 2: half}
