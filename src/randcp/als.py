@@ -116,7 +116,7 @@ def init_factors(dims, R, seed, trial=0):
     factors = []
     for j, d in enumerate(dims):
         U = rng.stream(seed, rng.INIT, trial, j).standard_normal((d, R))
-        factors.append(normalize_columns(U)[0])
+        factors.append(normalize_columns(U, inplace=True)[0])
     return factors, np.ones(R)
 
 

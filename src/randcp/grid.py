@@ -55,6 +55,7 @@ class ProcessorGrid:
         self.warning = warning
 
         self._coords = np.stack(np.unravel_index(np.arange(self.P), self.grid_dims), axis=1)
+        self._coord_tuples = [tuple(row) for row in self._coords.tolist()]
         self.chunk_offsets = [balanced_offsets(I, Pj)
                               for I, Pj in zip(self.tensor_dims, self.grid_dims)]
 
@@ -88,7 +89,7 @@ class ProcessorGrid:
             self._owner_ranks.append(nonempty)
 
     def coords(self, p):
-        return tuple(int(c) for c in self._coords[p])
+        return self._coord_tuples[p]
 
     def rank_of(self, coords):
         return int(np.ravel_multi_index(tuple(coords), self.grid_dims))

@@ -14,6 +14,7 @@ from .mttkrp import mttkrp_exact
 
 SYMMETRY_RTOL = 1e-8
 PINV_CUTOFF = 1e-10
+SUMSQ_CHUNK_ROWS = 1 << 14
 
 
 class FactorBlocks:
@@ -37,10 +38,6 @@ class FactorBlocks:
         lows, his = grid.block_ranges(mode)
         blocks = [U[lo:hi] for lo, hi in zip(lows, his)]
         return cls(mode, blocks, lows, his)
-
-    @classmethod
-    def single(cls, U, mode=0):
-        return cls(mode, [U], [0], [U.shape[0]])
 
     @property
     def n_blocks(self):
@@ -104,10 +101,35 @@ def pseudo_inverse(G, rel_cutoff=PINV_CUTOFF):
     return (V * inv_w) @ V.T
 
 
-def normalize_columns(U):
-    """Scale each column to unit 2-norm; zero columns stay zero with norm 0."""
-    norms = np.sqrt((U * U).sum(axis=0))
+def column_sumsq(U):
+    """``(U * U).sum(axis=0)``, bit for bit, without the full-size square.
+
+    numpy sums a C-ordered float64 block down its rows one row at a time,
+    so squaring ``SUMSQ_CHUNK_ROWS`` rows at a time below a carried row of
+    running sums repeats that order.  A single column is summed pairwise
+    instead, so it (like any other layout) takes the direct formula.
+    """
+    if U.ndim != 2 or U.shape[1] < 2 or U.dtype != np.float64 or not U.flags.c_contiguous:
+        return (U * U).sum(axis=0)
+    buf = np.zeros((min(SUMSQ_CHUNK_ROWS, U.shape[0]) + 1, U.shape[1]))
+    for a in range(0, U.shape[0], SUMSQ_CHUNK_ROWS):
+        c = U[a:a + SUMSQ_CHUNK_ROWS]
+        np.multiply(c, c, out=buf[1:len(c) + 1])
+        buf[0] = buf[:len(c) + 1].sum(axis=0)
+    return buf[0].copy()
+
+
+def normalize_columns(U, inplace=False):
+    """Scale each column to unit 2-norm; zero columns stay zero with norm 0.
+
+    With ``inplace`` U itself is scaled and returned, so no full-size
+    copy of it is made.
+    """
+    norms = np.sqrt(column_sumsq(U))
     safe = np.where(norms > 0.0, norms, 1.0)
+    if inplace:
+        U /= safe
+        return U, norms
     return U / safe, norms
 
 

@@ -41,25 +41,43 @@ def _row_blocks(row_ptr, workers):
     return [(bounds[i], bounds[i + 1]) for i in range(workers) if bounds[i] < bounds[i + 1]]
 
 
-def _accumulate_rows(out, row_lo_block, row_ptr, order, make_rows, ra, rb):
-    """Sum per-entry row contributions into out[ra:rb] in row order."""
+def _accumulate_rows(out, row_ptr, order, make_rows, ra, rb):
+    """Sum per-entry row contributions into out[ra:rb] in row order.
+
+    Each chunk takes whole rows greedily up to ``_CHUNK_NNZ`` entries (a
+    longer row forms a chunk of its own), so a row's entries are summed
+    by one ``reduceat`` segment whatever the chunk size.  A chunk's end
+    is one binary search, so Python work grows with the number of
+    chunks, not rows.  ``order`` maps compressed-row positions to entries;
+    None means the entries are stored in that order.
+    """
+    ends = row_ptr[:rb + 1]
     r = ra
     while r < rb:
-        r_end = r + 1
-        nnz = int(row_ptr[r_end] - row_ptr[r])
-        while r_end < rb and nnz + (row_ptr[r_end + 1] - row_ptr[r_end]) <= _CHUNK_NNZ:
-            nnz += int(row_ptr[r_end + 1] - row_ptr[r_end])
-            r_end = r_end + 1
-        sel = order[int(row_ptr[r]):int(row_ptr[r_end])]
-        if sel.size:
-            contrib, rel_rows = make_rows(sel)
-            starts = (row_ptr[r:r_end] - row_ptr[r]).astype(np.int64)
-            lengths = np.diff(np.concatenate([starts, [sel.size]]))
-            nonempty = lengths > 0
-            if nonempty.any():
-                sums = np.add.reduceat(contrib, starts[nonempty], axis=0)
-                out[np.arange(r, r_end)[nonempty]] = sums
+        lo = int(row_ptr[r])
+        r_end = int(np.searchsorted(ends, lo + _CHUNK_NNZ, side="right")) - 1
+        r_end = min(max(r_end, r + 1), rb)
+        hi = int(row_ptr[r_end])
+        if hi > lo:
+            contrib = make_rows(slice(lo, hi) if order is None else order[lo:hi])
+            rows = np.flatnonzero(np.diff(row_ptr[r:r_end + 1]))
+            out[r + rows] = np.add.reduceat(contrib, row_ptr[r + rows] - lo, axis=0)
         r = r_end
+
+
+def _accumulate(out, row_ptr, order, make_rows, workers):
+    """Fill ``out`` by ``_accumulate_rows`` over nnz-balanced row blocks,
+    one thread per block."""
+    blocks = _row_blocks(row_ptr, workers)
+    if len(blocks) == 1:
+        _accumulate_rows(out, row_ptr, order, make_rows, *blocks[0])
+        return out
+    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+        futs = [pool.submit(_accumulate_rows, out, row_ptr, order, make_rows, ra, rb)
+                for ra, rb in blocks]
+        for f in futs:
+            f.result()
+    return out
 
 
 def mttkrp_exact(mat: Matricization, factors, offsets=None, workers=1):
@@ -90,22 +108,12 @@ def mttkrp_exact(mat: Matricization, factors, offsets=None, workers=1):
         for i, f in enumerate(factors):
             if i == j or f is None:
                 continue
-            rows = f[mat.idx[sel, i] - offsets[i]]
-            prod = rows.copy() if prod is None else prod.__imul__(rows)
+            rows = f.take(mat.idx[sel, i] - offsets[i], axis=0)
+            prod = rows if prod is None else prod.__imul__(rows)
         prod *= mat.vals[sel, None]
-        return prod, None
+        return prod
 
-    blocks = _row_blocks(mat.row_ptr, workers)
-    if len(blocks) == 1:
-        _accumulate_rows(out, mat.row_lo, mat.row_ptr, mat.row_order, make_rows, 0, mat.n_rows)
-    else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            futs = [pool.submit(_accumulate_rows, out, mat.row_lo, mat.row_ptr,
-                                mat.row_order, make_rows, ra, rb)
-                    for ra, rb in blocks]
-            for f in futs:
-                f.result()
-    return out
+    return _accumulate(out, mat.row_ptr, mat.row_order, make_rows, workers)
 
 
 class SampledCsr:
@@ -175,22 +183,12 @@ def downsampled_mttkrp(csr: SampledCsr, H_rows, weights, workers=1):
     out = np.zeros((csr.n_rows, R))
     if csr.nnz == 0:
         return out
-    order = np.arange(csr.nnz, dtype=np.int64)  # vals already in CSR order
 
     def make_rows(sel):
         # Weighs only the design rows this block's nonzeros touch.
         s = csr.col_idx[sel]
-        contrib = H_rows[s] * weights[s, None]
+        contrib = H_rows.take(s, axis=0) * weights[s, None]
         contrib *= (csr.vals[sel] * weights[s])[:, None]
-        return contrib, None
+        return contrib
 
-    blocks = _row_blocks(csr.row_ptr, workers)
-    if len(blocks) == 1:
-        _accumulate_rows(out, 0, csr.row_ptr, order, make_rows, 0, csr.n_rows)
-    else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            futs = [pool.submit(_accumulate_rows, out, 0, csr.row_ptr, order,
-                                make_rows, ra, rb) for ra, rb in blocks]
-            for f in futs:
-                f.result()
-    return out
+    return _accumulate(out, csr.row_ptr, None, make_rows, workers)  # vals in CSR order

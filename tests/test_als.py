@@ -35,6 +35,18 @@ class TestInitFactors:
             assert np.abs(np.linalg.norm(U, axis=0) - 1.0).max() < 1e-12
         assert np.array_equal(sigma, np.ones(4))
 
+    @pytest.mark.parametrize("dims,R", [((7, 6, 5), 3), ((40000, 3, 2), 25),
+                                        ((50000, 2), 1), ((0, 4), 2)])
+    def test_matches_unnormalized_draw_formula(self, dims, R):
+        # In-place normalization must keep the initial factors bit-identical to
+        # dividing the raw draw by sqrt((U * U).sum(axis=0)).
+        from randcp import rng
+        factors, _ = init_factors(dims, R, seed=4, trial=1)
+        for j, d in enumerate(dims):
+            U = rng.stream(4, rng.INIT, 1, j).standard_normal((d, R))
+            norms = np.sqrt((U * U).sum(axis=0))
+            assert np.array_equal(factors[j], U / np.where(norms > 0.0, norms, 1.0))
+
     def test_gaussian_moments(self):
         from randcp import rng
         raw = rng.stream(5, rng.INIT, 0, 0).standard_normal((100000, 1))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from randcp import linalg
 from randcp.linalg import (FactorBlocks, compute_fit, gram, hadamard_gram_chain,
                            khatri_rao, normalize_columns, pseudo_inverse)
 from randcp.tensor import SparseTensorCOO
@@ -106,6 +107,25 @@ class TestNormalizeColumns:
         out, norms = normalize_columns(U)
         assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() < 1e-12
         assert np.allclose(out * norms, U)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 1000, linalg.SUMSQ_CHUNK_ROWS])
+    @pytest.mark.parametrize("shape", [(1, 5), (999, 2), (1001, 1), (3000, 25), (0, 3)])
+    def test_chunked_sums_match_formula_bitwise(self, monkeypatch, chunk_rows, shape):
+        monkeypatch.setattr(linalg, "SUMSQ_CHUNK_ROWS", chunk_rows)
+        gen = np.random.default_rng(shape[0] + shape[1])
+        U = gen.standard_normal(shape) * 10.0 ** gen.integers(-3, 4, shape[1])
+        assert np.array_equal(linalg.column_sumsq(U), (U * U).sum(axis=0))
+        ref_norms = np.sqrt((U * U).sum(axis=0))
+        ref = U / np.where(ref_norms > 0.0, ref_norms, 1.0)
+        out, norms = normalize_columns(U)
+        assert np.array_equal(out, ref) and np.array_equal(norms, ref_norms)
+        same, norms = normalize_columns(U, inplace=True)
+        assert same is U and np.array_equal(U, ref) and np.array_equal(norms, ref_norms)
+
+    def test_non_contiguous_input(self):
+        U = np.random.default_rng(8).standard_normal((30, 8))[:, ::2]
+        norms = np.sqrt((U * U).sum(axis=0))
+        assert np.array_equal(normalize_columns(U)[0], U / norms)
 
 
 class TestComputeFit:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from randcp import mttkrp
 from randcp.linalg import khatri_rao
-from randcp.matricization import column_keys, matricize
+from randcp.matricization import Matricization, column_keys, matricize
 from randcp.mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
 from randcp.tensor import SparseTensorCOO
 from conftest import dense_matricization, dense_of, make_sparse
@@ -65,6 +66,112 @@ class TestExactMttkrp:
         ref = mttkrp_exact(m, factors, workers=1)
         for w in (2, 3):
             assert np.array_equal(mttkrp_exact(m, factors, workers=w), ref)
+
+
+def skewed_rows_tensor():
+    """Mode-0 rows 0, 9 and 10 hold 12-40 nnz (more than small chunks), rows
+    4 and 37 one each, and runs of empty rows lie between and after them."""
+    dims = (45, 7, 6)
+    cols = np.stack(np.meshgrid(np.arange(7), np.arange(6), indexing="ij"),
+                    -1).reshape(-1, 2)
+    gen = np.random.default_rng(21)
+    parts = []
+    for row, n in ((0, 40), (4, 1), (9, 12), (10, 25), (37, 1)):
+        pick = cols[gen.choice(len(cols), n, replace=False)]
+        parts.append(np.column_stack([np.full(n, row), pick]))
+    idx = np.concatenate(parts)
+    return SparseTensorCOO(dims, idx, gen.standard_normal(len(idx)))
+
+
+def count_make_rows(monkeypatch):
+    """Wrap every kernel's ``make_rows`` and return the list of its calls."""
+    calls = []
+    real = mttkrp._accumulate_rows
+
+    def counting(out, row_ptr, order, make_rows, ra, rb):
+        def counted(sel):
+            calls.append(sel)
+            return make_rows(sel)
+        return real(out, row_ptr, order, counted, ra, rb)
+
+    monkeypatch.setattr(mttkrp, "_accumulate_rows", counting)
+    return calls
+
+
+class TestChunking:
+    CHUNKS = (1, 2, 7, mttkrp._CHUNK_NNZ)
+
+    def test_exact_bit_identical_across_chunk_sizes(self, monkeypatch):
+        t = skewed_rows_tensor()
+        gen = np.random.default_rng(22)
+        factors = [gen.standard_normal((d, 4)) for d in t.dims]
+        T = dense_of(t)
+        for k in range(3):
+            m = matricize(t, k)
+            ref = dense_matricization(T, k) @ khatri_rao(factors, skip=k)
+            outs = []
+            for chunk in self.CHUNKS:
+                monkeypatch.setattr(mttkrp, "_CHUNK_NNZ", chunk)
+                for workers in (1, 3):
+                    outs.append(mttkrp_exact(m, factors, workers=workers))
+            assert np.abs(outs[0] - ref).max() < 1e-10
+            assert all(np.array_equal(o, outs[0]) for o in outs)
+
+    def test_downsampled_bit_identical_across_chunk_sizes(self, monkeypatch):
+        t = skewed_rows_tensor()
+        gen = np.random.default_rng(23)
+        factors = [gen.standard_normal((d, 3)) for d in t.dims]
+        for k in range(3):
+            m = matricize(t, k)
+            X, H, w = random_batch(t.dims, k, 40, 200 + k, 3, factors)
+            csr = gather_sampled_nonzeros_to_csr(m, X, k)
+            A = khatri_rao(factors, skip=k)
+            S = np.zeros((40, A.shape[0]))
+            S[np.arange(40), column_keys(X, t.dims, k)] = w
+            ref = dense_matricization(dense_of(t), k) @ S.T @ S @ A
+            outs = []
+            for chunk in self.CHUNKS:
+                monkeypatch.setattr(mttkrp, "_CHUNK_NNZ", chunk)
+                for workers in (1, 2):
+                    outs.append(downsampled_mttkrp(csr, H, w, workers=workers))
+            assert np.abs(outs[0] - ref).max() < 1e-10
+            assert all(np.array_equal(o, outs[0]) for o in outs)
+
+    def test_chunks_hold_whole_rows(self, monkeypatch):
+        m = matricize(skewed_rows_tensor(), 0)
+        calls = count_make_rows(monkeypatch)
+        monkeypatch.setattr(mttkrp, "_CHUNK_NNZ", 1)
+        mttkrp_exact(m, [None, np.ones((7, 2)), np.ones((6, 2))])
+        # One chunk per non-empty row; empty runs join the chunk before them.
+        assert [len(sel) for sel in calls] == [40, 1, 12, 25, 1]
+        calls.clear()
+        monkeypatch.setattr(mttkrp, "_CHUNK_NNZ", 41)
+        mttkrp_exact(m, [None, np.ones((7, 2)), np.ones((6, 2))])
+        assert [len(sel) for sel in calls] == [41, 38]  # 40 + 1, then 12 + 25 + 1
+
+    def test_tall_block_is_one_chunk(self, monkeypatch):
+        dims = (1 << 20, 5, 4)
+        gen = np.random.default_rng(24)
+        idx = np.column_stack([gen.choice(dims[0], 50, replace=False),
+                               gen.integers(0, 5, 50), gen.integers(0, 4, 50)])
+        vals = gen.standard_normal(50)
+        factors = [None, gen.standard_normal((5, 3)), gen.standard_normal((4, 3))]
+        m = Matricization(dims, idx, vals, 0)
+        ref = np.zeros((dims[0], 3))
+        np.add.at(ref, idx[:, 0], vals[:, None] * factors[1][idx[:, 1]] * factors[2][idx[:, 2]])
+
+        calls = count_make_rows(monkeypatch)
+        got = mttkrp_exact(m, factors)
+        assert len(calls) == 1
+        assert np.abs(got - ref).max() < 1e-12
+
+        calls.clear()
+        X = idx[:20].copy()  # columns of 20 nonzeros, so every sample hits
+        X[:, 0] = -1
+        csr = gather_sampled_nonzeros_to_csr(m, X, 0)
+        H = factors[1][X[:, 1]] * factors[2][X[:, 2]]
+        downsampled_mttkrp(csr, H, np.ones(20))
+        assert csr.nnz >= 20 and len(calls) == 1
 
 
 class TestGatherSampled:
