@@ -50,7 +50,6 @@ class AlsConfig:
     dedup: bool = True
     permute: bool = True
     workers: int = 1
-    leaf_block_size: int = None
     record_samples: bool = False
     compute_fits: bool = True
 
@@ -134,9 +133,7 @@ def _rebuild_mode_state(ctx, k):
         ctx.grams[k] = state.gram
     elif ctx.sampler == "sts":
         ctx.grams[k] = gram(ctx.factors[k], ledger=ctx.ledger, round_id=ctx.round_id)
-        ctx.trees[k] = sts_build(ctx.factors[k], grid=ctx.grid, ledger=ctx.ledger,
-                                 round_id=ctx.round_id,
-                                 leaf_block_size=ctx.leaf_block_size)
+        ctx.trees[k] = sts_build(ctx.factors[k], ledger=ctx.ledger, round_id=ctx.round_id)
     else:
         ctx.grams[k] = gram(ctx.factors[k], ledger=ctx.ledger, round_id=ctx.round_id)
 
@@ -185,7 +182,6 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     ledger = gridmod.CommLedger()
     ctx = SolveContext(grid, cfg.schedule, cfg.sampler, cfg.samples, blocks,
                        [None] * N, partition, ledger, cfg.seed, workers=cfg.workers)
-    ctx.leaf_block_size = cfg.leaf_block_size
     ctx.round_id = 0
     for j in range(N):
         _rebuild_mode_state(ctx, j)

@@ -8,15 +8,12 @@ partition.
 
 Collectives operate on explicit per-member payload lists (the simulation
 is bulk-synchronous: ranks compute independently between collectives and
-the orchestrator invokes each collective once per group).  Every
-collective meters words (64-bit units) and messages into a CommLedger
-using a ring-equivalent bandwidth model:
-
-  allgather / reduce_scatter of per-rank block v over q ranks:
-      words = v*(q-1) per rank, messages = q-1
-  allreduce of size m: words = ceil(2*m*(q-1)/q), messages = 2*(q-1)
-  all_to_allv: exactly the words each rank receives from other ranks,
-      messages = number of distinct non-empty sending peers
+the orchestrator invokes each collective once per group).  Each one is a
+numpy operation plus one ``meter`` call, and ``meter`` holds the whole
+cost model: words (64-bit units) and messages received per member, under
+ring allgather / reduce-scatter and bidirectional-exchange allreduce
+(Chan et al., CCPE 2007).  Samplers and schedules that move data without
+materializing it call ``meter`` directly with the same model.
 """
 
 import numpy as np
@@ -75,15 +72,12 @@ class ProcessorGrid:
                     self._block_lo[j, p] = lo + sub[m]
                     self._block_hi[j, p] = lo + sub[m + 1]
 
-        # Rank ids in global row order per mode (tree leaf order).  Empty
-        # blocks sort by their (lo, rank) position; the row-owner lookup
-        # skips them so its block ends stay monotone.
-        self._row_order = []
+        # Row-owner lookup: nonempty blocks in global row order, so their
+        # block ends are monotone.
         self._owner_his = []
         self._owner_ranks = []
         for j in range(self.N):
             order = np.lexsort((np.arange(self.P), self._block_lo[j]))
-            self._row_order.append(order)
             nonempty = order[self._block_hi[j][order] > self._block_lo[j][order]]
             self._owner_his.append(self._block_hi[j][nonempty])
             self._owner_ranks.append(nonempty)
@@ -104,10 +98,6 @@ class ProcessorGrid:
 
     def block_ranges(self, j):
         return self._block_lo[j], self._block_hi[j]
-
-    def row_order(self, j):
-        """Rank ids sorted by their mode-j block position."""
-        return self._row_order[j]
 
     def row_owner(self, j, rows):
         """Owning rank of each global mode-j row (vectorized)."""
@@ -257,6 +247,48 @@ def ledger_report(ledger: CommLedger, round_id=None, P=None) -> str:
     return "\n".join(lines) if lines else "empty ledger"
 
 
+def meter(ledger, round_id, kind, ranks, member_words):
+    """Record one collective over the group ``ranks`` in the ledger.
+
+    ``member_words`` by kind, with q = len(ranks):
+
+    * allgather: the words each member contributes; each member receives
+      the others' words in q-1 messages.
+    * reduce_scatter: the words of each member's output block w; each
+      member receives w*(q-1) words in q-1 messages.
+    * allreduce: the size m of the reduced payload; each member receives
+      ceil(2m(q-1)/q) words in 2(q-1) messages.
+    * all_to_allv: the q x q matrix of words member i sends member j;
+      each member receives its off-diagonal column sum, one message per
+      nonzero sender.  Only members that receive something are recorded.
+
+    Nothing is recorded without a ledger or for a one-member group.
+    """
+    q = len(ranks)
+    if ledger is None or q <= 1:
+        return
+    members = range(q)
+    messages = [q - 1] * q
+    if kind == ALLGATHER:
+        w = np.asarray(member_words, dtype=np.int64)
+        words = w.sum() - w
+    elif kind == REDUCE_SCATTER:
+        words = np.asarray(member_words, dtype=np.int64) * (q - 1)
+    elif kind == ALLREDUCE:
+        words = [(2 * int(member_words) * (q - 1) + q - 1) // q] * q  # ceil
+        messages = [2 * (q - 1)] * q
+    elif kind == ALL_TO_ALLV:
+        sent = np.array(member_words, dtype=np.int64).reshape(q, q)
+        np.fill_diagonal(sent, 0)
+        words = sent.sum(axis=0)
+        messages = np.count_nonzero(sent, axis=0)
+        members = np.flatnonzero(messages)
+    else:
+        raise ValueError("unknown collective kind %r" % kind)
+    for i in members:
+        ledger.add(round_id, kind, ranks[i], words[i], messages[i])
+
+
 def _check_group(ranks, payloads):
     if len(ranks) != len(payloads):
         raise ValueError("group of %d ranks got %d payloads" % (len(ranks), len(payloads)))
@@ -266,36 +298,19 @@ def allgather(payloads, ranks, ledger=None, round_id=0):
     """Concatenate per-member blocks in group order; every member gets all."""
     _check_group(ranks, payloads)
     arrays = [np.atleast_1d(np.asarray(p)) for p in payloads]
-    q = len(ranks)
-    result = np.concatenate(arrays, axis=0) if q > 1 else arrays[0]
-    if ledger is not None and q > 1:
-        total = sum(_words(a) for a in arrays)
-        for rank, a in zip(ranks, arrays):
-            ledger.add(round_id, ALLGATHER, rank, total - _words(a), q - 1)
-    return result
+    meter(ledger, round_id, ALLGATHER, ranks, [_words(a) for a in arrays])
+    return np.concatenate(arrays, axis=0) if len(ranks) > 1 else arrays[0]
 
 
 def reduce_scatter(payloads, out_offsets, ranks, ledger=None, round_id=0):
     """Elementwise-sum the payloads, then split by rank-order row blocks."""
-    _check_group(ranks, payloads)
-    arrays = [np.asarray(p, dtype=np.float64) for p in payloads]
-    shape = arrays[0].shape
-    if any(a.shape != shape for a in arrays):
-        raise ValueError("reduce_scatter payload shapes differ across the group")
+    total = allreduce(payloads, ranks)
     off = np.asarray(out_offsets)
-    if off.size != len(ranks) + 1 or off[-1] != shape[0]:
+    if off.size != len(ranks) + 1 or off[-1] != total.shape[0]:
         raise ValueError("out_offsets must split the %d rows into %d blocks"
-                         % (shape[0], len(ranks)))
-    total = arrays[0].copy()
-    for a in arrays[1:]:
-        total += a
-    q = len(ranks)
-    outs = []
-    for m, rank in enumerate(ranks):
-        block = total[int(off[m]):int(off[m + 1])]
-        outs.append(block)
-        if ledger is not None and q > 1:
-            ledger.add(round_id, REDUCE_SCATTER, rank, _words(block) * (q - 1), q - 1)
+                         % (total.shape[0], len(ranks)))
+    outs = [total[int(off[m]):int(off[m + 1])] for m in range(len(ranks))]
+    meter(ledger, round_id, REDUCE_SCATTER, ranks, [_words(b) for b in outs])
     return outs
 
 
@@ -305,16 +320,11 @@ def allreduce(payloads, ranks, ledger=None, round_id=0):
     arrays = [np.asarray(p, dtype=np.float64) for p in payloads]
     shape = arrays[0].shape
     if any(a.shape != shape for a in arrays):
-        raise ValueError("allreduce payload shapes differ across the group")
+        raise ValueError("payload shapes differ across the group")
     total = arrays[0].copy()
     for a in arrays[1:]:
         total += a
-    q = len(ranks)
-    if ledger is not None and q > 1:
-        m = _words(total)
-        words = (2 * m * (q - 1) + q - 1) // q  # bidirectional exchange, ceil
-        for rank in ranks:
-            ledger.add(round_id, ALLREDUCE, rank, words, 2 * (q - 1))
+    meter(ledger, round_id, ALLREDUCE, ranks, _words(total))
     return total
 
 
@@ -328,45 +338,9 @@ def all_to_allv(send, ranks, ledger=None, round_id=0):
     q = len(ranks)
     if len(send) != q or any(len(row) != q for row in send):
         raise ValueError("send matrix must be %d x %d" % (q, q))
-    recv = [[send[i][j] for i in range(q)] for j in range(q)]
-    if ledger is not None:
-        for j, rank in enumerate(ranks):
-            words = 0
-            peers = 0
-            for i in range(q):
-                if i == j:
-                    continue
-                payload = send[i][j]
-                if payload is None:
-                    continue
-                w = _words(payload)
-                if w:
-                    words += w
-                    peers += 1
-            ledger.add(round_id, ALL_TO_ALLV, rank, words, peers)
-    return recv
-
-
-def collective(kind, payloads, ranks, ledger=None, round_id=0, out_offsets=None):
-    """Single entry point over the four collectives.
-
-    ``payloads`` is the per-member list (for all_to_allv, the q x q send
-    matrix); ``out_offsets`` is required for reduce_scatter.  Each group
-    member appears exactly once in ``ranks``, so double invocation within
-    a phase is structurally impossible.
-    """
-    if kind == ALLGATHER:
-        return allgather(payloads, ranks, ledger=ledger, round_id=round_id)
-    if kind == REDUCE_SCATTER:
-        if out_offsets is None:
-            raise ValueError("reduce_scatter needs out_offsets")
-        return reduce_scatter(payloads, out_offsets, ranks, ledger=ledger,
-                              round_id=round_id)
-    if kind == ALLREDUCE:
-        return allreduce(payloads, ranks, ledger=ledger, round_id=round_id)
-    if kind == ALL_TO_ALLV:
-        return all_to_allv(payloads, ranks, ledger=ledger, round_id=round_id)
-    raise ValueError("unknown collective kind %r" % kind)
+    meter(ledger, round_id, ALL_TO_ALLV, ranks,
+          [[0 if x is None else _words(x) for x in row] for row in send])
+    return [[send[i][j] for i in range(q)] for j in range(q)]
 
 
 def ts_exact_round_words_total(grid: ProcessorGrid, R: int) -> int:

@@ -2,9 +2,10 @@
 
 A matricization keeps the nonzeros sorted by a composite column key (all
 indices except mode j, earlier modes varying fastest) and then by row
-index, the analogue of compressed-sparse-column storage.  Column lookups
-are binary searches over the sorted keys.  A second, row-compressed
-ordering is kept for kernels that accumulate into mode-j rows.
+index, the analogue of compressed-sparse-column storage; one lexsort
+gives that order for either key dtype.  Column lookups are binary
+searches over the sorted keys.  A second, row-compressed ordering is
+kept for kernels that accumulate into mode-j rows.
 
 Column keys are mixed-radix encodings in int64 when the off-mode index
 space fits; otherwise keys fall back to arbitrary-precision Python
@@ -105,18 +106,22 @@ class Matricization:
         self.row_lo = int(row_lo)
         self.row_hi = int(self.dims[mode] if row_hi is None else row_hi)
 
+        # Per-mode index range [lo, hi) of the entries, kept for coverage
+        # checks; with no entries lo > hi, so every such check passes.  Taken
+        # column by column: an axis-0 reduction over the narrow rows measured
+        # about 10x slower.
+        self.idx_lo = np.array([c.min(initial=np.iinfo(np.int64).max) for c in self.idx.T])
+        self.idx_hi = np.array([c.max(initial=-1) for c in self.idx.T]) + 1
+        if self.idx_lo[mode] < self.row_lo or self.idx_hi[mode] > self.row_hi:
+            raise ValueError("entry rows outside block [%d, %d)" % (self.row_lo, self.row_hi))
+
+        # Column order by (key, row); lexsort orders object keys too.
         keys = column_keys(self.idx, self.dims, self.mode)
         rows = self.idx[:, self.mode]
-        if keys.dtype == object:
-            order = sorted(range(len(vals)), key=lambda i: (keys[i], rows[i]))
-            self.col_order = np.asarray(order, dtype=np.intp)
-        else:
-            self.col_order = np.lexsort((rows, keys))
+        self.col_order = np.lexsort((rows, keys))
         self.sorted_keys = keys[self.col_order]
 
         rel = rows - self.row_lo
-        if rel.size and (rel.min() < 0 or rel.max() >= self.n_rows):
-            raise ValueError("entry rows outside block [%d, %d)" % (self.row_lo, self.row_hi))
         self.row_order = np.argsort(rel, kind="stable")
         counts = np.bincount(rel, minlength=self.n_rows)
         self.row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
@@ -176,7 +181,7 @@ def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet
 
     tensor-stationary: each nonzero goes to the unique grid cell whose
     index hyper-rectangle contains it; every rank keeps N matricized
-    views of the same local set.
+    views of one copy of its local nonzeros.
 
     accumulator-stationary: one replicated copy per mode, partitioned by
     the mode's factor block rows, so each rank's mode-j copy covers
@@ -194,13 +199,13 @@ def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet
         mats = []
         for p in range(grid.P):
             pos = order[bounds[p]:bounds[p + 1]]
+            idx, vals = t.idx[pos], t.vals[pos]  # shared by the rank's N views
             coords = grid.coords(p)
             per_mode = []
             for j in range(t.mode_count):
                 lo = int(grid.chunk_offsets[j][coords[j]])
                 hi = int(grid.chunk_offsets[j][coords[j] + 1])
-                per_mode.append(Matricization(t.dims, t.idx[pos], t.vals[pos], j,
-                                              row_lo=lo, row_hi=hi))
+                per_mode.append(Matricization(t.dims, idx, vals, j, row_lo=lo, row_hi=hi))
             mats.append(per_mode)
         return LocalTensorSet(schedule, grid, mats)
 

@@ -94,11 +94,9 @@ def mttkrp_exact(mat: Matricization, factors, offsets=None, workers=1):
     for i, f in enumerate(factors):
         if i == j or f is None:
             continue
-        lo_need = mat.idx[:, i].min(initial=offsets[i])
-        hi_need = mat.idx[:, i].max(initial=offsets[i] - 1) + 1
-        if lo_need < offsets[i] or hi_need > offsets[i] + f.shape[0]:
+        if mat.idx_lo[i] < offsets[i] or mat.idx_hi[i] > offsets[i] + f.shape[0]:
             raise ValueError("mode-%d rows [%d, %d) not covered by gathered block"
-                             % (i, lo_need, hi_need))
+                             % (i, mat.idx_lo[i], mat.idx_hi[i]))
     out = np.zeros((mat.n_rows, R))
     if mat.nnz == 0:
         return out

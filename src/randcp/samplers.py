@@ -136,8 +136,9 @@ def arls_lev_build(blocks, ledger=None, round_id=0) -> ArlsLevState:
         mass = float(d.sum())
         C[p] = mass
         dists.append(d / mass if mass > 0.0 else d)
-    C = gridmod.allgather([np.array([c]) for c in C], list(range(blocks.n_blocks)),
-                          ledger=ledger, round_id=round_id)
+    # C is allgathered, one word per rank.
+    gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(blocks.n_blocks),
+                  np.ones(blocks.n_blocks, dtype=np.int64))
     return ArlsLevState(blocks.mode, dists, C, blocks.lows.copy(), blocks.his.copy(), G, Gp)
 
 
@@ -173,22 +174,17 @@ def arls_lev_sample(states, k, J, factors_full, seed, round_id=0, ledger=None) -
         if W <= 0.0:
             raise ValueError("mode %d has zero total leverage mass" % i)
         split = consistent_multinomial(st.C, J, seed, round_id, k, i)
-        parts = []
-        P = len(st.dists)
-        for p in range(P):
-            quota = int(split[p])
-            if quota == 0:
-                parts.append(np.empty((0, 2)))
-                continue
+        rows, probs = [], []
+        for p in np.flatnonzero(split):
             gen = rng.stream(seed, rng.LOCAL_DRAW, round_id, k, i, p)
-            local = gen.choice(st.dists[p].size, size=quota, p=st.dists[p])
-            rows = st.lows[p] + local
-            probs = (st.C[p] / W) * st.dists[p][local]
-            parts.append(np.stack([rows.astype(np.float64), probs], axis=1))
-        gathered = gridmod.allgather(parts, list(range(P)), ledger=ledger, round_id=round_id)
+            local = gen.choice(st.dists[p].size, size=int(split[p]), p=st.dists[p])
+            rows.append(st.lows[p] + local)
+            probs.append((st.C[p] / W) * st.dists[p][local])
+        # Allgather of every rank's (row, probability) pairs, in rank order.
+        gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(len(split)), 2 * split)
         perm = rng.stream(seed, rng.SHUFFLE, round_id, k, i).permutation(J)
-        X[:, i] = gathered[perm, 0].astype(np.int64)
-        per_mode_prob[:, i] = gathered[perm, 1]
+        X[:, i] = np.concatenate(rows)[perm]
+        per_mode_prob[:, i] = np.concatenate(probs)[perm]
     H = np.ones((J, R))
     for i in range(N):
         if i != k:
@@ -203,12 +199,12 @@ class LeverageTree:
     ``node_grams[lev]`` holds the (2^lev, R, R) node matrices; level
     ``depth`` is the rank-leaf level (leaf ell belongs to the rank in
     row-block order, padding leaves hold zero).  Below that, each rank
-    subdivides its block into contiguous leaf blocks of at most
-    ``leaf_block_size`` rows whose Grams drive the local search.
+    subdivides its block into contiguous leaf blocks whose Grams drive
+    the local search.
     """
 
     def __init__(self, mode, node_grams, leaf_rank, block_lo, block_hi,
-                 leaf_offsets, leaf_grams, leaf_block_size):
+                 leaf_offsets, leaf_grams):
         self.mode = mode
         self.node_grams = node_grams
         self.leaf_rank = leaf_rank
@@ -216,7 +212,6 @@ class LeverageTree:
         self.block_hi = block_hi
         self.leaf_offsets = leaf_offsets  # per rank, offsets within its block
         self.leaf_grams = leaf_grams      # per rank, (n_leaves, R, R)
-        self.leaf_block_size = leaf_block_size
 
     @property
     def depth(self):
@@ -227,7 +222,7 @@ class LeverageTree:
         return self.node_grams[0][0]
 
 
-def sts_build(blocks, grid=None, ledger=None, round_id=0, leaf_block_size=None) -> LeverageTree:
+def sts_build(blocks, ledger=None, round_id=0, leaf_block_size=None) -> LeverageTree:
     """Build the leverage tree for one factor (exact-sampler build pass).
 
     Leaf Grams come from each rank's local rows; the upward pass mirrors
@@ -243,10 +238,7 @@ def sts_build(blocks, grid=None, ledger=None, round_id=0, leaf_block_size=None) 
     """
     R = blocks.R
     P = blocks.n_blocks
-    if grid is not None:
-        order = grid.row_order(blocks.mode)
-    else:
-        order = np.lexsort((np.arange(P), blocks.lows))
+    order = np.lexsort((np.arange(P), blocks.lows))  # rank ids in row-block order
     depth = max(int(math.ceil(math.log2(P))), 0) if P > 1 else 0
     padded = 1 << depth
 
@@ -281,18 +273,19 @@ def sts_build(blocks, grid=None, ledger=None, round_id=0, leaf_block_size=None) 
     for lev in range(depth - 1, -1, -1):
         node_grams[lev] = node_grams[lev + 1].reshape(-1, 2, R, R).sum(axis=1)
 
-    if ledger is not None and P > 1:
-        for lev in range(depth - 1, -1, -1):
-            bit = 1 << (depth - 1 - lev)
-            for leaf in range(P):
-                partner = leaf ^ bit
-                if partner < P:
-                    ledger.add(round_id, gridmod.ALL_TO_ALLV, int(leaf_rank[leaf]), R * R, 1)
+    # Level lev exchanges one R x R matrix between leaves whose positions
+    # differ in bit depth-1-lev (an empty padding partner sends nothing).
+    leaf = np.arange(P)
+    for lev in range(depth - 1, -1, -1):
+        partner = leaf ^ (1 << (depth - 1 - lev))
+        real = partner < P
+        sent = np.bincount(partner[real] * P + leaf[real], minlength=P * P) * (R * R)
+        gridmod.meter(ledger, round_id, gridmod.ALL_TO_ALLV, order, sent)
 
     lows = blocks.lows.copy()
     his = blocks.his.copy()
     return LeverageTree(blocks.mode, node_grams, leaf_rank, lows, his,
-                        leaf_offsets, leaf_grams, leaf_block_size)
+                        leaf_offsets, leaf_grams)
 
 
 def _inverse_cdf(masses, of, r):
@@ -385,20 +378,12 @@ def local_sts_leaf_search(h, block_rows, leaf_grams, leaf_offsets, cond, r, row_
 
 def _route_meter(ledger, round_id, old_owner, new_owner, payload_words, P):
     """Meter the level-boundary all-to-allv that moves samples between ranks."""
-    moved = old_owner != new_owner
-    if not moved.any():
-        return
-    dest = new_owner[moved]
-    recv_words = np.bincount(dest, minlength=P) * payload_words
-    links, _, _ = distinct_keys(old_owner[moved] * P + dest)  # (source, destination)
-    recv_peers = np.bincount(links % P, minlength=P)
-    for p in np.flatnonzero(recv_peers):
-        ledger.add(round_id, gridmod.ALL_TO_ALLV, int(p), int(recv_words[p]),
-                   int(recv_peers[p]))
+    sent = np.bincount(old_owner * P + new_owner, minlength=P * P) * payload_words
+    gridmod.meter(ledger, round_id, gridmod.ALL_TO_ALLV, range(P), sent)
 
 
 def sts_sample(trees, k, J, gram_chain_pinv, grams, blocks_per_mode, seed,
-               round_id=0, grid=None, ledger=None, uniform_override=None) -> SampleBatch:
+               round_id=0, ledger=None, uniform_override=None) -> SampleBatch:
     """Draw J rows from the exact Khatri-Rao leverage distribution.
 
     Modes are visited in ascending order skipping k.  For mode i the
@@ -477,8 +462,7 @@ def sts_sample(trees, k, J, gram_chain_pinv, grams, blocks_per_mode, seed,
                 raise DegenerateWalkError("walk branched into an empty padded subtree")
             leaf_idx = leaf_lo + (np.arange(J, dtype=np.int64) % n_real)
             new_owner = tree.leaf_rank[leaf_idx]
-            if ledger is not None and P > 1:
-                _route_meter(ledger, round_id, owner, new_owner, payload_words, P)
+            _route_meter(ledger, round_id, owner, new_owner, payload_words, P)
             owner = new_owner
         if depth:
             owner = tree.leaf_rank[node]

@@ -80,12 +80,7 @@ def refresh_gathered(ctx: SolveContext, mode: int):
 
 def _meter_allgather_model(ledger, round_id, ranks, member_words):
     """Record an allgather's traffic without materializing the payloads."""
-    q = len(ranks)
-    if ledger is None or q <= 1:
-        return
-    total = int(sum(member_words))
-    for rank, w in zip(ranks, member_words):
-        ledger.add(round_id, gridmod.ALLGATHER, rank, total - int(w), q - 1)
+    gridmod.meter(ledger, round_id, gridmod.ALLGATHER, ranks, member_words)
 
 
 def distinct_columns(batch, dims, k):
@@ -114,8 +109,7 @@ def draw_batch(ctx: SolveContext, k: int):
     elif ctx.sampler == "sts":
         chain_pinv = pseudo_inverse(hadamard_gram_chain(ctx.grams, skip=k))
         batch = sts_sample(ctx.trees, k, ctx.J, chain_pinv, ctx.grams, ctx.factors,
-                           ctx.seed, round_id=ctx.round_id, grid=ctx.grid,
-                           ledger=ctx.ledger)
+                           ctx.seed, round_id=ctx.round_id, ledger=ctx.ledger)
     else:
         raise ScheduleError("no sampler configured (sampler=%r)" % ctx.sampler)
     ctx.tick("sampling", t0)
@@ -253,17 +247,13 @@ def _meter_sampled_gathers_ts(ctx, k, batch):
     for i in range(grid.N):
         if i == k:
             continue
-        owner = grid.row_owner(i, batch.X[:, i])
-        chunk = grid.chunk_of(i, batch.X[:, i])
+        # A row's owner sits in the slice group of the row's chunk.
+        words = np.bincount(grid.row_owner(i, batch.X[:, i]), minlength=grid.P) \
+            * ctx.factors[i].R
         for c in range(grid.grid_dims[i]):
             group = grid.slice_group(i, c)
-            in_chunk = chunk == c
-            if not in_chunk.any():
-                continue
-            counts = np.bincount(owner[in_chunk], minlength=grid.P)
-            R = ctx.factors[i].R
-            _meter_allgather_model(ctx.ledger, ctx.round_id, list(group),
-                                   [int(counts[p]) * R for p in group])
+            if words[group].any():  # some sample drew a row of chunk c
+                _meter_allgather_model(ctx.ledger, ctx.round_id, group, words[group])
 
 
 def solve_mode_accumulator_stationary(ctx: SolveContext, k: int, injected_batch=None):

@@ -76,9 +76,9 @@ def suite_samplers(seed=0):
     grams = [gram(b) for b in blocks]
     oracle = exact_krp_leverage_oracle(factors, skip=k)
 
-    trees = [sts_build(b, grid=g1) for b in blocks]
+    trees = [sts_build(b) for b in blocks]
     chain_pinv = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
-    batch = sts_sample(trees, k, J, chain_pinv, grams, blocks, seed=seed + 1, grid=g1)
+    batch = sts_sample(trees, k, J, chain_pinv, grams, blocks, seed=seed + 1)
     tv = _batch_tv(batch, dims, k, oracle)
     checks.append(("sts_tv_vs_exact_oracle < 0.01", tv < 0.01, "tv=%.4f" % tv))
     err = np.abs(batch.prob - oracle_joint(oracle, batch, dims, k)).max()
@@ -192,9 +192,9 @@ def suite_schedules(seed=0):
     funit = _unit_factors(dims, 3, seed + 8)
     blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(funit)]
     grams = [gram(b) for b in blocks]
-    trees = [_sb(b, grid=g) for b in blocks]
+    trees = [_sb(b) for b in blocks]
     chain_pinv = pseudo_inverse(hadamard_gram_chain(grams, skip=0))
-    batch = _ss(trees, 0, 128, chain_pinv, grams, blocks, seed=seed + 9, grid=g)
+    batch = _ss(trees, 0, 128, chain_pinv, grams, blocks, seed=seed + 9)
     sample_weights(batch)
     pt = partition_to_grid(t, g, "tensor-stationary")
     pa = partition_to_grid(t, g, "accumulator-stationary")

@@ -92,9 +92,9 @@ def test_criterion_2_sampler_total_variation():
     grams = [gram(b) for b in blocks]
     oracle = exact_krp_leverage_oracle(factors, skip=k)
 
-    trees = [sts_build(b, grid=g) for b in blocks]
+    trees = [sts_build(b) for b in blocks]
     cp = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
-    batch = sts_sample(trees, k, J, cp, grams, blocks, seed=2, grid=g)
+    batch = sts_sample(trees, k, J, cp, grams, blocks, seed=2)
     emp = np.bincount(batch_keys(batch, dims, k), minlength=16) / J
     tv_sts = 0.5 * np.abs(emp - oracle).sum()
 
@@ -134,7 +134,7 @@ def test_criterion_3_walk_probability_identity(dims, k):
     g = gridmod.ProcessorGrid(dims, (1, 1, 1))
     blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(factors)]
     grams = [gram(b) for b in blocks]
-    trees = [sts_build(b, grid=g) for b in blocks]
+    trees = [sts_build(b) for b in blocks]
     cp = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
     oracle = exact_krp_leverage_oracle(factors, skip=k)
 
@@ -146,7 +146,7 @@ def test_criterion_3_walk_probability_identity(dims, k):
     override = np.zeros((len(targets), 3))
     override[:, modes[0]] = rr[:, 0]
     override[:, modes[1]] = rr[:, 1]
-    batch = sts_sample(trees, k, len(targets), cp, grams, blocks, seed=0, grid=g,
+    batch = sts_sample(trees, k, len(targets), cp, grams, blocks, seed=0,
                        uniform_override=override)
     got = list(zip(batch.X[:, modes[0]].tolist(), batch.X[:, modes[1]].tolist()))
     assert got == targets, "steered walk visited wrong tuples"
@@ -217,12 +217,12 @@ def test_criterion_5_sketched_solve_guarantee():
         factors = unit_factors(dims, R, seed=700 + s)
         blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(factors)]
         grams = [gram(b) for b in blocks]
-        trees = [sts_build(b, grid=g) for b in blocks]
+        trees = [sts_build(b) for b in blocks]
         A = khatri_rao(factors, skip=k)
         X_opt = B @ A @ pseudo_inverse(A.T @ A)
         r_opt = np.linalg.norm(A @ X_opt.T - B.T)
         cp = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
-        batch = sts_sample(trees, k, J, cp, grams, blocks, seed=800 + s, grid=g)
+        batch = sts_sample(trees, k, J, cp, grams, blocks, seed=800 + s)
         w = sample_weights(batch)
         rhs = downsampled_mttkrp(gather_sampled_nonzeros_to_csr(mk, batch.X, k),
                                  batch.H, w)
@@ -244,10 +244,10 @@ def test_criterion_6_schedule_equivalence_and_rank_invariance():
         g = gridmod.ProcessorGrid(t.dims, gdims)
         blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(factors)]
         grams = [gram(b) for b in blocks]
-        trees = [sts_build(b, grid=g) for b in blocks]
+        trees = [sts_build(b) for b in blocks]
         for k in range(3):
             cp = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
-            batch = sts_sample(trees, k, 64, cp, grams, blocks, seed=9 + k, grid=g)
+            batch = sts_sample(trees, k, 64, cp, grams, blocks, seed=9 + k)
             sample_weights(batch)
             ctxs = {}
             for sched in ("tensor-stationary", "accumulator-stationary"):

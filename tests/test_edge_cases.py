@@ -34,10 +34,10 @@ class TestFourModeEndToEnd:
         g = gridmod.ProcessorGrid(t.dims, (2, 1, 2, 1))
         blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(factors)]
         grams = [gram(b) for b in blocks]
-        trees = [sts_build(b, grid=g) for b in blocks]
+        trees = [sts_build(b) for b in blocks]
         for k in range(4):
             cp = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
-            batch = sts_sample(trees, k, 64, cp, grams, blocks, seed=4 + k, grid=g)
+            batch = sts_sample(trees, k, 64, cp, grams, blocks, seed=4 + k)
             sample_weights(batch)
             ctx_t = SolveContext(g, "tensor-stationary", "sts", 64,
                                  [b.copy() for b in blocks], grams,
@@ -76,7 +76,7 @@ def test_sts_build_exchange_metering_power_of_two():
     g = gridmod.ProcessorGrid((32, 8, 8), (8, 1, 1))
     fb = FactorBlocks.from_global(U, g, 0)
     led = gridmod.CommLedger()
-    sts_build(fb, grid=g, ledger=led, round_id=1)
+    sts_build(fb, ledger=led, round_id=1)
     # each of 8 ranks receives one 3x3 matrix per level, log2(8) levels
     assert led.words(kind=gridmod.ALL_TO_ALLV) == 8 * 3 * (3 * 3)
     for p in range(8):
@@ -91,12 +91,12 @@ def test_walk_routing_total_words_scale():
     g = gridmod.ProcessorGrid(dims, (2, 2, 1))
     blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(factors)]
     grams = [gram(b) for b in blocks]
-    trees = [sts_build(b, grid=g) for b in blocks]
+    trees = [sts_build(b) for b in blocks]
     cp = pseudo_inverse(hadamard_gram_chain(grams, skip=2))
     words = {}
     for J in (128, 256):
         led = gridmod.CommLedger()
-        sts_sample(trees, 2, J, cp, grams, blocks, seed=8, grid=g, ledger=led)
+        sts_sample(trees, 2, J, cp, grams, blocks, seed=8, ledger=led)
         words[J] = led.words(kind=gridmod.ALL_TO_ALLV)
         # payload is N + R + 2 words per routed sample; at most J per level
         assert words[J] <= (3 + R + 2) * J * 2 * 2  # modes x levels

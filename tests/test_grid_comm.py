@@ -121,23 +121,55 @@ class TestCollectives:
                                np.sum(parts, axis=0), atol=1e-12)
 
 
-class TestCollectiveDispatch:
-    def test_dispatch_matches_direct_calls(self, rng):
-        parts = [rng.standard_normal(4) for _ in range(3)]
-        ranks = [0, 1, 2]
-        assert np.array_equal(gridmod.collective(gridmod.ALLGATHER, parts, ranks),
-                              allgather(parts, ranks))
-        assert np.allclose(gridmod.collective(gridmod.ALLREDUCE, parts, ranks),
-                           allreduce(parts, ranks))
-        mats = [rng.standard_normal((6, 2)) for _ in range(3)]
-        offs = [0, 2, 4, 6]
-        a = gridmod.collective(gridmod.REDUCE_SCATTER, mats, ranks, out_offsets=offs)
-        b = reduce_scatter(mats, offs, ranks)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+class TestMeter:
+    """``grid.meter`` against hand-worked costs for each collective kind."""
+
+    def test_allgather(self):
+        led = CommLedger()
+        gridmod.meter(led, 1, gridmod.ALLGATHER, [3, 5, 7], [2, 0, 5])
+        assert led.records() == {(1, "allgather", 3): (5, 2), (1, "allgather", 5): (7, 2),
+                                 (1, "allgather", 7): (2, 2)}
+
+    def test_reduce_scatter(self):
+        led = CommLedger()
+        gridmod.meter(led, 0, gridmod.REDUCE_SCATTER, [0, 1, 2, 3], [2, 2, 3, 1])
+        assert led.records() == {(0, "reduce_scatter", p): (w, 3)
+                                 for p, w in enumerate([6, 6, 9, 3])}
+
+    def test_allreduce(self):
+        led = CommLedger()
+        gridmod.meter(led, 0, gridmod.ALLREDUCE, [0, 1, 2, 3], 5)  # ceil(2*5*3/4) = 8
+        gridmod.meter(led, 1, gridmod.ALLREDUCE, [4, 6, 8], 4)     # ceil(2*4*2/3) = 6
+        assert led.records() == {**{(0, "allreduce", p): (8, 6) for p in range(4)},
+                                 **{(1, "allreduce", p): (6, 4) for p in (4, 6, 8)}}
+
+    def test_all_to_allv_records_only_receivers(self):
+        led = CommLedger()
+        sent = [[9, 2, 0],   # the diagonal stays local and is not metered
+                [3, 9, 0],
+                [4, 1, 9]]
+        gridmod.meter(led, 2, gridmod.ALL_TO_ALLV, [10, 11, 12], sent)
+        assert led.records() == {(2, "all_to_allv", 10): (7, 2),
+                                 (2, "all_to_allv", 11): (3, 2)}
+
+    def test_all_to_allv_skips_members_that_receive_nothing(self):
+        led = CommLedger()
+        send = [[None, np.ones(4)], [None, None]]
+        all_to_allv(send, [0, 1], ledger=led)
+        assert led.records() == {(0, "all_to_allv", 1): (4, 1)}
+
+    @pytest.mark.parametrize("kind, one, two", [
+        (gridmod.ALLGATHER, [10], [10, 10]), (gridmod.REDUCE_SCATTER, [10], [10, 10]),
+        (gridmod.ALLREDUCE, 10, 10), (gridmod.ALL_TO_ALLV, [[10]], [[0, 10], [10, 0]])])
+    def test_single_member_and_no_ledger_record_nothing(self, kind, one, two):
+        led = CommLedger()
+        gridmod.meter(led, 0, kind, [4], one)
+        gridmod.meter(None, 0, kind, [4, 5], two)
+        assert led.records() == {}
+
+    def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            gridmod.collective("broadcast", parts, ranks)
-        with pytest.raises(ValueError):
-            gridmod.collective(gridmod.REDUCE_SCATTER, mats, ranks)
+            gridmod.meter(CommLedger(), 0, "broadcast", [0, 1], [1, 1])
 
 
 class TestLedger:

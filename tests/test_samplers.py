@@ -22,7 +22,7 @@ def blocks_for(factors, grid):
 def sts_setup(factors, grid, k, leaf_block_size=None, ledger=None):
     blocks = blocks_for(factors, grid)
     grams = [gram(b) for b in blocks]
-    trees = [sts_build(b, grid=grid, ledger=ledger, leaf_block_size=leaf_block_size)
+    trees = [sts_build(b, ledger=ledger, leaf_block_size=leaf_block_size)
              for b in blocks]
     chain_pinv = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
     return blocks, grams, trees, chain_pinv
@@ -166,7 +166,7 @@ class TestStsBuild:
         U = gen.standard_normal((24, 3))
         g = gridmod.ProcessorGrid((24, 4, 4), (8, 1, 1))
         fb = FactorBlocks.from_global(U, g, 0)
-        tree = sts_build(fb, grid=g)
+        tree = sts_build(fb)
         leaf = tree.node_grams[tree.depth]
         for lev in range(tree.depth):
             width = 1 << (tree.depth - lev)
@@ -195,7 +195,7 @@ class TestStsSample:
         factors = [np.array([[1.0, 2.0]]), np.array([[3.0, 0.5]]), np.array([[1.0, 1.0]])]
         g = single_grid((1, 1, 1))
         blocks, grams, trees, cp = sts_setup(factors, g, 2)
-        batch = sts_sample(trees, 2, 16, cp, grams, blocks, seed=11, grid=g)
+        batch = sts_sample(trees, 2, 16, cp, grams, blocks, seed=11)
         assert (batch.X[:, :2] == 0).all()
         assert np.allclose(batch.H, factors[0][0] * factors[1][0])
 
@@ -205,7 +205,7 @@ class TestStsSample:
         factors = [gen.standard_normal((6, 2)), np.ones((1, 2)), gen.standard_normal((4, 2))]
         g = single_grid(dims)
         blocks, grams, trees, cp = sts_setup(factors, g, 2)
-        batch = sts_sample(trees, 2, 32, cp, grams, blocks, seed=13, grid=g)
+        batch = sts_sample(trees, 2, 32, cp, grams, blocks, seed=13)
         assert np.allclose(batch.H, factors[0][batch.X[:, 0]])
 
     def test_empirical_matches_exact_oracle(self):
@@ -215,7 +215,7 @@ class TestStsSample:
         g = single_grid(dims)
         blocks, grams, trees, cp = sts_setup(factors, g, 2)
         J = 50000
-        batch = sts_sample(trees, 2, J, cp, grams, blocks, seed=15, grid=g)
+        batch = sts_sample(trees, 2, J, cp, grams, blocks, seed=15)
         oracle = exact_krp_leverage_oracle(factors, skip=2)
         emp = np.bincount(batch_keys(batch, dims, 2), minlength=16) / J
         assert 0.5 * np.abs(emp - oracle).sum() < 0.02
@@ -229,7 +229,7 @@ class TestStsSample:
         for gdims in ((1, 1, 1), (2, 2, 1), (4, 2, 1)):
             g = gridmod.ProcessorGrid(dims, gdims)
             blocks, grams, trees, cp = sts_setup(factors, g, 2)
-            draws[gdims] = sts_sample(trees, 2, 256, cp, grams, blocks, seed=17, grid=g).X
+            draws[gdims] = sts_sample(trees, 2, 256, cp, grams, blocks, seed=17).X
         assert np.array_equal(draws[(1, 1, 1)], draws[(2, 2, 1)])
         assert np.array_equal(draws[(1, 1, 1)], draws[(4, 2, 1)])
 
@@ -239,8 +239,8 @@ class TestStsSample:
         factors = [gen.standard_normal((d, 2)) for d in dims]
         g = gridmod.ProcessorGrid(dims, (2, 1, 1))
         blocks, grams, trees, cp = sts_setup(factors, g, 0)
-        a = sts_sample(trees, 0, 128, cp, grams, blocks, seed=19, grid=g)
-        b = sts_sample(trees, 0, 128, cp, grams, blocks, seed=19, grid=g)
+        a = sts_sample(trees, 0, 128, cp, grams, blocks, seed=19)
+        b = sts_sample(trees, 0, 128, cp, grams, blocks, seed=19)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.prob, b.prob)
 
@@ -249,7 +249,7 @@ class TestStsSample:
         g = single_grid((4, 4, 3))
         blocks, grams, trees, cp = sts_setup(factors, g, 2)
         with pytest.raises(DegenerateWalkError):
-            sts_sample(trees, 2, 4, cp, grams, blocks, seed=20, grid=g)
+            sts_sample(trees, 2, 4, cp, grams, blocks, seed=20)
 
 
 class TestLocalLeafSearch:
@@ -392,7 +392,7 @@ def test_single_effective_factor_consistency():
     ref = exact_krp_leverage_oracle([factors[0]])
     J = 200000
     blocks, grams, trees, cp = sts_setup(factors, g, 2)
-    b_sts = sts_sample(trees, 2, J, cp, grams, blocks, seed=23, grid=g)
+    b_sts = sts_sample(trees, 2, J, cp, grams, blocks, seed=23)
     states = [arls_lev_build(b) for b in blocks]
     b_arls = arls_lev_sample(states, 2, J, factors, seed=24)
     for batch in (b_sts, b_arls):

@@ -22,16 +22,16 @@ def make_ctx(t, grid, schedule, sampler, factors, J=0, ledger=None):
                        ledger if ledger is not None else gridmod.CommLedger(),
                        seed=0)
     if sampler == "sts":
-        ctx.trees = [sts_build(b, grid=grid) for b in blocks]
+        ctx.trees = [sts_build(b) for b in blocks]
     return ctx
 
 
 def injected_sts_batch(t, grid, factors, k, J, seed):
     blocks = [FactorBlocks.from_global(U, grid, j) for j, U in enumerate(factors)]
     grams = [gram(b) for b in blocks]
-    trees = [sts_build(b, grid=grid) for b in blocks]
+    trees = [sts_build(b) for b in blocks]
     cp = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
-    batch = sts_sample(trees, k, J, cp, grams, blocks, seed=seed, grid=grid)
+    batch = sts_sample(trees, k, J, cp, grams, blocks, seed=seed)
     sample_weights(batch)
     return batch
 

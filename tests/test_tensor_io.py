@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from randcp import grid as gridmod
-from randcp.matricization import key_of, matricize, partition_to_grid
+from randcp.matricization import (Matricization, column_keys, key_of, matricize,
+                                  partition_to_grid)
 from randcp.tensor import (BoundsError, ModePermutations, ParseError, SparseTensorCOO,
                            apply_permutations, load_frostt, permute_modes,
                            read_matrix, write_matrix)
@@ -156,6 +157,23 @@ class TestMatricize:
         assert np.allclose(sorted(vals), sorted(t.vals[mask]))
 
 
+    @pytest.mark.parametrize("dims", [(6, 5, 4, 3), (1 << 22,) * 4])
+    def test_col_order_matches_key_row_sort(self, dims):
+        # Few distinct columns and rows, so columns repeat and some entries
+        # share every index; int64 keys for small dims, object keys for large.
+        gen = np.random.default_rng(11)
+        cols = np.stack([gen.integers(0, d, 6) for d in dims], 1)
+        for mode in range(len(dims)):
+            idx = cols[gen.integers(0, 6, 60)]
+            idx[:, mode] = gen.integers(0, min(dims[mode], 3), 60)
+            m = Matricization(dims, idx, gen.standard_normal(60), mode)
+            keys = column_keys(idx, dims, mode)
+            assert keys.dtype == (object if dims[0] > 1000 else np.int64)
+            ref = sorted(range(60), key=lambda i: (keys[i], idx[i, mode]))
+            assert m.col_order.tolist() == ref
+            assert np.array_equal(m.sorted_keys, keys[ref])
+
+
 class TestPartition:
     def test_p1_owns_everything(self):
         t = make_sparse((6, 5, 4), 40, seed=7)
@@ -191,6 +209,16 @@ class TestPartition:
             assert total == t.nnz
             ref = sorted(map(tuple, np.column_stack([t.idx, t.vals]).tolist()))
             assert sorted(seen) == ref
+
+    def test_tensor_stationary_views_share_nonzeros(self):
+        t = make_sparse((7, 6, 5), 80, seed=9)
+        g = gridmod.ProcessorGrid(t.dims, (2, 3, 1))
+        ls = partition_to_grid(t, g, "tensor-stationary")
+        for p in range(g.P):
+            first = ls.local(p, 0)
+            for j in (1, 2):
+                assert np.shares_memory(ls.local(p, j).idx, first.idx)
+                assert np.shares_memory(ls.local(p, j).vals, first.vals)
 
     def test_dimension_mismatch(self):
         t = make_sparse((6, 5, 4), 10, seed=10)
