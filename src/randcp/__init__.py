@@ -9,7 +9,7 @@ from .matricization import LocalTensorSet, Matricization, matricize, partition_t
 from .mttkrp import SampledCsr, downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
 from .samplers import (ArlsLevState, DegenerateWalkError, LeverageTree, SampleBatch,
                        arls_lev_build, arls_lev_sample, exact_krp_leverage_oracle,
-                       local_sts_leaf_search, sample_weights, sts_build, sts_sample)
+                       sample_weights, sts_build, sts_sample)
 from .tensor import (BoundsError, ModePermutations, ParseError, SparseTensorCOO,
                      apply_permutations, load_frostt, permute_modes)
 

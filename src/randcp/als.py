@@ -68,6 +68,8 @@ class AlsConfig:
             raise ScheduleError("accumulator-stationary schedule requires a sampler")
         if self.fit_every < 1:
             raise ValueError("fit_every must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 @dataclass

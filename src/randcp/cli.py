@@ -14,6 +14,16 @@ from .grid import ledger_report
 from .tensor import load_frostt, permute_modes, write_matrix
 
 
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return n
+
+
 def _parse_grid(text):
     try:
         dims = tuple(int(x) for x in text.lower().split("x"))
@@ -48,8 +58,8 @@ def build_parser():
                    help="skip the load-balancing index permutation")
     d.add_argument("--out", default=None, help="output directory for factors and reports")
     d.add_argument("--fit-every", type=int, default=5)
-    d.add_argument("--workers", type=int,
-                   default=int(os.environ.get("RANDCP_WORKERS", "1")),
+    d.add_argument("--workers", type=_positive_int,
+                   default=os.environ.get("RANDCP_WORKERS", "1"),
                    help="threads per kernel (default $RANDCP_WORKERS or 1)")
 
     v = sub.add_parser("verify", help="run oracle verification suites")

@@ -1,16 +1,24 @@
 """Mode-j matricized views of a sparse tensor.
 
-A matricization keeps the nonzeros sorted by a composite column key (all
-indices except mode j, earlier modes varying fastest) and then by row
-index, the analogue of compressed-sparse-column storage; one lexsort
-gives that order for either key dtype.  Column lookups are binary
-searches over the sorted keys.  A second, row-compressed ordering is
-kept for kernels that accumulate into mode-j rows.
+A view holds its local nonzeros once and builds each of two layouts on
+first read, the paper's analogues of compressed-sparse-column and
+compressed-sparse-row storage:
+
+- the CSC analogue orders the nonzeros by a composite column key (all
+  indices except mode j, earlier modes varying fastest) and then by row
+  index; column lookups are binary searches over the sorted keys.  Only
+  sampled extraction reads it.
+- the CSR analogue groups the nonzeros by mode-j row for the kernels that
+  accumulate into rows.  Only exact MTTKRP, and so the fit, reads it.
+
+No run reads both layouts of one view, so each view pays for one.
 
 Column keys are mixed-radix encodings in int64 when the off-mode index
 space fits; otherwise keys fall back to arbitrary-precision Python
 integers (object dtype), which only need to support a total order.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -20,39 +28,21 @@ from .tensor import SparseTensorCOO
 _INT64_SAFE = 1 << 62
 
 
-def off_mode_strides(dims, skip):
-    """Mixed-radix strides over modes != skip, ascending mode order fastest.
-
-    Returns (strides, exact) where strides[skip] = 0 and ``exact`` is
-    False when the key space overflows int64 (callers must use the
-    object-dtype key path).
-    """
-    strides = [0] * len(dims)
-    acc = 1
-    exact = True
-    for m, d in enumerate(dims):
-        if m == skip:
-            continue
-        strides[m] = acc
-        acc *= int(d)
-        if acc > _INT64_SAFE:
-            exact = False
-    return strides, exact
-
-
 def column_keys(idx, dims, skip):
-    """Linearized off-mode key per entry; int64 or object dtype."""
-    strides, exact = off_mode_strides(dims, skip)
-    if exact:
-        keys = np.zeros(idx.shape[0], dtype=np.int64)
-        for m, s in enumerate(strides):
-            if m != skip:
-                keys += idx[:, m] * np.int64(s)
-        return keys
-    keys = np.zeros(idx.shape[0], dtype=object)
-    for m, s in enumerate(strides):
+    """Linearized off-mode key per row of ``idx`` (column ``skip`` ignored).
+
+    Mixed radix over the modes != skip, ascending mode order fastest; int64
+    while the key space fits in 2^62, object-dtype Python integers beyond.
+    """
+    strides, acc = [], 1
+    for m, d in enumerate(dims):
         if m != skip:
-            keys += idx[:, m].astype(object) * s
+            strides.append((m, acc))
+            acc *= int(d)
+    big = acc > _INT64_SAFE
+    keys = np.zeros(idx.shape[0], dtype=object if big else np.int64)
+    for m, s in strides:
+        keys += idx[:, m].astype(object) * s if big else idx[:, m] * np.int64(s)
     return keys
 
 
@@ -76,18 +66,8 @@ def distinct_keys(keys):
     return ordered[head], order[head], inverse
 
 
-def key_of(index_tuple, dims, skip):
-    """Column key of a single off-mode index tuple (entry for skip ignored)."""
-    strides, exact = off_mode_strides(dims, skip)
-    acc = 0
-    for m, s in enumerate(strides):
-        if m != skip:
-            acc += int(index_tuple[m]) * s
-    return np.int64(acc) if exact else acc
-
-
 class Matricization:
-    """Sorted mode-j view of local nonzeros.
+    """Mode-j view of local nonzeros, each layout built on first read.
 
     Parameters
     ----------
@@ -115,17 +95,26 @@ class Matricization:
         if self.idx_lo[mode] < self.row_lo or self.idx_hi[mode] > self.row_hi:
             raise ValueError("entry rows outside block [%d, %d)" % (self.row_lo, self.row_hi))
 
-        # Column order by (key, row); lexsort orders object keys too.
+    @cached_property
+    def _csc(self):
+        """(col_order, sorted_keys): entries by (column key, row), the CSC
+        analogue.  lexsort orders object keys too."""
         keys = column_keys(self.idx, self.dims, self.mode)
-        rows = self.idx[:, self.mode]
-        self.col_order = np.lexsort((rows, keys))
-        self.sorted_keys = keys[self.col_order]
+        order = np.lexsort((self.idx[:, self.mode], keys))
+        return order, keys[order]
 
-        rel = rows - self.row_lo
-        self.row_order = np.argsort(rel, kind="stable")
-        counts = np.bincount(rel, minlength=self.n_rows)
-        self.row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.row_ptr[1:])
+    @cached_property
+    def _csr(self):
+        """(row_order, row_ptr): entries grouped by block row, the CSR analogue."""
+        rel = self.idx[:, self.mode] - self.row_lo
+        row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rel, minlength=self.n_rows), out=row_ptr[1:])
+        return np.argsort(rel, kind="stable"), row_ptr
+
+    col_order = property(lambda self: self._csc[0])
+    sorted_keys = property(lambda self: self._csc[1])
+    row_order = property(lambda self: self._csr[0])
+    row_ptr = property(lambda self: self._csr[1])
 
     @property
     def nnz(self):
@@ -139,19 +128,12 @@ class Matricization:
         """Binary-search positions of query column keys.
 
         Returns (lo, hi): for query q, the nonzeros of that column sit at
-        ``col_order[lo[q]:hi[q]]``.
+        ``col_order[lo[q]:hi[q]]``.  The first call builds the CSC analogue.
         """
         q = np.asarray(query_keys)
         lo = np.searchsorted(self.sorted_keys, q, side="left")
         hi = np.searchsorted(self.sorted_keys, q, side="right")
         return lo, hi
-
-    def column_entries(self, index_tuple):
-        """All (row, value) pairs of one off-mode column."""
-        k = key_of(index_tuple, self.dims, self.mode)
-        lo, hi = self.lookup_columns(np.array([k]))
-        pos = self.col_order[int(lo[0]):int(hi[0])]
-        return self.idx[pos, self.mode], self.vals[pos]
 
 
 def matricize(t: SparseTensorCOO, mode: int) -> Matricization:

@@ -363,19 +363,6 @@ def _leaf_search_batch(W_block, leaf_offsets, leaf_grams, cond, H_rows, which, r
     return rows_local, prob, r_out
 
 
-def local_sts_leaf_search(h, block_rows, leaf_grams, leaf_offsets, cond, r, row_offset=0):
-    """Continue one sample's binary search over a rank's local rows.
-
-    Branches over the leaf-block Grams, then over per-row conditional
-    masses (u_q elementwise h) ^T cond (u_q elementwise h), down to a
-    single row.  Returns the selected global row index.
-    """
-    rows, _, _ = _leaf_search_batch(block_rows, leaf_offsets, leaf_grams, cond,
-                                    np.asarray(h, dtype=np.float64)[None, :],
-                                    np.zeros(1, dtype=np.int64), np.array([float(r)]))
-    return int(row_offset + rows[0])
-
-
 def _route_meter(ledger, round_id, old_owner, new_owner, payload_words, P):
     """Meter the level-boundary all-to-allv that moves samples between ranks."""
     sent = np.bincount(old_owner * P + new_owner, minlength=P * P) * payload_words

@@ -49,18 +49,8 @@ def _unit_factors(dims, R, seed):
     return [normalize_columns(gen.standard_normal((d, R)))[0] for d in dims]
 
 
-def batch_keys(batch, dims, k):
-    from .matricization import off_mode_strides
-    strides, _ = off_mode_strides(dims, k)
-    keys = np.zeros(batch.J, dtype=np.int64)
-    for m, s in enumerate(strides):
-        if m != k:
-            keys += batch.X[:, m] * s
-    return keys
-
-
 def _batch_tv(batch, dims, k, probs_ref):
-    keys = batch_keys(batch, dims, k)
+    keys = column_keys(batch.X, dims, k)
     emp = np.bincount(keys, minlength=probs_ref.size) / batch.J
     return 0.5 * np.abs(emp - probs_ref).sum()
 
@@ -107,7 +97,7 @@ def suite_samplers(seed=0):
 
 
 def oracle_joint(oracle, batch, dims, k):
-    return oracle[batch_keys(batch, dims, k)]
+    return oracle[column_keys(batch.X, dims, k)]
 
 
 def suite_mttkrp(seed=0):

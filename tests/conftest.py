@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from randcp.tensor import SparseTensorCOO
+from randcp.verify import dense_matricization, dense_of  # noqa: F401  (shared oracles)
 
 
 def make_sparse(dims, nnz, seed, dense=False):
@@ -15,18 +16,6 @@ def make_sparse(dims, nnz, seed, dense=False):
         idx = idx[gen.permutation(idx.shape[0])[:nnz]]
     vals = gen.standard_normal(idx.shape[0])
     return SparseTensorCOO(dims, idx, vals)
-
-
-def dense_of(t):
-    T = np.zeros(t.dims)
-    T[tuple(t.idx.T)] = t.vals
-    return T
-
-
-def dense_matricization(T, mode):
-    """Independent dense matricization whose column order matches the
-    library's composite key (earlier modes fastest)."""
-    return np.moveaxis(T, mode, 0).reshape(T.shape[mode], -1, order="F")
 
 
 def unit_factors(dims, R, seed):

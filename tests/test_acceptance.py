@@ -20,7 +20,6 @@ from randcp.samplers import (arls_lev_build, arls_lev_sample, exact_krp_leverage
 from randcp.schedules import (SolveContext, solve_mode_accumulator_stationary,
                               solve_mode_tensor_stationary)
 from randcp.tensor import load_frostt, permute_modes
-from randcp.verify import batch_keys
 from conftest import dense_matricization, dense_of, make_sparse, unit_factors
 
 
@@ -95,14 +94,14 @@ def test_criterion_2_sampler_total_variation():
     trees = [sts_build(b) for b in blocks]
     cp = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
     batch = sts_sample(trees, k, J, cp, grams, blocks, seed=2)
-    emp = np.bincount(batch_keys(batch, dims, k), minlength=16) / J
+    emp = np.bincount(column_keys(batch.X, dims, k), minlength=16) / J
     tv_sts = 0.5 * np.abs(emp - oracle).sum()
 
     states = [arls_lev_build(b) for b in blocks]
     batch_a = arls_lev_sample(states, k, J, factors, seed=3)
     per = [exact_krp_leverage_oracle([factors[i]]) for i in range(2)]
     product = np.multiply.outer(per[1], per[0]).reshape(-1)
-    emp_a = np.bincount(batch_keys(batch_a, dims, k), minlength=16) / J
+    emp_a = np.bincount(column_keys(batch_a.X, dims, k), minlength=16) / J
     tv_arls = 0.5 * np.abs(emp_a - product).sum()
 
     print("PASS criterion 2: TV sts=%.4f arls=%.4f (bound 0.01, J=%d)"

@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from randcp.cli import main
+from randcp.als import AlsConfig
+from randcp.cli import build_parser, main
 from randcp.tensor import read_matrix
 from conftest import make_sparse
 
@@ -69,6 +70,30 @@ class TestDecompose:
         with pytest.raises(SystemExit):
             main(["decompose", "--tensor", "x.tns", "--rank", "2", "--grid", "2xbanana"])
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_bad_workers_flag_usage_error(self, tns_file, workers, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["decompose", "--tensor", tns_file, "--rank", "2", "--workers", workers])
+        assert e.value.code == 2
+        assert "--workers: expected a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env", ["abc", "0", ""])
+    def test_malformed_workers_env_usage_error(self, tns_file, env, monkeypatch, capsys):
+        monkeypatch.setenv("RANDCP_WORKERS", env)
+        with pytest.raises(SystemExit) as e:
+            main(["decompose", "--tensor", tns_file, "--rank", "2"])
+        assert e.value.code == 2
+        assert "--workers: expected a positive integer" in capsys.readouterr().err
+        # An explicit flag overrides the variable; other subcommands ignore it.
+        assert main(["decompose", "--tensor", tns_file, "--rank", "2", "--rounds", "1",
+                     "--fit-every", "1", "--workers", "2"]) == 0
+        assert main(["verify", "--suite", "fit"]) == 0
+
+    def test_workers_env_sets_default(self, monkeypatch):
+        monkeypatch.setenv("RANDCP_WORKERS", "3")
+        args = build_parser().parse_args(["decompose", "--tensor", "x.tns", "--rank", "2"])
+        assert args.workers == 3
+
 
 class TestVerify:
     def test_fit_suite_passes(self, capsys):
@@ -83,6 +108,11 @@ class TestVerify:
         with pytest.raises(SystemExit) as e:
             main(["verify", "--suite", "nonsense"])
         assert e.value.code != 0
+
+
+def test_config_rejects_workers_below_one():
+    with pytest.raises(ValueError, match="workers"):
+        AlsConfig(rank=2, rounds=1, workers=0).validate()
 
 
 def test_comm_report(tns_file, capsys):

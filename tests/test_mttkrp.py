@@ -317,18 +317,18 @@ def test_mean_downsampled_matches_exact():
     exact = mttkrp_exact(m, factors)
     n_cols = 16
     J = 8
-    acc = np.zeros_like(exact)
     n_batches = 100000
     keys_all = gen.integers(0, n_cols, size=(n_batches, J))
     w = np.sqrt(n_cols / J)  # uniform p_s = 1/n_cols
-    for b in range(n_batches):
-        keys = keys_all[b]
-        X = np.full((J, 3), -1, dtype=np.int64)
-        X[:, 1] = keys % 4
-        X[:, 2] = keys // 4
-        H = factors[1][X[:, 1]] * factors[2][X[:, 2]]
-        csr = gather_sampled_nonzeros_to_csr(m, X, k)
-        acc += downsampled_mttkrp(csr, H, np.full(J, w))
-    mean = acc / n_batches
+    # The estimator is linear in the draws, and a repeated tuple keeps one
+    # CSR column per copy, so all batches go through one extraction and one
+    # kernel call: the sum of the per-batch estimates.
+    keys = keys_all.reshape(-1)
+    X = np.full((keys.size, 3), -1, dtype=np.int64)
+    X[:, 1] = keys % 4
+    X[:, 2] = keys // 4
+    H = factors[1][X[:, 1]] * factors[2][X[:, 2]]
+    csr = gather_sampled_nonzeros_to_csr(m, X, k)
+    mean = downsampled_mttkrp(csr, H, np.full(keys.size, w)) / n_batches
     rel = np.linalg.norm(mean - exact) / np.linalg.norm(exact)
     assert rel < 0.02

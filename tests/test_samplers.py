@@ -3,12 +3,11 @@ import pytest
 
 from randcp import grid as gridmod
 from randcp.linalg import FactorBlocks, gram, hadamard_gram_chain, pseudo_inverse
+from randcp.matricization import column_keys
 from randcp import samplers
 from randcp.samplers import (DegenerateWalkError, arls_lev_build, arls_lev_sample,
                              consistent_multinomial, exact_krp_leverage_oracle,
-                             krp_leverage_scores, local_sts_leaf_search, sample_weights,
-                             sts_build, sts_sample)
-from randcp.verify import batch_keys
+                             krp_leverage_scores, sample_weights, sts_build, sts_sample)
 
 
 def single_grid(dims):
@@ -110,7 +109,7 @@ class TestArlsSample:
         batch = arls_lev_sample(states, 2, J, factors, seed=6)
         per = [exact_krp_leverage_oracle([factors[i]]) for i in range(2)]
         joint = np.multiply.outer(per[1], per[0]).reshape(-1)
-        emp = np.bincount(batch_keys(batch, dims, 2), minlength=16) / J
+        emp = np.bincount(column_keys(batch.X, dims, 2), minlength=16) / J
         assert 0.5 * np.abs(emp - joint).sum() < 0.02
         ref = per[0][batch.X[:, 0]] * per[1][batch.X[:, 1]]
         assert np.abs(batch.prob - ref).max() < 1e-12
@@ -140,7 +139,7 @@ class TestArlsSample:
             g = gridmod.ProcessorGrid(dims, gdims)
             states = [arls_lev_build(b) for b in blocks_for(factors, g)]
             batch = arls_lev_sample(states, 2, J, factors, seed=7)
-            emps[gdims] = np.bincount(batch_keys(batch, dims, 2), minlength=48) / J
+            emps[gdims] = np.bincount(column_keys(batch.X, dims, 2), minlength=48) / J
         assert 0.5 * np.abs(emps[(1, 1, 1)] - emps[(2, 2, 1)]).sum() < 0.02
 
 
@@ -217,9 +216,9 @@ class TestStsSample:
         J = 50000
         batch = sts_sample(trees, 2, J, cp, grams, blocks, seed=15)
         oracle = exact_krp_leverage_oracle(factors, skip=2)
-        emp = np.bincount(batch_keys(batch, dims, 2), minlength=16) / J
+        emp = np.bincount(column_keys(batch.X, dims, 2), minlength=16) / J
         assert 0.5 * np.abs(emp - oracle).sum() < 0.02
-        assert np.abs(batch.prob - oracle[batch_keys(batch, dims, 2)]).max() < 1e-12
+        assert np.abs(batch.prob - oracle[column_keys(batch.X, dims, 2)]).max() < 1e-12
 
     def test_rank_count_invariance_of_draws(self):
         gen = np.random.default_rng(16)
@@ -252,6 +251,15 @@ class TestStsSample:
             sts_sample(trees, 2, 4, cp, grams, blocks, seed=20)
 
 
+def leaf_search(h, W, leaf_grams, offs, cond, r):
+    """Local rows picked by one design row ``h`` at each residual in ``r``."""
+    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    rows, _, _ = samplers._leaf_search_batch(W, offs, leaf_grams, cond,
+                                             np.asarray(h, dtype=np.float64)[None, :],
+                                             np.zeros(r.size, dtype=np.int64), r)
+    return rows
+
+
 class TestLocalLeafSearch:
     def test_single_row_leaf(self):
         W = np.array([[2.0, 1.0]])
@@ -259,14 +267,14 @@ class TestLocalLeafSearch:
         offs = np.array([0, 1])
         cond = np.eye(2)
         for r in (0.0, 0.3, 0.999):
-            assert local_sts_leaf_search(np.ones(2), W, grams, offs, cond, r) == 0
+            assert leaf_search(np.ones(2), W, grams, offs, cond, r) == 0
 
     def test_mass_concentrated_on_row0(self):
         W = np.array([[1.0, 1.0], [0.0, 0.0]])
         tree_grams = np.stack([W[:1].T @ W[:1], W[1:].T @ W[1:]])
         offs = np.array([0, 1, 2])
         for r in (0.0, 0.5, 0.99):
-            assert local_sts_leaf_search(np.ones(2), W, tree_grams, offs, np.eye(2), r) == 0
+            assert leaf_search(np.ones(2), W, tree_grams, offs, np.eye(2), r) == 0
 
     def test_segments_proportional_to_row_masses(self):
         gen = np.random.default_rng(21)
@@ -279,8 +287,7 @@ class TestLocalLeafSearch:
         m = np.array([(W[q] * h) @ cond @ (W[q] * h) for q in range(8)])
         edges = np.cumsum(m) / m.sum()
         grid = (np.arange(4000) + 0.5) / 4000
-        picked = np.array([local_sts_leaf_search(h, W, leaf_grams, offs, cond, r)
-                           for r in grid])
+        picked = leaf_search(h, W, leaf_grams, offs, cond, grid)
         ref = np.searchsorted(edges, grid, side="right")
         assert np.array_equal(picked, np.minimum(ref, 7))
 
@@ -288,14 +295,7 @@ class TestLocalLeafSearch:
         W = np.zeros((4, 2))
         grams = np.zeros((1, 2, 2))
         with pytest.raises(DegenerateWalkError):
-            local_sts_leaf_search(np.ones(2), W, grams, np.array([0, 4]), np.eye(2), 0.5)
-
-    def test_row_offset(self):
-        W = np.array([[1.0, 0.0], [1.0, 0.0]])
-        grams = np.stack([W.T @ W])
-        idx = local_sts_leaf_search(np.ones(2), W, grams, np.array([0, 2]),
-                                    np.eye(2), 0.9, row_offset=10)
-        assert idx in (10, 11)
+            leaf_search(np.ones(2), W, grams, np.array([0, 4]), np.eye(2), 0.5)
 
 
 class TestBatchedLeafSearch:

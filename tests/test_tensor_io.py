@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from randcp import grid as gridmod
-from randcp.matricization import (Matricization, column_keys, key_of, matricize,
-                                  partition_to_grid)
+from randcp.als import AlsConfig, run_als
+from randcp.matricization import Matricization, column_keys, matricize, partition_to_grid
 from randcp.tensor import (BoundsError, ModePermutations, ParseError, SparseTensorCOO,
                            apply_permutations, load_frostt, permute_modes,
                            read_matrix, write_matrix)
@@ -107,6 +107,13 @@ class TestPermutations:
             assert np.array_equal(p, q)
 
 
+def column_entries(m, index_tuple):
+    """All (row, value) pairs of one off-mode column, through the view's lookup."""
+    lo, hi = m.lookup_columns(column_keys(np.array([index_tuple]), m.dims, m.mode))
+    pos = m.col_order[lo[0]:hi[0]]
+    return m.idx[pos, m.mode], m.vals[pos]
+
+
 class TestMatricize:
     def test_single_nonzero_mode2(self):
         # 1-based mode 2 of the spec example == index 1 here
@@ -114,12 +121,13 @@ class TestMatricize:
         m = matricize(t, 1)
         assert m.nnz == 1
         assert m.idx[m.col_order[0], 1] == 0
-        assert m.sorted_keys[0] == key_of((1, None, 1), t.dims, 1)
+        # mode 0 has stride 1 and mode 2 stride 2; the mode-1 entry is ignored
+        assert m.sorted_keys[0] == column_keys(np.array([[1, 1, 1]]), t.dims, 1)[0] == 3
 
     def test_empty_column_lookup(self):
         t = SparseTensorCOO((2, 2, 2), np.array([[1, 0, 1]]), np.array([5.0]))
         m = matricize(t, 1)
-        rows, vals = m.column_entries((0, None, 0))
+        rows, vals = column_entries(m, (0, 0, 0))
         assert rows.size == 0 and vals.size == 0
 
     def test_lookup_matches_filter_scan_oracle(self):
@@ -131,7 +139,7 @@ class TestMatricize:
                 full = [0, 0, 0]
                 for o, v in zip(others, key_tuple):
                     full[o] = v
-                rows, vals = m.column_entries(full)
+                rows, vals = column_entries(m, full)
                 mask = np.all(t.idx[:, others] == np.array(key_tuple), axis=1)
                 ref = sorted(zip(t.idx[mask, mode].tolist(), t.vals[mask].tolist()))
                 assert sorted(zip(rows.tolist(), vals.tolist())) == ref
@@ -151,7 +159,7 @@ class TestMatricize:
         m = matricize(t, 3)
         assert m.sorted_keys.dtype == object
         probe = t.idx[7]
-        rows, vals = m.column_entries(probe)
+        rows, vals = column_entries(m, probe)
         mask = np.all(np.delete(t.idx, 3, axis=1) == np.delete(probe, 3), axis=1)
         assert sorted(rows.tolist()) == sorted(t.idx[mask, 3].tolist())
         assert np.allclose(sorted(vals), sorted(t.vals[mask]))
@@ -225,6 +233,56 @@ class TestPartition:
         g = gridmod.ProcessorGrid((7, 5, 4), (1, 1, 1))
         with pytest.raises(ValueError):
             partition_to_grid(t, g, "tensor-stationary")
+
+
+def layouts(m):
+    """The layouts view ``m`` holds: "csc" (col_order, sorted_keys) and
+    "csr" (row_order, row_ptr)."""
+    return {name for name in ("csc", "csr") if "_" + name in vars(m)}
+
+
+class TestLayoutOnFirstRead:
+    """Each view builds the CSC or the CSR analogue when a run first reads it."""
+
+    @staticmethod
+    def set_up(schedule):
+        t = make_sparse((9, 8, 7), 200, seed=12)
+        g = gridmod.ProcessorGrid(t.dims, (2, 2, 1))
+        part = partition_to_grid(t, g, schedule)
+        return t, g, part, matricize(t, 2), [m for per in part.mats for m in per]
+
+    @staticmethod
+    def run(t, g, part, fit_mat, **kw):
+        cfg = AlsConfig(rank=3, rounds=2, procs=g.P, grid_dims=g.grid_dims, fit_every=1,
+                        permute=False, **kw)
+        run_als(cfg, tensor=t, grid=g, partition=part, fit_mat=fit_mat)
+
+    @pytest.mark.parametrize("sched", ["tensor-stationary", "accumulator-stationary"])
+    def test_set_up_builds_no_layout(self, sched):
+        _, _, _, fit_mat, views = self.set_up(sched)
+        assert all(layouts(m) == set() for m in views + [fit_mat])
+        m = views[0]
+        keys = m.sorted_keys
+        assert layouts(m) == {"csc"}
+        assert m.col_order is m.col_order and m.sorted_keys is keys  # built once
+        ptr = m.row_ptr
+        assert layouts(m) == {"csc", "csr"} and m.row_order is m.row_order
+        assert ptr[-1] == m.nnz
+
+    def test_exact_run_builds_rows_only(self):
+        t, g, part, fit_mat, views = self.set_up("tensor-stationary")
+        self.run(t, g, part, fit_mat)
+        assert all(m.nnz for m in views)
+        assert all(layouts(m) == {"csr"} for m in views + [fit_mat])
+
+    @pytest.mark.parametrize("sampler", ["sts", "arls-lev"])
+    @pytest.mark.parametrize("sched", ["tensor-stationary", "accumulator-stationary"])
+    def test_sampled_run_builds_no_rows(self, sched, sampler):
+        t, g, part, fit_mat, views = self.set_up(sched)
+        self.run(t, g, part, fit_mat, sampler=sampler, samples=256, schedule=sched)
+        assert all("csr" not in layouts(m) for m in views)
+        assert any(layouts(m) == {"csc"} for m in views)
+        assert layouts(fit_mat) == {"csr"}
 
 
 def test_matrix_file_round_trip(tmp_path):
