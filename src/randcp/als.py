@@ -8,7 +8,7 @@ they never perturb the metered cost shapes.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class AlsConfig:
     trial: int = 0
     fit_every: int = 5
     log_transform: bool = False
-    dedup: bool = True
     permute: bool = True
     workers: int = 1
     record_samples: bool = False
@@ -141,29 +140,33 @@ def _rebuild_mode_state(ctx, k):
 
 
 def _renormalize(ctx, k):
-    """sigma[i] = ||U_k[:, i]||, then scale columns to unit norm (metered)."""
-    partials = [np.einsum("ir,ir->r", b, b) for b in ctx.factors[k].blocks]
+    """sigma[i] = ||U_k[:, i]||, then scale columns to unit norm (metered).
+
+    A non-finite norm (a non-finite entry, or squares that overflow)
+    raises FloatingPointError before any column is scaled.
+    """
+    fb = ctx.factors[k]
+    partials = [np.einsum("ir,ir->r", b, b) for b in fb.blocks]
     sumsq = gridmod.allreduce(partials, list(range(ctx.grid.P)),
                               ledger=ctx.ledger, round_id=ctx.round_id)
     norms = np.sqrt(sumsq)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    for b in ctx.factors[k].blocks:
-        b /= safe
+    if not np.isfinite(norms).all():
+        raise FloatingPointError("non-finite factor entries after round %d mode %d solve"
+                                 % (ctx.round_id, k))
+    fb.U /= np.where(norms > 0.0, norms, 1.0)
     return norms
 
 
-def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
-            fit_mat=None) -> DecompResult:
-    """Run one ALS trial.  Preloaded tensor/partition state may be passed
-    in so multi-trial harnesses pay ingestion and partitioning once."""
-    cfg.validate()
-    timings = {"load": 0.0, "fit": 0.0}
-    t0 = time.perf_counter()
+def _set_up(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
+            fit_mat=None):
+    """File to ready state: load, permute, grid, partition, fit matricization.
+
+    Pieces passed in are kept.  Returns the five in ``run_als``'s argument order.
+    """
     if tensor is None:
         if cfg.tensor_path is None:
             raise ValueError("no tensor given and no tensor_path configured")
-        tensor = load_frostt(cfg.tensor_path, log_transform=cfg.log_transform,
-                             dedup=cfg.dedup)
+        tensor = load_frostt(cfg.tensor_path, log_transform=cfg.log_transform)
         if cfg.permute:
             tensor, perms = permute_modes(tensor, cfg.seed)
     if perms is None:
@@ -174,12 +177,24 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
         partition = partition_to_grid(tensor, grid, cfg.schedule)
     if fit_mat is None and cfg.compute_fits:
         fit_mat = matricize(tensor, tensor.mode_count - 1)
+    return tensor, perms, grid, partition, fit_mat
+
+
+def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
+            fit_mat=None) -> DecompResult:
+    """Run one ALS trial.  Preloaded tensor/partition state may be passed
+    in so multi-trial harnesses pay ingestion and partitioning once."""
+    cfg.validate()
+    timings = {"load": 0.0, "fit": 0.0}
+    t0 = time.perf_counter()
+    tensor, perms, grid, partition, fit_mat = _set_up(cfg, tensor, perms, grid,
+                                                      partition, fit_mat)
     timings["load"] = time.perf_counter() - t0
 
     N = tensor.mode_count
     R = cfg.rank
-    factors_global, sigma = init_factors(tensor.dims, R, cfg.seed, cfg.trial)
-    blocks = [FactorBlocks.from_global(U, grid, j) for j, U in enumerate(factors_global)]
+    factors, sigma = init_factors(tensor.dims, R, cfg.seed, cfg.trial)
+    blocks = [FactorBlocks(U, *grid.block_ranges(j)) for j, U in enumerate(factors)]
 
     ledger = gridmod.CommLedger()
     ctx = SolveContext(grid, cfg.schedule, cfg.sampler, cfg.samples, blocks,
@@ -199,8 +214,8 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     def evaluate_fit(round_id):
         nonlocal best
         t_fit = time.perf_counter()
-        full = [fb.assemble() for fb in ctx.factors]
-        f = compute_fit(tensor, full, sigma, mode_mat=fit_mat, workers=cfg.workers)
+        f = compute_fit(tensor, [fb.U for fb in ctx.factors], sigma, mode_mat=fit_mat,
+                        workers=cfg.workers)
         best = max(best, f)
         fit_history.append((round_id, f))
         running_max.append(best)
@@ -213,15 +228,12 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
             batch = solve_mode(ctx, k)
             if cfg.record_samples and batch is not None:
                 sample_log.append(batch.X.copy())
-            if not all(np.isfinite(b).all() for b in ctx.factors[k].blocks):
-                raise FloatingPointError(
-                    "non-finite factor entries after round %d mode %d solve" % (rnd, k))
-            if batch is not None and not any(b.any() for b in ctx.factors[k].blocks):
+            sigma = _renormalize(ctx, k)
+            if batch is not None and not sigma.any():
                 raise DegenerateSketchError(
                     "sketched solve left the mode-%d factor all zero in round %d "
                     "(J=%d samples hit %d sampled nonzeros)"
                     % (k, rnd, ctx.J, ctx.stats["sampled_nnz"] - nnz_before))
-            sigma = _renormalize(ctx, k)
             _rebuild_mode_state(ctx, k)
             if cfg.schedule == "tensor-stationary" and cfg.sampler == "exact":
                 refresh_gathered(ctx, k)
@@ -229,7 +241,7 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
             evaluate_fit(rnd)
 
     final_fit = fit_history[-1][1] if fit_history else float("nan")
-    factors_out = [perms.unpermute_factor(fb.assemble(), j)
+    factors_out = [perms.unpermute_factor(fb.U, j)
                    for j, fb in enumerate(ctx.factors)]
     timings.update(ctx.timings)
     return DecompResult(factors_out, sigma, fit_history, running_max, final_fit,
@@ -242,17 +254,5 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
 def run_trials(cfg: AlsConfig, trials: int):
     """Mean-of-trials harness: shared tensor/partition, per-trial init seeds."""
     cfg.validate()
-    tensor = load_frostt(cfg.tensor_path, log_transform=cfg.log_transform,
-                         dedup=cfg.dedup)
-    perms = ModePermutations.identity(tensor.dims)
-    if cfg.permute:
-        tensor, perms = permute_modes(tensor, cfg.seed)
-    grid = build_grid(tensor.dims, cfg)
-    partition = partition_to_grid(tensor, grid, cfg.schedule)
-    fit_mat = matricize(tensor, tensor.mode_count - 1) if cfg.compute_fits else None
-    results = []
-    for t in range(trials):
-        trial_cfg = AlsConfig(**{**cfg.__dict__, "trial": t})
-        results.append(run_als(trial_cfg, tensor=tensor, perms=perms, grid=grid,
-                               partition=partition, fit_mat=fit_mat))
-    return results
+    state = _set_up(cfg)
+    return [run_als(replace(cfg, trial=t), *state) for t in range(trials)]

@@ -77,10 +77,10 @@ def build_parser():
     return p
 
 
-def _cfg_from_args(args, trial=0):
+def _cfg_from_args(args):
     return AlsConfig(rank=args.rank, rounds=args.rounds, tensor_path=args.tensor,
                      sampler=args.sampler, samples=args.samples, schedule=args.schedule,
-                     grid_dims=args.grid, procs=args.procs, seed=args.seed, trial=trial,
+                     grid_dims=args.grid, procs=args.procs, seed=args.seed,
                      fit_every=args.fit_every, log_transform=args.log_transform,
                      permute=not args.no_permute, workers=args.workers)
 

@@ -85,8 +85,15 @@ class ProcessorGrid:
     def coords(self, p):
         return self._coord_tuples[p]
 
-    def rank_of(self, coords):
-        return int(np.ravel_multi_index(tuple(coords), self.grid_dims))
+    def cell_rank(self, idx, skip=None):
+        """Rank owning the grid cell of each index tuple (row of ``idx``);
+        mode ``skip`` counts as chunk 0.  Ranks number cells in C order."""
+        rank = np.zeros(idx.shape[0], dtype=np.int64)
+        for j in range(self.N):
+            rank *= self.grid_dims[j]
+            if j != skip:
+                rank += self.chunk_of(j, idx[:, j])
+        return rank
 
     def slice_group(self, j, c):
         """Ranks sharing mode-j chunk c, ordered by rank id."""

@@ -18,44 +18,40 @@ SUMSQ_CHUNK_ROWS = 1 << 14
 
 
 class FactorBlocks:
-    """Block rows of one factor matrix, one block per simulated rank."""
+    """One factor matrix ``U`` (I x R) in block rows, one block per simulated rank.
 
-    def __init__(self, mode, blocks, lows, his):
-        self.mode = int(mode)
-        self.blocks = [np.ascontiguousarray(b, dtype=np.float64) for b in blocks]
+    ``blocks[p]`` is the row view ``U[lows[p]:his[p]]``, so a rank's update
+    writes the factor in place and every reader of the whole factor reads
+    ``U`` without a copy.  The constructor takes ownership of ``U`` (a
+    float64 C-ordered array is not copied); the blocks must tile its rows.
+    """
+
+    def __init__(self, U, lows, his):
+        self.U = np.ascontiguousarray(U, dtype=np.float64)
         self.lows = np.asarray(lows, dtype=np.int64)
         self.his = np.asarray(his, dtype=np.int64)
-        widths = {b.shape[1] for b in self.blocks}
-        if len(widths) != 1:
-            raise ValueError("inconsistent factor rank across blocks: %s" % widths)
-        self.R = widths.pop()
-        for b, lo, hi in zip(self.blocks, self.lows, self.his):
-            if b.shape[0] != hi - lo:
-                raise ValueError("block rows %d != range [%d, %d)" % (b.shape[0], lo, hi))
+        order = np.lexsort((self.his, self.lows))
+        lo, hi = self.lows[order], self.his[order]
+        if self.U.ndim != 2 or lo.size == 0 or lo[0] != 0 or hi[-1] != self.U.shape[0] \
+                or (hi < lo).any() or (lo[1:] != hi[:-1]).any():
+            raise ValueError("block ranges do not tile the %s factor" % (self.U.shape,))
+        self.blocks = [self.U[lo:hi] for lo, hi in zip(self.lows, self.his)]
 
     @classmethod
     def from_global(cls, U, grid, mode):
-        lows, his = grid.block_ranges(mode)
-        blocks = [U[lo:hi] for lo, hi in zip(lows, his)]
-        return cls(mode, blocks, lows, his)
+        """Blocks of a copy of U under ``grid``'s mode row partition."""
+        return cls(np.array(U, dtype=np.float64), *grid.block_ranges(mode))
 
     @property
     def n_blocks(self):
         return len(self.blocks)
 
     @property
-    def dim(self):
-        return int(self.his.max()) if len(self.blocks) else 0
-
-    def assemble(self):
-        out = np.zeros((self.dim, self.R))
-        for b, lo, hi in zip(self.blocks, self.lows, self.his):
-            out[lo:hi] = b
-        return out
+    def R(self):
+        return self.U.shape[1]
 
     def copy(self):
-        return FactorBlocks(self.mode, [b.copy() for b in self.blocks],
-                            self.lows.copy(), self.his.copy())
+        return FactorBlocks(self.U.copy(), self.lows, self.his)
 
 
 def gram(blocks, ledger=None, round_id=0):

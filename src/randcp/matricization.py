@@ -173,11 +173,7 @@ def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet
         raise ValueError("grid built for dims %s, tensor has %s"
                          % (grid.tensor_dims, t.dims))
     if schedule == "tensor-stationary":
-        cell = np.zeros(t.nnz, dtype=np.int64)
-        for j in range(t.mode_count):
-            chunk = np.searchsorted(grid.chunk_offsets[j], t.idx[:, j], side="right") - 1
-            cell = cell * grid.grid_dims[j] + chunk
-        order, bounds = gridmod.group_by_rank(cell, grid.P)
+        order, bounds = gridmod.group_by_rank(grid.cell_rank(t.idx), grid.P)
         mats = []
         for p in range(grid.P):
             pos = order[bounds[p]:bounds[p + 1]]

@@ -115,14 +115,11 @@ class ArlsLevState:
     at build time) so sample calls need no mass exchange.
     """
 
-    def __init__(self, mode, dists, C, lows, his, gram_matrix, gram_pinv):
-        self.mode = mode
+    def __init__(self, dists, C, lows, gram_matrix):
         self.dists = dists
         self.C = C
         self.lows = lows
-        self.his = his
         self.gram = gram_matrix
-        self.gram_pinv = gram_pinv
 
 
 def arls_lev_build(blocks, ledger=None, round_id=0) -> ArlsLevState:
@@ -139,7 +136,7 @@ def arls_lev_build(blocks, ledger=None, round_id=0) -> ArlsLevState:
     # C is allgathered, one word per rank.
     gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(blocks.n_blocks),
                   np.ones(blocks.n_blocks, dtype=np.int64))
-    return ArlsLevState(blocks.mode, dists, C, blocks.lows.copy(), blocks.his.copy(), G, Gp)
+    return ArlsLevState(dists, C, blocks.lows.copy(), G)
 
 
 def consistent_multinomial(masses, J, seed, round_id, k, mode):
@@ -203,9 +200,8 @@ class LeverageTree:
     the local search.
     """
 
-    def __init__(self, mode, node_grams, leaf_rank, block_lo, block_hi,
+    def __init__(self, node_grams, leaf_rank, block_lo, block_hi,
                  leaf_offsets, leaf_grams):
-        self.mode = mode
         self.node_grams = node_grams
         self.leaf_rank = leaf_rank
         self.block_lo = block_lo
@@ -282,9 +278,7 @@ def sts_build(blocks, ledger=None, round_id=0, leaf_block_size=None) -> Leverage
         sent = np.bincount(partner[real] * P + leaf[real], minlength=P * P) * (R * R)
         gridmod.meter(ledger, round_id, gridmod.ALL_TO_ALLV, order, sent)
 
-    lows = blocks.lows.copy()
-    his = blocks.his.copy()
-    return LeverageTree(blocks.mode, node_grams, leaf_rank, lows, his,
+    return LeverageTree(node_grams, leaf_rank, blocks.lows.copy(), blocks.his.copy(),
                         leaf_offsets, leaf_grams)
 
 
@@ -466,7 +460,7 @@ def sts_sample(trees, k, J, gram_chain_pinv, grams, blocks_per_mode, seed,
 
         # Extend every prefix by its mode-i row; row ids stay below J * I_i.
         _, kept, new_prefix = distinct_keys(prefix * int(tree.block_hi.max()) + X[:, i])
-        H_prefix = H_prefix[prefix[kept]] * blocks_per_mode[i].assemble()[X[kept, i]]
+        H_prefix = H_prefix[prefix[kept]] * blocks_per_mode[i].U[X[kept, i]]
         prefix = new_prefix
 
     prob = per_mode_prob.prod(axis=1)

@@ -1,10 +1,16 @@
-"""One mode-k least-squares solve under either communication schedule.
+"""One mode-k least-squares solve; the schedule sets only the traffic.
 
-tensor-stationary: nonzeros stay on their grid cell; factor blocks are
-allgathered within per-mode slice groups and the MTTKRP accumulator is
-reduce-scattered along the solved mode's slices.  Exact solves cache the
-gathered chunks across a round; sketched solves gather only sampled rows
-and the reduction is unchanged by sampling.
+Every solve reads each factor in place (``FactorBlocks.U`` and its row
+views) and writes the solved factor's blocks in place.  The two
+communication schedules differ only in what they move:
+
+tensor-stationary: nonzeros stay on their grid cell.  Factor blocks are
+allgathered within per-mode slice groups (``refresh_gathered`` meters
+this after every update of an exact run; a rank then reads its chunk's
+rows in place), sketched solves gather only the sampled rows and
+allreduce the sketched Gram, and the MTTKRP accumulator is
+reduce-scattered along the solved mode's slices.  Sampling does not
+shrink the reduction.
 
 accumulator-stationary: each rank's output block stays put.  Only
 sampled rows (plus their indices and probabilities) are allgathered to
@@ -55,7 +61,6 @@ class SolveContext:
         self.round_id = 0
         self.arls_states = [None] * len(factors)
         self.trees = [None] * len(factors)
-        self.gathered = {}              # mode -> list over chunks of row arrays
         self.timings = {"sampling": 0.0, "gather": 0.0, "extract": 0.0, "mttkrp": 0.0,
                         "reduction": 0.0, "postprocess": 0.0}
         self.stats = {"distinct_samples": 0, "sampled_nnz": 0}
@@ -67,15 +72,13 @@ class SolveContext:
 
 
 def refresh_gathered(ctx: SolveContext, mode: int):
-    """Allgather mode's factor blocks within each of its slice groups."""
-    grid = ctx.grid
-    chunks = []
-    for c in range(grid.grid_dims[mode]):
-        group = grid.slice_group(mode, c)
-        payloads = [ctx.factors[mode].blocks[p] for p in group]
-        chunks.append(gridmod.allgather(payloads, list(group),
-                                        ledger=ctx.ledger, round_id=ctx.round_id))
-    ctx.gathered[mode] = chunks
+    """Meter the allgather of mode's factor blocks within each of its slice
+    groups; after it each rank reads its chunk's rows in place."""
+    fb = ctx.factors[mode]
+    words = (fb.his - fb.lows) * fb.R
+    for c in range(ctx.grid.grid_dims[mode]):
+        group = ctx.grid.slice_group(mode, c)
+        _meter_allgather_model(ctx.ledger, ctx.round_id, group, words[group])
 
 
 def _meter_allgather_model(ledger, round_id, ranks, member_words):
@@ -103,7 +106,7 @@ def draw_batch(ctx: SolveContext, k: int):
     """Run the configured sampler for a mode-k solve."""
     t0 = time.perf_counter()
     if ctx.sampler == "arls-lev":
-        full = [fb.assemble() if i != k else None for i, fb in enumerate(ctx.factors)]
+        full = [fb.U if i != k else None for i, fb in enumerate(ctx.factors)]
         batch = arls_lev_sample(ctx.arls_states, k, ctx.J, full, ctx.seed,
                                 round_id=ctx.round_id, ledger=ctx.ledger)
     elif ctx.sampler == "sts":
@@ -133,11 +136,7 @@ def _sketched_gram(ctx: SolveContext, k: int, batch, metered: bool):
     if not metered or grid.P == 1:
         Gs = Hw.T @ Hw
     else:
-        cell = np.zeros(X.shape[0], dtype=np.int64)
-        for j in range(grid.N):
-            c = grid.chunk_of(j, X[:, j]) if j != k else np.zeros(X.shape[0], dtype=np.int64)
-            cell = cell * grid.grid_dims[j] + c
-        order, bounds = gridmod.group_by_rank(cell, grid.P)
+        order, bounds = gridmod.group_by_rank(grid.cell_rank(X, skip=k), grid.P)
         partials = []
         for p in range(grid.P):
             rows = Hw[order[bounds[p]:bounds[p + 1]]]
@@ -162,58 +161,73 @@ def _sampled_mttkrp(ctx: SolveContext, k: int, cols):
     return out
 
 
-def _postprocess(ctx, k, per_rank_blocks, system_pinv):
+def _exact_mttkrp(ctx: SolveContext, k: int):
+    """Every rank's exact MTTKRP, reading its chunk of each off mode's
+    factor in place (``refresh_gathered`` metered the gathers)."""
+    grid = ctx.grid
+    out = []
     t0 = time.perf_counter()
-    fb = ctx.factors[k]
-    fb.blocks = [np.ascontiguousarray(b @ system_pinv) for b in per_rank_blocks]
+    for p in range(grid.P):
+        coords = grid.coords(p)
+        rows = [None] * grid.N
+        offs = [0] * grid.N
+        for i in range(grid.N):
+            if i != k:
+                lo, hi = grid.chunk_offsets[i][coords[i]:coords[i] + 2]
+                rows[i] = ctx.factors[i].U[lo:hi]
+                offs[i] = int(lo)
+        out.append(mttkrp_exact(ctx.local.local(p, k), rows, offsets=offs,
+                                workers=ctx.workers))
+    ctx.tick("mttkrp", t0)
+    return out
+
+
+def _postprocess(ctx, k, per_rank_blocks, system_pinv):
+    """Write each rank's solved block into the factor in place."""
+    t0 = time.perf_counter()
+    for b, block in zip(per_rank_blocks, ctx.factors[k].blocks):
+        np.matmul(b, system_pinv, out=block)
     ctx.tick("postprocess", t0)
 
 
-def solve_mode_tensor_stationary(ctx: SolveContext, k: int, injected_batch=None):
-    """Gather, local MTTKRP, reduce-scatter along mode-k slices, multiply."""
-    if ctx.local.schedule != "tensor-stationary":
-        raise ScheduleError("context partition is %r" % ctx.local.schedule)
-    grid = ctx.grid
-    N = grid.N
-    exact = ctx.sampler == "exact" and injected_batch is None
+def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
+    """Solve for the mode-k factor in place; returns the sample batch of a
+    sketched solve, None for an exact one.
 
-    if exact:
-        t0 = time.perf_counter()
-        for i in range(N):
-            if i != k and i not in ctx.gathered:
-                refresh_gathered(ctx, i)
-        t0 = ctx.tick("gather", t0)
-        accumulators = []
-        for p in range(grid.P):
-            coords = grid.coords(p)
-            rows = [None] * N
-            offs = [0] * N
-            for i in range(N):
-                if i == k:
-                    continue
-                rows[i] = ctx.gathered[i][coords[i]]
-                offs[i] = int(grid.chunk_offsets[i][coords[i]])
-            accumulators.append(mttkrp_exact(ctx.local.local(p, k), rows,
-                                             offsets=offs, workers=ctx.workers))
-        t0 = ctx.tick("mttkrp", t0)
-        out_blocks = _reduce_along_mode(ctx, k, accumulators)
-        ctx.tick("reduction", t0)
+    ``injected_batch`` replaces the sampler's draw (any sampler, exact
+    included).  The schedule enters only in the metered row gathers,
+    whether the sketched Gram is allreduced, and the reduce-scatter.
+    """
+    if ctx.local.schedule != ctx.schedule:  # a partition's schedule is a known one
+        raise ScheduleError("context schedule is %r, its partition's %r"
+                            % (ctx.schedule, ctx.local.schedule))
+    ts = ctx.schedule == "tensor-stationary"
+    batch = injected_batch
+    if ctx.sampler == "exact" and batch is None:
+        if not ts:
+            raise ScheduleError("accumulator-stationary schedule requires a sampler; "
+                                "exact solves must use tensor-stationary")
+        accumulators = _exact_mttkrp(ctx, k)
         system_pinv = pseudo_inverse(hadamard_gram_chain(ctx.grams, skip=k))
-        _postprocess(ctx, k, out_blocks, system_pinv)
-        return None
-
-    batch = injected_batch if injected_batch is not None else draw_batch(ctx, k)
-    if batch.weights is None:
-        sample_weights(batch)
-    t0 = time.perf_counter()
-    _meter_sampled_gathers_ts(ctx, k, batch)
-    ctx.tick("gather", t0)
-    Gs, cols = _sketched_gram(ctx, k, batch, metered=True)
-    accumulators = _sampled_mttkrp(ctx, k, cols)
-    t0 = time.perf_counter()
-    out_blocks = _reduce_along_mode(ctx, k, accumulators)
-    ctx.tick("reduction", t0)
-    _postprocess(ctx, k, out_blocks, pseudo_inverse(Gs))
+    else:
+        if batch is None:
+            batch = draw_batch(ctx, k)
+        if batch.weights is None:
+            sample_weights(batch)
+        t0 = time.perf_counter()
+        if ts:
+            _meter_sampled_gathers_ts(ctx, k, batch)
+        else:
+            _meter_sampled_gathers_as(ctx, k, batch)
+        ctx.tick("gather", t0)
+        Gs, cols = _sketched_gram(ctx, k, batch, metered=ts)
+        accumulators = _sampled_mttkrp(ctx, k, cols)
+        system_pinv = pseudo_inverse(Gs)
+    if ts:
+        t0 = time.perf_counter()
+        accumulators = _reduce_along_mode(ctx, k, accumulators)
+        ctx.tick("reduction", t0)
+    _postprocess(ctx, k, accumulators, system_pinv)
     return batch
 
 
@@ -256,36 +270,14 @@ def _meter_sampled_gathers_ts(ctx, k, batch):
                 _meter_allgather_model(ctx.ledger, ctx.round_id, group, words[group])
 
 
-def solve_mode_accumulator_stationary(ctx: SolveContext, k: int, injected_batch=None):
-    """Gather sampled rows to all ranks; local downsampled MTTKRP; no reduction."""
-    if ctx.sampler == "exact" and injected_batch is None:
-        raise ScheduleError("accumulator-stationary schedule requires a sampler; "
-                            "exact solves must use tensor-stationary")
-    if ctx.local.schedule != "accumulator-stationary":
-        raise ScheduleError("context partition is %r" % ctx.local.schedule)
+def _meter_sampled_gathers_as(ctx, k, batch):
+    """Ledger traffic for the sampled-row allgathers of an accumulator-stationary
+    solve: every rank receives every sampled row, and with an exact-sampler
+    batch its index and probability too."""
     grid = ctx.grid
-    batch = injected_batch if injected_batch is not None else draw_batch(ctx, k)
-    if batch.weights is None:
-        sample_weights(batch)
-
-    t0 = time.perf_counter()
-    per_sample = (ctx.factors[0].R + 2) if batch.owner is not None else ctx.factors[0].R
+    per_sample = ctx.factors[k].R + 2 if batch.owner is not None else ctx.factors[k].R
     for i in range(grid.N):
-        if i == k:
-            continue
-        counts = np.bincount(grid.row_owner(i, batch.X[:, i]), minlength=grid.P)
-        _meter_allgather_model(ctx.ledger, ctx.round_id, list(range(grid.P)),
-                               counts * per_sample)
-    ctx.tick("gather", t0)
-    Gs, cols = _sketched_gram(ctx, k, batch, metered=False)
-    new_blocks = _sampled_mttkrp(ctx, k, cols)
-    _postprocess(ctx, k, new_blocks, pseudo_inverse(Gs))
-    return batch
-
-
-def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
-    if ctx.schedule == "tensor-stationary":
-        return solve_mode_tensor_stationary(ctx, k, injected_batch)
-    if ctx.schedule == "accumulator-stationary":
-        return solve_mode_accumulator_stationary(ctx, k, injected_batch)
-    raise ScheduleError("unknown schedule %r" % ctx.schedule)
+        if i != k:
+            counts = np.bincount(grid.row_owner(i, batch.X[:, i]), minlength=grid.P)
+            _meter_allgather_model(ctx.ledger, ctx.round_id, list(range(grid.P)),
+                                   counts * per_sample)

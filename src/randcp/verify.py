@@ -176,8 +176,7 @@ def suite_schedules(seed=0):
                    "err=%.2e" % worst))
 
     from .samplers import sts_build as _sb, sts_sample as _ss
-    from .schedules import SolveContext, solve_mode_accumulator_stationary, \
-        solve_mode_tensor_stationary
+    from .schedules import SolveContext, solve_mode
     g = gridmod.ProcessorGrid(dims, (2, 2, 1))
     funit = _unit_factors(dims, 3, seed + 8)
     blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(funit)]
@@ -194,9 +193,9 @@ def suite_schedules(seed=0):
     ctx_a = SolveContext(g, "accumulator-stationary", "sts", 128,
                          [b.copy() for b in blocks], grams, pa, gridmod.CommLedger(),
                          seed)
-    solve_mode_tensor_stationary(ctx_t, 0, injected_batch=batch)
-    solve_mode_accumulator_stationary(ctx_a, 0, injected_batch=batch)
-    diff = np.abs(ctx_t.factors[0].assemble() - ctx_a.factors[0].assemble()).max()
+    solve_mode(ctx_t, 0, injected_batch=batch)
+    solve_mode(ctx_a, 0, injected_batch=batch)
+    diff = np.abs(ctx_t.factors[0].U - ctx_a.factors[0].U).max()
     checks.append(("schedule_equivalence_injected_batch < 1e-12", diff < 1e-12,
                    "err=%.2e" % diff))
     return checks

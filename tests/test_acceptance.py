@@ -17,8 +17,7 @@ from randcp.matricization import column_keys, matricize, partition_to_grid
 from randcp.mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr
 from randcp.samplers import (arls_lev_build, arls_lev_sample, exact_krp_leverage_oracle,
                              sample_weights, sts_build, sts_sample)
-from randcp.schedules import (SolveContext, solve_mode_accumulator_stationary,
-                              solve_mode_tensor_stationary)
+from randcp.schedules import SolveContext, solve_mode
 from randcp.tensor import load_frostt, permute_modes
 from conftest import dense_matricization, dense_of, make_sparse, unit_factors
 
@@ -255,12 +254,10 @@ def test_criterion_6_schedule_equivalence_and_rank_invariance():
                                    [b.copy() for b in blocks], grams, part,
                                    gridmod.CommLedger(), seed=0)
                 ctxs[sched] = ctx
-            solve_mode_tensor_stationary(ctxs["tensor-stationary"], k,
-                                         injected_batch=batch)
-            solve_mode_accumulator_stationary(ctxs["accumulator-stationary"], k,
-                                              injected_batch=batch)
-            diff = np.abs(ctxs["tensor-stationary"].factors[k].assemble()
-                          - ctxs["accumulator-stationary"].factors[k].assemble()).max()
+            solve_mode(ctxs["tensor-stationary"], k, injected_batch=batch)
+            solve_mode(ctxs["accumulator-stationary"], k, injected_batch=batch)
+            diff = np.abs(ctxs["tensor-stationary"].factors[k].U
+                          - ctxs["accumulator-stationary"].factors[k].U).max()
             worst_sched = max(worst_sched, diff)
 
     outs = {}

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from randcp.als import AlsConfig, init_factors, run_als
-from randcp.linalg import normalize_columns
+from randcp.als import AlsConfig, _renormalize, init_factors, run_als, run_trials
+from randcp.grid import CommLedger, ProcessorGrid
+from randcp.linalg import FactorBlocks, normalize_columns
+from randcp.schedules import SolveContext
 from randcp.tensor import SparseTensorCOO
 from conftest import make_sparse
 
@@ -152,6 +154,20 @@ class TestSketchedAls:
             fit = compute_fit(t, res.factors, res.sigma)
             assert abs(fit - res.final_fit) < 1e-8
 
+    def test_trials_match_single_runs(self, tmp_path):
+        t = make_sparse((8, 7, 6), 120, seed=8)
+        path = tmp_path / "t.tns"
+        path.write_text("".join(" ".join(str(i + 1) for i in row) + " %.17g\n" % v
+                                for row, v in zip(t.idx, t.vals)))
+        cfg = AlsConfig(rank=2, rounds=2, sampler="sts", samples=64, procs=4, seed=3,
+                        fit_every=1, tensor_path=str(path))
+        trials = run_trials(cfg, 2)
+        for trial, res in enumerate(trials):
+            alone = run_als(AlsConfig(**{**cfg.__dict__, "trial": trial}))
+            assert res.final_fit == alone.final_fit and res.ledger == alone.ledger
+            assert all(np.array_equal(a, b) for a, b in zip(res.factors, alone.factors))
+        assert trials[0].final_fit != trials[1].final_fit
+
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nan_abort(self):
         t = make_sparse((6, 6, 6), 60, seed=10)
@@ -231,3 +247,32 @@ def test_zeroed_factor_raises_degenerate_sketch_error(sampler):
                        match=r"mode-0 factor all zero in round 1 \(J=256 samples hit 0 "
                              r"sampled nonzeros\)"):
         run_als(cfg, tensor=hypersparse_tensor())
+
+
+def renormalize_ctx(U, round_id=3):
+    g = ProcessorGrid((U.shape[0], 3), (2, 1))
+    blocks = [FactorBlocks(U, *g.block_ranges(0)),
+              FactorBlocks.from_global(np.ones((3, U.shape[1])), g, 1)]
+    ctx = SolveContext(g, "tensor-stationary", "exact", 0, blocks, [None, None], None,
+                       CommLedger(), seed=0)
+    ctx.round_id = round_id
+    return ctx
+
+
+class TestNormChecks:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])  # 1e200 squares to inf
+    def test_non_finite_norm_raises_before_scaling(self, bad):
+        U = np.ones((6, 2))
+        U[4, 1] = bad
+        before = U.copy()
+        with pytest.raises(FloatingPointError, match="after round 3 mode 0 solve"):
+            _renormalize(renormalize_ctx(U), 0)
+        assert np.array_equal(U, before, equal_nan=True)
+
+    def test_underflowing_column_counts_as_zero(self):
+        U = np.full((6, 2), 1e-170)     # squares underflow to 0
+        U[:, 0] = 2.0
+        norms = _renormalize(renormalize_ctx(U), 0)
+        assert np.array_equal(norms, [np.sqrt(24.0), 0.0])
+        assert np.allclose(U[:, 0], 1.0 / np.sqrt(6.0), rtol=1e-15)
+        assert np.array_equal(U[:, 1], np.full(6, 1e-170))  # a zero norm scales nothing

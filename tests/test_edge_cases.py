@@ -7,8 +7,7 @@ from randcp.linalg import FactorBlocks, gram, hadamard_gram_chain, pseudo_invers
 from randcp.matricization import matricize, partition_to_grid
 from randcp.mttkrp import gather_sampled_nonzeros_to_csr
 from randcp.samplers import sample_weights, sts_build, sts_sample
-from randcp.schedules import (SolveContext, solve_mode_accumulator_stationary,
-                              solve_mode_tensor_stationary)
+from randcp.schedules import SolveContext, solve_mode
 from randcp.tensor import SparseTensorCOO
 from conftest import make_sparse, unit_factors
 
@@ -47,9 +46,9 @@ class TestFourModeEndToEnd:
                                  [b.copy() for b in blocks], grams,
                                  partition_to_grid(t, g, "accumulator-stationary"),
                                  gridmod.CommLedger(), seed=0)
-            solve_mode_tensor_stationary(ctx_t, k, injected_batch=batch)
-            solve_mode_accumulator_stationary(ctx_a, k, injected_batch=batch)
-            diff = np.abs(ctx_t.factors[k].assemble() - ctx_a.factors[k].assemble()).max()
+            solve_mode(ctx_t, k, injected_batch=batch)
+            solve_mode(ctx_a, k, injected_batch=batch)
+            diff = np.abs(ctx_t.factors[k].U - ctx_a.factors[k].U).max()
             assert diff < 1e-12
 
 

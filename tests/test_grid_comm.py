@@ -52,6 +52,18 @@ class TestGridPartitions:
                 lo, hi = g.block_range(j, p)
                 assert np.all(owners[lo:hi] == p)
 
+    def test_cell_rank_matches_coords(self):
+        g = ProcessorGrid((13, 7, 5, 3), (3, 2, 1, 2))
+        gen = np.random.default_rng(0)
+        idx = np.stack([gen.integers(0, d, 200) for d in g.tensor_dims], axis=1)
+        chunks = np.stack([g.chunk_of(j, idx[:, j]) for j in range(4)], axis=1)
+        ranks = g.cell_rank(idx)
+        assert [g.coords(p) for p in ranks] == [tuple(c) for c in chunks.tolist()]
+        idx[:, 1] = -1
+        chunks[:, 1] = 0
+        assert np.array_equal(g.cell_rank(idx, skip=1),
+                              np.ravel_multi_index(tuple(chunks.T), g.grid_dims))
+
     def test_slice_groups_partition_ranks(self):
         g = ProcessorGrid((8, 8, 8), (2, 2, 2))
         for j in range(3):

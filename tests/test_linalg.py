@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from randcp import grid as gridmod
 from randcp import linalg
 from randcp.linalg import (FactorBlocks, compute_fit, gram, hadamard_gram_chain,
                            khatri_rao, normalize_columns, pseudo_inverse)
@@ -19,8 +20,36 @@ class TestGram:
 
     def test_split_blocks_match_single(self):
         U = np.random.default_rng(1).standard_normal((7, 3))
-        fb = FactorBlocks(0, [U[:4], U[4:]], [0, 4], [4, 7])
+        fb = FactorBlocks(U, [0, 4], [4, 7])
         assert np.allclose(gram(fb), gram(U), atol=1e-12)
+
+    def test_blocks_are_row_views_of_the_owned_factor(self):
+        U = np.random.default_rng(2).standard_normal((7, 3))
+        fb = FactorBlocks(U, [4, 0, 7], [7, 4, 7])  # out of row order, one empty
+        assert fb.U is U                               # taken, not copied
+        assert [b.shape[0] for b in fb.blocks] == [3, 4, 0]
+        assert all(b.base is U for b in fb.blocks)
+        fb.blocks[0][:] = 1.0
+        assert np.array_equal(U[4:], np.ones((3, 3)))
+
+    def test_from_global_and_copy_do_not_alias(self):
+        U = np.random.default_rng(3).standard_normal((7, 3))
+        g = gridmod.ProcessorGrid((7, 2), (2, 1))
+        fb = FactorBlocks.from_global(U, g, 0)
+        dup = fb.copy()
+        assert np.array_equal(fb.U, U) and not np.shares_memory(fb.U, U)
+        assert np.array_equal(dup.U, U) and not np.shares_memory(dup.U, fb.U)
+
+    @pytest.mark.parametrize("lows, his", [
+        ([0, 4], [3, 7]),     # gap
+        ([0, 3], [4, 7]),     # overlap
+        ([0, 4], [4, 6]),     # short of the rows
+        ([0, 4], [4, 8]),     # past the rows
+        ([1, 4], [4, 7]),     # does not start at row 0
+    ])
+    def test_ranges_must_tile_the_rows(self, lows, his):
+        with pytest.raises(ValueError, match="do not tile"):
+            FactorBlocks(np.zeros((7, 2)), lows, his)
 
     def test_gram_psd(self):
         for seed in range(5):

@@ -55,14 +55,14 @@ class TestLeverageOracle:
 
 class TestArlsBuild:
     def test_identity_block(self):
-        fb = FactorBlocks(0, [np.eye(2)], [0], [2])
+        fb = FactorBlocks(np.eye(2), [0], [2])
         st = arls_lev_build(fb)
         assert np.allclose(st.dists[0], [0.5, 0.5])
         assert np.allclose(st.C, [2.0])
 
     def test_duplicate_rows_equal_weights(self):
         row = np.array([1.0, 2.0, -1.0])
-        fb = FactorBlocks(0, [np.tile(row, (4, 1))], [0], [4])
+        fb = FactorBlocks(np.tile(row, (4, 1)), [0], [4])
         st = arls_lev_build(fb)
         assert np.allclose(st.dists[0], 0.25)
 
@@ -147,7 +147,7 @@ class TestStsBuild:
     def test_single_rank_single_leaf(self):
         gen = np.random.default_rng(7)
         U = gen.standard_normal((5, 3))
-        fb = FactorBlocks(0, [U], [0], [5])
+        fb = FactorBlocks(U, [0], [5])
         tree = sts_build(fb)
         assert tree.depth == 0
         assert np.allclose(tree.root_gram, U.T @ U, atol=1e-12)
@@ -155,7 +155,7 @@ class TestStsBuild:
     def test_two_leaves_root_and_left_cache(self):
         gen = np.random.default_rng(8)
         B1, B2 = gen.standard_normal((3, 2)), gen.standard_normal((4, 2))
-        fb = FactorBlocks(0, [B1, B2], [0, 3], [3, 7])
+        fb = FactorBlocks(np.vstack([B1, B2]), [0, 3], [3, 7])
         tree = sts_build(fb)
         assert np.allclose(tree.root_gram, B1.T @ B1 + B2.T @ B2, atol=1e-12)
         assert np.allclose(tree.node_grams[1][0], B1.T @ B1, atol=1e-12)
@@ -176,7 +176,7 @@ class TestStsBuild:
     def test_tree_consistency_invariants(self):
         gen = np.random.default_rng(10)
         U = gen.standard_normal((13, 3))  # uneven blocks, padded tree (P=3 -> 4 leaves)
-        fb = FactorBlocks(0, [U[:5], U[5:9], U[9:]], [0, 5, 9], [5, 9, 13])
+        fb = FactorBlocks(U, [0, 5, 9], [5, 9, 13])
         tree = sts_build(fb)
         assert np.abs(tree.root_gram - gram(U)).max() < 1e-12
         for lev in range(tree.depth):
@@ -305,7 +305,7 @@ class TestBatchedLeafSearch:
     def case(leaf_block_size, n=11, R=3, n_designs=6):
         gen = np.random.default_rng(31)
         W = gen.standard_normal((n, R))
-        tree = sts_build(FactorBlocks(0, [W], [0], [n]), leaf_block_size=leaf_block_size)
+        tree = sts_build(FactorBlocks(W, [0], [n]), leaf_block_size=leaf_block_size)
         B = gen.standard_normal((R, R))
         cond = B @ B.T
         designs = gen.standard_normal((n_designs, R))

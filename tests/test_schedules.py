@@ -6,11 +6,10 @@ from randcp.als import AlsConfig, run_als
 from randcp.linalg import FactorBlocks, gram, hadamard_gram_chain, pseudo_inverse
 from randcp.matricization import matricize, partition_to_grid
 from randcp.mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
-from randcp.samplers import SampleBatch, sample_weights, sts_build, sts_sample
+from randcp.samplers import (SampleBatch, arls_lev_build, sample_weights, sts_build,
+                             sts_sample)
 from randcp.schedules import (ScheduleError, SolveContext, _sampled_mttkrp, _sketched_gram,
-                              distinct_columns, refresh_gathered,
-                              solve_mode_accumulator_stationary,
-                              solve_mode_tensor_stationary)
+                              distinct_columns, refresh_gathered, solve_mode)
 from conftest import make_sparse, unit_factors
 
 
@@ -44,10 +43,10 @@ class TestTensorStationaryExact:
         ctx = make_ctx(t, g, "tensor-stationary", "exact", factors)
         refresh_gathered(ctx, 1)
         refresh_gathered(ctx, 2)
-        solve_mode_tensor_stationary(ctx, 0)
+        solve_mode(ctx, 0)
         ref = mttkrp_exact(matricize(t, 0), factors) @ pseudo_inverse(
             hadamard_gram_chain([gram(U) for U in factors], skip=0))
-        assert np.abs(ctx.factors[0].assemble() - ref).max() < 1e-12
+        assert np.abs(ctx.factors[0].U - ref).max() < 1e-12
 
     def test_p4_equals_p1(self):
         t = make_sparse((6, 6, 6), 100, seed=2)
@@ -58,8 +57,8 @@ class TestTensorStationaryExact:
             ctx = make_ctx(t, g, "tensor-stationary", "exact", factors)
             for j in range(3):
                 refresh_gathered(ctx, j)
-            solve_mode_tensor_stationary(ctx, 1)
-            results[gd] = ctx.factors[1].assemble()
+            solve_mode(ctx, 1)
+            results[gd] = ctx.factors[1].U
         assert np.abs(results[(1, 1, 1)] - results[(2, 2, 1)]).max() < 1e-10
 
     def test_sampled_reduction_matches_exact_reduction(self):
@@ -71,11 +70,11 @@ class TestTensorStationaryExact:
         ctx = make_ctx(t, g, "tensor-stationary", "exact", factors, ledger=led_e)
         for j in range(3):
             refresh_gathered(ctx, j)
-        solve_mode_tensor_stationary(ctx, 0)
+        solve_mode(ctx, 0)
         led_s = gridmod.CommLedger()
         ctx_s = make_ctx(t, g, "tensor-stationary", "sts", factors, J=32, ledger=led_s)
         batch = injected_sts_batch(t, g, factors, 0, 32, seed=6)
-        solve_mode_tensor_stationary(ctx_s, 0, injected_batch=batch)
+        solve_mode(ctx_s, 0, injected_batch=batch)
         assert (led_e.words(kind=gridmod.REDUCE_SCATTER)
                 == led_s.words(kind=gridmod.REDUCE_SCATTER) > 0)
 
@@ -90,9 +89,9 @@ class TestScheduleEquivalence:
             batch = injected_sts_batch(t, g, factors, k, 64, seed=9 + k)
             ctx_t = make_ctx(t, g, "tensor-stationary", "sts", factors, J=64)
             ctx_a = make_ctx(t, g, "accumulator-stationary", "sts", factors, J=64)
-            solve_mode_tensor_stationary(ctx_t, k, injected_batch=batch)
-            solve_mode_accumulator_stationary(ctx_a, k, injected_batch=batch)
-            diff = np.abs(ctx_t.factors[k].assemble() - ctx_a.factors[k].assemble()).max()
+            solve_mode(ctx_t, k, injected_batch=batch)
+            solve_mode(ctx_a, k, injected_batch=batch)
+            diff = np.abs(ctx_t.factors[k].U - ctx_a.factors[k].U).max()
             assert diff < 1e-12
 
     def test_p1_bit_exact(self):
@@ -102,9 +101,52 @@ class TestScheduleEquivalence:
         batch = injected_sts_batch(t, g, factors, 2, 48, seed=12)
         ctx_t = make_ctx(t, g, "tensor-stationary", "sts", factors, J=48)
         ctx_a = make_ctx(t, g, "accumulator-stationary", "sts", factors, J=48)
-        solve_mode_tensor_stationary(ctx_t, 2, injected_batch=batch)
-        solve_mode_accumulator_stationary(ctx_a, 2, injected_batch=batch)
-        assert np.array_equal(ctx_t.factors[2].assemble(), ctx_a.factors[2].assemble())
+        solve_mode(ctx_t, 2, injected_batch=batch)
+        solve_mode(ctx_a, 2, injected_batch=batch)
+        assert np.array_equal(ctx_t.factors[2].U, ctx_a.factors[2].U)
+
+
+class TestFactorsInPlace:
+    @pytest.mark.parametrize("sampler, schedule", [
+        ("exact", "tensor-stationary"),
+        ("sts", "tensor-stationary"),
+        ("sts", "accumulator-stationary"),
+        ("arls-lev", "tensor-stationary"),
+        ("arls-lev", "accumulator-stationary"),
+    ])
+    def test_blocks_stay_views_of_one_array(self, sampler, schedule):
+        t = make_sparse((8, 7, 6), 150, seed=60)
+        factors = unit_factors(t.dims, 3, seed=61)
+        g = gridmod.ProcessorGrid(t.dims, (2, 2, 1))
+        ctx = make_ctx(t, g, schedule, sampler, factors, J=64)
+        if sampler == "arls-lev":
+            ctx.arls_states = [arls_lev_build(b) for b in ctx.factors]
+        arrays = [fb.U for fb in ctx.factors]
+        for k in range(3):
+            before = arrays[k].copy()
+            solve_mode(ctx, k)
+            assert not np.array_equal(arrays[k], before)  # the solve wrote U itself
+            for fb, U in zip(ctx.factors, arrays):
+                assert fb.U is U
+                assert all(b.base is U for b in fb.blocks)
+                assert all(np.shares_memory(b, U) for b in fb.blocks if b.size)
+
+    def test_exact_solve_reads_current_factors(self):
+        # No gathered-row cache: an update made between solves is what the
+        # next exact solve reads, with no refresh in between.
+        t = make_sparse((8, 7, 6), 150, seed=62)
+        factors = unit_factors(t.dims, 3, seed=63)
+        g = gridmod.ProcessorGrid(t.dims, (2, 2, 1))
+        ctx = make_ctx(t, g, "tensor-stationary", "exact", factors)
+        assert not hasattr(ctx, "gathered")
+        solve_mode(ctx, 0)
+        ctx.factors[1].U *= 2.0
+        ctx.grams[1] = gram(ctx.factors[1])
+        solve_mode(ctx, 0)
+        current = [fb.U for fb in ctx.factors]
+        ref = mttkrp_exact(matricize(t, 0), current) @ pseudo_inverse(
+            hadamard_gram_chain([gram(U) for U in current], skip=0))
+        assert rel_err(ctx.factors[0].U, ref) < 1e-12
 
 
 class TestAccumulatorStationary:
@@ -114,7 +156,7 @@ class TestAccumulatorStationary:
         g = gridmod.ProcessorGrid(t.dims, (2, 1, 1))
         ctx = make_ctx(t, g, "accumulator-stationary", "exact", factors)
         with pytest.raises(ScheduleError):
-            solve_mode_accumulator_stationary(ctx, 0)
+            solve_mode(ctx, 0)
         with pytest.raises(ValueError):
             AlsConfig(rank=2, rounds=1, sampler="exact",
                       schedule="accumulator-stationary").validate()
@@ -144,10 +186,13 @@ class TestAccumulatorStationary:
         t = make_sparse((6, 6, 6), 50, seed=17)
         factors = unit_factors(t.dims, 2, seed=18)
         g = gridmod.ProcessorGrid(t.dims, (2, 1, 1))
-        ctx = make_ctx(t, g, "tensor-stationary", "sts", factors, J=16)
         batch = injected_sts_batch(t, g, factors, 0, 16, seed=19)
-        with pytest.raises(ScheduleError):
-            solve_mode_accumulator_stationary(ctx, 0, injected_batch=batch)
+        for schedule, partition in (("accumulator-stationary", "tensor-stationary"),
+                                    ("tensor-stationary", "accumulator-stationary")):
+            ctx = make_ctx(t, g, partition, "sts", factors, J=16)
+            ctx.schedule = schedule
+            with pytest.raises(ScheduleError):
+                solve_mode(ctx, 0, injected_batch=batch)
 
 
 class TestSingleRank:
@@ -229,11 +274,9 @@ class TestDistinctColumns:
                 rhs[mat.row_lo:mat.row_hi] += acc
             assert rel_err(rhs, ref_rhs) < 1e-12
 
-            solve = (solve_mode_tensor_stationary if schedule == "tensor-stationary"
-                     else solve_mode_accumulator_stationary)
-            solve(ctx, k, injected_batch=batch)
+            solve_mode(ctx, k, injected_batch=batch)
             ref = ref_rhs @ pseudo_inverse(ref_gram)
-            assert rel_err(ctx.factors[k].assemble(), ref) < 1e-10
+            assert rel_err(ctx.factors[k].U, ref) < 1e-10
 
     def test_merged_weight_is_root_sum_of_squares(self):
         X = np.array([[-1, 1, 2], [-1, 0, 0], [-1, 1, 2], [-1, 1, 2]], dtype=np.int64)
