@@ -127,16 +127,20 @@ def build_grid(dims, cfg: AlsConfig):
 
 
 def _rebuild_mode_state(ctx, k):
-    """Refresh Gram + sampler structures after a mode-k factor update."""
-    if ctx.sampler == "arls-lev":
-        state = arls_lev_build(ctx.factors[k], ledger=ctx.ledger, round_id=ctx.round_id)
-        ctx.arls_states[k] = state
-        ctx.grams[k] = state.gram
-    elif ctx.sampler == "sts":
-        ctx.grams[k] = gram(ctx.factors[k], ledger=ctx.ledger, round_id=ctx.round_id)
-        ctx.trees[k] = sts_build(ctx.factors[k], ledger=ctx.ledger, round_id=ctx.round_id)
+    """The one refresh after a mode-k factor update.
+
+    A sampled run rebuilds the mode's sampler state, which meters the
+    factor's Gram and keeps it.  An exact run (tensor-stationary, as
+    ``AlsConfig.validate`` requires) meters the Gram that its solves read
+    and the factor's slice-group gathers.
+    """
+    fb = ctx.factors[k]
+    if ctx.sampler == "exact":
+        ctx.grams[k] = gram(fb, ledger=ctx.ledger, round_id=ctx.round_id)
+        refresh_gathered(ctx, k)
     else:
-        ctx.grams[k] = gram(ctx.factors[k], ledger=ctx.ledger, round_id=ctx.round_id)
+        build = arls_lev_build if ctx.sampler == "arls-lev" else sts_build
+        ctx.states[k] = build(fb, ledger=ctx.ledger, round_id=ctx.round_id)
 
 
 def _renormalize(ctx, k):
@@ -197,14 +201,11 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     blocks = [FactorBlocks(U, *grid.block_ranges(j)) for j, U in enumerate(factors)]
 
     ledger = gridmod.CommLedger()
-    ctx = SolveContext(grid, cfg.schedule, cfg.sampler, cfg.samples, blocks,
-                       [None] * N, partition, ledger, cfg.seed, workers=cfg.workers)
+    ctx = SolveContext(grid, cfg.schedule, cfg.sampler, cfg.samples, blocks, partition,
+                       ledger, cfg.seed, workers=cfg.workers)
     ctx.round_id = 0
     for j in range(N):
         _rebuild_mode_state(ctx, j)
-    if cfg.schedule == "tensor-stationary" and cfg.sampler == "exact":
-        for j in range(N):
-            refresh_gathered(ctx, j)
 
     fit_history = []
     running_max = []
@@ -235,8 +236,6 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
                     "(J=%d samples hit %d sampled nonzeros)"
                     % (k, rnd, ctx.J, ctx.stats["sampled_nnz"] - nnz_before))
             _rebuild_mode_state(ctx, k)
-            if cfg.schedule == "tensor-stationary" and cfg.sampler == "exact":
-                refresh_gathered(ctx, k)
         if cfg.compute_fits and (rnd % cfg.fit_every == 0 or rnd == cfg.rounds):
             evaluate_fit(rnd)
 

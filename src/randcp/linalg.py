@@ -75,11 +75,11 @@ def hadamard_gram_chain(grams, skip=None):
     return out
 
 
-def pseudo_inverse(G, rel_cutoff=PINV_CUTOFF):
+def pseudo_inverse(G):
     """Moore-Penrose pseudo-inverse of a symmetric PSD matrix.
 
     Uses a symmetric eigendecomposition; eigenvalues below
-    rel_cutoff * lambda_max are treated as zero and inverted to zero.
+    PINV_CUTOFF * lambda_max are treated as zero and inverted to zero.
     """
     G = np.asarray(G, dtype=np.float64)
     scale = np.abs(G).max() if G.size else 0.0
@@ -91,7 +91,7 @@ def pseudo_inverse(G, rel_cutoff=PINV_CUTOFF):
     lam_max = w.max() if w.size else 0.0
     if lam_max <= 0.0:
         return np.zeros_like(sym)
-    inv_w = np.where(w > rel_cutoff * lam_max, 1.0, 0.0)
+    inv_w = np.where(w > PINV_CUTOFF * lam_max, 1.0, 0.0)
     with np.errstate(divide="ignore"):
         inv_w = np.where(inv_w > 0, 1.0 / np.where(w > 0, w, 1.0), 0.0)
     return (V * inv_w) @ V.T

@@ -145,9 +145,8 @@ def matricize(t: SparseTensorCOO, mode: int) -> Matricization:
 class LocalTensorSet:
     """Per-rank, per-mode matricized subsets under one schedule's partition."""
 
-    def __init__(self, schedule, grid, mats):
+    def __init__(self, schedule, mats):
         self.schedule = schedule
-        self.grid = grid
         self.mats = mats  # mats[rank][mode] -> Matricization
 
     def local(self, rank, mode) -> Matricization:
@@ -185,7 +184,7 @@ def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet
                 hi = int(grid.chunk_offsets[j][coords[j] + 1])
                 per_mode.append(Matricization(t.dims, idx, vals, j, row_lo=lo, row_hi=hi))
             mats.append(per_mode)
-        return LocalTensorSet(schedule, grid, mats)
+        return LocalTensorSet(schedule, mats)
 
     if schedule == "accumulator-stationary":
         mats = [[None] * t.mode_count for _ in range(grid.P)]
@@ -196,6 +195,6 @@ def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet
                 lo, hi = grid.block_range(j, p)
                 mats[p][j] = Matricization(t.dims, t.idx[pos], t.vals[pos], j,
                                            row_lo=lo, row_hi=hi)
-        return LocalTensorSet(schedule, grid, mats)
+        return LocalTensorSet(schedule, mats)
 
     raise ValueError("unknown schedule %r" % schedule)

@@ -1,18 +1,24 @@
 """Row samplers for the Khatri-Rao design matrix.
 
-Two production samplers plus a brute-force oracle:
+Two production samplers plus a brute-force oracle.  Each sampler is a
+build/sample pair: the build turns one factor into its per-mode state,
+which keeps that ``FactorBlocks`` (read in place, so the state is rebuilt
+after every update of the factor) and its metered Gram; the sample call
+draws a mode-k batch from the states of all modes, ``(states, k, J,
+seed)``.
 
-* approximate sampler: weighs each candidate row by the product of
-  per-factor leverage scores; every rank samples its own block from an
-  independent local distribution after a consistent multinomial split of
-  the sample budget (build/sample pair).
+* approximate sampler (``arls_lev_build`` -> ``ArlsLevState``): weighs
+  each candidate row by the product of per-factor leverage scores; every
+  rank samples its own block from an independent local distribution
+  after a consistent multinomial split of the sample budget.
 
-* exact sampler: draws from the exact Khatri-Rao leverage distribution
-  by walking a binary tree of partial Gram matrices once per constant
-  factor, conditioning each mode's draw on the rows already chosen.
-  The top log2(P) tree levels are shared across ranks; the walk routes
-  samples between ranks level by level and finishes with a local search
-  over leaf row blocks.
+* exact sampler (``sts_build`` -> ``LeverageTree``): draws from the exact
+  Khatri-Rao leverage distribution by walking a binary tree of partial
+  Gram matrices once per constant factor, conditioning each mode's draw
+  on the rows already chosen; the chain pseudo-inverse comes from the
+  trees' Grams.  The top log2(P) tree levels are shared across ranks;
+  the walk routes samples between ranks level by level and finishes with
+  a local search over leaf row blocks.
 
 Sampled rows are reweighted by 1 / sqrt(J * p_s), the scaling that makes
 the sketched normal equations unbiased.  A batch keeps all J draws,
@@ -28,7 +34,7 @@ import numpy as np
 
 from . import grid as gridmod
 from . import rng
-from .linalg import gram, khatri_rao, pseudo_inverse
+from .linalg import gram, hadamard_gram_chain, khatri_rao, pseudo_inverse
 from .matricization import distinct_keys
 
 ORACLE_GUARD = 10 ** 6
@@ -92,13 +98,11 @@ class SampleBatch:
         return self.X.shape[0]
 
 
-def sample_weights(batch: SampleBatch, J=None):
+def sample_weights(batch: SampleBatch):
     """Attach reweighting factors 1 / sqrt(J * p_s) to the batch."""
-    if J is None:
-        J = batch.J
     if batch.J and (batch.prob <= 0.0).any():
         raise ValueError("sample with zero probability cannot have been drawn")
-    batch.weights = 1.0 / np.sqrt(J * batch.prob) if batch.J else np.empty(0)
+    batch.weights = 1.0 / np.sqrt(batch.J * batch.prob) if batch.J else np.empty(0)
     return batch.weights
 
 
@@ -108,18 +112,19 @@ def _empty_batch(N, R):
 
 
 class ArlsLevState:
-    """Per-mode sampling state: local leverage distributions and masses.
+    """Per-mode sampling state: the factor, its Gram, local leverage
+    distributions and masses.
 
     dists[p] is the normalized leverage distribution over rank p's block
     rows, C[p] its pre-normalization mass; C is replicated (gathered once
     at build time) so sample calls need no mass exchange.
     """
 
-    def __init__(self, dists, C, lows, gram_matrix):
+    def __init__(self, factor, gram_matrix, dists, C):
+        self.factor = factor
+        self.gram = gram_matrix
         self.dists = dists
         self.C = C
-        self.lows = lows
-        self.gram = gram_matrix
 
 
 def arls_lev_build(blocks, ledger=None, round_id=0) -> ArlsLevState:
@@ -136,7 +141,7 @@ def arls_lev_build(blocks, ledger=None, round_id=0) -> ArlsLevState:
     # C is allgathered, one word per rank.
     gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(blocks.n_blocks),
                   np.ones(blocks.n_blocks, dtype=np.int64))
-    return ArlsLevState(dists, C, blocks.lows.copy(), G)
+    return ArlsLevState(blocks, G, dists, C)
 
 
 def consistent_multinomial(masses, J, seed, round_id, k, mode):
@@ -149,7 +154,7 @@ def consistent_multinomial(masses, J, seed, round_id, k, mode):
     return gen.multinomial(int(J), masses / total)
 
 
-def arls_lev_sample(states, k, J, factors_full, seed, round_id=0, ledger=None) -> SampleBatch:
+def arls_lev_sample(states, k, J, seed, round_id=0, ledger=None) -> SampleBatch:
     """Draw J rows from the product-of-factor-leverage distribution.
 
     For each constant mode independently: split J across ranks by a
@@ -158,7 +163,7 @@ def arls_lev_sample(states, k, J, factors_full, seed, round_id=0, ledger=None) -
     shared-stream permutation.  The result is replicated on every rank.
     """
     N = len(states)
-    R = states[next(i for i in range(N) if i != k)].gram.shape[0]
+    R = states[next(i for i in range(N) if i != k)].factor.R
     if J == 0:
         return _empty_batch(N, R)
     X = np.full((J, N), -1, dtype=np.int64)
@@ -175,7 +180,7 @@ def arls_lev_sample(states, k, J, factors_full, seed, round_id=0, ledger=None) -
         for p in np.flatnonzero(split):
             gen = rng.stream(seed, rng.LOCAL_DRAW, round_id, k, i, p)
             local = gen.choice(st.dists[p].size, size=int(split[p]), p=st.dists[p])
-            rows.append(st.lows[p] + local)
+            rows.append(st.factor.lows[p] + local)
             probs.append((st.C[p] / W) * st.dists[p][local])
         # Allgather of every rank's (row, probability) pairs, in rank order.
         gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(len(split)), 2 * split)
@@ -185,7 +190,7 @@ def arls_lev_sample(states, k, J, factors_full, seed, round_id=0, ledger=None) -
     H = np.ones((J, R))
     for i in range(N):
         if i != k:
-            H *= factors_full[i][X[:, i]]
+            H *= states[i].factor.U[X[:, i]]
     prob = per_mode_prob.prod(axis=1)
     return SampleBatch(X, H, per_mode_prob, prob, owner=None)
 
@@ -193,6 +198,8 @@ def arls_lev_sample(states, k, J, factors_full, seed, round_id=0, ledger=None) -
 class LeverageTree:
     """Binary tree of partial Gram matrices over one factor's row blocks.
 
+    ``factor`` is the FactorBlocks the tree was built from and ``gram``
+    its metered Gram, which the walk's conditioning matrices multiply.
     ``node_grams[lev]`` holds the (2^lev, R, R) node matrices; level
     ``depth`` is the rank-leaf level (leaf ell belongs to the rank in
     row-block order, padding leaves hold zero).  Below that, each rank
@@ -200,12 +207,12 @@ class LeverageTree:
     the local search.
     """
 
-    def __init__(self, node_grams, leaf_rank, block_lo, block_hi,
-                 leaf_offsets, leaf_grams):
+    def __init__(self, factor, gram_matrix, node_grams, leaf_rank, leaf_offsets,
+                 leaf_grams):
+        self.factor = factor
+        self.gram = gram_matrix
         self.node_grams = node_grams
         self.leaf_rank = leaf_rank
-        self.block_lo = block_lo
-        self.block_hi = block_hi
         self.leaf_offsets = leaf_offsets  # per rank, offsets within its block
         self.leaf_grams = leaf_grams      # per rank, (n_leaves, R, R)
 
@@ -213,25 +220,22 @@ class LeverageTree:
     def depth(self):
         return len(self.node_grams) - 1
 
-    @property
-    def root_gram(self):
-        return self.node_grams[0][0]
 
-
-def sts_build(blocks, ledger=None, round_id=0, leaf_block_size=None) -> LeverageTree:
+def sts_build(blocks, ledger=None, round_id=0) -> LeverageTree:
     """Build the leverage tree for one factor (exact-sampler build pass).
 
-    Leaf Grams come from each rank's local rows; the upward pass mirrors
-    the bidirectional-exchange Allreduce, metering one R*R matrix
-    received per rank per level (general P handled by padding with empty
-    leaves, which carry zero mass and are never routed to).
+    The factor's Gram is allreduced as for every factor update.  Leaf
+    Grams come from each rank's local rows; the upward pass mirrors the
+    bidirectional-exchange Allreduce, metering one R*R matrix received
+    per rank per level (general P handled by padding with empty leaves,
+    which carry zero mass and are never routed to).
 
     The local search enumerates leaf masses and then the chosen leaf's
     row masses, costing about (n/L + L) R^2 per sample for leaf size L.
-    The default L = ceil(sqrt(n)) minimizes that and keeps the leaf Grams
-    at about sqrt(n) R^2 words per rank; pass an explicit
-    ``leaf_block_size`` to override (e.g. R-row leaves).
+    L = ceil(sqrt(n)) minimizes that and keeps the leaf Grams at about
+    sqrt(n) R^2 words per rank.
     """
+    G = gram(blocks, ledger=ledger, round_id=round_id)
     R = blocks.R
     P = blocks.n_blocks
     order = np.lexsort((np.arange(P), blocks.lows))  # rank ids in row-block order
@@ -244,10 +248,7 @@ def sts_build(blocks, ledger=None, round_id=0, leaf_block_size=None) -> Leverage
     for p in range(P):
         B = blocks.blocks[p]
         n = B.shape[0]
-        if leaf_block_size is None:
-            size = max(1, int(math.ceil(math.sqrt(n))))
-        else:
-            size = max(1, int(leaf_block_size))
+        size = max(1, int(math.ceil(math.sqrt(n))))
         n_leaves = max(int(math.ceil(n / size)), 1) if n else 0
         offs = np.minimum(np.arange(n_leaves + 1, dtype=np.int64) * size, n) \
             if n else np.zeros(1, dtype=np.int64)
@@ -278,8 +279,7 @@ def sts_build(blocks, ledger=None, round_id=0, leaf_block_size=None) -> Leverage
         sent = np.bincount(partner[real] * P + leaf[real], minlength=P * P) * (R * R)
         gridmod.meter(ledger, round_id, gridmod.ALL_TO_ALLV, order, sent)
 
-    return LeverageTree(node_grams, leaf_rank, blocks.lows.copy(), blocks.his.copy(),
-                        leaf_offsets, leaf_grams)
+    return LeverageTree(blocks, G, node_grams, leaf_rank, leaf_offsets, leaf_grams)
 
 
 def _inverse_cdf(masses, of, r):
@@ -363,13 +363,15 @@ def _route_meter(ledger, round_id, old_owner, new_owner, payload_words, P):
     gridmod.meter(ledger, round_id, gridmod.ALL_TO_ALLV, range(P), sent)
 
 
-def sts_sample(trees, k, J, gram_chain_pinv, grams, blocks_per_mode, seed,
-               round_id=0, ledger=None, uniform_override=None) -> SampleBatch:
+def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
+               uniform_override=None) -> SampleBatch:
     """Draw J rows from the exact Khatri-Rao leverage distribution.
 
     Modes are visited in ascending order skipping k.  For mode i the
     conditioning matrix is  G_chain_pinv (elementwise) prod of Grams of
-    modes > i (excluding k); the contribution of already-sampled modes
+    modes > i (excluding k), where G_chain_pinv is the pseudo-inverse of
+    the Hadamard product of the trees' Grams over the modes != k
+    (``trees[k]`` is not read); the contribution of already-sampled modes
     lives in the running rows H.  Each sample walks the shared tree
     levels (routing between ranks at every level), finishes with the
     local leaf search on its terminal rank, and multiplies its H row by
@@ -383,12 +385,13 @@ def sts_sample(trees, k, J, gram_chain_pinv, grams, blocks_per_mode, seed,
     ``uniform_override`` (J, N) replaces the per-mode uniform draws; a
     test hook for steering walks down chosen paths.
     """
-    N = len(grams)
+    N = len(trees)
+    grams = [None if i == k else t.gram for i, t in enumerate(trees)]
+    gram_chain_pinv = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
     R = gram_chain_pinv.shape[0]
     if J == 0:
         return _empty_batch(N, R)
-    first = next(i for i in range(N) if i != k and trees[i] is not None)
-    P = len(trees[first].leaf_offsets)
+    P = trees[next(i for i in range(N) if i != k)].factor.n_blocks
     payload_words = N + R + 2  # X row + H row + residual + running probability
 
     X = np.full((J, N), -1, dtype=np.int64)
@@ -401,6 +404,7 @@ def sts_sample(trees, k, J, gram_chain_pinv, grams, blocks_per_mode, seed,
         if i == k:
             continue
         tree = trees[i]
+        fb = tree.factor
         M = gram_chain_pinv.copy()
         for m in range(i + 1, N):
             if m != k:
@@ -452,15 +456,15 @@ def sts_sample(trees, k, J, gram_chain_pinv, grams, blocks_per_mode, seed,
         for p in np.flatnonzero(np.diff(bounds)):
             sel = order[bounds[p]:bounds[p + 1]]
             rows_local, prob_loc, r[sel] = _leaf_search_batch(
-                blocks_per_mode[i].blocks[p], tree.leaf_offsets[p], tree.leaf_grams[p],
+                fb.blocks[p], tree.leaf_offsets[p], tree.leaf_grams[p],
                 M, H_prefix, prefix[sel], r[sel])
-            X[sel, i] = tree.block_lo[p] + rows_local
+            X[sel, i] = fb.lows[p] + rows_local
             prob_i[sel] *= prob_loc
         per_mode_prob[:, i] = prob_i
 
         # Extend every prefix by its mode-i row; row ids stay below J * I_i.
-        _, kept, new_prefix = distinct_keys(prefix * int(tree.block_hi.max()) + X[:, i])
-        H_prefix = H_prefix[prefix[kept]] * blocks_per_mode[i].U[X[kept, i]]
+        _, kept, new_prefix = distinct_keys(prefix * fb.U.shape[0] + X[:, i])
+        H_prefix = H_prefix[prefix[kept]] * fb.U[X[kept, i]]
         prefix = new_prefix
 
     prob = per_mode_prob.prod(axis=1)

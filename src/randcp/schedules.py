@@ -46,21 +46,22 @@ class ScheduleError(ValueError):
 class SolveContext:
     """Everything one mode solve needs, shared across a run."""
 
-    def __init__(self, grid, schedule, sampler, J, factors, grams, local,
-                 ledger, seed, workers=1):
+    def __init__(self, grid, schedule, sampler, J, factors, local, ledger, seed,
+                 workers=1):
         self.grid = grid
         self.schedule = schedule
         self.sampler = sampler          # 'exact' | 'arls-lev' | 'sts'
         self.J = J
         self.factors = factors          # list of FactorBlocks per mode
-        self.grams = grams              # list of R x R Gram matrices
         self.local = local              # LocalTensorSet
         self.ledger = ledger
         self.seed = seed
         self.workers = workers
         self.round_id = 0
-        self.arls_states = [None] * len(factors)
-        self.trees = [None] * len(factors)
+        # Per mode, refreshed after each factor update: the R x R Gram that
+        # exact solves read, or the sampler state that draws read.
+        self.grams = [None] * len(factors)
+        self.states = [None] * len(factors)
         self.timings = {"sampling": 0.0, "gather": 0.0, "extract": 0.0, "mttkrp": 0.0,
                         "reduction": 0.0, "postprocess": 0.0}
         self.stats = {"distinct_samples": 0, "sampled_nnz": 0}
@@ -106,15 +107,12 @@ def draw_batch(ctx: SolveContext, k: int):
     """Run the configured sampler for a mode-k solve."""
     t0 = time.perf_counter()
     if ctx.sampler == "arls-lev":
-        full = [fb.U if i != k else None for i, fb in enumerate(ctx.factors)]
-        batch = arls_lev_sample(ctx.arls_states, k, ctx.J, full, ctx.seed,
-                                round_id=ctx.round_id, ledger=ctx.ledger)
+        sample = arls_lev_sample
     elif ctx.sampler == "sts":
-        chain_pinv = pseudo_inverse(hadamard_gram_chain(ctx.grams, skip=k))
-        batch = sts_sample(ctx.trees, k, ctx.J, chain_pinv, ctx.grams, ctx.factors,
-                           ctx.seed, round_id=ctx.round_id, ledger=ctx.ledger)
+        sample = sts_sample
     else:
         raise ScheduleError("no sampler configured (sampler=%r)" % ctx.sampler)
+    batch = sample(ctx.states, k, ctx.J, ctx.seed, round_id=ctx.round_id, ledger=ctx.ledger)
     ctx.tick("sampling", t0)
     return batch
 

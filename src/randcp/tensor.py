@@ -170,19 +170,18 @@ def _scan_for_bad_line(path, data_lines):
 class ModePermutations:
     """One bijection per mode, recorded so factors can be un-permuted."""
 
-    def __init__(self, perms, seed=None):
+    def __init__(self, perms):
         self.perms = [np.ascontiguousarray(p, dtype=np.int64) for p in perms]
-        self.seed = seed
 
     @classmethod
     def identity(cls, dims):
-        return cls([np.arange(d, dtype=np.int64) for d in dims], seed=None)
+        return cls([np.arange(d, dtype=np.int64) for d in dims])
 
     @classmethod
     def random(cls, dims, seed):
         perms = [rng.stream(seed, rng.TENSOR_PERM, j).permutation(d)
                  for j, d in enumerate(dims)]
-        return cls(perms, seed=seed)
+        return cls(perms)
 
     def inverse(self):
         inv = []
@@ -190,7 +189,7 @@ class ModePermutations:
             q = np.empty_like(p)
             q[p] = np.arange(p.size, dtype=np.int64)
             inv.append(q)
-        return ModePermutations(inv, seed=self.seed)
+        return ModePermutations(inv)
 
     def unpermute_factor(self, U, mode):
         """Reorder a factor computed in permuted space back to original rows."""

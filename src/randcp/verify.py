@@ -12,8 +12,7 @@ import numpy as np
 from . import grid as gridmod
 from . import rng
 from .als import AlsConfig, run_als
-from .linalg import (FactorBlocks, compute_fit, gram, hadamard_gram_chain,
-                     khatri_rao, normalize_columns, pseudo_inverse)
+from .linalg import FactorBlocks, compute_fit, khatri_rao, normalize_columns
 from .matricization import column_keys, matricize, partition_to_grid
 from .mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
 from .samplers import (arls_lev_build, arls_lev_sample, exact_krp_leverage_oracle,
@@ -63,19 +62,17 @@ def suite_samplers(seed=0):
     factors = [gen.standard_normal((d, R)) for d in dims]
     g1 = gridmod.ProcessorGrid(dims, (1, 1, 1))
     blocks = [FactorBlocks.from_global(U, g1, j) for j, U in enumerate(factors)]
-    grams = [gram(b) for b in blocks]
     oracle = exact_krp_leverage_oracle(factors, skip=k)
 
     trees = [sts_build(b) for b in blocks]
-    chain_pinv = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
-    batch = sts_sample(trees, k, J, chain_pinv, grams, blocks, seed=seed + 1)
+    batch = sts_sample(trees, k, J, seed=seed + 1)
     tv = _batch_tv(batch, dims, k, oracle)
     checks.append(("sts_tv_vs_exact_oracle < 0.01", tv < 0.01, "tv=%.4f" % tv))
     err = np.abs(batch.prob - oracle_joint(oracle, batch, dims, k)).max()
     checks.append(("sts_path_probability_identity < 1e-10", err < 1e-10, "err=%.2e" % err))
 
     states = [arls_lev_build(b) for b in blocks]
-    batch_a = arls_lev_sample(states, k, J, factors, seed=seed + 2)
+    batch_a = arls_lev_sample(states, k, J, seed=seed + 2)
     per = [exact_krp_leverage_oracle([factors[i]]) for i in range(2)]
     prod = np.multiply.outer(per[1], per[0]).reshape(-1)
     tv_a = _batch_tv(batch_a, dims, k, prod)
@@ -84,7 +81,7 @@ def suite_samplers(seed=0):
     acc = np.zeros((16, 16))
     n_rep = 50
     for s in range(n_rep):
-        b = arls_lev_sample(states, k, 2000, factors, seed=seed + 10 + s)
+        b = arls_lev_sample(states, k, 2000, seed=seed + 10 + s)
         wts = sample_weights(b)
         keys = b.X[:, 0] + dims[0] * b.X[:, 1]
         S = np.zeros((2000, 16))
@@ -175,24 +172,19 @@ def suite_schedules(seed=0):
     checks.append(("exact_rank_invariance P in {1,2,4,8} < 1e-10", worst < 1e-10,
                    "err=%.2e" % worst))
 
-    from .samplers import sts_build as _sb, sts_sample as _ss
     from .schedules import SolveContext, solve_mode
     g = gridmod.ProcessorGrid(dims, (2, 2, 1))
     funit = _unit_factors(dims, 3, seed + 8)
     blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(funit)]
-    grams = [gram(b) for b in blocks]
-    trees = [_sb(b) for b in blocks]
-    chain_pinv = pseudo_inverse(hadamard_gram_chain(grams, skip=0))
-    batch = _ss(trees, 0, 128, chain_pinv, grams, blocks, seed=seed + 9)
+    trees = [sts_build(b) for b in blocks]
+    batch = sts_sample(trees, 0, 128, seed=seed + 9)
     sample_weights(batch)
     pt = partition_to_grid(t, g, "tensor-stationary")
     pa = partition_to_grid(t, g, "accumulator-stationary")
     ctx_t = SolveContext(g, "tensor-stationary", "sts", 128,
-                         [b.copy() for b in blocks], grams, pt, gridmod.CommLedger(),
-                         seed)
+                         [b.copy() for b in blocks], pt, gridmod.CommLedger(), seed)
     ctx_a = SolveContext(g, "accumulator-stationary", "sts", 128,
-                         [b.copy() for b in blocks], grams, pa, gridmod.CommLedger(),
-                         seed)
+                         [b.copy() for b in blocks], pa, gridmod.CommLedger(), seed)
     solve_mode(ctx_t, 0, injected_batch=batch)
     solve_mode(ctx_a, 0, injected_batch=batch)
     diff = np.abs(ctx_t.factors[0].U - ctx_a.factors[0].U).max()

@@ -11,8 +11,7 @@ import pytest
 
 from randcp import grid as gridmod
 from randcp.als import AlsConfig, run_als
-from randcp.linalg import (FactorBlocks, gram, hadamard_gram_chain, khatri_rao,
-                           pseudo_inverse)
+from randcp.linalg import FactorBlocks, khatri_rao, pseudo_inverse
 from randcp.matricization import column_keys, matricize, partition_to_grid
 from randcp.mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr
 from randcp.samplers import (arls_lev_build, arls_lev_sample, exact_krp_leverage_oracle,
@@ -87,17 +86,15 @@ def test_criterion_2_sampler_total_variation():
     factors = [gen.standard_normal((d, R)) for d in dims]
     g = gridmod.ProcessorGrid(dims, (1, 1, 1))
     blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(factors)]
-    grams = [gram(b) for b in blocks]
     oracle = exact_krp_leverage_oracle(factors, skip=k)
 
     trees = [sts_build(b) for b in blocks]
-    cp = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
-    batch = sts_sample(trees, k, J, cp, grams, blocks, seed=2)
+    batch = sts_sample(trees, k, J, seed=2)
     emp = np.bincount(column_keys(batch.X, dims, k), minlength=16) / J
     tv_sts = 0.5 * np.abs(emp - oracle).sum()
 
     states = [arls_lev_build(b) for b in blocks]
-    batch_a = arls_lev_sample(states, k, J, factors, seed=3)
+    batch_a = arls_lev_sample(states, k, J, seed=3)
     per = [exact_krp_leverage_oracle([factors[i]]) for i in range(2)]
     product = np.multiply.outer(per[1], per[0]).reshape(-1)
     emp_a = np.bincount(column_keys(batch_a.X, dims, k), minlength=16) / J
@@ -131,9 +128,7 @@ def test_criterion_3_walk_probability_identity(dims, k):
     assert int(np.prod(dims)) <= 256
     g = gridmod.ProcessorGrid(dims, (1, 1, 1))
     blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(factors)]
-    grams = [gram(b) for b in blocks]
     trees = [sts_build(b) for b in blocks]
-    cp = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
     oracle = exact_krp_leverage_oracle(factors, skip=k)
 
     modes = [i for i in range(3) if i != k]
@@ -144,7 +139,7 @@ def test_criterion_3_walk_probability_identity(dims, k):
     override = np.zeros((len(targets), 3))
     override[:, modes[0]] = rr[:, 0]
     override[:, modes[1]] = rr[:, 1]
-    batch = sts_sample(trees, k, len(targets), cp, grams, blocks, seed=0,
+    batch = sts_sample(trees, k, len(targets), seed=0,
                        uniform_override=override)
     got = list(zip(batch.X[:, modes[0]].tolist(), batch.X[:, modes[1]].tolist()))
     assert got == targets, "steered walk visited wrong tuples"
@@ -214,13 +209,11 @@ def test_criterion_5_sketched_solve_guarantee():
     for s in range(trials):
         factors = unit_factors(dims, R, seed=700 + s)
         blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(factors)]
-        grams = [gram(b) for b in blocks]
         trees = [sts_build(b) for b in blocks]
         A = khatri_rao(factors, skip=k)
         X_opt = B @ A @ pseudo_inverse(A.T @ A)
         r_opt = np.linalg.norm(A @ X_opt.T - B.T)
-        cp = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
-        batch = sts_sample(trees, k, J, cp, grams, blocks, seed=800 + s)
+        batch = sts_sample(trees, k, J, seed=800 + s)
         w = sample_weights(batch)
         rhs = downsampled_mttkrp(gather_sampled_nonzeros_to_csr(mk, batch.X, k),
                                  batch.H, w)
@@ -241,17 +234,15 @@ def test_criterion_6_schedule_equivalence_and_rank_invariance():
     for gdims in ((2, 2, 1), (2, 2, 2)):
         g = gridmod.ProcessorGrid(t.dims, gdims)
         blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(factors)]
-        grams = [gram(b) for b in blocks]
         trees = [sts_build(b) for b in blocks]
         for k in range(3):
-            cp = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
-            batch = sts_sample(trees, k, 64, cp, grams, blocks, seed=9 + k)
+            batch = sts_sample(trees, k, 64, seed=9 + k)
             sample_weights(batch)
             ctxs = {}
             for sched in ("tensor-stationary", "accumulator-stationary"):
                 part = partition_to_grid(t, g, sched)
                 ctx = SolveContext(g, sched, "sts", 64,
-                                   [b.copy() for b in blocks], grams, part,
+                                   [b.copy() for b in blocks], part,
                                    gridmod.CommLedger(), seed=0)
                 ctxs[sched] = ctx
             solve_mode(ctxs["tensor-stationary"], k, injected_batch=batch)

@@ -253,8 +253,8 @@ def renormalize_ctx(U, round_id=3):
     g = ProcessorGrid((U.shape[0], 3), (2, 1))
     blocks = [FactorBlocks(U, *g.block_ranges(0)),
               FactorBlocks.from_global(np.ones((3, U.shape[1])), g, 1)]
-    ctx = SolveContext(g, "tensor-stationary", "exact", 0, blocks, [None, None], None,
-                       CommLedger(), seed=0)
+    ctx = SolveContext(g, "tensor-stationary", "exact", 0, blocks, None, CommLedger(),
+                       seed=0)
     ctx.round_id = round_id
     return ctx
 

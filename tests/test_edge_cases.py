@@ -3,7 +3,7 @@ import pytest
 
 from randcp import grid as gridmod
 from randcp.als import AlsConfig, run_als
-from randcp.linalg import FactorBlocks, gram, hadamard_gram_chain, pseudo_inverse
+from randcp.linalg import FactorBlocks
 from randcp.matricization import matricize, partition_to_grid
 from randcp.mttkrp import gather_sampled_nonzeros_to_csr
 from randcp.samplers import sample_weights, sts_build, sts_sample
@@ -32,18 +32,16 @@ class TestFourModeEndToEnd:
         factors = unit_factors(t.dims, 2, seed=3)
         g = gridmod.ProcessorGrid(t.dims, (2, 1, 2, 1))
         blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(factors)]
-        grams = [gram(b) for b in blocks]
         trees = [sts_build(b) for b in blocks]
         for k in range(4):
-            cp = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
-            batch = sts_sample(trees, k, 64, cp, grams, blocks, seed=4 + k)
+            batch = sts_sample(trees, k, 64, seed=4 + k)
             sample_weights(batch)
             ctx_t = SolveContext(g, "tensor-stationary", "sts", 64,
-                                 [b.copy() for b in blocks], grams,
+                                 [b.copy() for b in blocks],
                                  partition_to_grid(t, g, "tensor-stationary"),
                                  gridmod.CommLedger(), seed=0)
             ctx_a = SolveContext(g, "accumulator-stationary", "sts", 64,
-                                 [b.copy() for b in blocks], grams,
+                                 [b.copy() for b in blocks],
                                  partition_to_grid(t, g, "accumulator-stationary"),
                                  gridmod.CommLedger(), seed=0)
             solve_mode(ctx_t, k, injected_batch=batch)
@@ -89,13 +87,11 @@ def test_walk_routing_total_words_scale():
     factors = [gen.standard_normal((d, R)) for d in dims]
     g = gridmod.ProcessorGrid(dims, (2, 2, 1))
     blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(factors)]
-    grams = [gram(b) for b in blocks]
     trees = [sts_build(b) for b in blocks]
-    cp = pseudo_inverse(hadamard_gram_chain(grams, skip=2))
     words = {}
     for J in (128, 256):
         led = gridmod.CommLedger()
-        sts_sample(trees, 2, J, cp, grams, blocks, seed=8, ledger=led)
+        sts_sample(trees, 2, J, seed=8, ledger=led)
         words[J] = led.words(kind=gridmod.ALL_TO_ALLV)
         # payload is N + R + 2 words per routed sample; at most J per level
         assert words[J] <= (3 + R + 2) * J * 2 * 2  # modes x levels

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from randcp import grid as gridmod
-from randcp.linalg import FactorBlocks, gram, hadamard_gram_chain, pseudo_inverse
+from randcp.linalg import FactorBlocks, gram
 from randcp.matricization import column_keys
 from randcp import samplers
 from randcp.samplers import (DegenerateWalkError, arls_lev_build, arls_lev_sample,
@@ -18,13 +18,8 @@ def blocks_for(factors, grid):
     return [FactorBlocks.from_global(U, grid, j) for j, U in enumerate(factors)]
 
 
-def sts_setup(factors, grid, k, leaf_block_size=None, ledger=None):
-    blocks = blocks_for(factors, grid)
-    grams = [gram(b) for b in blocks]
-    trees = [sts_build(b, ledger=ledger, leaf_block_size=leaf_block_size)
-             for b in blocks]
-    chain_pinv = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
-    return blocks, grams, trees, chain_pinv
+def sts_setup(factors, grid):
+    return [sts_build(b) for b in blocks_for(factors, grid)]
 
 
 class TestLeverageOracle:
@@ -88,7 +83,7 @@ class TestArlsSample:
             U[7] = [1.0, -2.0]
         g = single_grid((9, 9, 9))
         states = [arls_lev_build(b) for b in blocks_for(factors, g)]
-        batch = arls_lev_sample(states, 2, 64, factors, seed=3)
+        batch = arls_lev_sample(states, 2, 64, seed=3)
         assert (batch.X[:, 0] == 7).all() and (batch.X[:, 1] == 7).all()
         assert (batch.X[:, 2] == -1).all()
 
@@ -106,7 +101,7 @@ class TestArlsSample:
         g = single_grid(dims)
         states = [arls_lev_build(b) for b in blocks_for(factors, g)]
         J = 50000
-        batch = arls_lev_sample(states, 2, J, factors, seed=6)
+        batch = arls_lev_sample(states, 2, J, seed=6)
         per = [exact_krp_leverage_oracle([factors[i]]) for i in range(2)]
         joint = np.multiply.outer(per[1], per[0]).reshape(-1)
         emp = np.bincount(column_keys(batch.X, dims, 2), minlength=16) / J
@@ -119,7 +114,7 @@ class TestArlsSample:
         factors = [gen.standard_normal((4, 2)) for _ in range(3)]
         g = single_grid((4, 4, 4))
         states = [arls_lev_build(b) for b in blocks_for(factors, g)]
-        batch = arls_lev_sample(states, 1, 0, factors, seed=0)
+        batch = arls_lev_sample(states, 1, 0, seed=0)
         assert batch.J == 0
 
     def test_all_zero_mass_errors(self):
@@ -127,7 +122,7 @@ class TestArlsSample:
         g = single_grid((4, 4, 4))
         states = [arls_lev_build(b) for b in blocks_for(factors, g)]
         with pytest.raises(ValueError):
-            arls_lev_sample(states, 2, 8, factors, seed=0)
+            arls_lev_sample(states, 2, 8, seed=0)
 
     def test_multi_rank_distribution_unchanged(self):
         gen = np.random.default_rng(6)
@@ -138,7 +133,7 @@ class TestArlsSample:
         for gdims in ((1, 1, 1), (2, 2, 1)):
             g = gridmod.ProcessorGrid(dims, gdims)
             states = [arls_lev_build(b) for b in blocks_for(factors, g)]
-            batch = arls_lev_sample(states, 2, J, factors, seed=7)
+            batch = arls_lev_sample(states, 2, J, seed=7)
             emps[gdims] = np.bincount(column_keys(batch.X, dims, 2), minlength=48) / J
         assert 0.5 * np.abs(emps[(1, 1, 1)] - emps[(2, 2, 1)]).sum() < 0.02
 
@@ -150,14 +145,14 @@ class TestStsBuild:
         fb = FactorBlocks(U, [0], [5])
         tree = sts_build(fb)
         assert tree.depth == 0
-        assert np.allclose(tree.root_gram, U.T @ U, atol=1e-12)
+        assert np.allclose(tree.node_grams[0][0], U.T @ U, atol=1e-12)
 
     def test_two_leaves_root_and_left_cache(self):
         gen = np.random.default_rng(8)
         B1, B2 = gen.standard_normal((3, 2)), gen.standard_normal((4, 2))
         fb = FactorBlocks(np.vstack([B1, B2]), [0, 3], [3, 7])
         tree = sts_build(fb)
-        assert np.allclose(tree.root_gram, B1.T @ B1 + B2.T @ B2, atol=1e-12)
+        assert np.allclose(tree.node_grams[0][0], B1.T @ B1 + B2.T @ B2, atol=1e-12)
         assert np.allclose(tree.node_grams[1][0], B1.T @ B1, atol=1e-12)
 
     def test_eight_leaves_internal_nodes_sum_descendants(self):
@@ -178,7 +173,7 @@ class TestStsBuild:
         U = gen.standard_normal((13, 3))  # uneven blocks, padded tree (P=3 -> 4 leaves)
         fb = FactorBlocks(U, [0, 5, 9], [5, 9, 13])
         tree = sts_build(fb)
-        assert np.abs(tree.root_gram - gram(U)).max() < 1e-12
+        assert np.abs(tree.node_grams[0][0] - gram(U)).max() < 1e-12
         for lev in range(tree.depth):
             kids = tree.node_grams[lev + 1]
             for v in range(1 << lev):
@@ -193,8 +188,8 @@ class TestStsSample:
     def test_all_singleton_modes(self):
         factors = [np.array([[1.0, 2.0]]), np.array([[3.0, 0.5]]), np.array([[1.0, 1.0]])]
         g = single_grid((1, 1, 1))
-        blocks, grams, trees, cp = sts_setup(factors, g, 2)
-        batch = sts_sample(trees, 2, 16, cp, grams, blocks, seed=11)
+        trees = sts_setup(factors, g)
+        batch = sts_sample(trees, 2, 16, seed=11)
         assert (batch.X[:, :2] == 0).all()
         assert np.allclose(batch.H, factors[0][0] * factors[1][0])
 
@@ -203,8 +198,8 @@ class TestStsSample:
         dims = (6, 1, 4)
         factors = [gen.standard_normal((6, 2)), np.ones((1, 2)), gen.standard_normal((4, 2))]
         g = single_grid(dims)
-        blocks, grams, trees, cp = sts_setup(factors, g, 2)
-        batch = sts_sample(trees, 2, 32, cp, grams, blocks, seed=13)
+        trees = sts_setup(factors, g)
+        batch = sts_sample(trees, 2, 32, seed=13)
         assert np.allclose(batch.H, factors[0][batch.X[:, 0]])
 
     def test_empirical_matches_exact_oracle(self):
@@ -212,9 +207,9 @@ class TestStsSample:
         dims = (4, 4, 3)
         factors = [gen.standard_normal((d, 2)) for d in dims]
         g = single_grid(dims)
-        blocks, grams, trees, cp = sts_setup(factors, g, 2)
+        trees = sts_setup(factors, g)
         J = 50000
-        batch = sts_sample(trees, 2, J, cp, grams, blocks, seed=15)
+        batch = sts_sample(trees, 2, J, seed=15)
         oracle = exact_krp_leverage_oracle(factors, skip=2)
         emp = np.bincount(column_keys(batch.X, dims, 2), minlength=16) / J
         assert 0.5 * np.abs(emp - oracle).sum() < 0.02
@@ -227,8 +222,8 @@ class TestStsSample:
         draws = {}
         for gdims in ((1, 1, 1), (2, 2, 1), (4, 2, 1)):
             g = gridmod.ProcessorGrid(dims, gdims)
-            blocks, grams, trees, cp = sts_setup(factors, g, 2)
-            draws[gdims] = sts_sample(trees, 2, 256, cp, grams, blocks, seed=17).X
+            trees = sts_setup(factors, g)
+            draws[gdims] = sts_sample(trees, 2, 256, seed=17).X
         assert np.array_equal(draws[(1, 1, 1)], draws[(2, 2, 1)])
         assert np.array_equal(draws[(1, 1, 1)], draws[(4, 2, 1)])
 
@@ -237,18 +232,18 @@ class TestStsSample:
         dims = (6, 5, 4)
         factors = [gen.standard_normal((d, 2)) for d in dims]
         g = gridmod.ProcessorGrid(dims, (2, 1, 1))
-        blocks, grams, trees, cp = sts_setup(factors, g, 0)
-        a = sts_sample(trees, 0, 128, cp, grams, blocks, seed=19)
-        b = sts_sample(trees, 0, 128, cp, grams, blocks, seed=19)
+        trees = sts_setup(factors, g)
+        a = sts_sample(trees, 0, 128, seed=19)
+        b = sts_sample(trees, 0, 128, seed=19)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.prob, b.prob)
 
     def test_degenerate_walk_surfaces(self):
         factors = [np.zeros((4, 2)), np.ones((4, 2)), np.ones((3, 2))]
         g = single_grid((4, 4, 3))
-        blocks, grams, trees, cp = sts_setup(factors, g, 2)
+        trees = sts_setup(factors, g)
         with pytest.raises(DegenerateWalkError):
-            sts_sample(trees, 2, 4, cp, grams, blocks, seed=20)
+            sts_sample(trees, 2, 4, seed=20)
 
 
 def leaf_search(h, W, leaf_grams, offs, cond, r):
@@ -302,10 +297,11 @@ class TestBatchedLeafSearch:
     """The batched two-stage search against per-row enumeration of the block."""
 
     @staticmethod
-    def case(leaf_block_size, n=11, R=3, n_designs=6):
+    def case(leaf_size, n=11, R=3, n_designs=6):
         gen = np.random.default_rng(31)
         W = gen.standard_normal((n, R))
-        tree = sts_build(FactorBlocks(W, [0], [n]), leaf_block_size=leaf_block_size)
+        offs = np.minimum(np.arange(-(-n // leaf_size) + 1) * leaf_size, n)
+        leaf_grams = np.stack([W[a:b].T @ W[a:b] for a, b in zip(offs[:-1], offs[1:])])
         B = gen.standard_normal((R, R))
         cond = B @ B.T
         designs = gen.standard_normal((n_designs, R))
@@ -317,21 +313,30 @@ class TestBatchedLeafSearch:
         which = np.repeat(np.arange(n_designs), n)
         r = ((cdf - 0.5 * masses) / cdf[:, -1:]).reshape(-1)
         expected_prob = (masses / cdf[:, -1:]).reshape(-1)
-        return W, tree, cond, designs, which, r, expected_prob
+        return W, offs, leaf_grams, cond, designs, which, r, expected_prob
 
-    @pytest.mark.parametrize("leaf_block_size", [1, 3, 11])
-    def test_matches_row_enumeration(self, leaf_block_size):
-        W, tree, cond, designs, which, r, expected = self.case(leaf_block_size)
-        assert len(tree.leaf_offsets[0]) - 1 == -(-11 // leaf_block_size)
+    @staticmethod
+    def check_matches(W, offs, leaf_grams, cond, designs, which, r, expected):
         rows, prob, r_out = samplers._leaf_search_batch(
-            W, tree.leaf_offsets[0], tree.leaf_grams[0], cond, designs, which, r)
+            W, offs, leaf_grams, cond, designs, which, r)
         assert np.array_equal(rows, np.tile(np.arange(11), len(designs)))
         assert np.allclose(prob, expected, rtol=1e-12, atol=0.0)
         assert np.allclose(r_out, 0.5, atol=1e-9)   # midpoints stay midpoints
 
+    @pytest.mark.parametrize("leaf_size", [1, 3, 11])
+    def test_matches_row_enumeration(self, leaf_size):
+        self.check_matches(*self.case(leaf_size))
+
+    def test_default_leaf_sizing(self):
+        # sts_build cuts a block of n rows into ceil(sqrt(n))-row leaves
+        W, _, _, *rest = self.case(4)
+        tree = sts_build(FactorBlocks(W, [0], [11]))
+        assert np.array_equal(tree.leaf_offsets[0], [0, 4, 8, 11])
+        self.check_matches(W, tree.leaf_offsets[0], tree.leaf_grams[0], *rest)
+
     def test_shared_design_rows_and_chunks(self, monkeypatch):
-        W, tree, cond, designs, which, r, _ = self.case(3)
-        args = (W, tree.leaf_offsets[0], tree.leaf_grams[0], cond)
+        W, offs, leaf_grams, cond, designs, which, r, _ = self.case(3)
+        args = (W, offs, leaf_grams, cond)
         shared = samplers._leaf_search_batch(*args, designs, which, r)
         per_sample = samplers._leaf_search_batch(*args, designs[which],
                                                  np.arange(which.size), r)
@@ -365,21 +370,21 @@ class TestSampleWeights:
         I, J = 16, 4
         batch = SampleBatch(np.zeros((J, 3), dtype=np.int64), np.ones((J, 2)),
                             np.ones((J, 3)), np.full(J, 1.0 / I))
-        w = sample_weights(batch, J)
+        w = sample_weights(batch)
         assert np.allclose(w, np.sqrt(I / J))
 
     def test_single_certain_sample(self):
         from randcp.samplers import SampleBatch
         batch = SampleBatch(np.zeros((1, 3), dtype=np.int64), np.ones((1, 2)),
                             np.ones((1, 3)), np.ones(1))
-        assert np.allclose(sample_weights(batch, 1), [1.0])
+        assert np.allclose(sample_weights(batch), [1.0])
 
     def test_zero_probability_rejected(self):
         from randcp.samplers import SampleBatch
         batch = SampleBatch(np.zeros((1, 3), dtype=np.int64), np.ones((1, 2)),
                             np.ones((1, 3)), np.zeros(1))
         with pytest.raises(ValueError):
-            sample_weights(batch, 1)
+            sample_weights(batch)
 
 
 def test_single_effective_factor_consistency():
@@ -391,10 +396,31 @@ def test_single_effective_factor_consistency():
     g = single_grid(dims)
     ref = exact_krp_leverage_oracle([factors[0]])
     J = 200000
-    blocks, grams, trees, cp = sts_setup(factors, g, 2)
-    b_sts = sts_sample(trees, 2, J, cp, grams, blocks, seed=23)
-    states = [arls_lev_build(b) for b in blocks]
-    b_arls = arls_lev_sample(states, 2, J, factors, seed=24)
+    b_sts = sts_sample(sts_setup(factors, g), 2, J, seed=23)
+    states = [arls_lev_build(b) for b in blocks_for(factors, g)]
+    b_arls = arls_lev_sample(states, 2, J, seed=24)
     for batch in (b_sts, b_arls):
         emp = np.bincount(batch.X[:, 0], minlength=12) / J
         assert 0.5 * np.abs(emp - ref).sum() < 0.01
+
+
+@pytest.mark.parametrize("build,sample", [(arls_lev_build, arls_lev_sample),
+                                          (sts_build, sts_sample)])
+def test_state_owns_its_factor_and_gram(build, sample):
+    gen = np.random.default_rng(40)
+    dims = (6, 5, 4)
+    g = gridmod.ProcessorGrid(dims, (2, 2, 1))
+    blocks = blocks_for([gen.standard_normal((d, 3)) for d in dims], g)
+    states = [build(b) for b in blocks]
+    for st, fb in zip(states, blocks):
+        assert st.factor is fb
+        assert np.array_equal(st.gram, gram(fb))
+    # Update mode 0 in place so that only row 3 keeps leverage mass, then
+    # rebuild its state: every draw must read the new rows.
+    blocks[0].U[:] = 0.0
+    blocks[0].U[3] = [1.0, -2.0, 0.5]
+    states[0] = build(blocks[0])
+    assert states[0].factor is blocks[0]
+    batch = sample(states, 2, 64, seed=41)
+    assert (batch.X[:, 0] == 3).all()
+    assert np.array_equal(batch.H, blocks[0].U[3] * blocks[1].U[batch.X[:, 1]])

@@ -15,22 +15,20 @@ from conftest import make_sparse, unit_factors
 
 def make_ctx(t, grid, schedule, sampler, factors, J=0, ledger=None):
     blocks = [FactorBlocks.from_global(U, grid, j) for j, U in enumerate(factors)]
-    grams = [gram(b) for b in blocks]
     part = partition_to_grid(t, grid, schedule)
-    ctx = SolveContext(grid, schedule, sampler, J, blocks, grams, part,
+    ctx = SolveContext(grid, schedule, sampler, J, blocks, part,
                        ledger if ledger is not None else gridmod.CommLedger(),
                        seed=0)
+    ctx.grams = [gram(b) for b in blocks]
     if sampler == "sts":
-        ctx.trees = [sts_build(b) for b in blocks]
+        ctx.states = [sts_build(b) for b in blocks]
     return ctx
 
 
 def injected_sts_batch(t, grid, factors, k, J, seed):
     blocks = [FactorBlocks.from_global(U, grid, j) for j, U in enumerate(factors)]
-    grams = [gram(b) for b in blocks]
     trees = [sts_build(b) for b in blocks]
-    cp = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
-    batch = sts_sample(trees, k, J, cp, grams, blocks, seed=seed)
+    batch = sts_sample(trees, k, J, seed=seed)
     sample_weights(batch)
     return batch
 
@@ -120,7 +118,7 @@ class TestFactorsInPlace:
         g = gridmod.ProcessorGrid(t.dims, (2, 2, 1))
         ctx = make_ctx(t, g, schedule, sampler, factors, J=64)
         if sampler == "arls-lev":
-            ctx.arls_states = [arls_lev_build(b) for b in ctx.factors]
+            ctx.states = [arls_lev_build(b) for b in ctx.factors]
         arrays = [fb.U for fb in ctx.factors]
         for k in range(3):
             before = arrays[k].copy()
