@@ -153,7 +153,11 @@ class LocalTensorSet:
         return self.mats[rank][mode]
 
     def stored_nnz(self) -> int:
-        """Total nonzeros held across ranks (replication included)."""
+        """Nonzeros stored across ranks, each stored copy counted once: a
+        tensor-stationary rank's N views share one copy, while
+        accumulator-stationary stores one replica per mode."""
+        if self.schedule == "tensor-stationary":
+            return sum(per_rank[0].nnz for per_rank in self.mats)
         return sum(m.nnz for per_rank in self.mats for m in per_rank)
 
 

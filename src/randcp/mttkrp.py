@@ -1,10 +1,13 @@
-"""Exact and downsampled MTTKRP kernels.
+"""One MTTKRP kernel, for a view of the local nonzeros and for a sketch.
 
-Both kernels accumulate into disjoint contiguous output row blocks, one
+The kernel accumulates into disjoint contiguous output row blocks, one
 per worker, so multi-threaded results are bit-identical to the serial
 ones (no atomics, no data races).  Within a block, entries are consumed
-in compressed-row order through chunks that never split a row, keeping
-each output row's accumulation order fixed regardless of worker count.
+in the view's compressed-row order through chunks that never split a
+row, keeping each output row's accumulation order fixed regardless of
+worker count.  The sampled MTTKRP runs it on the sketched submatrix
+mat(T, k) S^T, which extraction returns as a two-mode ``Matricization``,
+so there is no separate sparse transpose.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -48,8 +51,7 @@ def _accumulate_rows(out, row_ptr, order, make_rows, ra, rb):
     longer row forms a chunk of its own), so a row's entries are summed
     by one ``reduceat`` segment whatever the chunk size.  A chunk's end
     is one binary search, so Python work grows with the number of
-    chunks, not rows.  ``order`` maps compressed-row positions to entries;
-    None means the entries are stored in that order.
+    chunks, not rows.  ``order`` maps compressed-row positions to entries.
     """
     ends = row_ptr[:rb + 1]
     r = ra
@@ -59,25 +61,10 @@ def _accumulate_rows(out, row_ptr, order, make_rows, ra, rb):
         r_end = min(max(r_end, r + 1), rb)
         hi = int(row_ptr[r_end])
         if hi > lo:
-            contrib = make_rows(slice(lo, hi) if order is None else order[lo:hi])
+            contrib = make_rows(order[lo:hi])
             rows = np.flatnonzero(np.diff(row_ptr[r:r_end + 1]))
             out[r + rows] = np.add.reduceat(contrib, row_ptr[r + rows] - lo, axis=0)
         r = r_end
-
-
-def _accumulate(out, row_ptr, order, make_rows, workers):
-    """Fill ``out`` by ``_accumulate_rows`` over nnz-balanced row blocks,
-    one thread per block."""
-    blocks = _row_blocks(row_ptr, workers)
-    if len(blocks) == 1:
-        _accumulate_rows(out, row_ptr, order, make_rows, *blocks[0])
-        return out
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        futs = [pool.submit(_accumulate_rows, out, row_ptr, order, make_rows, ra, rb)
-                for ra, rb in blocks]
-        for f in futs:
-            f.result()
-    return out
 
 
 def mttkrp_exact(mat: Matricization, factors, offsets=None, workers=1):
@@ -111,41 +98,33 @@ def mttkrp_exact(mat: Matricization, factors, offsets=None, workers=1):
         prod *= mat.vals[sel, None]
         return prod
 
-    return _accumulate(out, mat.row_ptr, mat.row_order, make_rows, workers)
+    # One thread per nnz-balanced row block; the blocks' rows are disjoint.
+    row_ptr, order = mat.row_ptr, mat.row_order
+    blocks = _row_blocks(row_ptr, workers)
+    if len(blocks) == 1:
+        _accumulate_rows(out, row_ptr, order, make_rows, *blocks[0])
+        return out
+    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+        futs = [pool.submit(_accumulate_rows, out, row_ptr, order, make_rows, ra, rb)
+                for ra, rb in blocks]
+        for f in futs:
+            f.result()
+    return out
 
 
-class SampledCsr:
-    """Row-compressed matrix of the tensor nonzeros hit by a sample batch.
-
-    Rows are local mode-k indices (relative to the block's row_lo),
-    columns index the rows of the sample matrix X it was extracted for.
-    Solves pass the distinct sampled columns, so each tensor column
-    appears once however often it was drawn; a caller that passes a
-    repeated tuple gets one CSR column per copy.
-    """
-
-    def __init__(self, row_ptr, col_idx, vals, n_rows, n_cols):
-        self.row_ptr = row_ptr
-        self.col_idx = col_idx
-        self.vals = vals
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
-
-    @property
-    def nnz(self):
-        return self.vals.size
-
-
-def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, keys=None) -> SampledCsr:
-    """Select mat(T, k) columns hit by the sample tuples and transpose to CSR.
+def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, keys=None,
+                                   weights=None) -> Matricization:
+    """The sketched submatrix: mat(T, k) columns hit by the sample tuples.
 
     X is the (J, N) sample index matrix; column k is ignored.  ``keys``
     are X's column keys when the caller already holds them: a solve
     computes its sorted distinct keys once and hands them to every rank,
     whose searches then sweep forward.  Nonzeros are located by binary
-    search over the column-sorted order, then remapped to a
-    row-compressed layout by a stable counting sort on the row index (the
-    "sparse transpose").
+    search over the column-sorted order.  Returns a two-mode
+    ``Matricization`` of shape (dims[k], J) over the block's rows: mode 0
+    holds an entry's global row, mode 1 the row s of X that hit it (one
+    column per copy of a repeated tuple), and the value carries
+    ``weights[s]`` when weights are given.
     """
     if mat.mode != k:
         raise ValueError("matricization is for mode %d, expected %d" % (mat.mode, k))
@@ -156,37 +135,22 @@ def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, keys=None) -> Sampl
     lo, hi = mat.lookup_columns(keys)
     pos, counts = _concat_ranges(lo, hi)
     entry = mat.col_order[pos]
-    rows = mat.idx[entry, k] - mat.row_lo
     cols = np.repeat(np.arange(J, dtype=np.int64), counts)
     vals = mat.vals[entry]
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (J,):
+            raise ValueError("weights do not match the %d sampled columns" % J)
+        vals *= weights[cols]  # a fresh gather, so in place
+    return Matricization((mat.dims[k], J), np.column_stack((mat.idx[entry, k], cols)),
+                         vals, 0, mat.row_lo, mat.row_hi)
 
-    order = np.argsort(rows, kind="stable")  # radix sort: the counting-sort pass
-    rows = rows[order]
-    row_ptr = np.zeros(mat.n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=mat.n_rows), out=row_ptr[1:])
-    return SampledCsr(row_ptr, cols[order], vals[order], mat.n_rows, J)
 
-
-def downsampled_mttkrp(csr: SampledCsr, H_rows, weights, workers=1):
-    """out[i, :] = sum_s (w_s * csr[i, s]) * (w_s * H_rows[s, :]).
-
-    Both the sampled tensor values and the sampled design rows carry the
-    sampling weight once, so each term carries weight squared.
-    """
-    H_rows = np.asarray(H_rows, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if H_rows.shape[0] != csr.n_cols or weights.shape != (csr.n_cols,):
-        raise ValueError("H_rows/weights do not match the %d sampled columns" % csr.n_cols)
-    R = H_rows.shape[1]
-    out = np.zeros((csr.n_rows, R))
-    if csr.nnz == 0:
-        return out
-
-    def make_rows(sel):
-        # Weighs only the design rows this block's nonzeros touch.
-        s = csr.col_idx[sel]
-        contrib = H_rows.take(s, axis=0) * weights[s, None]
-        contrib *= (csr.vals[sel] * weights[s])[:, None]
-        return contrib
-
-    return _accumulate(out, csr.row_ptr, None, make_rows, workers)  # vals in CSR order
+def downsampled_mttkrp(sub: Matricization, HW, workers=1):
+    """out[i, :] = sum_s sub[i, s] * HW[s, :]: the exact kernel on the
+    sketched submatrix and the design rows of its columns.  When both carry
+    the sampling weight once, each term carries weight squared."""
+    HW = np.asarray(HW, dtype=np.float64)
+    if HW.shape[0] != sub.dims[1]:
+        raise ValueError("HW does not match the %d sampled columns" % sub.dims[1])
+    return mttkrp_exact(sub, [None, HW], workers=workers)

@@ -19,13 +19,13 @@ stationary block, and no reduction occurs.  Defined only for sketched
 solves; exact solves must use the tensor-stationary schedule.
 
 Sketched solves minimize the sketched problem: the right-hand side is
-the downsampled MTTKRP with weights applied to both the sampled tensor
-columns and the sampled design rows, and the system matrix is the Gram
-matrix of the weighted sampled rows.  Once per solve the J draws are
-merged into their distinct off-mode columns, each carrying the summed
-squared weight of its copies (the sketch S^T S is unchanged), and the
-sorted distinct keys are shared by every rank's extraction.  Metering
-still follows the J draws.
+the exact kernel run on each rank's sketched submatrix, whose values
+carry the weights, and the sampled design rows, weighted once per
+solve; the system matrix is the Gram matrix of those weighted rows.
+Once per solve the J draws are merged into their distinct off-mode
+columns, each carrying the summed squared weight of its copies (the
+sketch S^T S is unchanged), and the sorted distinct keys are shared by
+every rank's extraction.  Metering still follows the J draws.
 """
 
 import time
@@ -121,12 +121,12 @@ def _sketched_gram(ctx: SolveContext, k: int, batch, metered: bool):
     """Merge the batch's repeated draws; Gram of the weighted distinct columns.
 
     The metered Gram is summed in cell-owner rank order.  Returns the
-    Gram and the columns as ``distinct_columns`` gives them; the merge is
-    timed as sampling, the Gram as postprocessing.
+    Gram and the columns as ``distinct_columns`` gives them, but with the
+    design rows weighted (keys, X, Hw, weights); the merge is timed as
+    sampling, the Gram as postprocessing.
     """
     t0 = time.perf_counter()
-    cols = distinct_columns(batch, ctx.grid.tensor_dims, k)
-    _, X, H, weights = cols
+    keys, X, H, weights = distinct_columns(batch, ctx.grid.tensor_dims, k)
     ctx.stats["distinct_samples"] += X.shape[0]
     t0 = ctx.tick("sampling", t0)
     Hw = H * weights[:, None]
@@ -142,19 +142,20 @@ def _sketched_gram(ctx: SolveContext, k: int, batch, metered: bool):
         Gs = gridmod.allreduce(partials, list(range(grid.P)),
                                ledger=ctx.ledger, round_id=ctx.round_id)
     ctx.tick("postprocess", t0)
-    return Gs, cols
+    return Gs, (keys, X, Hw, weights)
 
 
 def _sampled_mttkrp(ctx: SolveContext, k: int, cols):
     """Every rank's extraction of the distinct sampled columns and downsampled MTTKRP."""
-    keys, X, H, weights = cols
+    keys, X, Hw, weights = cols
     out = []
     t0 = time.perf_counter()
     for p in range(ctx.grid.P):
-        csr = gather_sampled_nonzeros_to_csr(ctx.local.local(p, k), X, k, keys=keys)
-        ctx.stats["sampled_nnz"] += csr.nnz
+        sub = gather_sampled_nonzeros_to_csr(ctx.local.local(p, k), X, k, keys=keys,
+                                             weights=weights)
+        ctx.stats["sampled_nnz"] += sub.nnz
         t0 = ctx.tick("extract", t0)
-        out.append(downsampled_mttkrp(csr, H, weights, workers=ctx.workers))
+        out.append(downsampled_mttkrp(sub, Hw, workers=ctx.workers))
         t0 = ctx.tick("mttkrp", t0)
     return out
 

@@ -83,19 +83,17 @@ def sum_duplicates(idx, vals):
     return np.ascontiguousarray(idx_s[starts]), summed
 
 
-def load_frostt(path, *, log_transform=False, dedup=True, dims=None) -> SparseTensorCOO:
+def load_frostt(path, *, log_transform=False, dims=None) -> SparseTensorCOO:
     """Read a FROSTT ``.tns`` file.
 
     Each non-comment line holds N 1-based indices followed by a value,
-    whitespace separated.  Lines starting with ``#`` are skipped.
+    whitespace separated.  Lines starting with ``#`` are skipped, and the
+    values of repeated index tuples are summed.
 
     Parameters
     ----------
     log_transform : bool
         Replace each value v by ln(1 + v).
-    dedup : bool
-        Sum duplicate coordinates (the default; disable only for input
-        known to be duplicate-free).
     dims : sequence of int, optional
         Declared mode dimensions.  When given, indices are validated
         against them; otherwise dimensions are inferred from the data.
@@ -142,8 +140,7 @@ def load_frostt(path, *, log_transform=False, dedup=True, dims=None) -> SparseTe
     else:
         dims = tuple(int(m) + 1 for m in idx.max(axis=0))
 
-    if dedup:
-        idx, vals = sum_duplicates(idx, vals)
+    idx, vals = sum_duplicates(idx, vals)
     if log_transform:
         vals = np.log1p(vals)
     return SparseTensorCOO(dims, idx, vals)

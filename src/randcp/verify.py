@@ -122,8 +122,8 @@ def suite_mttkrp(seed=0):
             for i in range(3):
                 if i != k:
                     H *= factors[i][X[:, i]]
-            csr = gather_sampled_nonzeros_to_csr(m, X, k)
-            got_ds = downsampled_mttkrp(csr, H, wts)
+            sub = gather_sampled_nonzeros_to_csr(m, X, k, weights=wts)
+            got_ds = downsampled_mttkrp(sub, H * wts[:, None])
             keys = column_keys(X, dims, k)
             S = np.zeros((J, A.shape[0]))
             S[np.arange(J), keys] = wts

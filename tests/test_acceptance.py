@@ -179,7 +179,8 @@ def test_criterion_4_downsampled_mttkrp_oracle():
             if i != k:
                 H *= factors[i][X[:, i]]
         m = matricize(t, k)
-        got = downsampled_mttkrp(gather_sampled_nonzeros_to_csr(m, X, k), H, w)
+        got = downsampled_mttkrp(gather_sampled_nonzeros_to_csr(m, X, k, weights=w),
+                                 H * w[:, None])
         A = khatri_rao(factors, skip=k)
         S = np.zeros((J, A.shape[0]))
         S[np.arange(J), column_keys(X, dims, k)] = w
@@ -215,9 +216,9 @@ def test_criterion_5_sketched_solve_guarantee():
         r_opt = np.linalg.norm(A @ X_opt.T - B.T)
         batch = sts_sample(trees, k, J, seed=800 + s)
         w = sample_weights(batch)
-        rhs = downsampled_mttkrp(gather_sampled_nonzeros_to_csr(mk, batch.X, k),
-                                 batch.H, w)
         Hw = batch.H * w[:, None]
+        rhs = downsampled_mttkrp(gather_sampled_nonzeros_to_csr(mk, batch.X, k, weights=w),
+                                 Hw)
         X_sk = rhs @ pseudo_inverse(Hw.T @ Hw)
         r_sk = np.linalg.norm(A @ X_sk.T - B.T)
         if r_sk <= (1.0 + eps) * r_opt:

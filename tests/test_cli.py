@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from randcp.als import AlsConfig
+from randcp import verify as verifymod
 from randcp.cli import build_parser, main
 from randcp.tensor import read_matrix
 from conftest import make_sparse
@@ -96,13 +97,11 @@ class TestDecompose:
 
 
 class TestVerify:
-    def test_fit_suite_passes(self, capsys):
-        assert main(["verify", "--suite", "fit", "--seed", "1"]) == 0
+    @pytest.mark.parametrize("suite", sorted(verifymod.SUITES))
+    def test_suite_passes(self, suite, capsys):
+        assert main(["verify", "--suite", suite, "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
-
-    def test_mttkrp_suite_passes(self, capsys):
-        assert main(["verify", "--suite", "mttkrp"]) == 0
 
     def test_unknown_suite_usage_error(self):
         with pytest.raises(SystemExit) as e:

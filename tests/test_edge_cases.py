@@ -60,11 +60,11 @@ def test_sampled_extraction_with_object_keys():
     X = np.full((6, 4), -1, dtype=np.int64)
     X[:3, 1:] = idx[:3, 1:]               # hit three real columns
     X[3:, 1:] = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]  # almost surely empty
-    csr = gather_sampled_nonzeros_to_csr(m, X, 0)
+    sub = gather_sampled_nonzeros_to_csr(m, X, 0)
     others = [1, 2, 3]
     expected = sum(int(np.all(idx[:, others] == X[s, others], axis=1).sum())
                    for s in range(6))
-    assert csr.nnz == expected >= 3
+    assert sub.nnz == expected >= 3
 
 
 def test_sts_build_exchange_metering_power_of_two():
@@ -154,5 +154,5 @@ def test_matricization_row_bounds_enforced():
 def test_empty_batch_paths():
     t = make_sparse((5, 4, 3), 20, seed=10)
     m = matricize(t, 0)
-    csr = gather_sampled_nonzeros_to_csr(m, np.full((0, 3), -1, dtype=np.int64), 0)
-    assert csr.nnz == 0 and csr.n_cols == 0
+    sub = gather_sampled_nonzeros_to_csr(m, np.full((0, 3), -1, dtype=np.int64), 0)
+    assert sub.nnz == 0 and sub.dims == (5, 0)

@@ -142,7 +142,7 @@ class TestChunking:
         for k in range(3):
             m = matricize(t, k)
             X, H, w = random_batch(t.dims, k, 40, 200 + k, 3, factors)
-            csr = gather_sampled_nonzeros_to_csr(m, X, k)
+            sub = gather_sampled_nonzeros_to_csr(m, X, k, weights=w)
             A = khatri_rao(factors, skip=k)
             S = np.zeros((40, A.shape[0]))
             S[np.arange(40), column_keys(X, t.dims, k)] = w
@@ -151,7 +151,7 @@ class TestChunking:
             for chunk in self.CHUNKS:
                 monkeypatch.setattr(mttkrp, "_CHUNK_NNZ", chunk)
                 for workers in (1, 2):
-                    outs.append(downsampled_mttkrp(csr, H, w, workers=workers))
+                    outs.append(downsampled_mttkrp(sub, H * w[:, None], workers=workers))
             assert np.abs(outs[0] - ref).max() < 1e-10
             assert all(np.array_equal(o, outs[0]) for o in outs)
 
@@ -186,10 +186,67 @@ class TestChunking:
         calls.clear()
         X = idx[:20].copy()  # columns of 20 nonzeros, so every sample hits
         X[:, 0] = -1
-        csr = gather_sampled_nonzeros_to_csr(m, X, 0)
+        sub = gather_sampled_nonzeros_to_csr(m, X, 0)
         H = factors[1][X[:, 1]] * factors[2][X[:, 2]]
-        downsampled_mttkrp(csr, H, np.ones(20))
-        assert csr.nnz >= 20 and len(calls) == 1
+        downsampled_mttkrp(sub, H)
+        assert sub.nnz >= 20 and len(calls) == 1
+
+
+class TestSketchedSubmatrix:
+    """The sampled path is the exact kernel on the weighted sketched submatrix."""
+
+    @staticmethod
+    def views():
+        t = skewed_rows_tensor()
+        keep = (t.idx[:, 0] >= 9) & (t.idx[:, 0] < 38)
+        block = Matricization(t.dims, t.idx[keep], t.vals[keep], 0, row_lo=9, row_hi=38)
+        return t, [matricize(t, k) for k in range(3)] + [block]
+
+    @staticmethod
+    def per_entry_reference(m, X, H, w):
+        """Each term (H[s] w_s) (v w_s), summed per row by reduceat in (row, s) order."""
+        k = m.mode
+        others = [i for i in range(m.idx.shape[1]) if i != k]
+        rows, cols, vals = [], [], []
+        for s in range(X.shape[0]):
+            hit = np.flatnonzero(np.all(m.idx[:, others] == X[s, others], axis=1))
+            rows += (m.idx[hit, k] - m.row_lo).tolist()
+            cols += [s] * hit.size
+            vals += m.vals[hit].tolist()
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = (np.array(a)[order] for a in (rows, cols, vals))
+        weighted = vals * w[cols]
+        terms = (H[cols] * w[cols, None]) * weighted[:, None]
+        out = np.zeros((m.n_rows, H.shape[1]))
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        out[rows[starts]] = np.add.reduceat(terms, starts, axis=0)
+        return out, rows, cols, weighted
+
+    def test_bit_identical_to_per_entry_formula(self, monkeypatch):
+        t, views = self.views()
+        gen = np.random.default_rng(25)
+        factors = [gen.standard_normal((d, 3)) for d in t.dims]
+        for m in views:
+            k = m.mode
+            X = m.idx[gen.integers(0, m.nnz, 60)]  # every draw hits
+            X[30:] = X[:30]  # a repeated tuple keeps one column per copy
+            X[:, k] = -1
+            H = np.prod([factors[i][X[:, i]] for i in range(3) if i != k], axis=0)
+            w = gen.random(60) + 0.5
+            ref, rows, cols, weighted = self.per_entry_reference(m, X, H, w)
+            assert rows.size >= 60
+
+            sub = gather_sampled_nonzeros_to_csr(m, X, k, weights=w)
+            order = np.lexsort((sub.idx[:, 1], sub.idx[:, 0]))
+            assert np.array_equal(sub.idx[order, 0] - sub.row_lo, rows)
+            assert np.array_equal(sub.idx[order, 1], cols)
+            assert np.array_equal(sub.vals[order], weighted)  # v * w_col, bit for bit
+
+            Hw = H * w[:, None]
+            for chunk in (1, 7, mttkrp._CHUNK_NNZ):
+                monkeypatch.setattr(mttkrp, "_CHUNK_NNZ", chunk)
+                for workers in (1, 3):
+                    assert np.array_equal(downsampled_mttkrp(sub, Hw, workers=workers), ref)
 
 
 class TestGatherSampled:
@@ -197,8 +254,7 @@ class TestGatherSampled:
         t = SparseTensorCOO((2, 2, 2), np.array([[0, 0, 0]]), np.array([1.0]))
         m = matricize(t, 0)
         X = np.array([[-1, 1, 1]], dtype=np.int64)
-        csr = gather_sampled_nonzeros_to_csr(m, X, 0)
-        assert csr.nnz == 0
+        assert gather_sampled_nonzeros_to_csr(m, X, 0).nnz == 0
 
     def test_full_cover_hits_every_nonzero(self):
         t = make_sparse((4, 4, 4), 40, seed=6)
@@ -208,8 +264,7 @@ class TestGatherSampled:
         X = np.full((len(tuples), 3), -1, dtype=np.int64)
         for s, (a, c) in enumerate(tuples):
             X[s, 0], X[s, 2] = a, c
-        csr = gather_sampled_nonzeros_to_csr(m, X, 1)
-        assert csr.nnz == t.nnz
+        assert gather_sampled_nonzeros_to_csr(m, X, 1).nnz == t.nnz
 
     def test_triples_match_filter_scan_oracle(self):
         t = make_sparse((8, 8, 8), 150, seed=7)
@@ -219,11 +274,8 @@ class TestGatherSampled:
             J = 30
             X = np.stack([gen.integers(0, 8, J) for _ in range(3)], 1).astype(np.int64)
             X[:, k] = -1
-            csr = gather_sampled_nonzeros_to_csr(m, X, k)
-            got = []
-            for i in range(csr.n_rows):
-                for pos in range(csr.row_ptr[i], csr.row_ptr[i + 1]):
-                    got.append((i, int(csr.col_idx[pos]), csr.vals[pos]))
+            sub = gather_sampled_nonzeros_to_csr(m, X, k)
+            got = [(int(r), int(s), v) for (r, s), v in zip(sub.idx, sub.vals)]
             others = [j for j in range(3) if j != k]
             ref = []
             for s in range(J):
@@ -237,16 +289,16 @@ class TestGatherSampled:
                             np.array([2.0, 3.0]))
         m = matricize(t, 0)
         X = np.array([[-1, 1, 1], [-1, 1, 1]], dtype=np.int64)
-        csr = gather_sampled_nonzeros_to_csr(m, X, 0)
-        assert csr.nnz == 4  # both samples hit both nonzeros
+        assert gather_sampled_nonzeros_to_csr(m, X, 0).nnz == 4  # both hit both nonzeros
 
 
 class TestDownsampled:
     def test_zero_samples(self):
         t = make_sparse((4, 4, 4), 20, seed=9)
         m = matricize(t, 0)
-        csr = gather_sampled_nonzeros_to_csr(m, np.full((0, 3), -1, dtype=np.int64), 0)
-        out = downsampled_mttkrp(csr, np.ones((0, 2)), np.ones(0))
+        sub = gather_sampled_nonzeros_to_csr(m, np.full((0, 3), -1, dtype=np.int64), 0,
+                                             weights=np.ones(0))
+        out = downsampled_mttkrp(sub, np.ones((0, 2)))
         assert np.array_equal(out, np.zeros((4, 2)))
 
     def test_full_cover_reproduces_exact(self):
@@ -265,8 +317,8 @@ class TestDownsampled:
                 s += 1
         H = factors[1][X[:, 1]] * factors[2][X[:, 2]]
         w = np.full(n_cols, 1.0)  # 1/sqrt(J * 1/n_cols) with J = n_cols
-        csr = gather_sampled_nonzeros_to_csr(m, X, k)
-        got = downsampled_mttkrp(csr, H, w)
+        got = downsampled_mttkrp(gather_sampled_nonzeros_to_csr(m, X, k, weights=w),
+                                 H * w[:, None])
         ref = mttkrp_exact(m, factors)
         assert np.abs(got - ref).max() < 1e-12
 
@@ -277,8 +329,8 @@ class TestDownsampled:
         for k in range(3):
             m = matricize(t, k)
             X, H, w = random_batch(t.dims, k, 25, 100 + k, 3, factors)
-            csr = gather_sampled_nonzeros_to_csr(m, X, k)
-            got = downsampled_mttkrp(csr, H, w)
+            got = downsampled_mttkrp(gather_sampled_nonzeros_to_csr(m, X, k, weights=w),
+                                     H * w[:, None])
             A = khatri_rao(factors, skip=k)
             S = np.zeros((25, A.shape[0]))
             S[np.arange(25), column_keys(X, t.dims, k)] = w
@@ -291,10 +343,11 @@ class TestDownsampled:
         factors = [gen.standard_normal((d, 3)) for d in t.dims]
         m = matricize(t, 0)
         X, H, w = random_batch(t.dims, 0, 64, 16, 3, factors)
-        csr = gather_sampled_nonzeros_to_csr(m, X, 0)
-        ref = downsampled_mttkrp(csr, H, w, workers=1)
+        sub = gather_sampled_nonzeros_to_csr(m, X, 0, weights=w)
+        ref = downsampled_mttkrp(sub, H * w[:, None], workers=1)
         for workers in (2, 4):
-            assert np.array_equal(downsampled_mttkrp(csr, H, w, workers=workers), ref)
+            assert np.array_equal(downsampled_mttkrp(sub, H * w[:, None], workers=workers),
+                                  ref)
 
     def test_shape_mismatch(self):
         t = make_sparse((4, 4, 4), 20, seed=17)
@@ -302,9 +355,11 @@ class TestDownsampled:
         X = np.full((3, 3), -1, dtype=np.int64)
         X[:, 1] = 0
         X[:, 2] = 0
-        csr = gather_sampled_nonzeros_to_csr(m, X, 0)
+        sub = gather_sampled_nonzeros_to_csr(m, X, 0)
         with pytest.raises(ValueError):
-            downsampled_mttkrp(csr, np.ones((5, 2)), np.ones(3))
+            downsampled_mttkrp(sub, np.ones((5, 2)))
+        with pytest.raises(ValueError):
+            gather_sampled_nonzeros_to_csr(m, X, 0, weights=np.ones(5))
 
 
 def test_mean_downsampled_matches_exact():
@@ -321,14 +376,14 @@ def test_mean_downsampled_matches_exact():
     keys_all = gen.integers(0, n_cols, size=(n_batches, J))
     w = np.sqrt(n_cols / J)  # uniform p_s = 1/n_cols
     # The estimator is linear in the draws, and a repeated tuple keeps one
-    # CSR column per copy, so all batches go through one extraction and one
+    # column per copy, so all batches go through one extraction and one
     # kernel call: the sum of the per-batch estimates.
     keys = keys_all.reshape(-1)
     X = np.full((keys.size, 3), -1, dtype=np.int64)
     X[:, 1] = keys % 4
     X[:, 2] = keys // 4
     H = factors[1][X[:, 1]] * factors[2][X[:, 2]]
-    csr = gather_sampled_nonzeros_to_csr(m, X, k)
-    mean = downsampled_mttkrp(csr, H, np.full(keys.size, w)) / n_batches
+    sub = gather_sampled_nonzeros_to_csr(m, X, k, weights=np.full(keys.size, w))
+    mean = downsampled_mttkrp(sub, H * w) / n_batches
     rel = np.linalg.norm(mean - exact) / np.linalg.norm(exact)
     assert rel < 0.02

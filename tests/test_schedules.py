@@ -257,8 +257,8 @@ class TestDistinctColumns:
             Hw = batch.H * batch.weights[:, None]
             ref_gram = Hw.T @ Hw
             ref_rhs = downsampled_mttkrp(
-                gather_sampled_nonzeros_to_csr(matricize(t, k), batch.X, k),
-                batch.H, batch.weights)
+                gather_sampled_nonzeros_to_csr(matricize(t, k), batch.X, k,
+                                               weights=batch.weights), Hw)
             assert np.abs(ref_rhs).max() > 0.0
 
             ctx = make_ctx(t, g, schedule, "sts", factors, J=batch.J)

@@ -41,11 +41,6 @@ class TestLoadFrostt:
         assert t.nnz == 2
         assert sorted(t.vals.tolist()) == [1.0, 5.0]
 
-    def test_dedup_disabled_keeps_rows(self, tmp_path):
-        path = write_tns(tmp_path, "1 1 1 2.0\n1 1 1 3.0\n")
-        t = load_frostt(path, dedup=False)
-        assert t.nnz == 2
-
     def test_log_transform(self, tmp_path):
         path = write_tns(tmp_path, "1 1 1 1.0\n2 1 1 7.0\n")
         t = load_frostt(path, log_transform=True)
@@ -227,6 +222,15 @@ class TestPartition:
             for j in (1, 2):
                 assert np.shares_memory(ls.local(p, j).idx, first.idx)
                 assert np.shares_memory(ls.local(p, j).vals, first.vals)
+
+    @pytest.mark.parametrize("sched,copies", [("tensor-stationary", 1),
+                                              ("accumulator-stationary", 3)])
+    def test_stored_nnz_counts_each_copy_once(self, sched, copies):
+        # A rank's tensor-stationary views share one copy; accumulator-
+        # stationary stores one replica per mode.
+        t = SparseTensorCOO((4, 3, 2), np.array([[1, 2, 0]]), np.array([1.5]))
+        g = gridmod.ProcessorGrid(t.dims, (2, 1, 1))
+        assert partition_to_grid(t, g, sched).stored_nnz() == copies
 
     def test_dimension_mismatch(self):
         t = make_sparse((6, 5, 4), 10, seed=10)
