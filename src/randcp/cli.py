@@ -50,9 +50,10 @@ def build_parser():
                    default="tensor-stationary")
     grp = d.add_mutually_exclusive_group()
     grp.add_argument("--grid", type=_parse_grid, default=None, help="explicit P1xP2x... grid")
-    grp.add_argument("--procs", type=int, default=1, help="simulated rank count (auto grid)")
+    grp.add_argument("--procs", type=_positive_int, default=1,
+                     help="simulated rank count (auto grid)")
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--trials", type=int, default=1)
+    d.add_argument("--trials", type=_positive_int, default=1)
     d.add_argument("--log-transform", action="store_true")
     d.add_argument("--no-permute", action="store_true",
                    help="skip the load-balancing index permutation")
@@ -69,9 +70,9 @@ def build_parser():
 
     c = sub.add_parser("comm-report", help="run one round per schedule and print the ledger")
     c.add_argument("--tensor", required=True)
-    c.add_argument("--rank", type=int, default=8)
-    c.add_argument("--samples", type=int, default=1 << 10)
-    c.add_argument("--procs", type=int, default=8)
+    c.add_argument("--rank", type=_positive_int, default=8)
+    c.add_argument("--samples", type=_positive_int, default=1 << 10)
+    c.add_argument("--procs", type=_positive_int, default=8)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--log-transform", action="store_true")
     return p

@@ -113,18 +113,20 @@ def mttkrp_exact(mat: Matricization, factors, offsets=None, workers=1):
 
 
 def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, keys=None,
-                                   weights=None) -> Matricization:
+                                   weights=None, columns=None) -> Matricization:
     """The sketched submatrix: mat(T, k) columns hit by the sample tuples.
 
     X is the (J, N) sample index matrix; column k is ignored.  ``keys``
     are X's column keys when the caller already holds them: a solve
     computes its sorted distinct keys once and hands them to every rank,
-    whose searches then sweep forward.  Nonzeros are located by binary
-    search over the column-sorted order.  Returns a two-mode
-    ``Matricization`` of shape (dims[k], J) over the block's rows: mode 0
-    holds an entry's global row, mode 1 the row s of X that hit it (one
-    column per copy of a repeated tuple), and the value carries
-    ``weights[s]`` when weights are given.
+    whose searches then sweep forward.  ``columns``, when given, are the
+    ascending positions in X of the only columns that can hit this block
+    (those of its grid cell); the others are not searched.  Nonzeros are
+    located by binary search over the column-sorted order.  Returns a
+    two-mode ``Matricization`` of shape (dims[k], J) over the block's
+    rows: mode 0 holds an entry's global row, mode 1 the row s of X that
+    hit it (one column per copy of a repeated tuple), and the value
+    carries ``weights[s]`` when weights are given.
     """
     if mat.mode != k:
         raise ValueError("matricization is for mode %d, expected %d" % (mat.mode, k))
@@ -132,10 +134,14 @@ def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, keys=None,
     J = X.shape[0]
     if keys is None:
         keys = column_keys(X.astype(np.int64), mat.dims, k)
-    lo, hi = mat.lookup_columns(keys)
+    if columns is None:
+        lo, hi = mat.lookup_columns(keys)
+        columns = np.arange(J, dtype=np.int64)
+    else:
+        lo, hi = mat.lookup_columns(keys[columns])
     pos, counts = _concat_ranges(lo, hi)
     entry = mat.col_order[pos]
-    cols = np.repeat(np.arange(J, dtype=np.int64), counts)
+    cols = np.repeat(columns, counts)
     vals = mat.vals[entry]
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)

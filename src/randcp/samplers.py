@@ -23,9 +23,10 @@ seed)``.
 Sampled rows are reweighted by 1 / sqrt(J * p_s), the scaling that makes
 the sketched normal equations unbiased.  A batch keeps all J draws,
 repeats included: that is what the samplers communicate and what the
-ledger meters.  The solve later merges repeated draws into one column
-whose squared weight is the sum of its copies' squared weights
-(``schedules.distinct_columns``).
+ledger meters.  A batch holds the drawn index tuples and probabilities,
+not design rows: the solve merges repeated draws into one column whose
+squared weight is the sum of its copies' squared weights, and forms the
+design row of each distinct column once (``schedules.distinct_columns``).
 """
 
 import math
@@ -76,18 +77,18 @@ def exact_krp_leverage_oracle(factors, skip=None):
 
 
 class SampleBatch:
-    """J sampled design-matrix rows for one mode-k solve.
+    """J sampled design-matrix rows for one mode-k solve, by index.
 
     X[:, i] holds the mode-i row index of each sample (column k is -1);
-    H holds the running Hadamard product of the sampled rows; prob the
-    joint sampling probability.  ``owner`` is the rank holding each
-    sample at the end of sampling, or None when the batch ended
-    replicated on every rank.
+    per_mode_prob[:, i] the probability of its mode-i draw and prob the
+    joint sampling probability.  The design row of a sample is the
+    Hadamard product of the factor rows X names, formed by the solve.
+    ``owner`` is the rank holding each sample at the end of sampling, or
+    None when the batch ended replicated on every rank.
     """
 
-    def __init__(self, X, H, per_mode_prob, prob, owner=None):
+    def __init__(self, X, per_mode_prob, prob, owner=None):
         self.X = X
-        self.H = H
         self.per_mode_prob = per_mode_prob
         self.prob = prob
         self.owner = owner
@@ -106,9 +107,8 @@ def sample_weights(batch: SampleBatch):
     return batch.weights
 
 
-def _empty_batch(N, R):
-    return SampleBatch(np.full((0, N), -1, dtype=np.int64), np.ones((0, R)),
-                       np.ones((0, N)), np.ones(0))
+def _empty_batch(N):
+    return SampleBatch(np.full((0, N), -1, dtype=np.int64), np.ones((0, N)), np.ones(0))
 
 
 class ArlsLevState:
@@ -163,9 +163,8 @@ def arls_lev_sample(states, k, J, seed, round_id=0, ledger=None) -> SampleBatch:
     shared-stream permutation.  The result is replicated on every rank.
     """
     N = len(states)
-    R = states[next(i for i in range(N) if i != k)].factor.R
     if J == 0:
-        return _empty_batch(N, R)
+        return _empty_batch(N)
     X = np.full((J, N), -1, dtype=np.int64)
     per_mode_prob = np.ones((J, N))
     for i in range(N):
@@ -187,12 +186,8 @@ def arls_lev_sample(states, k, J, seed, round_id=0, ledger=None) -> SampleBatch:
         perm = rng.stream(seed, rng.SHUFFLE, round_id, k, i).permutation(J)
         X[:, i] = np.concatenate(rows)[perm]
         per_mode_prob[:, i] = np.concatenate(probs)[perm]
-    H = np.ones((J, R))
-    for i in range(N):
-        if i != k:
-            H *= states[i].factor.U[X[:, i]]
     prob = per_mode_prob.prod(axis=1)
-    return SampleBatch(X, H, per_mode_prob, prob, owner=None)
+    return SampleBatch(X, per_mode_prob, prob, owner=None)
 
 
 class LeverageTree:
@@ -390,7 +385,7 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
     gram_chain_pinv = pseudo_inverse(hadamard_gram_chain(grams, skip=k))
     R = gram_chain_pinv.shape[0]
     if J == 0:
-        return _empty_batch(N, R)
+        return _empty_batch(N)
     P = trees[next(i for i in range(N) if i != k)].factor.n_blocks
     payload_words = N + R + 2  # X row + H row + residual + running probability
 
@@ -468,4 +463,4 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
         prefix = new_prefix
 
     prob = per_mode_prob.prod(axis=1)
-    return SampleBatch(X, H_prefix[prefix], per_mode_prob, prob, owner=owner)
+    return SampleBatch(X, per_mode_prob, prob, owner=owner)

@@ -24,8 +24,13 @@ carry the weights, and the sampled design rows, weighted once per
 solve; the system matrix is the Gram matrix of those weighted rows.
 Once per solve the J draws are merged into their distinct off-mode
 columns, each carrying the summed squared weight of its copies (the
-sketch S^T S is unchanged), and the sorted distinct keys are shared by
-every rank's extraction.  Metering still follows the J draws.
+sketch S^T S is unchanged), and each distinct column's design row is
+formed once from the factors.  The sorted distinct keys are shared by
+every rank's extraction.  Under tensor-stationary, a column can hit
+only the ranks whose grid cell holds its off-mode tuple, so each rank
+searches only the keys of its cell; an accumulator-stationary rank's
+mode-k replica holds every column of its rows and searches every key.
+Metering still follows the J draws.
 """
 
 import time
@@ -87,20 +92,31 @@ def _meter_allgather_model(ledger, round_id, ranks, member_words):
     gridmod.meter(ledger, round_id, gridmod.ALLGATHER, ranks, member_words)
 
 
-def distinct_columns(batch, dims, k):
+def distinct_columns(batch, factors, k):
     """Merge repeated sample tuples of a weighted batch into one column each.
 
-    Returns (keys, X, H, weights): the sorted distinct column keys (int64
-    or object, as ``matricization.column_keys`` gives them), the index
-    tuple and design row of each, and the merged weights, whose squares
-    sum the squared weights of the repeated draws.  sum_s w_s^2 a_s a_s^T
-    over the J draws equals sum_u (sum of w_s^2 over u's copies) a_u a_u^T
-    over the distinct tuples u, so the sketched Gram and the downsampled
-    MTTKRP are unchanged up to rounding.
+    ``factors[i]`` is mode i's (I_i, R) factor matrix; only its row count
+    is read for i == k.  Returns (keys, X, H, weights): the sorted
+    distinct column keys (int64 or object, as
+    ``matricization.column_keys`` gives them), the index tuple and design
+    row of each, and the merged weights, whose squares sum the squared
+    weights of the repeated draws.  sum_s w_s^2 a_s a_s^T over the J
+    draws equals sum_u (sum of w_s^2 over u's copies) a_u a_u^T over the
+    distinct tuples u, so the sketched Gram and the downsampled MTTKRP
+    are unchanged up to rounding.  A design row is the Hadamard product
+    of the tuple's factor rows, multiplied in ascending mode order as the
+    samplers' running products are.
     """
+    dims = [U.shape[0] for U in factors]
     keys, where, inverse = distinct_keys(column_keys(batch.X, dims, k))
     sq = np.bincount(inverse, weights=batch.weights * batch.weights, minlength=keys.shape[0])
-    return keys, batch.X.take(where, axis=0), batch.H.take(where, axis=0), np.sqrt(sq)
+    X = batch.X.take(where, axis=0)
+    H = None
+    for i, U in enumerate(factors):
+        if i != k:
+            rows = U.take(X[:, i], axis=0)
+            H = rows if H is None else H.__imul__(rows)
+    return keys, X, H, np.sqrt(sq)
 
 
 def draw_batch(ctx: SolveContext, k: int):
@@ -122,19 +138,23 @@ def _sketched_gram(ctx: SolveContext, k: int, batch, metered: bool):
 
     The metered Gram is summed in cell-owner rank order.  Returns the
     Gram and the columns as ``distinct_columns`` gives them, but with the
-    design rows weighted (keys, X, Hw, weights); the merge is timed as
-    sampling, the Gram as postprocessing.
+    design rows weighted, plus their grouping by cell (keys, X, Hw,
+    weights, cells).  ``cells`` is ``grid.group_by_rank``'s (order,
+    bounds) over each column's cell with mode k as chunk 0, or None when
+    every rank searches every key (unmetered, or one rank).  The merge is
+    timed as sampling, the Gram as postprocessing.
     """
     t0 = time.perf_counter()
-    keys, X, H, weights = distinct_columns(batch, ctx.grid.tensor_dims, k)
+    keys, X, Hw, weights = distinct_columns(batch, [f.U for f in ctx.factors], k)
     ctx.stats["distinct_samples"] += X.shape[0]
     t0 = ctx.tick("sampling", t0)
-    Hw = H * weights[:, None]
+    Hw *= weights[:, None]
     grid = ctx.grid
+    cells = None
     if not metered or grid.P == 1:
         Gs = Hw.T @ Hw
     else:
-        order, bounds = gridmod.group_by_rank(grid.cell_rank(X, skip=k), grid.P)
+        cells = order, bounds = gridmod.group_by_rank(grid.cell_rank(X, skip=k), grid.P)
         partials = []
         for p in range(grid.P):
             rows = Hw[order[bounds[p]:bounds[p + 1]]]
@@ -142,17 +162,30 @@ def _sketched_gram(ctx: SolveContext, k: int, batch, metered: bool):
         Gs = gridmod.allreduce(partials, list(range(grid.P)),
                                ledger=ctx.ledger, round_id=ctx.round_id)
     ctx.tick("postprocess", t0)
-    return Gs, (keys, X, Hw, weights)
+    return Gs, (keys, X, Hw, weights, cells)
 
 
 def _sampled_mttkrp(ctx: SolveContext, k: int, cols):
-    """Every rank's extraction of the distinct sampled columns and downsampled MTTKRP."""
-    keys, X, Hw, weights = cols
+    """Every rank's extraction of the distinct sampled columns and downsampled MTTKRP.
+
+    With ``cells`` given, rank p searches only the columns of the cell
+    with p's coordinates and mode-k coordinate 0; columns outside it
+    cannot hit p's nonzeros.
+    """
+    keys, X, Hw, weights, cells = cols
+    grid = ctx.grid
+    if cells is not None:
+        order, bounds = cells
+        stride = int(np.prod(grid.grid_dims[k + 1:]))  # rank step of one mode-k chunk
+    columns = None
     out = []
     t0 = time.perf_counter()
-    for p in range(ctx.grid.P):
+    for p in range(grid.P):
+        if cells is not None:
+            q = p - grid.coords(p)[k] * stride
+            columns = order[bounds[q]:bounds[q + 1]]
         sub = gather_sampled_nonzeros_to_csr(ctx.local.local(p, k), X, k, keys=keys,
-                                             weights=weights)
+                                             weights=weights, columns=columns)
         ctx.stats["sampled_nnz"] += sub.nnz
         t0 = ctx.tick("extract", t0)
         out.append(downsampled_mttkrp(sub, Hw, workers=ctx.workers))

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from randcp import schedules
+from randcp.matricization import Matricization
 from randcp.tensor import SparseTensorCOO
 from randcp.verify import dense_matricization, dense_of  # noqa: F401  (shared oracles)
 
@@ -25,6 +29,39 @@ def unit_factors(dims, R, seed):
         U = gen.standard_normal((d, R))
         out.append(U / np.linalg.norm(U, axis=0))
     return out
+
+
+def rank_extractions(ctx, k, cols):
+    """Run every rank's extraction of one sketched solve's distinct columns.
+
+    ``cols`` is what ``schedules._sketched_gram`` returns beside the Gram.
+    Returns (got, full, searched): per rank, the submatrix the solve
+    extracted and the one a search of every distinct key gives, and the
+    number of keys the solve searched over all ranks.
+    """
+    calls = []
+    gather = schedules.gather_sampled_nonzeros_to_csr
+
+    def record(mat, X, k, **kwargs):
+        sub = gather(mat, X, k, **kwargs)
+        calls.append((mat, X, kwargs, sub))
+        return sub
+
+    with mock.patch.object(schedules, "gather_sampled_nonzeros_to_csr", record), \
+            mock.patch.object(Matricization, "lookup_columns", autospec=True,
+                              side_effect=Matricization.lookup_columns) as lookup:
+        schedules._sampled_mttkrp(ctx, k, cols)
+    searched = sum(len(call.args[1]) for call in lookup.call_args_list)
+    full = [gather(mat, X, k, keys=kwargs["keys"], weights=kwargs["weights"])
+            for mat, X, kwargs, _ in calls]
+    return [sub for *_, sub in calls], full, searched
+
+
+def assert_same_submatrix(got, ref):
+    """Same entries, values and order, bit for bit."""
+    assert got.dims == ref.dims and (got.row_lo, got.row_hi) == (ref.row_lo, ref.row_hi)
+    assert np.array_equal(got.idx, ref.idx)
+    assert np.array_equal(got.vals.view(np.int64), ref.vals.view(np.int64))
 
 
 @pytest.fixture

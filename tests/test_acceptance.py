@@ -216,7 +216,7 @@ def test_criterion_5_sketched_solve_guarantee():
         r_opt = np.linalg.norm(A @ X_opt.T - B.T)
         batch = sts_sample(trees, k, J, seed=800 + s)
         w = sample_weights(batch)
-        Hw = batch.H * w[:, None]
+        Hw = factors[0][batch.X[:, 0]] * factors[1][batch.X[:, 1]] * w[:, None]
         rhs = downsampled_mttkrp(gather_sampled_nonzeros_to_csr(mk, batch.X, k, weights=w),
                                  Hw)
         X_sk = rhs @ pseudo_inverse(Hw.T @ Hw)

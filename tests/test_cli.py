@@ -90,6 +90,14 @@ class TestDecompose:
                      "--fit-every", "1", "--workers", "2"]) == 0
         assert main(["verify", "--suite", "fit"]) == 0
 
+    @pytest.mark.parametrize("flag", ["--trials", "--procs"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_count_usage_error(self, tns_file, flag, value, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["decompose", "--tensor", tns_file, "--rank", "2", flag, value])
+        assert e.value.code == 2
+        assert "%s: expected a positive integer" % flag in capsys.readouterr().err
+
     def test_workers_env_sets_default(self, monkeypatch):
         monkeypatch.setenv("RANDCP_WORKERS", "3")
         args = build_parser().parse_args(["decompose", "--tensor", "x.tns", "--rank", "2"])
@@ -121,6 +129,14 @@ def test_comm_report(tns_file, capsys):
     out = capsys.readouterr().out
     assert "analytic exact tensor-stationary" in out
     assert "kind=allgather" in out
+
+
+@pytest.mark.parametrize("flag", ["--procs", "--rank", "--samples"])
+def test_comm_report_nonpositive_count_usage_error(tns_file, flag, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["comm-report", "--tensor", tns_file, flag, "0"])
+    assert e.value.code == 2
+    assert "%s: expected a positive integer" % flag in capsys.readouterr().err
 
 
 def test_degenerate_sketch_exits_1_with_cause(tmp_path, capsys):

@@ -6,10 +6,10 @@ from randcp.als import AlsConfig, run_als
 from randcp.linalg import FactorBlocks
 from randcp.matricization import matricize, partition_to_grid
 from randcp.mttkrp import gather_sampled_nonzeros_to_csr
-from randcp.samplers import sample_weights, sts_build, sts_sample
-from randcp.schedules import SolveContext, solve_mode
+from randcp.samplers import SampleBatch, sample_weights, sts_build, sts_sample
+from randcp.schedules import SolveContext, _sketched_gram, solve_mode
 from randcp.tensor import SparseTensorCOO
-from conftest import make_sparse, unit_factors
+from conftest import assert_same_submatrix, make_sparse, rank_extractions, unit_factors
 
 
 class TestFourModeEndToEnd:
@@ -65,6 +65,31 @@ def test_sampled_extraction_with_object_keys():
     expected = sum(int(np.all(idx[:, others] == X[s, others], axis=1).sum())
                    for s in range(6))
     assert sub.nnz == expected >= 3
+
+
+def test_cell_filtered_extraction_with_object_keys():
+    dims = (1 << 13,) * 6                 # off-mode space 2^65 > int64
+    gen = np.random.default_rng(7)
+    idx = np.stack([gen.integers(0, d, 60) for d in dims], 1)
+    t = SparseTensorCOO(dims, idx, gen.standard_normal(60))
+    g = gridmod.ProcessorGrid(dims, (2, 1, 2, 1, 3, 1))
+    blocks = [FactorBlocks.from_global(U, g, j)
+              for j, U in enumerate(unit_factors(dims, 2, seed=8))]
+    ctx = SolveContext(g, "tensor-stationary", "arls-lev", 30, blocks,
+                       partition_to_grid(t, g, "tensor-stationary"),
+                       gridmod.CommLedger(), seed=0)
+    for k in (0, 4):
+        X = np.concatenate([idx[:20], gen.integers(0, 1 << 13, (10, 6))])  # 20 hit
+        X[:, k] = -1
+        batch = SampleBatch(X, np.ones(X.shape), gen.random(30) + 0.1)
+        sample_weights(batch)
+        _, cols = _sketched_gram(ctx, k, batch, metered=True)
+        assert cols[0].dtype == object
+        got, full, searched = rank_extractions(ctx, k, cols)
+        for sub, ref in zip(got, full):
+            assert_same_submatrix(sub, ref)
+        assert sum(sub.nnz for sub in got) >= 20
+        assert searched == g.grid_dims[k] * cols[0].shape[0] < g.P * cols[0].shape[0]
 
 
 def test_sts_build_exchange_metering_power_of_two():

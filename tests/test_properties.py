@@ -7,8 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from randcp import grid as gridmod
 from randcp.als import AlsConfig, run_als
+from randcp.linalg import FactorBlocks
 from randcp.matricization import partition_to_grid
+from randcp.samplers import arls_lev_build, sample_weights, sts_build
+from randcp.schedules import SolveContext, _sketched_gram, draw_batch
 from randcp.tensor import SparseTensorCOO
+from conftest import assert_same_submatrix, rank_extractions
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -77,6 +81,32 @@ def test_round_ledger_matches_closed_forms(case, R, sampler, J):
         # and constant mode, and each rebuild allgathers one mass per rank.
         expected += N * (N - 1) * (P - 1) * 2 * J + N * P * (P - 1)
     assert gathered == expected
+
+
+@PROPERTY
+@given(case=gridded_tensors(), R=st.integers(1, 3),
+       sampler=st.sampled_from(["sts", "arls-lev"]), J=st.integers(1, 40))
+def test_cell_filtered_extraction_matches_all_keys(case, R, sampler, J):
+    t, g = case
+    gen = np.random.default_rng(J)
+    blocks = [FactorBlocks.from_global(gen.standard_normal((d, R)), g, j)
+              for j, d in enumerate(t.dims)]
+    ctx = SolveContext(g, "tensor-stationary", sampler, J, blocks,
+                       partition_to_grid(t, g, "tensor-stationary"),
+                       gridmod.CommLedger(), seed=J)
+    build = sts_build if sampler == "sts" else arls_lev_build
+    ctx.states = [build(b) for b in blocks]
+    for k in range(t.mode_count):
+        batch = draw_batch(ctx, k)
+        sample_weights(batch)
+        _, cols = _sketched_gram(ctx, k, batch, metered=True)
+        got, full, searched = rank_extractions(ctx, k, cols)
+        assert len(got) == g.P
+        for sub, ref in zip(got, full):
+            assert_same_submatrix(sub, ref)
+        # Each distinct column is searched once by every rank of its cell's
+        # mode-k fiber of the grid.
+        assert searched == g.grid_dims[k] * cols[0].shape[0]
 
 
 @PROPERTY

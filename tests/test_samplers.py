@@ -8,6 +8,7 @@ from randcp import samplers
 from randcp.samplers import (DegenerateWalkError, arls_lev_build, arls_lev_sample,
                              consistent_multinomial, exact_krp_leverage_oracle,
                              krp_leverage_scores, sample_weights, sts_build, sts_sample)
+from randcp.schedules import distinct_columns
 
 
 def single_grid(dims):
@@ -191,7 +192,9 @@ class TestStsSample:
         trees = sts_setup(factors, g)
         batch = sts_sample(trees, 2, 16, seed=11)
         assert (batch.X[:, :2] == 0).all()
-        assert np.allclose(batch.H, factors[0][0] * factors[1][0])
+        sample_weights(batch)
+        H = distinct_columns(batch, factors, 2)[2]
+        assert np.allclose(H, [factors[0][0] * factors[1][0]])
 
     def test_h_after_first_mode(self):
         gen = np.random.default_rng(12)
@@ -200,7 +203,9 @@ class TestStsSample:
         g = single_grid(dims)
         trees = sts_setup(factors, g)
         batch = sts_sample(trees, 2, 32, seed=13)
-        assert np.allclose(batch.H, factors[0][batch.X[:, 0]])
+        sample_weights(batch)
+        _, X, H, _ = distinct_columns(batch, factors, 2)
+        assert np.allclose(H, factors[0][X[:, 0]])
 
     def test_empirical_matches_exact_oracle(self):
         gen = np.random.default_rng(14)
@@ -368,21 +373,19 @@ class TestSampleWeights:
     def test_uniform_probability(self):
         from randcp.samplers import SampleBatch
         I, J = 16, 4
-        batch = SampleBatch(np.zeros((J, 3), dtype=np.int64), np.ones((J, 2)),
-                            np.ones((J, 3)), np.full(J, 1.0 / I))
+        batch = SampleBatch(np.zeros((J, 3), dtype=np.int64), np.ones((J, 3)),
+                            np.full(J, 1.0 / I))
         w = sample_weights(batch)
         assert np.allclose(w, np.sqrt(I / J))
 
     def test_single_certain_sample(self):
         from randcp.samplers import SampleBatch
-        batch = SampleBatch(np.zeros((1, 3), dtype=np.int64), np.ones((1, 2)),
-                            np.ones((1, 3)), np.ones(1))
+        batch = SampleBatch(np.zeros((1, 3), dtype=np.int64), np.ones((1, 3)), np.ones(1))
         assert np.allclose(sample_weights(batch), [1.0])
 
     def test_zero_probability_rejected(self):
         from randcp.samplers import SampleBatch
-        batch = SampleBatch(np.zeros((1, 3), dtype=np.int64), np.ones((1, 2)),
-                            np.ones((1, 3)), np.zeros(1))
+        batch = SampleBatch(np.zeros((1, 3), dtype=np.int64), np.ones((1, 3)), np.zeros(1))
         with pytest.raises(ValueError):
             sample_weights(batch)
 
@@ -423,4 +426,6 @@ def test_state_owns_its_factor_and_gram(build, sample):
     assert states[0].factor is blocks[0]
     batch = sample(states, 2, 64, seed=41)
     assert (batch.X[:, 0] == 3).all()
-    assert np.array_equal(batch.H, blocks[0].U[3] * blocks[1].U[batch.X[:, 1]])
+    sample_weights(batch)
+    _, X, H, _ = distinct_columns(batch, [fb.U for fb in blocks], 2)
+    assert np.array_equal(H, blocks[0].U[3] * blocks[1].U[X[:, 1]])

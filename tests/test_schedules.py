@@ -4,10 +4,10 @@ import pytest
 from randcp import grid as gridmod
 from randcp.als import AlsConfig, run_als
 from randcp.linalg import FactorBlocks, gram, hadamard_gram_chain, pseudo_inverse
-from randcp.matricization import matricize, partition_to_grid
+from randcp.matricization import column_keys, matricize, partition_to_grid
 from randcp.mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
-from randcp.samplers import (SampleBatch, arls_lev_build, sample_weights, sts_build,
-                             sts_sample)
+from randcp.samplers import (SampleBatch, arls_lev_build, arls_lev_sample, sample_weights,
+                             sts_build, sts_sample)
 from randcp.schedules import (ScheduleError, SolveContext, _sampled_mttkrp, _sketched_gram,
                               distinct_columns, refresh_gathered, solve_mode)
 from conftest import make_sparse, unit_factors
@@ -233,13 +233,23 @@ def repeated_batch(dims, factors, k, n_distinct, J, seed):
     for i, U in enumerate(factors):
         if i != k:
             H *= U[X[:, i]]
-    batch = SampleBatch(X, H, np.ones(X.shape), gen.random(J) + 0.05)
+    batch = SampleBatch(X, np.ones(X.shape), gen.random(J) + 0.05)
     sample_weights(batch)
-    return batch
+    return batch, H
 
 
 def rel_err(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+class _OnesFactor:
+    """An all-ones (I, 2) factor that never allocates its I rows."""
+
+    def __init__(self, n_rows):
+        self.shape = (n_rows, 2)
+
+    def take(self, rows, axis=0):
+        return np.ones((len(rows), 2))
 
 
 class TestDistinctColumns:
@@ -250,11 +260,11 @@ class TestDistinctColumns:
         g = gridmod.ProcessorGrid(t.dims, (2, 2, 1))
         for k in range(3):
             # a few tuples per mode pair cover most nonzero columns
-            batch = repeated_batch(t.dims, factors, k, n_distinct=15, J=600, seed=42 + k)
-            keys = distinct_columns(batch, t.dims, k)[0]
+            batch, H = repeated_batch(t.dims, factors, k, n_distinct=15, J=600, seed=42 + k)
+            keys = distinct_columns(batch, factors, k)[0]
             assert keys.shape[0] == np.unique(batch.X, axis=0).shape[0] < batch.J
 
-            Hw = batch.H * batch.weights[:, None]
+            Hw = H * batch.weights[:, None]
             ref_gram = Hw.T @ Hw
             ref_rhs = downsampled_mttkrp(
                 gather_sampled_nonzeros_to_csr(matricize(t, k), batch.X, k,
@@ -276,11 +286,34 @@ class TestDistinctColumns:
             ref = ref_rhs @ pseudo_inverse(ref_gram)
             assert rel_err(ctx.factors[k].U, ref) < 1e-10
 
+    @pytest.mark.parametrize("build,sample", [(arls_lev_build, arls_lev_sample),
+                                              (sts_build, sts_sample)])
+    def test_design_rows_equal_per_draw_product(self, build, sample):
+        dims = (8, 7, 6, 5)
+        g = gridmod.ProcessorGrid(dims, (2, 1, 2, 2))
+        blocks = [FactorBlocks.from_global(U, g, j)
+                  for j, U in enumerate(unit_factors(dims, 3, seed=50))]
+        states = [build(b) for b in blocks]
+        for k in range(4):
+            batch = sample(states, k, 400, seed=51 + k)
+            sample_weights(batch)
+            # The per-draw product in ascending mode order, as the samplers
+            # formed it before design rows moved to the distinct columns.
+            per_draw = np.ones((batch.J, 3))
+            for i in range(4):
+                if i != k:
+                    per_draw *= blocks[i].U[batch.X[:, i]]
+            _, first = np.unique(column_keys(batch.X, dims, k), return_index=True)
+            _, X, H, _ = distinct_columns(batch, [b.U for b in blocks], k)
+            assert first.size < batch.J
+            assert np.array_equal(X, batch.X[first])
+            assert np.array_equal(H.view(np.int64), per_draw[first].view(np.int64))
+
     def test_merged_weight_is_root_sum_of_squares(self):
         X = np.array([[-1, 1, 2], [-1, 0, 0], [-1, 1, 2], [-1, 1, 2]], dtype=np.int64)
-        batch = SampleBatch(X, np.ones((4, 2)), np.ones((4, 3)), np.ones(4))
+        batch = SampleBatch(X, np.ones((4, 3)), np.ones(4))
         batch.weights = np.array([1.0, 2.0, 3.0, 4.0])
-        keys, Xd, _, weights = distinct_columns(batch, (3, 3, 3), 0)
+        keys, Xd, _, weights = distinct_columns(batch, [np.ones((3, 2))] * 3, 0)
         assert np.array_equal(keys, [0, 7])          # key = i_1 + 3 * i_2
         assert np.array_equal(Xd, X[[1, 0]])
         assert np.allclose(weights, [2.0, np.sqrt(1.0 + 9.0 + 16.0)], rtol=1e-15)
@@ -289,9 +322,9 @@ class TestDistinctColumns:
         dims = (4, 1 << 40, 1 << 40, 3)   # mode-0 key space overflows int64
         X = np.array([[-1, 5, 1 << 39, 2], [-1, 5, 1 << 39, 2], [-1, 7, 3, 0]],
                      dtype=np.int64)
-        batch = SampleBatch(X, np.ones((3, 2)), np.ones((3, 4)), np.full(3, 0.5))
+        batch = SampleBatch(X, np.ones((3, 4)), np.full(3, 0.5))
         sample_weights(batch)
-        keys, Xd, _, weights = distinct_columns(batch, dims, 0)
+        keys, Xd, _, weights = distinct_columns(batch, [_OnesFactor(d) for d in dims], 0)
         assert keys.dtype == object and list(keys) == sorted(keys)
         assert np.array_equal(Xd, X[[2, 0]])
         assert np.allclose(weights ** 2, [1.0 / 1.5, 2.0 / 1.5])
