@@ -8,10 +8,16 @@ compressed-sparse-row storage:
   indices except mode j, earlier modes varying fastest) and then by row
   index; column lookups are binary searches over the sorted keys.  Only
   sampled extraction reads it.
-- the CSR analogue groups the nonzeros by mode-j row for the kernels that
-  accumulate into rows.  Only exact MTTKRP, and so the fit, reads it.
+- the CSR analogue groups the nonzeros by the view's rows for the kernels
+  that accumulate into rows.  Only exact MTTKRP, and so the fit, reads it.
 
 No run reads both layouts of one view, so each view pays for one.
+
+A partition keeps one view per mode, a stack of every simulated rank's
+nonzeros, rank-major with per-rank entry offsets, so one column search
+or one kernel call serves all ranks.  A stack's rows are the (row, rank)
+pairs that hold an entry; a one-block view, such as one rank's slice of
+a stack, keeps every row of its range.
 
 Column keys are mixed-radix encodings in int64 when the off-mode index
 space fits; otherwise keys fall back to arbitrary-precision Python
@@ -67,33 +73,44 @@ def distinct_keys(keys):
 
 
 class Matricization:
-    """Mode-j view of local nonzeros, each layout built on first read.
+    """Mode-j view of nonzeros, each layout built on first read.
+
+    The rows of a one-block view are all rows of its range, so
+    accumulators over it have row_hi - row_lo rows.  A stack's rows are
+    its (row, rank) pairs that hold an entry, ordered by row, then rank.
 
     Parameters
     ----------
     dims : global mode dimensions
-    idx, vals : local nonzero coordinates (global indices) and values
+    idx, vals : nonzero coordinates (global indices) and values
     mode : the matricized mode j
-    row_lo, row_hi : the half-open global row range this block covers;
-        accumulators over the block have row_hi - row_lo rows.
+    row_lo, row_hi : the half-open global row range of the block; for a
+        stack, each rank's range (length-P sequences)
+    rank_ptr : for a stack, the P + 1 entry offsets, rank p's entries
+        being ``idx[rank_ptr[p]:rank_ptr[p + 1]]``; None for one block
     """
 
-    def __init__(self, dims, idx, vals, mode, row_lo=0, row_hi=None):
+    def __init__(self, dims, idx, vals, mode, row_lo=0, row_hi=None, rank_ptr=None):
         self.dims = tuple(int(d) for d in dims)
         self.mode = int(mode)
         self.idx = np.ascontiguousarray(idx, dtype=np.int64)
         self.vals = np.ascontiguousarray(vals, dtype=np.float64)
-        self.row_lo = int(row_lo)
-        self.row_hi = int(self.dims[mode] if row_hi is None else row_hi)
 
-        # Per-mode index range [lo, hi) of the entries, kept for coverage
-        # checks; with no entries lo > hi, so every such check passes.  Taken
-        # column by column: an axis-0 reduction over the narrow rows measured
-        # about 10x slower.
-        self.idx_lo = np.array([c.min(initial=np.iinfo(np.int64).max) for c in self.idx.T])
+        # One past each mode's largest index (0 without entries), for factor
+        # coverage checks; column by column, as an axis-0 reduction over the
+        # narrow rows measured about 10x slower.
         self.idx_hi = np.array([c.max(initial=-1) for c in self.idx.T]) + 1
-        if self.idx_lo[mode] < self.row_lo or self.idx_hi[mode] > self.row_hi:
-            raise ValueError("entry rows outside block [%d, %d)" % (self.row_lo, self.row_hi))
+        if rank_ptr is None:
+            self.rank_ptr, counts = None, [self.nnz]
+            self.row_lo = int(row_lo)
+            self.row_hi = int(self.dims[mode] if row_hi is None else row_hi)
+        else:
+            self.rank_ptr = np.asarray(rank_ptr, dtype=np.int64)
+            counts = np.diff(self.rank_ptr)
+            self.row_lo, self.row_hi = np.asarray(row_lo), np.asarray(row_hi)
+        rel = self.idx[:, mode] - np.repeat(self.row_lo, counts)
+        if ((rel < 0) | (rel >= np.repeat(self.row_hi - self.row_lo, counts))).any():
+            raise ValueError("entry rows outside the view's row blocks")
 
     @cached_property
     def _csc(self):
@@ -105,11 +122,20 @@ class Matricization:
 
     @cached_property
     def _csr(self):
-        """(row_order, row_ptr): entries grouped by block row, the CSR analogue."""
-        rel = self.idx[:, self.mode] - self.row_lo
-        row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rel, minlength=self.n_rows), out=row_ptr[1:])
-        return np.argsort(rel, kind="stable"), row_ptr
+        """(row_order, row_ptr): entries grouped by view row, the CSR analogue."""
+        rows = self.idx[:, self.mode]
+        if self.rank_ptr is None:
+            rel = rows - self.row_lo
+            row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rel, minlength=self.n_rows), out=row_ptr[1:])
+            return np.argsort(rel, kind="stable"), row_ptr
+        P = self.rank_ptr.size - 1
+        pair = rows * P + np.repeat(np.arange(P), np.diff(self.rank_ptr))
+        order = np.argsort(pair, kind="stable")
+        ordered = pair[order]
+        head = np.ones(ordered.size + 1, dtype=bool)  # a pair's first entry, and the end
+        np.not_equal(ordered[1:], ordered[:-1], out=head[1:-1])
+        return order, np.flatnonzero(head)
 
     col_order = property(lambda self: self._csc[0])
     sorted_keys = property(lambda self: self._csc[1])
@@ -122,13 +148,15 @@ class Matricization:
 
     @property
     def n_rows(self):
-        return self.row_hi - self.row_lo
+        """Accumulator rows; a stack's count builds its CSR analogue."""
+        return self.row_hi - self.row_lo if self.rank_ptr is None else self.row_ptr.size - 1
 
     def lookup_columns(self, query_keys):
         """Binary-search positions of query column keys.
 
         Returns (lo, hi): for query q, the nonzeros of that column sit at
-        ``col_order[lo[q]:hi[q]]``.  The first call builds the CSC analogue.
+        ``col_order[lo[q]:hi[q]]``, every rank's of a stack among them.  The
+        first call builds the CSC analogue.
         """
         q = np.asarray(query_keys)
         lo = np.searchsorted(self.sorted_keys, q, side="left")
@@ -143,33 +171,37 @@ def matricize(t: SparseTensorCOO, mode: int) -> Matricization:
 
 
 class LocalTensorSet:
-    """Per-rank, per-mode matricized subsets under one schedule's partition."""
+    """Every rank's nonzeros under one schedule's partition: one stack per mode."""
 
-    def __init__(self, schedule, mats):
+    def __init__(self, schedule, views):
         self.schedule = schedule
-        self.mats = mats  # mats[rank][mode] -> Matricization
+        self.views = views  # views[mode] -> Matricization stacking every rank
 
     def local(self, rank, mode) -> Matricization:
-        return self.mats[rank][mode]
+        """Rank ``rank``'s block of the mode view, as a one-block view of a slice."""
+        m = self.views[mode]
+        a, b = m.rank_ptr[rank:rank + 2]
+        return Matricization(m.dims, m.idx[a:b], m.vals[a:b], mode, m.row_lo[rank],
+                             m.row_hi[rank])
 
     def stored_nnz(self) -> int:
-        """Nonzeros stored across ranks, each stored copy counted once: a
-        tensor-stationary rank's N views share one copy, while
+        """Nonzeros stored across ranks, each stored copy counted once: the
+        tensor-stationary views share one copy, while
         accumulator-stationary stores one replica per mode."""
         if self.schedule == "tensor-stationary":
-            return sum(per_rank[0].nnz for per_rank in self.mats)
-        return sum(m.nnz for per_rank in self.mats for m in per_rank)
+            return self.views[0].nnz
+        return sum(m.nnz for m in self.views)
 
 
 def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet:
     """Assign nonzeros to simulated ranks.
 
     tensor-stationary: each nonzero goes to the unique grid cell whose
-    index hyper-rectangle contains it; every rank keeps N matricized
-    views of one copy of its local nonzeros.
+    index hyper-rectangle contains it; the N mode views stack one copy of
+    the nonzeros grouped by cell, each rank's rows being its cell's chunk.
 
-    accumulator-stationary: one replicated copy per mode, partitioned by
-    the mode's factor block rows, so each rank's mode-j copy covers
+    accumulator-stationary: one replicated copy per mode, grouped by the
+    mode's factor block rows, so each rank's mode-j entries cover
     exactly its stationary accumulator block.
     """
     if tuple(grid.tensor_dims) != tuple(t.dims):
@@ -177,28 +209,19 @@ def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet
                          % (grid.tensor_dims, t.dims))
     if schedule == "tensor-stationary":
         order, bounds = gridmod.group_by_rank(grid.cell_rank(t.idx), grid.P)
-        mats = []
-        for p in range(grid.P):
-            pos = order[bounds[p]:bounds[p + 1]]
-            idx, vals = t.idx[pos], t.vals[pos]  # shared by the rank's N views
-            coords = grid.coords(p)
-            per_mode = []
-            for j in range(t.mode_count):
-                lo = int(grid.chunk_offsets[j][coords[j]])
-                hi = int(grid.chunk_offsets[j][coords[j] + 1])
-                per_mode.append(Matricization(t.dims, idx, vals, j, row_lo=lo, row_hi=hi))
-            mats.append(per_mode)
-        return LocalTensorSet(schedule, mats)
+        idx, vals = t.idx[order], t.vals[order]  # shared by the N views
+        coords = np.array([grid.coords(p) for p in range(grid.P)])
+        views = [Matricization(t.dims, idx, vals, j, off[coords[:, j]], off[coords[:, j] + 1],
+                               rank_ptr=bounds)
+                 for j, off in enumerate(grid.chunk_offsets)]
+        return LocalTensorSet(schedule, views)
 
     if schedule == "accumulator-stationary":
-        mats = [[None] * t.mode_count for _ in range(grid.P)]
+        views = []
         for j in range(t.mode_count):
             order, bounds = gridmod.group_by_rank(grid.row_owner(j, t.idx[:, j]), grid.P)
-            for p in range(grid.P):
-                pos = order[bounds[p]:bounds[p + 1]]
-                lo, hi = grid.block_range(j, p)
-                mats[p][j] = Matricization(t.dims, t.idx[pos], t.vals[pos], j,
-                                           row_lo=lo, row_hi=hi)
-        return LocalTensorSet(schedule, mats)
+            views.append(Matricization(t.dims, t.idx[order], t.vals[order], j,
+                                       *grid.block_ranges(j), rank_ptr=bounds))
+        return LocalTensorSet(schedule, views)
 
     raise ValueError("unknown schedule %r" % schedule)

@@ -7,28 +7,26 @@ in the view's compressed-row order through chunks that never split a
 row, keeping each output row's accumulation order fixed regardless of
 worker count.  The sampled MTTKRP runs it on the sketched submatrix
 mat(T, k) S^T, which extraction returns as a two-mode ``Matricization``,
-so there is no separate sparse transpose.
+so there is no separate sparse transpose.  On a stack of every rank's
+nonzeros one call serves all ranks, with one output row per (row, rank)
+pair that holds entries.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import grid as gridmod
 from .matricization import Matricization, column_keys
 
-_CHUNK_NNZ = 1 << 18
+_CHUNK_NNZ = 1 << 12
 
 
 def _concat_ranges(lo, hi):
-    """Concatenate [lo[i], hi[i]) ranges into one index vector."""
+    """Concatenate [lo[i], hi[i]) ranges into one index vector; also returns their lengths."""
     counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), counts
-    shifts = np.zeros(len(lo), dtype=np.int64)
-    np.cumsum(counts[:-1], out=shifts[1:])
-    out = np.arange(total, dtype=np.int64) + np.repeat(lo - shifts, counts)
-    return out, counts
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(lo - starts, counts), counts
 
 
 def _row_blocks(row_ptr, workers):
@@ -67,23 +65,20 @@ def _accumulate_rows(out, row_ptr, order, make_rows, ra, rb):
         r = r_end
 
 
-def mttkrp_exact(mat: Matricization, factors, offsets=None, workers=1):
-    """Exact local MTTKRP: out[i_j - row_lo, :] += v * hadamard of factor rows.
+def mttkrp_exact(mat: Matricization, factors, workers=1):
+    """Exact MTTKRP: out[r, :] sums v * hadamard of factor rows over the
+    entries of view row r (row i_j - row_lo of a one-block view, one
+    (row, rank) pair of a stack).
 
-    ``factors[i]`` holds the rows of mode i needed by this block's
-    entries; ``offsets[i]`` is the global index of its first row (0 for
-    full matrices).  The entry for ``mat.mode`` is ignored.
+    ``factors[i]`` is mode i's factor matrix, read by global row; the
+    entry for ``mat.mode`` is ignored.
     """
     j = mat.mode
     R = next(f.shape[1] for i, f in enumerate(factors) if i != j and f is not None)
-    if offsets is None:
-        offsets = [0] * len(factors)
     for i, f in enumerate(factors):
-        if i == j or f is None:
-            continue
-        if mat.idx_lo[i] < offsets[i] or mat.idx_hi[i] > offsets[i] + f.shape[0]:
-            raise ValueError("mode-%d rows [%d, %d) not covered by gathered block"
-                             % (i, mat.idx_lo[i], mat.idx_hi[i]))
+        if i != j and f is not None and mat.idx_hi[i] > f.shape[0]:
+            raise ValueError("mode-%d rows [0, %d) not covered by a %d-row factor"
+                             % (i, mat.idx_hi[i], f.shape[0]))
     out = np.zeros((mat.n_rows, R))
     if mat.nnz == 0:
         return out
@@ -93,7 +88,7 @@ def mttkrp_exact(mat: Matricization, factors, offsets=None, workers=1):
         for i, f in enumerate(factors):
             if i == j or f is None:
                 continue
-            rows = f.take(mat.idx[sel, i] - offsets[i], axis=0)
+            rows = f.take(mat.idx[sel, i], axis=0)
             prod = rows if prod is None else prod.__imul__(rows)
         prod *= mat.vals[sel, None]
         return prod
@@ -113,20 +108,17 @@ def mttkrp_exact(mat: Matricization, factors, offsets=None, workers=1):
 
 
 def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, keys=None,
-                                   weights=None, columns=None) -> Matricization:
+                                   weights=None) -> Matricization:
     """The sketched submatrix: mat(T, k) columns hit by the sample tuples.
 
     X is the (J, N) sample index matrix; column k is ignored.  ``keys``
-    are X's column keys when the caller already holds them: a solve
-    computes its sorted distinct keys once and hands them to every rank,
-    whose searches then sweep forward.  ``columns``, when given, are the
-    ascending positions in X of the only columns that can hit this block
-    (those of its grid cell); the others are not searched.  Nonzeros are
-    located by binary search over the column-sorted order.  Returns a
-    two-mode ``Matricization`` of shape (dims[k], J) over the block's
-    rows: mode 0 holds an entry's global row, mode 1 the row s of X that
-    hit it (one column per copy of a repeated tuple), and the value
-    carries ``weights[s]`` when weights are given.
+    are X's column keys when the caller already holds them.  Each column
+    is binary-searched once in the column-sorted order.  Returns a
+    two-mode ``Matricization`` of shape (dims[k], J) over the view's row
+    blocks: mode 0 holds an entry's global row, mode 1 the row s of X
+    that hit it (one column per copy of a repeated tuple), and the value
+    carries ``weights[s]`` when weights are given.  A stack's submatrix
+    stacks the same ranks, each rank's entries in column order.
     """
     if mat.mode != k:
         raise ValueError("matricization is for mode %d, expected %d" % (mat.mode, k))
@@ -134,14 +126,14 @@ def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, keys=None,
     J = X.shape[0]
     if keys is None:
         keys = column_keys(X.astype(np.int64), mat.dims, k)
-    if columns is None:
-        lo, hi = mat.lookup_columns(keys)
-        columns = np.arange(J, dtype=np.int64)
-    else:
-        lo, hi = mat.lookup_columns(keys[columns])
-    pos, counts = _concat_ranges(lo, hi)
+    pos, counts = _concat_ranges(*mat.lookup_columns(keys))
     entry = mat.col_order[pos]
-    cols = np.repeat(columns, counts)
+    cols = np.repeat(np.arange(J, dtype=np.int64), counts)
+    rank_ptr = mat.rank_ptr
+    if rank_ptr is not None:  # the hits regrouped rank-major
+        ranks = np.searchsorted(rank_ptr, entry, side="right") - 1
+        order, rank_ptr = gridmod.group_by_rank(ranks, rank_ptr.size - 1)
+        entry, cols = entry[order], cols[order]
     vals = mat.vals[entry]
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
@@ -149,7 +141,7 @@ def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, keys=None,
             raise ValueError("weights do not match the %d sampled columns" % J)
         vals *= weights[cols]  # a fresh gather, so in place
     return Matricization((mat.dims[k], J), np.column_stack((mat.idx[entry, k], cols)),
-                         vals, 0, mat.row_lo, mat.row_hi)
+                         vals, 0, mat.row_lo, mat.row_hi, rank_ptr)
 
 
 def downsampled_mttkrp(sub: Matricization, HW, workers=1):

@@ -14,23 +14,24 @@ shrink the reduction.
 
 accumulator-stationary: each rank's output block stays put.  Only
 sampled rows (plus their indices and probabilities) are allgathered to
-everyone, the local downsampled MTTKRP writes straight into the
+everyone, each rank's downsampled MTTKRP rows are scattered into its
 stationary block, and no reduction occurs.  Defined only for sketched
 solves; exact solves must use the tensor-stationary schedule.
 
+Every rank's MTTKRP is one kernel call over the mode's stack of all
+ranks' nonzeros (``LocalTensorSet.views``), with a row per (row, rank)
+pair that holds entries; ``_reduce_along_mode`` adds those rows into the
+mode's factor rows in rank order, as the dense reduce-scatter would.
+
 Sketched solves minimize the sketched problem: the right-hand side is
-the exact kernel run on each rank's sketched submatrix, whose values
-carry the weights, and the sampled design rows, weighted once per
-solve; the system matrix is the Gram matrix of those weighted rows.
-Once per solve the J draws are merged into their distinct off-mode
-columns, each carrying the summed squared weight of its copies (the
-sketch S^T S is unchanged), and each distinct column's design row is
-formed once from the factors.  The sorted distinct keys are shared by
-every rank's extraction.  Under tensor-stationary, a column can hit
-only the ranks whose grid cell holds its off-mode tuple, so each rank
-searches only the keys of its cell; an accumulator-stationary rank's
-mode-k replica holds every column of its rows and searches every key.
-Metering still follows the J draws.
+the exact kernel run on the sketched submatrix, whose values carry the
+weights, and the sampled design rows, weighted once per solve; the
+system matrix is the Gram matrix of those weighted rows.  Once per
+solve the J draws are merged into their distinct off-mode columns, each
+carrying the summed squared weight of its copies (the sketch S^T S is
+unchanged), and each distinct column's design row is formed once from
+the factors.  One extraction then searches each distinct column once
+over the stack.  Metering still follows the J draws.
 """
 
 import time
@@ -138,11 +139,8 @@ def _sketched_gram(ctx: SolveContext, k: int, batch, metered: bool):
 
     The metered Gram is summed in cell-owner rank order.  Returns the
     Gram and the columns as ``distinct_columns`` gives them, but with the
-    design rows weighted, plus their grouping by cell (keys, X, Hw,
-    weights, cells).  ``cells`` is ``grid.group_by_rank``'s (order,
-    bounds) over each column's cell with mode k as chunk 0, or None when
-    every rank searches every key (unmetered, or one rank).  The merge is
-    timed as sampling, the Gram as postprocessing.
+    design rows weighted (keys, X, Hw, weights).  The merge is timed as
+    sampling, the Gram as postprocessing.
     """
     t0 = time.perf_counter()
     keys, X, Hw, weights = distinct_columns(batch, [f.U for f in ctx.factors], k)
@@ -150,11 +148,10 @@ def _sketched_gram(ctx: SolveContext, k: int, batch, metered: bool):
     t0 = ctx.tick("sampling", t0)
     Hw *= weights[:, None]
     grid = ctx.grid
-    cells = None
     if not metered or grid.P == 1:
         Gs = Hw.T @ Hw
     else:
-        cells = order, bounds = gridmod.group_by_rank(grid.cell_rank(X, skip=k), grid.P)
+        order, bounds = gridmod.group_by_rank(grid.cell_rank(X, skip=k), grid.P)
         partials = []
         for p in range(grid.P):
             rows = Hw[order[bounds[p]:bounds[p + 1]]]
@@ -162,63 +159,38 @@ def _sketched_gram(ctx: SolveContext, k: int, batch, metered: bool):
         Gs = gridmod.allreduce(partials, list(range(grid.P)),
                                ledger=ctx.ledger, round_id=ctx.round_id)
     ctx.tick("postprocess", t0)
-    return Gs, (keys, X, Hw, weights, cells)
+    return Gs, (keys, X, Hw, weights)
 
 
 def _sampled_mttkrp(ctx: SolveContext, k: int, cols):
-    """Every rank's extraction of the distinct sampled columns and downsampled MTTKRP.
-
-    With ``cells`` given, rank p searches only the columns of the cell
-    with p's coordinates and mode-k coordinate 0; columns outside it
-    cannot hit p's nonzeros.
-    """
-    keys, X, Hw, weights, cells = cols
-    grid = ctx.grid
-    if cells is not None:
-        order, bounds = cells
-        stride = int(np.prod(grid.grid_dims[k + 1:]))  # rank step of one mode-k chunk
-    columns = None
-    out = []
+    """One extraction and one downsampled MTTKRP over the mode-k stack;
+    returns the sketched submatrix and its accumulator rows."""
+    keys, X, Hw, weights = cols
     t0 = time.perf_counter()
-    for p in range(grid.P):
-        if cells is not None:
-            q = p - grid.coords(p)[k] * stride
-            columns = order[bounds[q]:bounds[q + 1]]
-        sub = gather_sampled_nonzeros_to_csr(ctx.local.local(p, k), X, k, keys=keys,
-                                             weights=weights, columns=columns)
-        ctx.stats["sampled_nnz"] += sub.nnz
-        t0 = ctx.tick("extract", t0)
-        out.append(downsampled_mttkrp(sub, Hw, workers=ctx.workers))
-        t0 = ctx.tick("mttkrp", t0)
-    return out
+    sub = gather_sampled_nonzeros_to_csr(ctx.local.views[k], X, k, keys=keys, weights=weights)
+    ctx.stats["sampled_nnz"] += sub.nnz
+    t0 = ctx.tick("extract", t0)
+    acc = downsampled_mttkrp(sub, Hw, workers=ctx.workers)
+    ctx.tick("mttkrp", t0)
+    return sub, acc
 
 
 def _exact_mttkrp(ctx: SolveContext, k: int):
-    """Every rank's exact MTTKRP, reading its chunk of each off mode's
-    factor in place (``refresh_gathered`` metered the gathers)."""
-    grid = ctx.grid
-    out = []
+    """One exact MTTKRP over the mode-k stack, reading the factors in place
+    (``refresh_gathered`` metered the gathers); returns the stack and its
+    accumulator rows."""
     t0 = time.perf_counter()
-    for p in range(grid.P):
-        coords = grid.coords(p)
-        rows = [None] * grid.N
-        offs = [0] * grid.N
-        for i in range(grid.N):
-            if i != k:
-                lo, hi = grid.chunk_offsets[i][coords[i]:coords[i] + 2]
-                rows[i] = ctx.factors[i].U[lo:hi]
-                offs[i] = int(lo)
-        out.append(mttkrp_exact(ctx.local.local(p, k), rows, offsets=offs,
-                                workers=ctx.workers))
+    acc = mttkrp_exact(ctx.local.views[k], [f.U for f in ctx.factors], workers=ctx.workers)
     ctx.tick("mttkrp", t0)
-    return out
+    return ctx.local.views[k], acc
 
 
-def _postprocess(ctx, k, per_rank_blocks, system_pinv):
-    """Write each rank's solved block into the factor in place."""
+def _postprocess(ctx, k, rows, system_pinv):
+    """Solve each rank's block of the I_k accumulator ``rows`` into the factor in place."""
     t0 = time.perf_counter()
-    for b, block in zip(per_rank_blocks, ctx.factors[k].blocks):
-        np.matmul(b, system_pinv, out=block)
+    fb = ctx.factors[k]
+    for lo, hi, block in zip(fb.lows, fb.his, fb.blocks):
+        np.matmul(rows[lo:hi], system_pinv, out=block)
     ctx.tick("postprocess", t0)
 
 
@@ -239,7 +211,7 @@ def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
         if not ts:
             raise ScheduleError("accumulator-stationary schedule requires a sampler; "
                                 "exact solves must use tensor-stationary")
-        accumulators = _exact_mttkrp(ctx, k)
+        mat, acc = _exact_mttkrp(ctx, k)
         system_pinv = pseudo_inverse(hadamard_gram_chain(ctx.grams, skip=k))
     else:
         if batch is None:
@@ -253,31 +225,42 @@ def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
             _meter_sampled_gathers_as(ctx, k, batch)
         ctx.tick("gather", t0)
         Gs, cols = _sketched_gram(ctx, k, batch, metered=ts)
-        accumulators = _sampled_mttkrp(ctx, k, cols)
+        mat, acc = _sampled_mttkrp(ctx, k, cols)
         system_pinv = pseudo_inverse(Gs)
-    if ts:
-        t0 = time.perf_counter()
-        accumulators = _reduce_along_mode(ctx, k, accumulators)
-        ctx.tick("reduction", t0)
-    _postprocess(ctx, k, accumulators, system_pinv)
+    t0 = time.perf_counter()
+    rows = _reduce_along_mode(ctx, k, mat, acc)
+    ctx.tick("reduction", t0)
+    _postprocess(ctx, k, rows, system_pinv)
     return batch
 
 
-def _reduce_along_mode(ctx, k, accumulators):
-    """Reduce-scatter chunk accumulators into per-rank factor blocks."""
-    grid = ctx.grid
-    out_blocks = [None] * grid.P
-    for c in range(grid.grid_dims[k]):
-        group = grid.slice_group(k, c)
-        chunk_lo = int(grid.chunk_offsets[k][c])
-        chunk_hi = int(grid.chunk_offsets[k][c + 1])
-        offs = [grid.block_range(k, p)[0] - chunk_lo for p in group] + [chunk_hi - chunk_lo]
-        outs = gridmod.reduce_scatter([accumulators[p] for p in group], offs,
-                                      list(group), ledger=ctx.ledger,
-                                      round_id=ctx.round_id)
-        for p, block in zip(group, outs):
-            out_blocks[p] = block
-    return out_blocks
+def _reduce_along_mode(ctx, k, mat, acc):
+    """Add a mode-k stack's accumulator rows into the mode's I_k rows.
+
+    A row's partial sums are added in rank order, every slice group's
+    order, and a row that a group member lacks gets the +0.0 of that
+    member's dense accumulator, so each row equals ``grid.reduce_scatter``
+    of dense accumulators bit for bit, signed zeros included.  Only
+    tensor-stationary meters the reduce-scatter; an accumulator-stationary
+    row has one holder, so it is only scattered.
+    """
+    grid, fb = ctx.grid, ctx.factors[k]
+    rows, starts, held = np.unique(mat.idx[mat.row_order[mat.row_ptr[:-1]], mat.mode],
+                                   return_index=True, return_counts=True)
+    out = np.zeros_like(fb.U)
+    out[rows] = acc[starts]
+    for t in range(1, held.max(initial=0)):  # every row's t-th holder, as += adds it
+        more = held > t
+        out[rows[more]] += acc[starts[more] + t]
+    members = 1
+    if ctx.schedule == "tensor-stationary":
+        members = grid.P // grid.grid_dims[k]
+        words = (fb.his - fb.lows) * fb.R
+        for c in range(grid.grid_dims[k]):
+            group = grid.slice_group(k, c)
+            gridmod.meter(ctx.ledger, ctx.round_id, gridmod.REDUCE_SCATTER, group, words[group])
+    out[rows[held < members]] += 0.0
+    return out
 
 
 def _meter_sampled_gathers_ts(ctx, k, batch):

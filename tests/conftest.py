@@ -5,6 +5,7 @@ import pytest
 
 from randcp import schedules
 from randcp.matricization import Matricization
+from randcp.mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr
 from randcp.tensor import SparseTensorCOO
 from randcp.verify import dense_matricization, dense_of  # noqa: F401  (shared oracles)
 
@@ -32,36 +33,41 @@ def unit_factors(dims, R, seed):
 
 
 def rank_extractions(ctx, k, cols):
-    """Run every rank's extraction of one sketched solve's distinct columns.
+    """Run one sketched solve's extraction and kernel over the mode-k
+    stack and cut the results by rank.
 
     ``cols`` is what ``schedules._sketched_gram`` returns beside the Gram.
-    Returns (got, full, searched): per rank, the submatrix the solve
-    extracted and the one a search of every distinct key gives, and the
-    number of keys the solve searched over all ranks.
+    Returns (got, full, searched).  Per rank, ``got`` holds the rank's
+    entries, values, global rows and accumulator rows of the stacked
+    results, and ``full`` the same four arrays that a search of every
+    distinct key over ``local(p, k)`` and the kernel on that one-block
+    submatrix give (its rows that hold entries).  ``searched`` is the
+    number of keys the solve searched.
     """
-    calls = []
-    gather = schedules.gather_sampled_nonzeros_to_csr
-
-    def record(mat, X, k, **kwargs):
-        sub = gather(mat, X, k, **kwargs)
-        calls.append((mat, X, kwargs, sub))
-        return sub
-
-    with mock.patch.object(schedules, "gather_sampled_nonzeros_to_csr", record), \
-            mock.patch.object(Matricization, "lookup_columns", autospec=True,
-                              side_effect=Matricization.lookup_columns) as lookup:
-        schedules._sampled_mttkrp(ctx, k, cols)
+    keys, X, Hw, weights = cols
+    with mock.patch.object(Matricization, "lookup_columns", autospec=True,
+                           side_effect=Matricization.lookup_columns) as lookup:
+        sub, acc = schedules._sampled_mttkrp(ctx, k, cols)
     searched = sum(len(call.args[1]) for call in lookup.call_args_list)
-    full = [gather(mat, X, k, keys=kwargs["keys"], weights=kwargs["weights"])
-            for mat, X, kwargs, _ in calls]
-    return [sub for *_, sub in calls], full, searched
+    first = sub.row_order[sub.row_ptr[:-1]]
+    row_rank = np.searchsorted(sub.rank_ptr, first, side="right") - 1
+    got, full = [], []
+    for p in range(ctx.grid.P):
+        a, b = sub.rank_ptr[p:p + 2]
+        mine = row_rank == p
+        got.append((sub.idx[a:b], sub.vals[a:b], sub.idx[first[mine], 0], acc[mine]))
+        ref = gather_sampled_nonzeros_to_csr(ctx.local.local(p, k), X, k, keys=keys,
+                                             weights=weights)
+        rows = np.flatnonzero(np.diff(ref.row_ptr))
+        full.append((ref.idx, ref.vals, rows + ref.row_lo, downsampled_mttkrp(ref, Hw)[rows]))
+    return got, full, searched
 
 
-def assert_same_submatrix(got, ref):
-    """Same entries, values and order, bit for bit."""
-    assert got.dims == ref.dims and (got.row_lo, got.row_hi) == (ref.row_lo, ref.row_hi)
-    assert np.array_equal(got.idx, ref.idx)
-    assert np.array_equal(got.vals.view(np.int64), ref.vals.view(np.int64))
+def assert_same_bits(got, ref):
+    """Equal shapes and equal bits, array by array (signed zeros included)."""
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from randcp.mttkrp import gather_sampled_nonzeros_to_csr
 from randcp.samplers import SampleBatch, sample_weights, sts_build, sts_sample
 from randcp.schedules import SolveContext, _sketched_gram, solve_mode
 from randcp.tensor import SparseTensorCOO
-from conftest import assert_same_submatrix, make_sparse, rank_extractions, unit_factors
+from conftest import assert_same_bits, make_sparse, rank_extractions, unit_factors
 
 
 class TestFourModeEndToEnd:
@@ -87,9 +87,9 @@ def test_cell_filtered_extraction_with_object_keys():
         assert cols[0].dtype == object
         got, full, searched = rank_extractions(ctx, k, cols)
         for sub, ref in zip(got, full):
-            assert_same_submatrix(sub, ref)
-        assert sum(sub.nnz for sub in got) >= 20
-        assert searched == g.grid_dims[k] * cols[0].shape[0] < g.P * cols[0].shape[0]
+            assert_same_bits(sub, ref)
+        assert sum(entries.shape[0] for entries, *_ in got) >= 20
+        assert searched == cols[0].shape[0]
 
 
 def test_sts_build_exchange_metering_power_of_two():

@@ -58,24 +58,6 @@ class TestExactMttkrp:
         with pytest.raises(ValueError):
             mttkrp_exact(m, short)
 
-    def test_coverage_check_uses_block_ranges(self):
-        # Gathered blocks cover a tensor-stationary cell; an empty cell passes
-        # with blocks that cover nothing.
-        t = make_sparse((6, 6, 6), 80, seed=6)
-        gen = np.random.default_rng(7)
-        factors = [gen.standard_normal((6, 2)) for _ in range(3)]
-        inside = np.all(t.idx[:, 1:] >= 3, axis=1)
-        cell = Matricization(t.dims, t.idx[inside], t.vals[inside], 0)
-        blocks = [None, factors[1][3:], factors[2][3:]]
-        ref = mttkrp_exact(matricize(SparseTensorCOO(t.dims, t.idx[inside], t.vals[inside]), 0),
-                           factors)
-        assert np.array_equal(mttkrp_exact(cell, blocks, offsets=[0, 3, 3]), ref)
-        with pytest.raises(ValueError):
-            mttkrp_exact(cell, [None, factors[1][4:], factors[2][3:]], offsets=[0, 4, 3])
-        empty = Matricization(t.dims, np.empty((0, 3), dtype=np.int64), np.empty(0), 0)
-        out = mttkrp_exact(empty, [None, np.empty((0, 2)), np.empty((0, 2))], offsets=[0, 5, 5])
-        assert np.array_equal(out, np.zeros((6, 2)))
-
     def test_worker_bit_identity(self):
         t = make_sparse((9, 8, 7), 300, seed=4)
         gen = np.random.default_rng(5)

@@ -253,7 +253,7 @@ class TestLayoutOnFirstRead:
         t = make_sparse((9, 8, 7), 200, seed=12)
         g = gridmod.ProcessorGrid(t.dims, (2, 2, 1))
         part = partition_to_grid(t, g, schedule)
-        return t, g, part, matricize(t, 2), [m for per in part.mats for m in per]
+        return t, g, part, matricize(t, 2), list(part.views)
 
     @staticmethod
     def run(t, g, part, fit_mat, **kw):
