@@ -72,15 +72,18 @@ class ProcessorGrid:
                     self._block_lo[j, p] = lo + sub[m]
                     self._block_hi[j, p] = lo + sub[m + 1]
 
-        # Row-owner lookup: nonempty blocks in global row order, so their
-        # block ends are monotone.
-        self._owner_his = []
-        self._owner_ranks = []
+        # Lookup tables, one entry per global row, in the narrowest dtype
+        # holding the rank or chunk count.
+        self._owner_of = []
+        self._chunk_of = []
         for j in range(self.N):
-            order = np.lexsort((np.arange(self.P), self._block_lo[j]))
-            nonempty = order[self._block_hi[j][order] > self._block_lo[j][order]]
-            self._owner_his.append(self._block_hi[j][nonempty])
-            self._owner_ranks.append(nonempty)
+            owner = np.empty(self.tensor_dims[j], dtype=np.min_scalar_type(self.P))
+            for p in range(self.P):
+                owner[self._block_lo[j, p]:self._block_hi[j, p]] = p
+            self._owner_of.append(owner)
+            self._chunk_of.append(np.repeat(
+                np.arange(self.grid_dims[j], dtype=np.min_scalar_type(self.grid_dims[j])),
+                np.diff(self.chunk_offsets[j])))
 
     def coords(self, p):
         return self._coord_tuples[p]
@@ -107,12 +110,13 @@ class ProcessorGrid:
         return self._block_lo[j], self._block_hi[j]
 
     def row_owner(self, j, rows):
-        """Owning rank of each global mode-j row (vectorized)."""
-        pos = np.searchsorted(self._owner_his[j], np.asarray(rows), side="right")
-        return self._owner_ranks[j][pos]
+        """Owning rank of each global mode-j row (vectorized; rows past
+        the mode's end raise IndexError)."""
+        return self._owner_of[j].take(rows)
 
     def chunk_of(self, j, rows):
-        return np.searchsorted(self.chunk_offsets[j], np.asarray(rows), side="right") - 1
+        """Mode-j chunk of each global row (rows past the end raise)."""
+        return self._chunk_of[j].take(rows)
 
 
 def group_by_rank(ranks, P):

@@ -10,7 +10,8 @@ seed)``.
 * approximate sampler (``arls_lev_build`` -> ``ArlsLevState``): weighs
   each candidate row by the product of per-factor leverage scores; every
   rank samples its own block from an independent local distribution
-  after a consistent multinomial split of the sample budget.
+  after a consistent multinomial split of the sample budget, by
+  inverting that rank's CDF (built once per factor) on its own stream.
 
 * exact sampler (``sts_build`` -> ``LeverageTree``): draws from the exact
   Khatri-Rao leverage distribution by walking a binary tree of partial
@@ -18,7 +19,10 @@ seed)``.
   on the rows already chosen; the chain pseudo-inverse comes from the
   trees' Grams.  The top log2(P) tree levels are shared across ranks;
   the walk routes samples between ranks level by level and finishes with
-  a local search over leaf row blocks.
+  a search over each rank's leaf row blocks.  All simulated ranks walk
+  together: samples sharing their rows so far share one walk per tree
+  node, so a level costs O(J) plus one quadratic form per distinct walk,
+  and one leaf search serves every rank.
 
 Sampled rows are reweighted by 1 / sqrt(J * p_s), the scaling that makes
 the sketched normal equations unbiased.  A batch keeps all J draws,
@@ -36,12 +40,11 @@ import numpy as np
 from . import grid as gridmod
 from . import rng
 from .linalg import gram, hadamard_gram_chain, khatri_rao, pseudo_inverse
-from .matricization import distinct_keys
 
 ORACLE_GUARD = 10 ** 6
 _ONE_BELOW = np.nextafter(1.0, 0.0)
-# Float64 elements in one leaf-search temporary: (samples x leaves x R) for
-# leaf masses, (samples x leaf rows x R) for row masses.
+# Float64 elements in one leaf-search temporary: (walks x leaves x R) for
+# leaf masses, (walk-leaf pairs x leaf rows x R) for row masses.
 LEAF_SEARCH_BUDGET = 1 << 20
 
 
@@ -116,14 +119,16 @@ class ArlsLevState:
     distributions and masses.
 
     dists[p] is the normalized leverage distribution over rank p's block
-    rows, C[p] its pre-normalization mass; C is replicated (gathered once
-    at build time) so sample calls need no mass exchange.
+    rows, cdfs[p] its CDF as ``Generator.choice`` builds it, C[p] its
+    pre-normalization mass; C is replicated (gathered once at build time)
+    so sample calls need no mass exchange.
     """
 
-    def __init__(self, factor, gram_matrix, dists, C):
+    def __init__(self, factor, gram_matrix, dists, cdfs, C):
         self.factor = factor
         self.gram = gram_matrix
         self.dists = dists
+        self.cdfs = cdfs
         self.C = C
 
 
@@ -131,17 +136,22 @@ def arls_lev_build(blocks, ledger=None, round_id=0) -> ArlsLevState:
     """Build the approximate-leverage state for one factor's blocks."""
     G = gram(blocks, ledger=ledger, round_id=round_id)
     Gp = pseudo_inverse(G)
-    dists = []
+    dists, cdfs = [], []
     C = np.zeros(blocks.n_blocks)
     for p, B in enumerate(blocks.blocks):
         d = np.maximum(np.einsum("ir,ir->i", B @ Gp, B), 0.0)
         mass = float(d.sum())
         C[p] = mass
-        dists.append(d / mass if mass > 0.0 else d)
+        dist = d / mass if mass > 0.0 else d
+        cdf = dist.cumsum()
+        if mass > 0.0:
+            cdf /= cdf[-1]
+        dists.append(dist)
+        cdfs.append(cdf)
     # C is allgathered, one word per rank.
     gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(blocks.n_blocks),
                   np.ones(blocks.n_blocks, dtype=np.int64))
-    return ArlsLevState(blocks, G, dists, C)
+    return ArlsLevState(blocks, G, dists, cdfs, C)
 
 
 def consistent_multinomial(masses, J, seed, round_id, k, mode):
@@ -177,8 +187,9 @@ def arls_lev_sample(states, k, J, seed, round_id=0, ledger=None) -> SampleBatch:
         split = consistent_multinomial(st.C, J, seed, round_id, k, i)
         rows, probs = [], []
         for p in np.flatnonzero(split):
-            gen = rng.stream(seed, rng.LOCAL_DRAW, round_id, k, i, p)
-            local = gen.choice(st.dists[p].size, size=int(split[p]), p=st.dists[p])
+            # Generator.choice(p=dists[p]) without its per-call validation.
+            u = rng.stream(seed, rng.LOCAL_DRAW, round_id, k, i, p).random(int(split[p]))
+            local = st.cdfs[p].searchsorted(u, side="right")
             rows.append(st.factor.lows[p] + local)
             probs.append((st.C[p] / W) * st.dists[p][local])
         # Allgather of every rank's (row, probability) pairs, in rank order.
@@ -199,17 +210,22 @@ class LeverageTree:
     ``depth`` is the rank-leaf level (leaf ell belongs to the rank in
     row-block order, padding leaves hold zero).  Below that, each rank
     subdivides its block into contiguous leaf blocks whose Grams drive
-    the local search.
+    the leaf search: rank p has ``leaf_count[p]`` leaves, Grams
+    ``leaf_grams[p]`` (leaf_count[p], R, R), and global row bounds
+    ``leaf_bounds[p, :leaf_count[p] + 1]``; the rest of that row of
+    ``leaf_bounds`` repeats the block's end, so the padded leaves are
+    empty.
     """
 
-    def __init__(self, factor, gram_matrix, node_grams, leaf_rank, leaf_offsets,
+    def __init__(self, factor, gram_matrix, node_grams, leaf_rank, leaf_bounds,
                  leaf_grams):
         self.factor = factor
         self.gram = gram_matrix
         self.node_grams = node_grams
         self.leaf_rank = leaf_rank
-        self.leaf_offsets = leaf_offsets  # per rank, offsets within its block
-        self.leaf_grams = leaf_grams      # per rank, (n_leaves, R, R)
+        self.leaf_bounds = leaf_bounds
+        self.leaf_grams = leaf_grams
+        self.leaf_count = np.array([g.shape[0] for g in leaf_grams], dtype=np.int64)
 
     @property
     def depth(self):
@@ -225,7 +241,7 @@ def sts_build(blocks, ledger=None, round_id=0) -> LeverageTree:
     per rank per level (general P handled by padding with empty leaves,
     which carry zero mass and are never routed to).
 
-    The local search enumerates leaf masses and then the chosen leaf's
+    The leaf search enumerates leaf masses and then the chosen leaf's
     row masses, costing about (n/L + L) R^2 per sample for leaf size L.
     L = ceil(sqrt(n)) minimizes that and keeps the leaf Grams at about
     sqrt(n) R^2 words per rank.
@@ -237,23 +253,21 @@ def sts_build(blocks, ledger=None, round_id=0) -> LeverageTree:
     depth = max(int(math.ceil(math.log2(P))), 0) if P > 1 else 0
     padded = 1 << depth
 
-    leaf_offsets = []
+    n = blocks.his - blocks.lows
+    size = np.maximum(np.ceil(np.sqrt(n)).astype(np.int64), 1)
+    n_leaves = -(-n // size)
+    # Padded leaves start and end at the block's end.
+    leaf_bounds = np.minimum(np.arange(n_leaves.max() + 1) * size[:, None], n[:, None]) \
+        + blocks.lows[:, None]
     leaf_grams = []
     rank_gram = np.zeros((P, R, R))
     for p in range(P):
-        B = blocks.blocks[p]
-        n = B.shape[0]
-        size = max(1, int(math.ceil(math.sqrt(n))))
-        n_leaves = max(int(math.ceil(n / size)), 1) if n else 0
-        offs = np.minimum(np.arange(n_leaves + 1, dtype=np.int64) * size, n) \
-            if n else np.zeros(1, dtype=np.int64)
-        stacked = np.zeros((n_leaves * size, R))
-        stacked[:n] = B
-        stacked = stacked.reshape(n_leaves, size, R)
+        stacked = np.zeros((n_leaves[p] * size[p], R))
+        stacked[:n[p]] = blocks.blocks[p]
+        stacked = stacked.reshape(n_leaves[p], size[p], R)
         grams_p = np.matmul(stacked.transpose(0, 2, 1), stacked)
-        leaf_offsets.append(offs)
         leaf_grams.append(grams_p)
-        if n_leaves:
+        if n_leaves[p]:
             rank_gram[p] = grams_p.sum(axis=0)
 
     leaf_rank = np.full(padded, -1, dtype=np.int64)
@@ -274,82 +288,125 @@ def sts_build(blocks, ledger=None, round_id=0) -> LeverageTree:
         sent = np.bincount(partner[real] * P + leaf[real], minlength=P * P) * (R * R)
         gridmod.meter(ledger, round_id, gridmod.ALL_TO_ALLV, order, sent)
 
-    return LeverageTree(blocks, G, node_grams, leaf_rank, leaf_offsets, leaf_grams)
+    return LeverageTree(blocks, G, node_grams, leaf_rank, leaf_bounds, leaf_grams)
 
 
-def _inverse_cdf(masses, of, r):
+def _compact(codes, size):
+    """Distinct values of ``codes`` (each in range(size)) in ascending
+    order, and the position of each code among them; no sort, O(len(codes)
+    + size) work."""
+    seen = np.zeros(size, dtype=bool)
+    seen[codes] = True
+    distinct = np.flatnonzero(seen)
+    position = np.empty(size, dtype=np.int64)
+    position[distinct] = np.arange(distinct.shape[0])
+    return distinct, position[codes]
+
+
+def _inverse_cdf(masses, of, r, count):
     """Pick the segment of [0, 1) containing each residual r.
 
-    Rows of ``masses`` are nonnegative segment masses; sample s draws
-    from row ``of[s]`` with residual ``r[s]``.  Boundary hits go right,
-    matching the r >= T branch rule, so a zero-mass segment is never
-    picked.  Returns (choice, probability, rescaled residual) per sample.
+    Row w of ``masses`` holds ``count[w]`` nonnegative segment masses,
+    then zero padding; sample s draws from row ``of[s]`` with residual
+    ``r[s]``.  Boundary hits go right, matching the r >= T branch rule,
+    so a zero-mass segment is never picked, and a choice past the row's
+    last real segment is clamped to it.  The comparison against each
+    sample's CDF row runs in chunks of ``LEAF_SEARCH_BUDGET`` elements.
+    Returns (choice, probability, rescaled residual) per sample.
     """
     cdf = np.cumsum(masses, axis=1)
     total = cdf[:, -1]
     if (total <= 0.0).any():
         raise DegenerateWalkError("zero total mass in leaf search")
-    cdf = cdf[of]
     total = total[of]
     target = r * total
-    choice = np.count_nonzero(cdf <= target[:, None], axis=1)
-    choice = np.minimum(choice, masses.shape[1] - 1)
+    choice = np.empty(of.shape[0], dtype=np.int64)
+    step = max(1, LEAF_SEARCH_BUDGET // masses.shape[1])
+    for a in range(0, of.shape[0], step):
+        b = min(a + step, of.shape[0])
+        choice[a:b] = np.count_nonzero(cdf[of[a:b]] <= target[a:b, None], axis=1)
+    choice = np.minimum(choice, count[of] - 1)
     picked = masses[of, choice]
-    prev = cdf[np.arange(of.shape[0]), choice] - picked
+    prev = cdf[of, choice] - picked
     with np.errstate(invalid="ignore", divide="ignore"):
         r_out = np.where(picked > 0.0, (target - prev) / picked, 0.0)
     return choice, picked / total, np.clip(r_out, 0.0, _ONE_BELOW)
 
 
-def _leaf_search_batch(W_block, leaf_offsets, leaf_grams, cond, H_rows, which, r):
-    """Leaf-block then row-level search for all of one rank's samples.
+def _leaf_search(tree, cond, H_rows, walk_rank, walk_row, walk_of, r):
+    """Leaf-block then row search for the samples of every rank at once.
 
-    Sample s walks with design row ``H_rows[which[s]]`` and residual
-    ``r[s]``; samples sharing a design row share its masses, which are
-    evaluated once.  Leaf masses h^T (G_leaf * cond) h come from one
-    product with the stacked leaf Grams; the chosen leaves' row masses
-    (w_q * h)^T cond (w_q * h) from one (pairs, L, R) contraction over
-    the distinct (design row, leaf) pairs, with rows past a short leaf's
-    end masked to zero mass.  Samples are processed in chunks that keep
-    each temporary within ``LEAF_SEARCH_BUDGET``.  Returns (local row,
-    probability, rescaled residual) per sample.
+    Walk w is on rank ``walk_rank[w]`` (a rank's walks are contiguous)
+    with design row ``H_rows[walk_row[w]]``; sample s follows walk
+    ``walk_of[s]`` with residual ``r[s]``.  Leaf masses h^T (G_leaf *
+    cond) h are evaluated once per walk, from one product per rank with
+    its stacked leaf Grams, into rows padded to the tree's largest leaf
+    count; one inverse CDF then picks the leaves.  Row masses (u_q * h)^T
+    cond (u_q * h) are evaluated once per distinct (walk, leaf) pair from
+    (pairs, L, R) contractions, L the longest chosen leaf, with rows past
+    a leaf's end masked to zero mass; a second inverse CDF picks the
+    rows.  Walks are searched in chunks whose (walks, leaves, R) product
+    fits ``LEAF_SEARCH_BUDGET`` float64 elements (one chunk unless the
+    leaves are many), and the row products are chunked to fit it too.
+
+    Returns each sample's global row, its probability, and the id of its
+    (walk, row) cell, cells numbered in (walk, row) order.
     """
-    K = which.shape[0]
     R = H_rows.shape[1]
-    n = W_block.shape[0]
-    if n == 0:
+    count = tree.leaf_count[walk_rank]
+    if (count == 0).any():
         raise DegenerateWalkError("walk reached a rank with no rows")
-    leaf_offsets = np.asarray(leaf_offsets, dtype=np.int64)
-    n_leaves = leaf_grams.shape[0]
-    L = int(np.diff(leaf_offsets).max())
-    # (R, n_leaves * R): column block q holds leaf q's conditioned Gram.
-    leaf_cond = (leaf_grams * cond).transpose(1, 0, 2).reshape(R, n_leaves * R)
-    step = max(1, LEAF_SEARCH_BUDGET // (max(n_leaves, L) * max(R, 1)))
-    rows_local = np.empty(K, dtype=np.int64)
-    prob = np.empty(K)
-    r_out = np.empty(K)
-    for a in range(0, K, step):
-        b = min(a + step, K)
-        rows_used, _, row_of = distinct_keys(which[a:b])
-        Hd = H_rows[rows_used]
-        Y = (Hd @ leaf_cond).reshape(Hd.shape[0], n_leaves, R)
-        leaf_masses = np.einsum("kqr,kr->kq", Y, Hd)
+    J = walk_of.shape[0]
+    n_walks = walk_rank.shape[0]
+    width = tree.leaf_bounds.shape[1] - 1
+    step = max(1, LEAF_SEARCH_BUDGET // (width * R))
+    order, bounds = gridmod.group_by_rank(walk_of // step, -(-n_walks // step))
+    rows = np.empty(J, dtype=np.int64)
+    prob = np.empty(J)
+    cell_of = np.empty(J, dtype=np.int64)
+    n_cells = 0
+    for c in range(bounds.shape[0] - 1):
+        sel = order[bounds[c]:bounds[c + 1]]
+        w0, w1 = c * step, min((c + 1) * step, n_walks)
+        leaf_masses = np.zeros((w1 - w0, width))
+        starts = w0 + np.flatnonzero(np.diff(walk_rank[w0:w1], prepend=-1))
+        for lo, hi in zip(starts, np.append(starts[1:], w1)):
+            grams = tree.leaf_grams[walk_rank[lo]]
+            n_leaves = grams.shape[0]
+            # (R, n_leaves * R): column block q holds leaf q's conditioned Gram.
+            leaf_cond = (grams * cond).transpose(1, 0, 2).reshape(R, n_leaves * R)
+            Hd = H_rows[walk_row[lo:hi]]
+            Y = (Hd @ leaf_cond).reshape(hi - lo, n_leaves, R)
+            leaf_masses[lo - w0:hi - w0, :n_leaves] = np.einsum("kqr,kr->kq", Y, Hd)
         np.maximum(leaf_masses, 0.0, out=leaf_masses)
-        leaf, leaf_prob, r_mid = _inverse_cdf(leaf_masses, row_of, r[a:b])
+        of = walk_of[sel] - w0
+        leaf, leaf_prob, r_mid = _inverse_cdf(leaf_masses, of, r[sel], count[w0:w1])
 
-        pairs, _, pair_of = distinct_keys(row_of * n_leaves + leaf)
-        pair_row, pair_leaf = np.divmod(pairs, n_leaves)
-        rows = leaf_offsets[pair_leaf][:, None] + np.arange(L)
-        V = W_block.take(np.minimum(rows, n - 1), axis=0)
-        V *= Hd[pair_row][:, None, :]
-        VM = (V.reshape(-1, R) @ cond).reshape(V.shape)
-        row_masses = np.einsum("klr,klr->kl", VM, V)
+        pairs, pair_of = _compact(of * width + leaf, (w1 - w0) * width)
+        pair_walk, pair_leaf = np.divmod(pairs, width)
+        pair_walk += w0
+        pair_rank = walk_rank[pair_walk]
+        first = tree.leaf_bounds[pair_rank, pair_leaf]
+        size = tree.leaf_bounds[pair_rank, pair_leaf + 1] - first
+        L = int(size.max())
+        row_masses = np.empty((pairs.shape[0], L))
+        pair_step = max(1, LEAF_SEARCH_BUDGET // (L * R))
+        for a in range(0, pairs.shape[0], pair_step):
+            b = min(a + pair_step, pairs.shape[0])
+            V = tree.factor.U.take(
+                first[a:b, None] + np.minimum(np.arange(L), size[a:b, None] - 1), axis=0)
+            V *= H_rows[walk_row[pair_walk[a:b]]][:, None, :]
+            VM = (V.reshape(-1, R) @ cond).reshape(V.shape)
+            row_masses[a:b] = np.einsum("klr,klr->kl", VM, V)
         np.maximum(row_masses, 0.0, out=row_masses)
-        row_masses[rows >= leaf_offsets[pair_leaf + 1][:, None]] = 0.0
-        q, row_prob, r_out[a:b] = _inverse_cdf(row_masses, pair_of, r_mid)
-        rows_local[a:b] = leaf_offsets[leaf] + q
-        prob[a:b] = leaf_prob * row_prob
-    return rows_local, prob, r_out
+        row_masses[np.arange(L) >= size[:, None]] = 0.0
+        q, row_prob, _ = _inverse_cdf(row_masses, pair_of, r_mid, size)
+        rows[sel] = first[pair_of] + q
+        prob[sel] = leaf_prob * row_prob
+        cells, local = _compact(pair_of * L + q, pairs.shape[0] * L)
+        cell_of[sel] = n_cells + local
+        n_cells += cells.shape[0]
+    return rows, prob, cell_of
 
 
 def _route_meter(ledger, round_id, old_owner, new_owner, payload_words, P):
@@ -373,9 +430,12 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
     the selected factor row, which that rank owns.
 
     Samples that drew the same rows so far (the same prefix) share their
-    H row, so every quadratic form is evaluated once per distinct
-    (prefix, tree node) pair rather than once per sample; at each level
-    those pairs come grouped by node from one sort.
+    H row, so every quadratic form is evaluated once per distinct walk:
+    a (tree node, prefix) pair at the tree levels, a (rank, prefix) pair
+    for the leaf masses and a (rank, prefix, leaf) triple for the row
+    masses.  A walk's children are (2 node + branch, prefix), so each
+    level's walks come from the last level's without sorting the samples;
+    they stay in (node, prefix) order, grouped by node.
 
     ``uniform_override`` (J, N) replaces the per-mode uniform draws; a
     test hook for steering walks down chosen paths.
@@ -408,25 +468,26 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
             r = np.array(uniform_override[:, i], dtype=np.float64)
         else:
             r = rng.stream(seed, rng.WALK_UNIFORM, round_id, k, i).random(J)
-        node = np.zeros(J, dtype=np.int64)
         prob_i = np.ones(J)
         depth = tree.depth
-        n_prefix = H_prefix.shape[0]
+        # Walks: distinct (node, prefix) pairs in that order; sample s is on
+        # walk walk_of[s].  At the root every prefix is one walk.
+        walk_node = np.zeros(H_prefix.shape[0], dtype=np.int64)
+        walk_prefix = np.arange(H_prefix.shape[0])
+        walk_of = prefix
         for lev in range(depth):
-            pairs, _, pair_of = distinct_keys(node * n_prefix + prefix)
-            pair_node, pair_prefix = np.divmod(pairs, n_prefix)
-            bounds = np.searchsorted(pair_node, np.arange((1 << lev) + 1))
-            T = np.empty(pairs.shape[0])
+            bounds = np.searchsorted(walk_node, np.arange((1 << lev) + 1))
+            T = np.empty(walk_node.shape[0])
             for v in np.flatnonzero(np.diff(bounds)):
                 sl = slice(bounds[v], bounds[v + 1])
-                Hs = H_prefix[pair_prefix[sl]]
+                Hs = H_prefix[walk_prefix[sl]]
                 den = _quad(Hs, tree.node_grams[lev][v] * M)
                 if (den <= 0.0).any():
                     raise DegenerateWalkError(
                         "zero node mass at level %d of mode-%d tree" % (lev, i))
                 num = np.maximum(_quad(Hs, tree.node_grams[lev + 1][2 * v] * M), 0.0)
                 T[sl] = num / den
-            T = np.clip(T, 0.0, 1.0)[pair_of]
+            T = np.clip(T, 0.0, 1.0)[walk_of]
             right = r >= T
             prob_i *= np.where(right, 1.0 - T, T)
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -434,7 +495,19 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
                              (r - T) / np.maximum(1.0 - T, np.finfo(float).tiny),
                              r / np.maximum(T, np.finfo(float).tiny))
             r = np.clip(r, 0.0, _ONE_BELOW)
-            node = 2 * node + right
+            # Children in (walk, branch) order; a stable sort of the few
+            # distinct children by node restores (node, prefix) order.
+            children, walk_of = _compact(2 * walk_of + right, 2 * walk_node.shape[0])
+            parent, branch = np.divmod(children, 2)
+            child_node = 2 * walk_node[parent] + branch
+            order = np.argsort(child_node, kind="stable")
+            renumber = np.empty_like(order)
+            renumber[order] = np.arange(order.shape[0])
+            walk_of = renumber[walk_of]
+            walk_node = child_node[order]
+            walk_prefix = walk_prefix[parent[order]]
+
+            node = walk_node[walk_of]
             width = 1 << (depth - 1 - lev)
             leaf_lo = node * width
             n_real = np.minimum((node + 1) * width, P) - leaf_lo
@@ -444,23 +517,22 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
             new_owner = tree.leaf_rank[leaf_idx]
             _route_meter(ledger, round_id, owner, new_owner, payload_words, P)
             owner = new_owner
-        if depth:
-            owner = tree.leaf_rank[node]
 
-        order, bounds = gridmod.group_by_rank(owner, P)
-        for p in np.flatnonzero(np.diff(bounds)):
-            sel = order[bounds[p]:bounds[p + 1]]
-            rows_local, prob_loc, r[sel] = _leaf_search_batch(
-                fb.blocks[p], tree.leaf_offsets[p], tree.leaf_grams[p],
-                M, H_prefix, prefix[sel], r[sel])
-            X[sel, i] = fb.lows[p] + rows_local
-            prob_i[sel] *= prob_loc
+        X[:, i], prob_leaf, cell_of = _leaf_search(
+            tree, M, H_prefix, tree.leaf_rank[walk_node], walk_prefix, walk_of, r)
+        prob_i *= prob_leaf
         per_mode_prob[:, i] = prob_i
 
-        # Extend every prefix by its mode-i row; row ids stay below J * I_i.
-        _, kept, new_prefix = distinct_keys(prefix * fb.U.shape[0] + X[:, i])
+        # Extend every prefix by its mode-i row.  Cells come in (walk, row)
+        # order, and rows grow with the walk's node, so a stable sort of
+        # the cells by prefix puts them in (prefix, row) order.
+        kept = np.empty(cell_of.max() + 1, dtype=np.int64)
+        kept[cell_of] = np.arange(J)
+        kept = kept[np.argsort(prefix[kept], kind="stable")]
+        renumber = np.empty_like(kept)
+        renumber[cell_of[kept]] = np.arange(kept.shape[0])
         H_prefix = H_prefix[prefix[kept]] * fb.U[X[kept, i]]
-        prefix = new_prefix
+        prefix = renumber[cell_of]
 
     prob = per_mode_prob.prod(axis=1)
     return SampleBatch(X, per_mode_prob, prob, owner=owner)

@@ -52,6 +52,38 @@ class TestGridPartitions:
                 lo, hi = g.block_range(j, p)
                 assert np.all(owners[lo:hi] == p)
 
+    def test_lookup_tables_match_searchsorted_definitions(self):
+        gen = np.random.default_rng(3)
+        for _ in range(40):
+            N = int(gen.integers(1, 4))
+            dims = tuple(int(d) for d in gen.integers(1, 12, N))
+            gdims = tuple(int(p) for p in gen.integers(1, 5, N))   # may exceed dims
+            g = ProcessorGrid(dims, gdims)
+            for j in range(N):
+                rows = gen.integers(0, dims[j], 64)
+                chunk = np.searchsorted(g.chunk_offsets[j], rows, side="right") - 1
+                assert np.array_equal(g.chunk_of(j, rows), chunk)
+                # the owner is the nonempty block whose range holds the row
+                lows, his = g.block_ranges(j)
+                order = np.lexsort((np.arange(g.P), lows))
+                nonempty = order[his[order] > lows[order]]
+                owner = nonempty[np.searchsorted(his[nonempty], rows, side="right")]
+                assert np.array_equal(g.row_owner(j, rows), owner)
+                for lookup in (g.chunk_of, g.row_owner):
+                    with pytest.raises(IndexError):
+                        lookup(j, np.array([0, dims[j]]))
+            idx = np.stack([gen.integers(0, d, 32) for d in dims], axis=1)
+            ref = np.ravel_multi_index(tuple(g.chunk_of(j, idx[:, j]).astype(np.int64)
+                                             for j in range(N)), gdims)
+            assert g.cell_rank(idx).dtype == np.int64
+            assert np.array_equal(g.cell_rank(idx), ref)
+
+    def test_cell_rank_does_not_overflow_narrow_lookups(self):
+        # 2 x 200 x 2 ranks: chunk ids fit in uint8, cell ranks do not
+        g = ProcessorGrid((2, 400, 4), (2, 200, 2))
+        idx = np.array([[1, 399, 3], [1, 0, 3]])
+        assert np.array_equal(g.cell_rank(idx), [g.P - 1, 200 * 2 + 1])
+
     def test_cell_rank_matches_coords(self):
         g = ProcessorGrid((13, 7, 5, 3), (3, 2, 1, 2))
         gen = np.random.default_rng(0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,48 @@ class TestStsSample:
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.prob, b.prob)
 
+    # P=6 pads the trees to 8 rank leaves; mode 1 has 3 rows for a slice
+    # group of 6 or 8 ranks, so most of its blocks are empty.
+    PADDED_DIMS = (6, 3, 5)
+
+    def padded_setup(self, gdims, seed):
+        gen = np.random.default_rng(seed)
+        factors = [gen.standard_normal((d, 2)) for d in self.PADDED_DIMS]
+        trees = sts_setup(factors, gridmod.ProcessorGrid(self.PADDED_DIMS, gdims))
+        assert (trees[1].leaf_count == 0).any()
+        return factors, trees
+
+    @pytest.mark.parametrize("gdims", [(3, 1, 2), (2, 1, 4)])
+    def test_padded_tree_and_empty_blocks_match_oracle(self, gdims):
+        dims = self.PADDED_DIMS
+        factors, trees = self.padded_setup(gdims, seed=41)
+        J = 50000
+        batch = sts_sample(trees, 2, J, seed=42)
+        single = sts_sample(sts_setup(factors, single_grid(dims)), 2, J, seed=42)
+        assert np.array_equal(batch.X, single.X)
+        oracle = exact_krp_leverage_oracle(factors, skip=2)
+        keys = column_keys(batch.X, dims, 2)
+        emp = np.bincount(keys, minlength=oracle.size) / J
+        assert 0.5 * np.abs(emp - oracle).sum() < 0.02
+        assert np.abs(batch.prob - oracle[keys]).max() < 1e-12
+
+    def test_leaf_search_budget_of_one_keeps_the_draws(self, monkeypatch):
+        _, trees = self.padded_setup((3, 1, 2), seed=43)
+        ref = sts_sample(trees, 0, 512, seed=44)
+        monkeypatch.setattr(samplers, "LEAF_SEARCH_BUDGET", 1)
+        chunked = sts_sample(trees, 0, 512, seed=44)
+        assert np.array_equal(chunked.X, ref.X)
+        assert np.allclose(chunked.prob, ref.prob, rtol=1e-12, atol=0.0)
+
+    def test_residual_one_below_never_reaches_padding(self):
+        dims = self.PADDED_DIMS
+        factors, trees = self.padded_setup((3, 1, 2), seed=45)
+        override = np.full((4, 3), samplers._ONE_BELOW)
+        batch = sts_sample(trees, 2, 4, seed=0, uniform_override=override)
+        assert (batch.X[:, 0] == dims[0] - 1).all() and (batch.X[:, 1] == dims[1] - 1).all()
+        oracle = exact_krp_leverage_oracle(factors, skip=2)
+        assert np.abs(batch.prob - oracle[column_keys(batch.X, dims, 2)]).max() < 1e-12
+
     def test_degenerate_walk_surfaces(self):
         factors = [np.zeros((4, 2)), np.ones((4, 2)), np.ones((3, 2))]
         g = single_grid((4, 4, 3))
@@ -251,12 +295,24 @@ class TestStsSample:
             sts_sample(trees, 2, 4, seed=20)
 
 
+def leaf_tree(W, offs, grams):
+    """A one-rank tree over W with leaves at row offsets ``offs`` and
+    Grams ``grams``; only the leaf search reads it."""
+    return samplers.LeverageTree(FactorBlocks(W, [0], [W.shape[0]]), None, [None], None,
+                                 np.asarray(offs, dtype=np.int64)[None, :], [grams])
+
+
+def one_walk_each(n_walks):
+    """walk_rank and walk_row for walks 0..n_walks-1 on rank 0."""
+    return np.zeros(n_walks, dtype=np.int64), np.arange(n_walks)
+
+
 def leaf_search(h, W, leaf_grams, offs, cond, r):
     """Local rows picked by one design row ``h`` at each residual in ``r``."""
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    rows, _, _ = samplers._leaf_search_batch(W, offs, leaf_grams, cond,
-                                             np.asarray(h, dtype=np.float64)[None, :],
-                                             np.zeros(r.size, dtype=np.int64), r)
+    tree = leaf_tree(W, offs, leaf_grams)
+    rows, _, _ = samplers._leaf_search(tree, cond, np.asarray(h, dtype=np.float64)[None, :],
+                                       *one_walk_each(1), np.zeros(r.size, dtype=np.int64), r)
     return rows
 
 
@@ -318,15 +374,16 @@ class TestBatchedLeafSearch:
         which = np.repeat(np.arange(n_designs), n)
         r = ((cdf - 0.5 * masses) / cdf[:, -1:]).reshape(-1)
         expected_prob = (masses / cdf[:, -1:]).reshape(-1)
-        return W, offs, leaf_grams, cond, designs, which, r, expected_prob
+        tree = leaf_tree(W, offs, leaf_grams)
+        return tree, cond, designs, which, r, expected_prob
 
     @staticmethod
-    def check_matches(W, offs, leaf_grams, cond, designs, which, r, expected):
-        rows, prob, r_out = samplers._leaf_search_batch(
-            W, offs, leaf_grams, cond, designs, which, r)
+    def check_matches(tree, cond, designs, which, r, expected):
+        rows, prob, cells = samplers._leaf_search(
+            tree, cond, designs, *one_walk_each(len(designs)), which, r)
         assert np.array_equal(rows, np.tile(np.arange(11), len(designs)))
         assert np.allclose(prob, expected, rtol=1e-12, atol=0.0)
-        assert np.allclose(r_out, 0.5, atol=1e-9)   # midpoints stay midpoints
+        assert np.array_equal(cells, np.arange(which.size))  # (walk, row) order
 
     @pytest.mark.parametrize("leaf_size", [1, 3, 11])
     def test_matches_row_enumeration(self, leaf_size):
@@ -334,24 +391,130 @@ class TestBatchedLeafSearch:
 
     def test_default_leaf_sizing(self):
         # sts_build cuts a block of n rows into ceil(sqrt(n))-row leaves
-        W, _, _, *rest = self.case(4)
-        tree = sts_build(FactorBlocks(W, [0], [11]))
-        assert np.array_equal(tree.leaf_offsets[0], [0, 4, 8, 11])
-        self.check_matches(W, tree.leaf_offsets[0], tree.leaf_grams[0], *rest)
+        tree, *rest = self.case(4)
+        built = sts_build(tree.factor)
+        assert np.array_equal(built.leaf_bounds, [[0, 4, 8, 11]])
+        assert np.array_equal(built.leaf_count, [3])
+        self.check_matches(built, *rest)
 
     def test_shared_design_rows_and_chunks(self, monkeypatch):
-        W, offs, leaf_grams, cond, designs, which, r, _ = self.case(3)
-        args = (W, offs, leaf_grams, cond)
-        shared = samplers._leaf_search_batch(*args, designs, which, r)
-        per_sample = samplers._leaf_search_batch(*args, designs[which],
-                                                 np.arange(which.size), r)
-        monkeypatch.setattr(samplers, "LEAF_SEARCH_BUDGET", 1)   # one sample per chunk
-        chunked = samplers._leaf_search_batch(*args, designs, which, r)
+        tree, cond, designs, which, r, _ = self.case(3)
+        shared = samplers._leaf_search(tree, cond, designs, *one_walk_each(len(designs)),
+                                       which, r)
+        # one walk per sample, each naming its design row
+        per_sample = samplers._leaf_search(tree, cond, designs,
+                                           np.zeros(which.size, dtype=np.int64), which,
+                                           np.arange(which.size), r)
+        monkeypatch.setattr(samplers, "LEAF_SEARCH_BUDGET", 1)   # one walk per chunk
+        chunked = samplers._leaf_search(tree, cond, designs, *one_walk_each(len(designs)),
+                                        which, r)
         # single-row products may round differently, so only the rows are exact
         for other in (per_sample, chunked):
             assert np.array_equal(other[0], shared[0])
             assert np.allclose(other[1], shared[1], rtol=1e-12, atol=0.0)
-            assert np.allclose(other[2], shared[2], rtol=1e-9, atol=1e-12)
+            assert np.array_equal(other[2], shared[2])
+
+
+def test_inverse_cdf_rescales_midpoints_and_skips_padding():
+    tiny = np.nextafter(0.0, 1.0)
+    masses = np.array([[1.0, 3.0, 0.0, 2.0, 0.0, 0.0],
+                       [4.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                       [2 * tiny, tiny, 0.0, 0.0, 0.0, 0.0]])
+    count = np.array([4, 1, 2])   # the trailing zeros are padding
+    of = np.array([0, 0, 0, 1, 0, 1, 2])
+    top = samplers._ONE_BELOW
+    r = np.array([0.5 / 6, 2.5 / 6, 5.0 / 6, 0.5, top, top, top])
+    choice, prob, r_out = samplers._inverse_cdf(masses, of, r, count)
+    # subnormal masses round r * total up to total: only the clamp keeps
+    # the last draw off the padding
+    assert np.array_equal(choice, [0, 1, 3, 0, 3, 0, 1])
+    assert np.allclose(prob, [1 / 6, 3 / 6, 2 / 6, 1.0, 2 / 6, 1.0, 1 / 3], rtol=1e-15)
+    assert np.allclose(r_out[:4], 0.5, atol=1e-12)   # midpoints stay midpoints
+    assert (r_out <= samplers._ONE_BELOW).all()
+
+
+class TestLeafSearchAcrossRanks:
+    """One leaf search over several ranks with unequal and empty blocks."""
+
+    @staticmethod
+    def case():
+        gen = np.random.default_rng(35)
+        W = gen.standard_normal((11, 3))
+        # rank 1 is empty; sts_build cuts 5, 4 and 2 rows into 2, 2 and 1 leaves
+        fb = FactorBlocks(W, [0, 5, 5, 9], [5, 5, 9, 11])
+        tree = sts_build(fb)
+        B = gen.standard_normal((3, 3))
+        cond = B @ B.T
+        designs = gen.standard_normal((2, 3))
+        ranks = np.array([0, 2, 3])
+        walk_rank = np.repeat(ranks, 2)                  # walks (rank, design)
+        walk_row = np.tile(np.arange(2), ranks.size)
+        which, r, rows, expected = [], [], [], []
+        for w, (p, d) in enumerate(zip(walk_rank, walk_row)):
+            lo, hi = fb.lows[p], fb.his[p]
+            m = np.array([(W[q] * designs[d]) @ cond @ (W[q] * designs[d])
+                          for q in range(lo, hi)])
+            cdf = np.cumsum(m)
+            which.append(np.full(m.size, w))
+            r.append((cdf - 0.5 * m) / cdf[-1])
+            rows.append(np.arange(lo, hi))
+            expected.append(m / cdf[-1])
+        return (tree, cond, designs, walk_rank, walk_row, np.concatenate(which),
+                np.concatenate(r), np.concatenate(rows), np.concatenate(expected))
+
+    def test_layout_pads_to_the_largest_leaf_count(self):
+        tree = self.case()[0]
+        assert np.array_equal(tree.leaf_count, [2, 0, 2, 1])
+        assert np.array_equal(tree.leaf_bounds,
+                              [[0, 3, 5], [5, 5, 5], [5, 7, 9], [9, 11, 11]])
+
+    @pytest.mark.parametrize("budget", [samplers.LEAF_SEARCH_BUDGET, 1])
+    def test_matches_row_enumeration_per_rank(self, monkeypatch, budget):
+        tree, cond, designs, walk_rank, walk_row, which, r, rows, expected = self.case()
+        monkeypatch.setattr(samplers, "LEAF_SEARCH_BUDGET", budget)
+        got, prob, cells = samplers._leaf_search(tree, cond, designs, walk_rank, walk_row,
+                                                 which, r)
+        assert np.array_equal(got, rows)
+        assert np.allclose(prob, expected, rtol=1e-12, atol=0.0)
+        assert np.array_equal(cells, np.arange(which.size))
+
+    def test_residual_one_below_lands_on_last_real_row(self):
+        tree, cond, designs, walk_rank, walk_row, *_ = self.case()
+        r = np.full(walk_rank.size, samplers._ONE_BELOW)
+        got, prob, _ = samplers._leaf_search(tree, cond, designs, walk_rank, walk_row,
+                                             np.arange(walk_rank.size), r)
+        assert np.array_equal(got, tree.factor.his[walk_rank] - 1)
+        assert (prob > 0.0).all()
+
+    def test_walk_on_an_empty_rank_errors(self):
+        tree, cond, designs, *_ = self.case()
+        with pytest.raises(DegenerateWalkError):
+            samplers._leaf_search(tree, cond, designs, np.array([1]), np.array([0]),
+                                  np.zeros(1, dtype=np.int64), np.array([0.5]))
+
+
+def test_leaf_search_temporaries_stay_within_budget(monkeypatch):
+    # 40,000 rows in 200 leaves of 200 rows; 20,000 samples on one walk.
+    # Unchunked, the comparison against each sample's CDF row alone would
+    # take 20,000 x 200 float64s (32 MB).
+    gen = np.random.default_rng(37)
+    tree = sts_build(FactorBlocks(gen.standard_normal((40000, 2)), [0], [40000]))
+    assert tree.leaf_bounds.shape == (1, 201)
+    J = 20000
+    r = gen.random(J)
+    monkeypatch.setattr(samplers, "LEAF_SEARCH_BUDGET", 1 << 12)
+    tracemalloc.start()
+    try:
+        rows, _, _ = samplers._leaf_search(tree, np.eye(2), np.ones((1, 2)), *one_walk_each(1),
+                                           np.zeros(J, dtype=np.int64), r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * J * 8   # a few dozen J-length arrays
+    # the squared row norms are the row masses here
+    masses = (tree.factor.U ** 2).sum(axis=1)
+    edges = np.cumsum(masses) / masses.sum()
+    assert np.array_equal(rows, np.minimum(np.searchsorted(edges, r, side="right"), 39999))
 
 
 def test_route_meter_counts_words_and_source_ranks():
