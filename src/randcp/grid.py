@@ -119,16 +119,29 @@ class ProcessorGrid:
         return self._chunk_of[j].take(rows)
 
 
+def stable_argsort(keys, bound):
+    """``np.argsort(keys, kind="stable")`` for integer keys in [0, bound).
+
+    Keys below 2^32 are sorted in stable LSD passes over 16-bit digits:
+    narrowed to ``uint16`` or smaller, numpy's stable sort is a radix sort.
+    Wider keys fall back to ``np.argsort(kind="stable")``.
+    """
+    keys = np.asarray(keys)
+    if bound > 1 << 32:
+        return np.argsort(keys, kind="stable")
+    if bound <= 1 << 16:
+        return np.argsort(keys.astype(np.min_scalar_type(max(bound - 1, 0)), copy=False),
+                          kind="stable")
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    high = (keys >> 16).astype(np.uint16)
+    return order[np.argsort(high[order], kind="stable")]
+
+
 def group_by_rank(ranks, P):
     """Stable grouping of items by rank: (order, bounds), with the items of
-    rank p at ``order[bounds[p]:bounds[p + 1]]`` in their original order.
-
-    Ranks are narrowed to the smallest unsigned dtype holding P, for
-    which numpy's stable sort is a radix sort.
-    """
-    ranks = np.asarray(ranks).astype(np.min_scalar_type(P), copy=False)
-    order = np.argsort(ranks, kind="stable")
-    bounds = np.searchsorted(ranks[order], np.arange(P + 1))
+    rank p at ``order[bounds[p]:bounds[p + 1]]`` in their original order."""
+    order = stable_argsort(ranks, P)
+    bounds = np.searchsorted(np.asarray(ranks)[order], np.arange(P + 1))
     return order, bounds
 
 

@@ -128,10 +128,10 @@ class Matricization:
             rel = rows - self.row_lo
             row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
             np.cumsum(np.bincount(rel, minlength=self.n_rows), out=row_ptr[1:])
-            return np.argsort(rel, kind="stable"), row_ptr
+            return gridmod.stable_argsort(rel, self.n_rows), row_ptr
         P = self.rank_ptr.size - 1
         pair = rows * P + np.repeat(np.arange(P), np.diff(self.rank_ptr))
-        order = np.argsort(pair, kind="stable")
+        order = gridmod.stable_argsort(pair, self.dims[self.mode] * P)
         ordered = pair[order]
         head = np.ones(ordered.size + 1, dtype=bool)  # a pair's first entry, and the end
         np.not_equal(ordered[1:], ordered[:-1], out=head[1:-1])

@@ -2,9 +2,16 @@
 
 Tensors are plain coordinate lists: an (nnz x N) integer index matrix
 plus a value vector.  FROSTT ``.tns`` files are 1-based on disk and
-converted to 0-based here.  Duplicate coordinates are summed at
-ingestion, after which index tuples are unique.
+converted to 0-based here.  A file is parsed in one pass by numpy's C
+reader (``np.loadtxt``), with no Python work per line; file line numbers
+for error messages are recovered by a rescan, only when the input is
+rejected.  Duplicate coordinates are summed at ingestion, after one
+stable sort over the index tuples packed into int64 words, after which
+index tuples are unique and in lexicographic order.
 """
+
+import itertools
+import warnings
 
 import numpy as np
 
@@ -69,26 +76,51 @@ class SparseTensorCOO:
         return self.idx[order], self.vals[order]
 
 
+def _packed_keys(idx):
+    """The index columns packed into as few int64 words as their bit widths
+    need, most significant word first and mode 0 most significant within a
+    word, so words compare as the tuples do.  Indices must be >= 0."""
+    words, key, used = [], 0, 0
+    for col in idx.T:
+        w = int(col.max()).bit_length()
+        if used + w > 63:
+            words.append(key)
+            key, used = 0, 0
+        key = (key << w) | col
+        used += w
+    words.append(key)
+    return words
+
+
 def sum_duplicates(idx, vals):
-    """Collapse repeated index tuples by summing their values."""
+    """Collapse repeated index tuples by summing their values.
+
+    Returns the distinct tuples in lexicographic order.  The sort over the
+    packed keys is stable, so each tuple's values are summed in input
+    order.  Indices must be >= 0.
+    """
     if idx.shape[0] == 0:
         return idx, vals
-    order = np.lexsort(idx.T[::-1])
-    idx_s, vals_s = idx[order], vals[order]
-    new_run = np.empty(idx_s.shape[0], dtype=bool)
+    words = _packed_keys(idx)
+    order = np.lexsort(words[::-1])
+    new_run = np.zeros(idx.shape[0], dtype=bool)
     new_run[0] = True
-    new_run[1:] = (idx_s[1:] != idx_s[:-1]).any(axis=1)
+    for w in words:
+        w_s = w[order]
+        new_run[1:] |= w_s[1:] != w_s[:-1]
     starts = np.flatnonzero(new_run)
-    summed = np.add.reduceat(vals_s, starts)
-    return np.ascontiguousarray(idx_s[starts]), summed
+    summed = np.add.reduceat(vals[order], starts)
+    return idx[order[starts]], summed
 
 
 def load_frostt(path, *, log_transform=False, dims=None) -> SparseTensorCOO:
     """Read a FROSTT ``.tns`` file.
 
-    Each non-comment line holds N 1-based indices followed by a value,
-    whitespace separated.  Lines starting with ``#`` are skipped, and the
-    values of repeated index tuples are summed.
+    Each data line holds N 1-based indices followed by a value, whitespace
+    separated.  Text from ``#`` to the end of a line is a comment, blank
+    lines are skipped, and the values of repeated index tuples are summed.
+    The file is parsed in one pass by numpy's C reader; line numbers are
+    recovered by a rescan only when the input is rejected.
 
     Parameters
     ----------
@@ -98,18 +130,19 @@ def load_frostt(path, *, log_transform=False, dims=None) -> SparseTensorCOO:
         Declared mode dimensions.  When given, indices are validated
         against them; otherwise dimensions are inferred from the data.
     """
-    with open(path, "r") as fh:
-        raw_lines = fh.readlines()
-    data_lines = [(i + 1, ln) for i, ln in enumerate(raw_lines)
-                  if ln.strip() and not ln.lstrip().startswith("#")]
-    if not data_lines:
+    with warnings.catch_warnings():
+        # An input without data lines is reported below as a ParseError.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        try:
+            # A path, not an open file: numpy then reads the text in chunks
+            # rather than line by line.
+            table = np.loadtxt(path, dtype=np.float64, ndmin=2, comments="#")
+        except ValueError as exc:
+            _scan_for_bad_line(path, exc)
+            raise  # unreachable: the scan raises with a line number
+    if table.size == 0:
         raise ParseError("%s: no tensor entries found" % path)
-
-    try:
-        table = np.loadtxt((ln for _, ln in data_lines), dtype=np.float64, ndmin=2)
-    except ValueError:
-        _scan_for_bad_line(path, data_lines)
-        raise  # unreachable: the scan raises with a line number
 
     if table.shape[1] < 4:
         raise ParseError("%s: need at least 3 index columns and a value, got %d columns"
@@ -119,13 +152,13 @@ def load_frostt(path, *, log_transform=False, dims=None) -> SparseTensorCOO:
     idx = idx_f.astype(np.int64)
     if (idx != idx_f).any():
         bad = int(np.flatnonzero((idx != idx_f).any(axis=1))[0])
-        raise ParseError("%s: line %d: non-integer index" % (path, data_lines[bad][0]))
+        raise ParseError("%s: line %d: non-integer index" % (path, _line_of_row(path, bad)))
     if idx.min() < 1:
         bad = int(np.flatnonzero((idx < 1).any(axis=1))[0])
         raise BoundsError("%s: line %d: indices are 1-based and must be >= 1"
-                          % (path, data_lines[bad][0]))
+                          % (path, _line_of_row(path, bad)))
     idx -= 1
-    vals = np.ascontiguousarray(table[:, n_modes])
+    vals = table[:, n_modes]
 
     if dims is not None:
         dims = tuple(int(d) for d in dims)
@@ -136,7 +169,7 @@ def load_frostt(path, *, log_transform=False, dims=None) -> SparseTensorCOO:
         if over.any():
             bad = int(np.flatnonzero(over.any(axis=1))[0])
             raise BoundsError("%s: line %d: index exceeds declared dims %s"
-                              % (path, data_lines[bad][0], dims))
+                              % (path, _line_of_row(path, bad), dims))
     else:
         dims = tuple(int(m) + 1 for m in idx.max(axis=0))
 
@@ -146,11 +179,25 @@ def load_frostt(path, *, log_transform=False, dims=None) -> SparseTensorCOO:
     return SparseTensorCOO(dims, idx, vals)
 
 
-def _scan_for_bad_line(path, data_lines):
+def _data_lines(path):
+    """(1-based line number, fields) of each data line, skipping what
+    ``np.loadtxt`` skips: comments from ``#`` on and blank lines."""
+    with open(path, "r") as fh:
+        for lineno, ln in enumerate(fh, 1):
+            fields = ln.split("#", 1)[0].split()
+            if fields:
+                yield lineno, fields
+
+
+def _line_of_row(path, row):
+    """File line number of data row ``row`` (0-based)."""
+    return next(itertools.islice(_data_lines(path), row, None))[0]
+
+
+def _scan_for_bad_line(path, exc):
     """Locate the first unparseable line and raise with its number."""
     width = None
-    for lineno, ln in data_lines:
-        toks = ln.split()
+    for lineno, toks in _data_lines(path):
         if width is None:
             width = len(toks)
         if len(toks) != width:
@@ -161,7 +208,7 @@ def _scan_for_bad_line(path, data_lines):
                 float(t)
             except ValueError:
                 raise ParseError("%s: line %d: cannot parse %r" % (path, lineno, t)) from None
-    raise ParseError("%s: unparseable input" % path)
+    raise ParseError("%s: unparseable input: %s" % (path, exc)) from exc
 
 
 class ModePermutations:

@@ -105,6 +105,34 @@ class TestGridPartitions:
                        for c in range(2))
 
 
+class TestStableArgsort:
+    """The radix helper orders exactly as numpy's stable argsort."""
+
+    @pytest.mark.parametrize("bound", [1, 7, 1 << 8, 1 << 16, (1 << 16) + 1, 1 << 32,
+                                       (1 << 32) + 1, 1 << 50])
+    @pytest.mark.parametrize("n", [0, 1, 5000])
+    def test_matches_numpy_stable(self, bound, n):
+        gen = np.random.default_rng(bound % 1000 + n)
+        keys = gen.integers(0, bound, n)
+        keys[:n // 3] = keys[0] if n else 0  # a long run of equal keys
+        if n:
+            keys[-1] = bound - 1
+        for k in (keys, keys.astype(np.min_scalar_type(bound - 1))):
+            assert np.array_equal(gridmod.stable_argsort(k, bound),
+                                  np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("bound", [1 << 12, 1 << 24, 1 << 40])
+    def test_all_equal(self, bound):
+        keys = np.full(300, bound - 1, dtype=np.int64)
+        assert np.array_equal(gridmod.stable_argsort(keys, bound), np.arange(300))
+
+    def test_group_by_rank(self):
+        ranks = np.random.default_rng(3).integers(0, 70000, 20000)
+        order, bounds = gridmod.group_by_rank(ranks, 70000)
+        assert np.array_equal(order, np.argsort(ranks, kind="stable"))
+        assert np.array_equal(bounds, np.searchsorted(np.sort(ranks), np.arange(70001)))
+
+
 class TestCollectives:
     def test_q1_identity_zero_words(self):
         led = CommLedger()

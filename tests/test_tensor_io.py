@@ -1,13 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randcp import grid as gridmod
 from randcp.als import AlsConfig, run_als
 from randcp.matricization import Matricization, column_keys, matricize, partition_to_grid
 from randcp.tensor import (BoundsError, ModePermutations, ParseError, SparseTensorCOO,
-                           apply_permutations, load_frostt, permute_modes,
-                           read_matrix, write_matrix)
-from conftest import make_sparse
+                           _packed_keys, apply_permutations, load_frostt, permute_modes,
+                           read_matrix, sum_duplicates, write_matrix)
+from conftest import assert_same_bits, make_sparse
 
 
 def write_tns(tmp_path, text, name="t.tns"):
@@ -70,6 +73,138 @@ class TestLoadFrostt:
         path = write_tns(tmp_path, "# nothing here\n")
         with pytest.raises(ParseError):
             load_frostt(path)
+
+
+# Lines that carry no data, each ending with the line break given.
+JUNK = ["# comment{nl}", "   # indented comment{nl}", "{nl}", "  \t {nl}"]
+PREAMBLE = "# header{nl}{nl}   # indented{nl} \t {nl}1 1 1 2.0  # trailing{nl}#{nl}{nl}"
+PREAMBLE_LINES = 7
+
+
+class TestLoaderErrors:
+    """Errors name the file line of the offending entry, counting the
+    comment and blank lines before it."""
+
+    @pytest.mark.parametrize("nl", ["\n", "\r\n"])
+    @pytest.mark.parametrize("bad,exc,message,dims", [
+        ("1 1 oops 3.0", ParseError, "cannot parse 'oops'", None),
+        ("1 1 1", ParseError, "expected 4 fields, got 3", None),
+        ("1 1.5 1 3.0", ParseError, "non-integer index", None),
+        ("1 0 1 3.0", BoundsError, "indices are 1-based", None),
+        ("1 1 3 3.0", BoundsError, "index exceeds declared dims", (2, 2, 2)),
+    ])
+    def test_line_number_after_comments(self, tmp_path, nl, bad, exc, message, dims):
+        text = (PREAMBLE + "2 2 2 1.0{nl}" + bad + "{nl}# after{nl}2 1 1 4.0{nl}").format(nl=nl)
+        p = tmp_path / "t.tns"
+        p.write_bytes(text.encode())
+        with pytest.raises(exc, match=r"line %d: %s" % (PREAMBLE_LINES + 2, message)):
+            load_frostt(str(p), dims=dims)
+
+    @pytest.mark.parametrize("text", ["", "# only comments\n  # and more\n",
+                                      "\n  \n\t\n", "# no final newline"])
+    def test_no_entries_raises_without_warning(self, tmp_path, text):
+        path = write_tns(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="no tensor entries"):
+                load_frostt(path)
+
+
+def lexsort_sum_duplicates(idx, vals):
+    """Reference: an N-column lexsort, then one reduceat per run."""
+    order = np.lexsort(idx.T[::-1])
+    idx_s, vals_s = idx[order], vals[order]
+    new_run = np.ones(idx_s.shape[0], dtype=bool)
+    new_run[1:] = (idx_s[1:] != idx_s[:-1]).any(axis=1)
+    starts = np.flatnonzero(new_run)
+    return idx_s[starts], np.add.reduceat(vals_s, starts)
+
+
+class TestSumDuplicates:
+    @pytest.mark.parametrize("dims,words", [
+        ((183, 24, 1140, 1717), 1),      # 35 bits
+        ((8192,) * 6, 2),                # 78 bits
+        ((1 << 40, 1 << 40, 1, 1 << 40), 3),
+        ((1, 1, 1), 1),                  # every index 0: zero-width columns
+    ])
+    def test_matches_lexsort_reference(self, dims, words):
+        gen = np.random.default_rng(len(dims) + words)
+        pool = np.stack([gen.integers(0, d, 40) for d in dims], axis=1)
+        pool[0] = np.array(dims) - 1     # the widest index of every mode
+        idx = pool[gen.integers(0, 40, 400)]  # many repeats, some runs over 8
+        vals = gen.standard_normal(400)
+        assert len(_packed_keys(idx)) == words
+        got_idx, got_vals = sum_duplicates(idx, vals)
+        ref_idx, ref_vals = lexsort_sum_duplicates(idx, vals)
+        assert np.array_equal(got_idx, ref_idx) and got_idx.flags.c_contiguous
+        assert_same_bits([got_vals], [ref_vals])
+
+    def test_empty(self):
+        idx, vals = sum_duplicates(np.zeros((0, 3), dtype=np.int64), np.zeros(0))
+        assert idx.shape == (0, 3) and vals.shape == (0,)
+
+
+@st.composite
+def frostt_files(draw):
+    """(text, entries, log_transform): a FROSTT file with comments, blank
+    lines, tabs and mixed line ends, its (0-based index tuple, value)
+    entries in file order, and whether to load it log-transformed (its
+    values are then >= 0).  Index spaces range from a few bits to over 63."""
+    n_modes = draw(st.integers(3, 6))
+    dims = [1 << draw(st.sampled_from([2, 11, 22])) for _ in range(n_modes)]
+    log_transform = draw(st.booleans())
+    # Multiples of 1/16 below 2^20 in magnitude: every sum of a few is exact,
+    # so the reference's file-order sums are the only correct results.
+    values = st.one_of(st.integers(0 if log_transform else -(1 << 24), 1 << 24).map(
+        lambda n: n / 16.0), st.sampled_from([0.0, -0.0]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = [tuple(int(gen.integers(d)) for d in dims) for _ in range(draw(st.integers(1, 8)))]
+    entries = draw(st.lists(st.tuples(st.sampled_from(pool), values), min_size=1, max_size=30))
+    lines = []
+    for tup, v in entries:
+        lines.extend(draw(st.lists(st.sampled_from(JUNK), max_size=2)))
+        seps = draw(st.lists(st.sampled_from([" ", "\t", "  ", " \t"]),
+                             min_size=n_modes, max_size=n_modes))
+        fields = ["%d" % (i + 1) for i in tup] + [draw(st.sampled_from(["%r", "%.17g"])) % v]
+        line = draw(st.sampled_from(["", " ", "\t"])) + fields[0]
+        line += "".join(s + f for s, f in zip(seps, fields[1:]))
+        lines.append(line + draw(st.sampled_from(["", "  # note", "#x"])) + "{nl}")
+    lines.extend(draw(st.lists(st.sampled_from(JUNK), max_size=2)))
+    text = "".join(ln.format(nl=draw(st.sampled_from(["\n", "\r\n"]))) for ln in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")   # no line break after the last line
+    return text, entries, log_transform
+
+
+def reference_load(entries, n_modes, dims=None, log_transform=False):
+    """Values summed per tuple in file order, tuples in lexicographic order."""
+    sums = {}
+    for tup, v in entries:
+        sums[tup] = sums[tup] + v if tup in sums else v
+    keys = sorted(sums)
+    idx = np.array(keys, dtype=np.int64).reshape(-1, n_modes)
+    vals = np.array([sums[k] for k in keys], dtype=np.float64)
+    if dims is None:
+        dims = tuple(int(m) + 1 for m in idx.max(axis=0))
+    return dims, idx, np.log1p(vals) if log_transform else vals
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(case=frostt_files(), pad=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+       declare=st.booleans())
+def test_load_frostt_matches_reference(tmp_path_factory, case, pad, declare):
+    text, entries, log_transform = case
+    n_modes = len(entries[0][0])
+    dims = None
+    if declare:
+        dims = tuple(max(t[j] for t, _ in entries) + 1 + pad[j] for j in range(n_modes))
+    path = tmp_path_factory.mktemp("frostt") / "t.tns"
+    path.write_bytes(text.encode())
+    t = load_frostt(str(path), log_transform=log_transform, dims=dims)
+    ref_dims, ref_idx, ref_vals = reference_load(entries, n_modes, dims, log_transform)
+    assert t.dims == ref_dims
+    assert np.array_equal(t.idx, ref_idx)
+    assert_same_bits([t.vals], [ref_vals])
 
 
 class TestPermutations:
