@@ -10,6 +10,9 @@ compressed-sparse-row storage:
   sampled extraction reads it.
 - the CSR analogue groups the nonzeros by the view's rows for the kernels
   that accumulate into rows.  Only exact MTTKRP, and so the fit, reads it.
+  With it comes the table of the distinct off-mode index prefixes, the
+  levels of a compressed-sparse-fiber tree, so the kernel forms each
+  prefix's partial Khatri-Rao row once, not once per nonzero.
 
 No run reads both layouts of one view, so each view pays for one.
 
@@ -72,6 +75,36 @@ def distinct_keys(keys):
     return ordered[head], order[head], inverse
 
 
+def _prefix_table(idx, modes):
+    """The distinct prefixes of the entries' index tuples over ``modes``,
+    level by level: a compressed-sparse-fiber tree without its row level.
+
+    Returns (levels, leaf).  ``levels[d - 1]`` is (parent, index) for the
+    distinct tuples of the first d modes: ``parent`` holds each one's
+    depth d - 1 prefix id (None at depth 1) and ``index`` its
+    ``modes[d - 1]`` index.  ``leaf[e]`` is entry e's deepest prefix id,
+    None without modes.  Ids follow the prefixes' lexicographic order.
+    One lexsort and run heads group the tuples, so no key is packed and
+    indices anywhere in int64's range are safe.
+    """
+    if not modes:
+        return (), None
+    cols = [idx[:, m] for m in modes]
+    order = np.lexsort(cols[::-1])
+    head = np.zeros(idx.shape[0], dtype=bool)  # a prefix's first entry at this depth
+    head[:1] = True
+    levels, ids = [], None
+    for c in cols:
+        c = c[order]
+        head[1:] |= c[1:] != c[:-1]
+        at = np.flatnonzero(head)
+        levels.append((None if ids is None else ids[at], c[at]))
+        ids = np.cumsum(head) - 1
+    leaf = np.empty_like(ids)
+    leaf[order] = ids
+    return tuple(levels), leaf
+
+
 class Matricization:
     """Mode-j view of nonzeros, each layout built on first read.
 
@@ -122,25 +155,30 @@ class Matricization:
 
     @cached_property
     def _csr(self):
-        """(row_order, row_ptr): entries grouped by view row, the CSR analogue."""
+        """(row_order, row_ptr, prefixes): entries grouped by view row, the
+        CSR analogue, with the off-mode prefix table of ``_prefix_table``
+        over every off mode but the last."""
+        prefixes = _prefix_table(self.idx, [m for m in range(len(self.dims))
+                                            if m != self.mode][:-1])
         rows = self.idx[:, self.mode]
         if self.rank_ptr is None:
             rel = rows - self.row_lo
             row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
             np.cumsum(np.bincount(rel, minlength=self.n_rows), out=row_ptr[1:])
-            return gridmod.stable_argsort(rel, self.n_rows), row_ptr
+            return gridmod.stable_argsort(rel, self.n_rows), row_ptr, prefixes
         P = self.rank_ptr.size - 1
         pair = rows * P + np.repeat(np.arange(P), np.diff(self.rank_ptr))
         order = gridmod.stable_argsort(pair, self.dims[self.mode] * P)
         ordered = pair[order]
         head = np.ones(ordered.size + 1, dtype=bool)  # a pair's first entry, and the end
         np.not_equal(ordered[1:], ordered[:-1], out=head[1:-1])
-        return order, np.flatnonzero(head)
+        return order, np.flatnonzero(head), prefixes
 
     col_order = property(lambda self: self._csc[0])
     sorted_keys = property(lambda self: self._csc[1])
     row_order = property(lambda self: self._csr[0])
     row_ptr = property(lambda self: self._csr[1])
+    prefixes = property(lambda self: self._csr[2])
 
     @property
     def nnz(self):

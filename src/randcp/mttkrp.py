@@ -5,11 +5,14 @@ per worker, so multi-threaded results are bit-identical to the serial
 ones (no atomics, no data races).  Within a block, entries are consumed
 in the view's compressed-row order through chunks that never split a
 row, keeping each output row's accumulation order fixed regardless of
-worker count.  The sampled MTTKRP runs it on the sketched submatrix
-mat(T, k) S^T, which extraction returns as a two-mode ``Matricization``,
-so there is no separate sparse transpose.  On a stack of every rank's
-nonzeros one call serves all ranks, with one output row per (row, rank)
-pair that holds entries.
+worker count.  Each call first forms the partial Khatri-Rao row of every
+distinct off-mode index prefix once, from the view's prefix table, so an
+entry costs two factor-row gathers rather than N - 1.  The sampled
+MTTKRP runs it on the sketched submatrix mat(T, k) S^T, which
+extraction returns as a two-mode ``Matricization``, so there is no
+separate sparse transpose.  On a stack of every rank's nonzeros one call
+serves all ranks, with one output row per (row, rank) pair that holds
+entries.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -71,25 +74,36 @@ def mttkrp_exact(mat: Matricization, factors, workers=1):
     (row, rank) pair of a stack).
 
     ``factors[i]`` is mode i's factor matrix, read by global row; the
-    entry for ``mat.mode`` is ignored.
+    entry for ``mat.mode`` is ignored.  The rows of each distinct prefix
+    of the off modes (``mat.prefixes``) are multiplied once per call,
+    level by level; an entry then takes its deepest prefix's row times
+    the last off mode's row times v.  Every entry thus gets the
+    ascending-mode products of a per-entry evaluation, bit for bit.
     """
     j = mat.mode
-    R = next(f.shape[1] for i, f in enumerate(factors) if i != j and f is not None)
-    for i, f in enumerate(factors):
-        if i != j and f is not None and mat.idx_hi[i] > f.shape[0]:
+    off = [i for i in range(len(mat.dims)) if i != j]
+    for i in off:
+        if factors[i] is None:
+            raise ValueError("mode-%d factor is missing" % i)
+        if mat.idx_hi[i] > factors[i].shape[0]:
             raise ValueError("mode-%d rows [0, %d) not covered by a %d-row factor"
-                             % (i, mat.idx_hi[i], f.shape[0]))
-    out = np.zeros((mat.n_rows, R))
+                             % (i, mat.idx_hi[i], factors[i].shape[0]))
+    out = np.zeros((mat.n_rows, factors[off[0]].shape[1]))
     if mat.nnz == 0:
         return out
 
+    # Prefix rows, shared read-only by the threads: pre_d = pre_{d-1}[parent] * U[index].
+    levels, leaf = mat.prefixes
+    pre = None
+    for i, (parent, index) in zip(off, levels):
+        rows = factors[i].take(index, axis=0)
+        pre = rows if pre is None else np.multiply(pre.take(parent, axis=0), rows, out=rows)
+    last = factors[off[-1]]
+
     def make_rows(sel):
-        prod = None
-        for i, f in enumerate(factors):
-            if i == j or f is None:
-                continue
-            rows = f.take(mat.idx[sel, i], axis=0)
-            prod = rows if prod is None else prod.__imul__(rows)
+        prod = last.take(mat.idx[sel, off[-1]], axis=0)
+        if pre is not None:
+            prod *= pre.take(leaf[sel], axis=0)
         prod *= mat.vals[sel, None]
         return prod
 

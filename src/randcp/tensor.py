@@ -11,6 +11,7 @@ index tuples are unique and in lexicographic order.
 """
 
 import itertools
+import os
 import warnings
 
 import numpy as np
@@ -181,8 +182,10 @@ def load_frostt(path, *, log_transform=False, dims=None) -> SparseTensorCOO:
 
 def _data_lines(path):
     """(1-based line number, fields) of each data line, skipping what
-    ``np.loadtxt`` skips: comments from ``#`` on and blank lines."""
-    with open(path, "r") as fh:
+    ``np.loadtxt`` skips: comments from ``#`` on and blank lines.  The
+    file is opened as ``np.loadtxt`` opens a path, so ``.gz``, ``.bz2``
+    and ``.xz`` files are read decompressed."""
+    with np.lib.npyio.DataSource(os.curdir).open(os.fspath(path), "rt") as fh:
         for lineno, ln in enumerate(fh, 1):
             fields = ln.split("#", 1)[0].split()
             if fields:
@@ -204,11 +207,22 @@ def _scan_for_bad_line(path, exc):
             raise ParseError("%s: line %d: expected %d fields, got %d"
                              % (path, lineno, width, len(toks)))
         for t in toks:
-            try:
-                float(t)
-            except ValueError:
-                raise ParseError("%s: line %d: cannot parse %r" % (path, lineno, t)) from None
+            if not _parses_as_float64(t):
+                raise ParseError("%s: line %d: cannot parse %r" % (path, lineno, t))
     raise ParseError("%s: unparseable input: %s" % (path, exc)) from exc
+
+
+def _parses_as_float64(token):
+    """Whether numpy's C reader takes ``token`` as a float64: Python's
+    ``float`` grammar over ASCII text, without the digit separators
+    (``1_0``) and non-ASCII digits that only ``float`` accepts."""
+    if not token.isascii() or "_" in token:
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 class ModePermutations:

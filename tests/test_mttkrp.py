@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from randcp import grid as gridmod
 from randcp import mttkrp
 from randcp.linalg import khatri_rao
-from randcp.matricization import Matricization, column_keys, matricize
+from randcp.matricization import Matricization, column_keys, matricize, partition_to_grid
 from randcp.mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
 from randcp.tensor import SparseTensorCOO
 from conftest import dense_matricization, dense_of, make_sparse
@@ -369,3 +370,106 @@ def test_mean_downsampled_matches_exact():
     mean = downsampled_mttkrp(sub, H * w) / n_batches
     rel = np.linalg.norm(mean - exact) / np.linalg.norm(exact)
     assert rel < 0.02
+
+
+def shared_prefix_tensor(dims, seed):
+    """Random blocks of Cartesian products, so entries share off-mode prefixes."""
+    gen = np.random.default_rng(seed)
+    parts = [np.stack(np.meshgrid(*[gen.choice(d, min(d, 2), replace=False) for d in dims],
+                                  indexing="ij"), -1).reshape(-1, len(dims))
+             for _ in range(6)]
+    idx = np.unique(np.concatenate(parts), axis=0)
+    return SparseTensorCOO(dims, idx, gen.standard_normal(idx.shape[0]))
+
+
+def per_entry_reference(m, factors):
+    """The per-entry formula: factor rows multiplied in ascending mode order,
+    then v; each view row's terms, in row order, summed by one reduceat."""
+    contrib = None
+    for i, f in enumerate(factors):
+        if i != m.mode:
+            rows = f[m.idx[:, i]]
+            contrib = rows if contrib is None else contrib * rows
+    contrib = contrib * m.vals[:, None]
+    out = np.zeros((m.n_rows, contrib.shape[1]))
+    for r in range(m.n_rows):
+        entries = m.row_order[m.row_ptr[r]:m.row_ptr[r + 1]]
+        if entries.size:
+            out[r] = np.add.reduceat(contrib[entries], [0], axis=0)[0]
+    return out
+
+
+def check_prefix_table(m):
+    """Each level holds the distinct prefixes in lexicographic order, and
+    each entry's deepest prefix walks up to its own index tuple."""
+    modes = [i for i in range(len(m.dims)) if i != m.mode][:-1]
+    levels, leaf = m.prefixes
+    assert len(levels) == len(modes)
+    if not modes:
+        assert leaf is None
+        return
+    tuples = [[(int(x),) for x in levels[0][1]]]
+    assert levels[0][0] is None
+    for parent, index in levels[1:]:
+        tuples.append([tuples[-1][p] + (int(x),) for p, x in zip(parent, index)])
+    for d, level in enumerate(tuples, 1):
+        assert level == sorted({tuple(r) for r in m.idx[:, modes[:d]].tolist()})
+    assert [tuples[-1][e] for e in leaf] == [tuple(r) for r in m.idx[:, modes].tolist()]
+
+
+class TestPrefixSharing:
+    """The kernel forms each off-mode prefix's row once, with the per-entry
+    formula's products and sums, bit for bit."""
+
+    @staticmethod
+    def views(t):
+        g = gridmod.ProcessorGrid(t.dims, (2,) + (1,) * (t.mode_count - 2) + (2,))
+        for sched in ("tensor-stationary", "accumulator-stationary"):
+            part = partition_to_grid(t, g, sched)
+            for k in range(t.mode_count):
+                yield part.views[k]
+                yield part.local(1, k)
+        for k in range(t.mode_count):
+            yield matricize(t, k)
+
+    @pytest.mark.parametrize("dims", [(5, 4, 6), (4, 3, 5, 4), (3, 4, 2, 3, 2, 4)])
+    def test_bit_identical_to_per_entry_formula(self, monkeypatch, dims):
+        t = shared_prefix_tensor(dims, seed=len(dims))
+        gen = np.random.default_rng(30)
+        factors = [gen.standard_normal((d, 4)) for d in dims]
+        shared = 0
+        for m in self.views(t):
+            check_prefix_table(m)
+            levels, _ = m.prefixes
+            shared += len(levels[-1][1]) < m.nnz
+            ref = per_entry_reference(m, factors)
+            for chunk in (1, mttkrp._CHUNK_NNZ):
+                monkeypatch.setattr(mttkrp, "_CHUNK_NNZ", chunk)
+                for workers in (1, 2):
+                    got = mttkrp_exact(m, factors, workers=workers)
+                    assert got.view(np.int64).tolist() == ref.view(np.int64).tolist()
+        assert shared > 0
+
+    def test_huge_mode_dimension_does_not_overflow(self):
+        big = (1 << 62) - 1
+        dims = (big, 5, big - 2, 7)
+        gen = np.random.default_rng(31)
+        idx = np.column_stack([big - 1 - gen.integers(0, 3, 60), gen.integers(0, 5, 60),
+                               big - 3 - gen.integers(0, 4, 60), gen.integers(0, 7, 60)])
+        idx = np.unique(idx, axis=0)
+        for k in (1, 3):  # rows of a small mode; the prefixes span the huge ones
+            m = Matricization(dims, idx, np.ones(idx.shape[0]), k)
+            check_prefix_table(m)
+            assert len(m.prefixes[0][-1][1]) < m.nnz  # prefixes are shared
+
+    def test_two_mode_submatrix_builds_no_level(self):
+        t = shared_prefix_tensor((5, 4, 6), seed=32)
+        m = matricize(t, 1)
+        X = m.idx[:10].copy()
+        X[:, 1] = -1
+        sub = gather_sampled_nonzeros_to_csr(m, X, 1)
+        assert sub.nnz >= 10 and sub.prefixes == ((), None)
+        H = np.random.default_rng(33).standard_normal((10, 3))
+        got = downsampled_mttkrp(sub, H)
+        ref = per_entry_reference(sub, [None, H])
+        assert got.view(np.int64).tolist() == ref.view(np.int64).tolist()

@@ -1,3 +1,6 @@
+import bz2
+import gzip
+import lzma
 import warnings
 
 import numpy as np
@@ -99,6 +102,40 @@ class TestLoaderErrors:
         p.write_bytes(text.encode())
         with pytest.raises(exc, match=r"line %d: %s" % (PREAMBLE_LINES + 2, message)):
             load_frostt(str(p), dims=dims)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    @pytest.mark.parametrize("bad,exc,message", [
+        ("1 1 oops 3.0", ParseError, "cannot parse 'oops'"),
+        ("1 0 1 3.0", BoundsError, "indices are 1-based"),
+    ])
+    def test_compressed_file_errors_name_the_line(self, tmp_path, suffix, bad, exc, message):
+        """numpy reads a compressed path decompressed, and so does the rescan."""
+        text = (PREAMBLE + "2 2 2 1.0{nl}" + bad + "{nl}2 1 1 4.0{nl}").format(nl="\n")
+        p = tmp_path / ("t.tns" + suffix)
+        opener = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open}[suffix]
+        with opener(p, "wt") as fh:
+            fh.write(text)
+        with pytest.raises(exc, match=r"line %d: %s" % (PREAMBLE_LINES + 2, message)):
+            load_frostt(str(p))
+
+    def test_compressed_file_loads_as_plain(self, tmp_path):
+        text = "# c\n1 1 1 2.0\n2 3 1 1.5\n1 1 1 0.5\n"
+        with gzip.open(tmp_path / "t.tns.gz", "wt") as fh:
+            fh.write(text)
+        got = load_frostt(str(tmp_path / "t.tns.gz"))
+        want = load_frostt(write_tns(tmp_path, text))
+        assert got.dims == want.dims
+        assert_same_bits([got.idx, got.vals], [want.idx, want.vals])
+
+    @pytest.mark.parametrize("token", ["1_0", "2.5_0", "1e1_0", "\u0661"])
+    def test_tokens_numpy_rejects_name_the_line(self, tmp_path, token):
+        """Python's float takes digit separators and non-ASCII digits;
+        numpy's C reader does not, and the rescan agrees with numpy."""
+        with pytest.raises(ValueError):
+            np.loadtxt([token])
+        path = write_tns(tmp_path, "1 1 1 2.0\n# c\n1 %s 1 3.0\n" % token)
+        with pytest.raises(ParseError, match=r"line 3: cannot parse '%s'" % token):
+            load_frostt(path)
 
     @pytest.mark.parametrize("text", ["", "# only comments\n  # and more\n",
                                       "\n  \n\t\n", "# no final newline"])
