@@ -2,9 +2,12 @@
 renormalization and scale maintenance, fit tracking, and result assembly.
 
 Termination is a fixed round count (no plateau detection), matching how
-golden-fit comparisons are run.  Fits are evaluated exactly (one full
-last-mode MTTKRP per evaluation) outside the communication ledger, so
-they never perturb the metered cost shapes.
+golden-fit comparisons are run.  Fits are evaluated exactly outside the
+communication ledger, so they never perturb the metered cost shapes.  An
+exact run's fit reads the round's last-mode MTTKRP, which the mode's
+solve just computed, and the Grams the run maintains, so it costs
+O(I_N R + N R^2); a sketched run's fit runs one full exact MTTKRP over
+the fit view, a one-block last-mode matricization.
 """
 
 import time
@@ -165,7 +168,8 @@ def _set_up(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
             fit_mat=None):
     """File to ready state: load, permute, grid, partition, fit matricization.
 
-    Pieces passed in are kept.  Returns the five in ``run_als``'s argument order.
+    Pieces passed in are kept.  Only a sketched run with fits builds the fit
+    view.  Returns the five in ``run_als``'s argument order.
     """
     if tensor is None:
         if cfg.tensor_path is None:
@@ -179,7 +183,7 @@ def _set_up(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
         grid = build_grid(tensor.dims, cfg)
     if partition is None:
         partition = partition_to_grid(tensor, grid, cfg.schedule)
-    if fit_mat is None and cfg.compute_fits:
+    if fit_mat is None and cfg.compute_fits and cfg.sampler != "exact":
         fit_mat = matricize(tensor, tensor.mode_count - 1)
     return tensor, perms, grid, partition, fit_mat
 
@@ -187,7 +191,8 @@ def _set_up(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
 def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
             fit_mat=None) -> DecompResult:
     """Run one ALS trial.  Preloaded tensor/partition state may be passed
-    in so multi-trial harnesses pay ingestion and partitioning once."""
+    in so multi-trial harnesses pay ingestion and partitioning once.  An
+    exact run does not read ``fit_mat``."""
     cfg.validate()
     timings = {"load": 0.0, "fit": 0.0}
     t0 = time.perf_counter()
@@ -215,8 +220,11 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     def evaluate_fit(round_id):
         nonlocal best
         t_fit = time.perf_counter()
-        f = compute_fit(tensor, [fb.U for fb in ctx.factors], sigma, mode_mat=fit_mat,
-                        workers=cfg.workers)
+        Us = [fb.U for fb in ctx.factors]
+        if cfg.sampler == "exact":
+            f = compute_fit(tensor, Us, sigma, mttkrp=ctx.last_mttkrp, grams=ctx.grams)
+        else:
+            f = compute_fit(tensor, Us, sigma, mode_mat=fit_mat, workers=cfg.workers)
         best = max(best, f)
         fit_history.append((round_id, f))
         running_max.append(best)
@@ -238,6 +246,7 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
             _rebuild_mode_state(ctx, k)
         if cfg.compute_fits and (rnd % cfg.fit_every == 0 or rnd == cfg.rounds):
             evaluate_fit(rnd)
+        ctx.last_mttkrp = None  # only this round's fit reads it
 
     final_fit = fit_history[-1][1] if fit_history else float("nan")
     factors_out = [perms.unpermute_factor(fb.U, j)

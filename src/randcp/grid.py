@@ -282,9 +282,10 @@ def meter(ledger, round_id, kind, ranks, member_words):
       member receives w*(q-1) words in q-1 messages.
     * allreduce: the size m of the reduced payload; each member receives
       ceil(2m(q-1)/q) words in 2(q-1) messages.
-    * all_to_allv: the q x q matrix of words member i sends member j;
-      each member receives its off-diagonal column sum, one message per
-      nonzero sender.  Only members that receive something are recorded.
+    * all_to_allv: the q x q matrix of words member i sends member j, or
+      a stack of such matrices, one per exchange; each member receives
+      its off-diagonal column sums, one message per nonzero sender per
+      exchange.  Only members that receive something are recorded.
 
     Nothing is recorded without a ledger or for a one-member group.
     """
@@ -302,10 +303,10 @@ def meter(ledger, round_id, kind, ranks, member_words):
         words = [(2 * int(member_words) * (q - 1) + q - 1) // q] * q  # ceil
         messages = [2 * (q - 1)] * q
     elif kind == ALL_TO_ALLV:
-        sent = np.array(member_words, dtype=np.int64).reshape(q, q)
-        np.fill_diagonal(sent, 0)
-        words = sent.sum(axis=0)
-        messages = np.count_nonzero(sent, axis=0)
+        sent = np.array(member_words, dtype=np.int64).reshape(-1, q, q)
+        sent[:, np.arange(q), np.arange(q)] = 0
+        words = sent.sum(axis=(0, 1))
+        messages = np.count_nonzero(sent, axis=1).sum(axis=0)
         members = np.flatnonzero(messages)
     else:
         raise ValueError("unknown collective kind %r" % kind)

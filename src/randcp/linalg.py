@@ -145,25 +145,32 @@ def khatri_rao(factors, skip=None):
     return out
 
 
-def compute_fit(tensor, factors, sigma, mode_mat: Matricization = None, workers=1) -> float:
+def compute_fit(tensor, factors, sigma, mode_mat: Matricization = None, workers=1,
+                mttkrp=None, grams=None) -> float:
     """Exact fit 1 - ||T_hat - T||_F / ||T||_F.
 
-    ``factors`` must have unit-norm columns with scales in ``sigma``.
-    The cross term uses one exact last-mode MTTKRP; no sampled quantity
-    enters the evaluation.  ``mode_mat`` may supply a cached
-    matricization of the last mode.
+    ``factors`` must have unit-norm columns with scales in ``sigma``.  The
+    cross term <T, T_hat> is sum_r sigma_r <U_last[:, r], M[:, r]> for the
+    last mode's MTTKRP M.  ``mttkrp`` may supply M, as the last solve of an
+    exact ALS round computed it from the same factors, and ``grams`` the
+    factors' Grams; otherwise one exact MTTKRP over ``mode_mat`` (a cached
+    last-mode matricization, built here when None) gives M.  No sampled
+    quantity enters the evaluation.
     """
     norm_sq = tensor.norm_squared()
     if norm_sq == 0.0:
         raise ValueError("fit is undefined for an all-zero tensor")
     last = tensor.mode_count - 1
-    if mode_mat is None:
-        mode_mat = matricize(tensor, last)
-    elif mode_mat.mode != last:
-        raise ValueError("cached matricization is for mode %d, need %d" % (mode_mat.mode, last))
-    grams = [gram(U) for U in factors]
+    if mttkrp is None:
+        if mode_mat is None:
+            mode_mat = matricize(tensor, last)
+        elif mode_mat.mode != last:
+            raise ValueError("cached matricization is for mode %d, need %d"
+                             % (mode_mat.mode, last))
+        mttkrp = mttkrp_exact(mode_mat, factors, workers=workers)
+    if grams is None:
+        grams = [gram(U) for U in factors]
     model_sq = float(sigma @ hadamard_gram_chain(grams) @ sigma)
-    M = mttkrp_exact(mode_mat, factors, workers=workers)
-    cross = float(np.sum(sigma * np.einsum("ir,ir->r", factors[last], M)))
+    cross = float(np.sum(sigma * np.einsum("ir,ir->r", factors[last], mttkrp)))
     resid_sq = max(norm_sq - 2.0 * cross + model_sq, 0.0)
     return 1.0 - np.sqrt(resid_sq) / np.sqrt(norm_sq)

@@ -410,9 +410,16 @@ def _leaf_search(tree, cond, H_rows, walk_rank, walk_row, walk_of, r):
 
 
 def _route_meter(ledger, round_id, old_owner, new_owner, payload_words, P):
-    """Meter the level-boundary all-to-allv that moves samples between ranks."""
-    sent = np.bincount(old_owner * P + new_owner, minlength=P * P) * payload_words
-    gridmod.meter(ledger, round_id, gridmod.ALL_TO_ALLV, range(P), sent)
+    """Meter the level-boundary all-to-allvs that move samples between ranks.
+
+    Row l of ``old_owner`` and ``new_owner`` holds each sample's rank before
+    and after level l (1-D arrays are one level); one ``meter`` call
+    records every level.
+    """
+    sent = [np.bincount(old.astype(np.int64) * P + new, minlength=P * P)
+            for old, new in zip(np.atleast_2d(old_owner), np.atleast_2d(new_owner))]
+    gridmod.meter(ledger, round_id, gridmod.ALL_TO_ALLV, range(P),
+                  np.stack(sent) * payload_words)
 
 
 def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
@@ -425,9 +432,10 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
     the Hadamard product of the trees' Grams over the modes != k
     (``trees[k]`` is not read); the contribution of already-sampled modes
     lives in the running rows H.  Each sample walks the shared tree
-    levels (routing between ranks at every level), finishes with the
-    local leaf search on its terminal rank, and multiplies its H row by
-    the selected factor row, which that rank owns.
+    levels (routing between ranks at every level; one ``meter`` call at
+    the end records every level), finishes with the local leaf search on
+    its terminal rank, and multiplies its H row by the selected factor
+    row, which that rank owns.  The last walked mode extends no prefix.
 
     Samples that drew the same rows so far (the same prefix) share their
     H row, so every quadratic form is evaluated once per distinct walk:
@@ -454,6 +462,13 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
     owner = (np.arange(J, dtype=np.int64) * P) // J
     prefix = np.zeros(J, dtype=np.int64)  # index of each sample's row in H_prefix
     H_prefix = np.ones((1, R))
+    # Each sample's rank before and after every routed level, in the narrowest
+    # dtype holding a rank; one meter call at the end records every level.
+    route = np.empty((sum(trees[i].depth for i in range(N) if i != k) + 1, J),
+                     dtype=np.min_scalar_type(P - 1))
+    route[0] = owner
+    hop = 0
+    last = N - 1 if k != N - 1 else N - 2
 
     for i in range(N):
         if i == k:
@@ -514,14 +529,16 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
             if (n_real <= 0).any():
                 raise DegenerateWalkError("walk branched into an empty padded subtree")
             leaf_idx = leaf_lo + (np.arange(J, dtype=np.int64) % n_real)
-            new_owner = tree.leaf_rank[leaf_idx]
-            _route_meter(ledger, round_id, owner, new_owner, payload_words, P)
-            owner = new_owner
+            owner = tree.leaf_rank[leaf_idx]
+            hop += 1
+            route[hop] = owner
 
         X[:, i], prob_leaf, cell_of = _leaf_search(
             tree, M, H_prefix, tree.leaf_rank[walk_node], walk_prefix, walk_of, r)
         prob_i *= prob_leaf
         per_mode_prob[:, i] = prob_i
+        if i == last:
+            break  # no later mode reads the prefixes
 
         # Extend every prefix by its mode-i row.  Cells come in (walk, row)
         # order, and rows grow with the walk's node, so a stable sort of
@@ -534,5 +551,7 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
         H_prefix = H_prefix[prefix[kept]] * fb.U[X[kept, i]]
         prefix = renumber[cell_of]
 
+    if hop:
+        _route_meter(ledger, round_id, route[:-1], route[1:], payload_words, P)
     prob = per_mode_prob.prod(axis=1)
     return SampleBatch(X, per_mode_prob, prob, owner=owner)

@@ -68,6 +68,9 @@ class SolveContext:
         # exact solves read, or the sampler state that draws read.
         self.grams = [None] * len(factors)
         self.states = [None] * len(factors)
+        # The reduced last-mode MTTKRP of an exact solve, which the fit after
+        # the round reads (``linalg.compute_fit(mttkrp=)``); None otherwise.
+        self.last_mttkrp = None
         self.timings = {"sampling": 0.0, "gather": 0.0, "extract": 0.0, "mttkrp": 0.0,
                         "reduction": 0.0, "postprocess": 0.0}
         self.stats = {"distinct_samples": 0, "sampled_nnz": 0}
@@ -200,7 +203,9 @@ def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
 
     ``injected_batch`` replaces the sampler's draw (any sampler, exact
     included).  The schedule enters only in the metered row gathers,
-    whether the sketched Gram is allreduced, and the reduce-scatter.
+    whether the sketched Gram is allreduced, and the reduce-scatter.  An
+    exact solve of the last mode keeps its reduced MTTKRP in
+    ``ctx.last_mttkrp``.
     """
     if ctx.local.schedule != ctx.schedule:  # a partition's schedule is a known one
         raise ScheduleError("context schedule is %r, its partition's %r"
@@ -230,6 +235,8 @@ def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
     t0 = time.perf_counter()
     rows = _reduce_along_mode(ctx, k, mat, acc)
     ctx.tick("reduction", t0)
+    if batch is None and k == len(ctx.factors) - 1:
+        ctx.last_mttkrp = rows
     _postprocess(ctx, k, rows, system_pinv)
     return batch
 

@@ -276,3 +276,124 @@ class TestNormChecks:
         assert np.array_equal(norms, [np.sqrt(24.0), 0.0])
         assert np.allclose(U[:, 0], 1.0 / np.sqrt(6.0), rtol=1e-15)
         assert np.array_equal(U[:, 1], np.full(6, 1e-170))  # a zero norm scales nothing
+
+
+def fit_formula_on_view(t, factors, sigma):
+    """The fit-view formula term by term: whole-factor Grams and one exact
+    MTTKRP over a freshly built last-mode matricization."""
+    from randcp.linalg import gram, hadamard_gram_chain
+    from randcp.matricization import matricize
+    from randcp.mttkrp import mttkrp_exact
+    last = t.mode_count - 1
+    model_sq = float(sigma @ hadamard_gram_chain([gram(U) for U in factors]) @ sigma)
+    M = mttkrp_exact(matricize(t, last), factors)
+    cross = float(np.sum(sigma * np.einsum("ir,ir->r", factors[last], M)))
+    norm_sq = t.norm_squared()
+    return 1.0 - np.sqrt(max(norm_sq - 2.0 * cross + model_sq, 0.0)) / np.sqrt(norm_sq)
+
+
+def dense_fit(t, factors, sigma):
+    from randcp.verify import dense_of
+    modes = "abcdefgh"[:t.mode_count]
+    model = np.einsum(",".join(m + "z" for m in modes) + ",z->" + modes, *factors, sigma)
+    T = dense_of(t)
+    return 1.0 - np.linalg.norm(model - T) / np.linalg.norm(T)
+
+
+def record_fits(monkeypatch):
+    """Wrap ``als.compute_fit``; returns the list of (factors, sigma, kwargs,
+    fit) of its calls, factors and sigma copied at call time."""
+    from randcp import als
+    calls = []
+    real = als.compute_fit
+
+    def recorded(tensor, factors, sigma, **kw):
+        f = real(tensor, factors, sigma, **kw)
+        calls.append(([U.copy() for U in factors], sigma.copy(), kw, f))
+        return f
+    monkeypatch.setattr(als, "compute_fit", recorded)
+    return calls
+
+
+def count_exact_mttkrp(monkeypatch):
+    """Count the exact-MTTKRP calls that solves and fits make, by caller module."""
+    from randcp import linalg, schedules
+    counts = {"schedules": 0, "linalg": 0}
+    for name, mod in (("schedules", schedules), ("linalg", linalg)):
+        def counted(*args, _name=name, _real=mod.mttkrp_exact, **kw):
+            counts[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(mod, "mttkrp_exact", counted)
+    return counts
+
+
+EXACT_FIT_DIMS = {3: (9, 8, 7), 4: (7, 6, 5, 4), 5: (6, 5, 4, 5, 3)}
+
+
+class TestExactFitFromLastSolve:
+    """An exact run's fit reads the last solve's MTTKRP and the maintained Grams."""
+
+    @staticmethod
+    def check_history(t, res, calls):
+        assert [f for _, f in res.fit_history] == [f for *_, f in calls]
+        for factors, sigma, kw, f in calls:
+            assert kw["mttkrp"] is not None and "mode_mat" not in kw
+            for ref in (fit_formula_on_view(t, factors, sigma), dense_fit(t, factors, sigma)):
+                assert abs(f - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("fit_every", [1, 3])
+    @pytest.mark.parametrize("P", [1, 6, 8])
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_history_matches_fit_view_and_dense(self, monkeypatch, N, P, fit_every):
+        t = make_sparse(EXACT_FIT_DIMS[N], 150, seed=30 + N)
+        calls = record_fits(monkeypatch)
+        counts = count_exact_mttkrp(monkeypatch)
+        rounds = 4
+        cfg = AlsConfig(rank=3, rounds=rounds, sampler="exact", procs=P, seed=31,
+                        fit_every=fit_every, permute=False)
+        res = run_als(cfg, tensor=t)
+        assert len(res.fit_history) == (4 if fit_every == 1 else 2)  # rounds 3 and 4
+        self.check_history(t, res, calls)
+        assert counts == {"schedules": rounds * N, "linalg": 0}
+
+    def test_zero_column(self, monkeypatch):
+        # A zero column of the last initial factor stays zero in every factor,
+        # and its scale is zero.
+        from randcp import als
+        real_init = als.init_factors
+
+        def init_with_zero_column(dims, R, seed, trial=0):
+            factors, sigma = real_init(dims, R, seed, trial)
+            factors[-1][:, 1] = 0.0
+            return factors, sigma
+        monkeypatch.setattr(als, "init_factors", init_with_zero_column)
+        t = make_sparse(EXACT_FIT_DIMS[4], 150, seed=32)
+        calls = record_fits(monkeypatch)
+        cfg = AlsConfig(rank=3, rounds=3, sampler="exact", procs=6, seed=33, fit_every=1,
+                        permute=False)
+        res = run_als(cfg, tensor=t)
+        assert res.sigma[1] == 0.0 and all(not U[:, 1].any() for U in res.factors)
+        self.check_history(t, res, calls)
+
+    def test_set_up_builds_no_fit_view(self):
+        from randcp.als import _set_up
+        t = make_sparse((6, 5, 4), 40, seed=34)
+        exact = _set_up(AlsConfig(rank=2, rounds=1), tensor=t)
+        sketched = _set_up(AlsConfig(rank=2, rounds=1, sampler="sts", samples=8), tensor=t)
+        assert exact[-1] is None and sketched[-1].mode == 2
+
+
+@pytest.mark.parametrize("sampler,schedule", [("sts", "accumulator-stationary"),
+                                              ("arls-lev", "tensor-stationary")])
+def test_sampled_fit_runs_one_fit_view_mttkrp(monkeypatch, sampler, schedule):
+    t = make_sparse((9, 8, 7), 200, seed=35)
+    calls = record_fits(monkeypatch)
+    counts = count_exact_mttkrp(monkeypatch)
+    cfg = AlsConfig(rank=3, rounds=4, sampler=sampler, samples=64, schedule=schedule,
+                    procs=6, seed=36, fit_every=1, permute=False)
+    res = run_als(cfg, tensor=t)
+    assert counts == {"schedules": 0, "linalg": 4}
+    assert [f for _, f in res.fit_history] == [f for *_, f in calls]
+    for factors, sigma, kw, f in calls:
+        assert kw["mode_mat"].mode == 2 and "mttkrp" not in kw
+        assert f == fit_formula_on_view(t, factors, sigma)

@@ -270,6 +270,16 @@ class TestStsSample:
         assert 0.5 * np.abs(emp - oracle).sum() < 0.02
         assert np.abs(batch.prob - oracle[keys]).max() < 1e-12
 
+    def test_walk_into_an_empty_padded_subtree_raises(self):
+        # Mass planted on the mode-0 tree's path to padding leaves 6 and 7
+        # draws a walk whose residual is near one into their subtree.
+        _, trees = self.padded_setup((3, 1, 2), seed=46)
+        for lev, node in ((0, 0), (1, 1), (2, 3)):
+            trees[0].node_grams[lev][node] += 10.0 * np.eye(2)
+        override = np.full((4, 3), samplers._ONE_BELOW)
+        with pytest.raises(DegenerateWalkError, match="empty padded subtree"):
+            sts_sample(trees, 2, 4, seed=0, uniform_override=override)
+
     def test_leaf_search_budget_of_one_keeps_the_draws(self, monkeypatch):
         _, trees = self.padded_setup((3, 1, 2), seed=43)
         ref = sts_sample(trees, 0, 512, seed=44)
@@ -530,6 +540,22 @@ def test_route_meter_counts_words_and_source_ranks():
         assert led.words(rank=p) == payload * into_p.sum()
         assert led.messages(rank=p) == np.unique(old[into_p]).size
     assert led.rounds() == [2]
+
+
+def test_route_meter_sums_stacked_levels():
+    # One call over stacked levels records what one call per level records.
+    gen = np.random.default_rng(34)
+    P, payload = 6, 7
+    hops = [gen.integers(0, P, 300)]
+    for stay in (0.3, 0.9, 1.0, 0.5):   # the third level moves nothing
+        hops.append(np.where(gen.random(300) < stay, hops[-1], gen.integers(0, P, 300)))
+    route = np.stack(hops)
+    stacked, per_level = gridmod.CommLedger(), gridmod.CommLedger()
+    samplers._route_meter(stacked, 2, route[:-1], route[1:], payload, P)
+    for old, new in zip(hops, hops[1:]):
+        samplers._route_meter(per_level, 2, old, new, payload, P)
+    assert stacked.records() == per_level.records()
+    assert stacked.messages() > stacked.messages(rank=0) > 0
 
 
 class TestSampleWeights:
