@@ -4,10 +4,12 @@ A view holds its local nonzeros once and builds each of two layouts on
 first read, the paper's analogues of compressed-sparse-column and
 compressed-sparse-row storage:
 
-- the CSC analogue orders the nonzeros by a composite column key (all
-  indices except mode j, earlier modes varying fastest) and then by row
-  index; column lookups are binary searches over the sorted keys.  Only
-  sampled extraction reads it.
+- the CSC analogue orders the nonzeros by off-mode column (all indices
+  except mode j, earlier modes varying fastest) and then by row index.
+  Its columns form a compressed-sparse-fiber tree whose levels are int64
+  words of bit-packed indices, each level after the first below its
+  prefix's id one level up (``column_levels``), so a column lookup is one
+  binary search per level.  Only sampled extraction reads it.
 - the CSR analogue groups the nonzeros by the view's rows for the kernels
   that accumulate into rows.  Only exact MTTKRP, and so the fit, reads it.
   With it comes the table of the distinct off-mode index prefixes, the
@@ -21,10 +23,6 @@ nonzeros, rank-major with per-rank entry offsets, so one column search
 or one kernel call serves all ranks.  A stack's rows are the (row, rank)
 pairs that hold an entry; a one-block view, such as one rank's slice of
 a stack, keeps every row of its range.
-
-Column keys are mixed-radix encodings in int64 when the off-mode index
-space fits; otherwise keys fall back to arbitrary-precision Python
-integers (object dtype), which only need to support a total order.
 """
 
 from functools import cached_property
@@ -32,47 +30,44 @@ from functools import cached_property
 import numpy as np
 
 from . import grid as gridmod
-from .tensor import SparseTensorCOO
-
-_INT64_SAFE = 1 << 62
+from .tensor import BoundsError, SparseTensorCOO, pack_word, plan_words
 
 
 def column_keys(idx, dims, skip):
-    """Linearized off-mode key per row of ``idx`` (column ``skip`` ignored).
+    """Dense Khatri-Rao row index of each row of ``idx``: the mixed-radix
+    key over the modes != skip, ascending mode order fastest.  Raises
+    ValueError when the off-mode index space does not fit int64."""
+    off = [m for m in reversed(range(len(dims))) if m != skip]
+    return np.ravel_multi_index(idx[:, off].T, [dims[m] for m in off])
 
-    Mixed radix over the modes != skip, ascending mode order fastest; int64
-    while the key space fits in 2^62, object-dtype Python integers beyond.
-    """
-    strides, acc = [], 1
+
+def check_columns(X, dims, skip):
+    """X as int64, its off-mode indices checked against ``dims``."""
+    X = np.asarray(X, dtype=np.int64)
     for m, d in enumerate(dims):
-        if m != skip:
-            strides.append((m, acc))
-            acc *= int(d)
-    big = acc > _INT64_SAFE
-    keys = np.zeros(idx.shape[0], dtype=object if big else np.int64)
-    for m, s in strides:
-        keys += idx[:, m].astype(object) * s if big else idx[:, m] * np.int64(s)
-    return keys
+        if m != skip and int(X[:, m].view(np.uint64).max(initial=0)) >= d:  # -1: 2^64 - 1
+            raise BoundsError("mode-%d index outside [0, %d)" % (m, d))
+    return X
 
 
-def distinct_keys(keys):
-    """Sorted distinct keys, a position holding each, and the inverse map.
-
-    Returns (uniq, where, inverse) with ``keys[where] == uniq`` and
-    ``uniq[inverse] == keys``.  Which of several equal positions ``where``
-    names is fixed by the input but otherwise unspecified.  That is the
-    difference from ``np.unique(keys, return_index=True,
-    return_inverse=True)``, which must sort stably to name the first
-    position; the unstable sort here runs 2-3.6x faster on 2^14 to 2^16
-    int64 keys, and every sampled solve merges its draws with it.
-    """
-    order = np.argsort(keys)
-    ordered = keys[order]
-    head = np.ones(ordered.shape[0], dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    inverse = np.empty(ordered.shape[0], dtype=np.int64)
-    inverse[order] = np.cumsum(head) - 1
-    return ordered[head], order[head], inverse
+def column_levels(X, dims, skip):
+    """Group index tuples by off-mode column, one int64 word per level: the
+    modes != skip bit-packed in descending mode order (``plan_words``),
+    below the prefix's id one level up, which gets the bits of (tuple
+    count - 1).  Codes sort as ``column_keys`` do.  Returns (plan, codes,
+    ids, first): each level's fields and sorted distinct codes, each
+    tuple's column id (its index in ``codes[-1]``), a tuple per column."""
+    X = check_columns(X, dims, skip)
+    plan = plan_words([(m, max(int(dims[m]) - 1, 0).bit_length())
+                       for m in reversed(range(len(dims))) if m != skip],
+                      reserve=max(X.shape[0] - 1, 0).bit_length())
+    codes, ids = [], None
+    for word in plan:  # no return_index, so np.unique sorts unstably, the fast way
+        code, ids = np.unique(pack_word(X, word, high=ids), return_inverse=True)
+        codes.append(code)
+    first = np.empty_like(codes[-1])
+    first[ids] = np.arange(ids.size)
+    return plan, codes, ids, first
 
 
 def _prefix_table(idx, modes):
@@ -147,11 +142,12 @@ class Matricization:
 
     @cached_property
     def _csc(self):
-        """(col_order, sorted_keys): entries by (column key, row), the CSC
-        analogue.  lexsort orders object keys too."""
-        keys = column_keys(self.idx, self.dims, self.mode)
-        order = np.lexsort((self.idx[:, self.mode], keys))
-        return order, keys[order]
+        """(col_order, plan, codes, col_ptr): entries by (column, row), the
+        CSC analogue; column c holds ``col_order[col_ptr[c]:col_ptr[c + 1]]``."""
+        plan, codes, ids, _ = column_levels(self.idx, self.dims, self.mode)
+        by_row = gridmod.stable_argsort(self.idx[:, self.mode], self.dims[self.mode])
+        order, col_ptr = gridmod.group_by_rank(ids[by_row], codes[-1].size)
+        return by_row[order], plan, codes, col_ptr
 
     @cached_property
     def _csr(self):
@@ -175,7 +171,6 @@ class Matricization:
         return order, np.flatnonzero(head), prefixes
 
     col_order = property(lambda self: self._csc[0])
-    sorted_keys = property(lambda self: self._csc[1])
     row_order = property(lambda self: self._csr[0])
     row_ptr = property(lambda self: self._csr[1])
     prefixes = property(lambda self: self._csr[2])
@@ -189,17 +184,24 @@ class Matricization:
         """Accumulator rows; a stack's count builds its CSR analogue."""
         return self.row_hi - self.row_lo if self.rank_ptr is None else self.row_ptr.size - 1
 
-    def lookup_columns(self, query_keys):
-        """Binary-search positions of query column keys.
-
-        Returns (lo, hi): for query q, the nonzeros of that column sit at
-        ``col_order[lo[q]:hi[q]]``, every rank's of a stack among them.  The
-        first call builds the CSC analogue.
+    def lookup_columns(self, X):
+        """(lo, hi): the off-mode column of index tuple X[q] (column ``mode``
+        ignored) holds ``col_order[lo[q]:hi[q]]``, every rank's entries of a
+        stack among them.  A code per level, below the position its prefix
+        found one level up, is binary-searched; an index outside its
+        dimension raises BoundsError.  The first call builds the CSC analogue.
         """
-        q = np.asarray(query_keys)
-        lo = np.searchsorted(self.sorted_keys, q, side="left")
-        hi = np.searchsorted(self.sorted_keys, q, side="right")
-        return lo, hi
+        X = check_columns(X, self.dims, self.mode)
+        if not self.nnz:
+            return np.zeros((2, X.shape[0]), dtype=np.int64)
+        _, plan, codes, col_ptr = self._csc
+        pos, hit = None, True
+        for word, c in zip(plan, codes):
+            q = pack_word(X, word, high=pos)
+            pos = np.minimum(np.searchsorted(c, q), c.size - 1)
+            hit = hit & (c[pos] == q)
+        lo = col_ptr[pos]
+        return lo, np.where(hit, col_ptr[pos + 1], lo)
 
 
 def matricize(t: SparseTensorCOO, mode: int) -> Matricization:

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import grid as gridmod
-from .matricization import Matricization, column_keys
+from .matricization import Matricization
 
 _CHUNK_NNZ = 1 << 12
 
@@ -121,26 +121,22 @@ def mttkrp_exact(mat: Matricization, factors, workers=1):
     return out
 
 
-def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, keys=None,
-                                   weights=None) -> Matricization:
+def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, weights=None) -> Matricization:
     """The sketched submatrix: mat(T, k) columns hit by the sample tuples.
 
-    X is the (J, N) sample index matrix; column k is ignored.  ``keys``
-    are X's column keys when the caller already holds them.  Each column
-    is binary-searched once in the column-sorted order.  Returns a
-    two-mode ``Matricization`` of shape (dims[k], J) over the view's row
-    blocks: mode 0 holds an entry's global row, mode 1 the row s of X
-    that hit it (one column per copy of a repeated tuple), and the value
-    carries ``weights[s]`` when weights are given.  A stack's submatrix
-    stacks the same ranks, each rank's entries in column order.
+    X is the (J, N) sample index matrix; column k is ignored, and another
+    index outside its dimension raises BoundsError.  One lookup finds
+    every column.  Returns a two-mode ``Matricization`` of shape
+    (dims[k], J) over the view's row blocks: mode 0 holds an entry's
+    global row, mode 1 the row s of X that hit it (one column per copy of
+    a repeated tuple), and the value carries ``weights[s]`` when weights
+    are given.  A stack's submatrix stacks the same ranks, each rank's
+    entries in column order.
     """
     if mat.mode != k:
         raise ValueError("matricization is for mode %d, expected %d" % (mat.mode, k))
-    X = np.asarray(X)
-    J = X.shape[0]
-    if keys is None:
-        keys = column_keys(X.astype(np.int64), mat.dims, k)
-    pos, counts = _concat_ranges(*mat.lookup_columns(keys))
+    J = len(X)
+    pos, counts = _concat_ranges(*mat.lookup_columns(X))
     entry = mat.col_order[pos]
     cols = np.repeat(np.arange(J, dtype=np.int64), counts)
     rank_ptr = mat.rank_ptr

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .linalg import hadamard_gram_chain, pseudo_inverse
-from .matricization import column_keys, distinct_keys
+from .matricization import check_columns, column_levels
 from .mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
 from .samplers import arls_lev_sample, sample_weights, sts_sample
 
@@ -100,27 +100,25 @@ def distinct_columns(batch, factors, k):
     """Merge repeated sample tuples of a weighted batch into one column each.
 
     ``factors[i]`` is mode i's (I_i, R) factor matrix; only its row count
-    is read for i == k.  Returns (keys, X, H, weights): the sorted
-    distinct column keys (int64 or object, as
-    ``matricization.column_keys`` gives them), the index tuple and design
-    row of each, and the merged weights, whose squares sum the squared
-    weights of the repeated draws.  sum_s w_s^2 a_s a_s^T over the J
-    draws equals sum_u (sum of w_s^2 over u's copies) a_u a_u^T over the
-    distinct tuples u, so the sketched Gram and the downsampled MTTKRP
-    are unchanged up to rounding.  A design row is the Hadamard product
-    of the tuple's factor rows, multiplied in ascending mode order as the
-    samplers' running products are.
+    is read for i == k.  Returns (X, H, weights): the distinct index
+    tuples in column order (``column_levels``), the design row of each,
+    and the merged weights, whose squares sum the squared weights of the
+    repeated draws.  sum_s w_s^2 a_s a_s^T over the J draws equals sum_u
+    (sum of w_s^2 over u's copies) a_u a_u^T over the distinct tuples u,
+    so the sketched Gram and the downsampled MTTKRP are unchanged up to
+    rounding.  A design row is the Hadamard product of the tuple's factor
+    rows, multiplied in ascending mode order as the samplers' running
+    products are.
     """
-    dims = [U.shape[0] for U in factors]
-    keys, where, inverse = distinct_keys(column_keys(batch.X, dims, k))
-    sq = np.bincount(inverse, weights=batch.weights * batch.weights, minlength=keys.shape[0])
-    X = batch.X.take(where, axis=0)
+    _, _, inverse, first = column_levels(batch.X, [U.shape[0] for U in factors], k)
+    sq = np.bincount(inverse, weights=batch.weights * batch.weights, minlength=first.size)
+    X = batch.X.take(first, axis=0)
     H = None
     for i, U in enumerate(factors):
         if i != k:
             rows = U.take(X[:, i], axis=0)
             H = rows if H is None else H.__imul__(rows)
-    return keys, X, H, np.sqrt(sq)
+    return X, H, np.sqrt(sq)
 
 
 def draw_batch(ctx: SolveContext, k: int):
@@ -142,11 +140,11 @@ def _sketched_gram(ctx: SolveContext, k: int, batch, metered: bool):
 
     The metered Gram is summed in cell-owner rank order.  Returns the
     Gram and the columns as ``distinct_columns`` gives them, but with the
-    design rows weighted (keys, X, Hw, weights).  The merge is timed as
+    design rows weighted (X, Hw, weights).  The merge is timed as
     sampling, the Gram as postprocessing.
     """
     t0 = time.perf_counter()
-    keys, X, Hw, weights = distinct_columns(batch, [f.U for f in ctx.factors], k)
+    X, Hw, weights = distinct_columns(batch, [f.U for f in ctx.factors], k)
     ctx.stats["distinct_samples"] += X.shape[0]
     t0 = ctx.tick("sampling", t0)
     Hw *= weights[:, None]
@@ -162,15 +160,15 @@ def _sketched_gram(ctx: SolveContext, k: int, batch, metered: bool):
         Gs = gridmod.allreduce(partials, list(range(grid.P)),
                                ledger=ctx.ledger, round_id=ctx.round_id)
     ctx.tick("postprocess", t0)
-    return Gs, (keys, X, Hw, weights)
+    return Gs, (X, Hw, weights)
 
 
 def _sampled_mttkrp(ctx: SolveContext, k: int, cols):
     """One extraction and one downsampled MTTKRP over the mode-k stack;
     returns the sketched submatrix and its accumulator rows."""
-    keys, X, Hw, weights = cols
+    X, Hw, weights = cols
     t0 = time.perf_counter()
-    sub = gather_sampled_nonzeros_to_csr(ctx.local.views[k], X, k, keys=keys, weights=weights)
+    sub = gather_sampled_nonzeros_to_csr(ctx.local.views[k], X, k, weights=weights)
     ctx.stats["sampled_nnz"] += sub.nnz
     t0 = ctx.tick("extract", t0)
     acc = downsampled_mttkrp(sub, Hw, workers=ctx.workers)
@@ -202,7 +200,8 @@ def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
     sketched solve, None for an exact one.
 
     ``injected_batch`` replaces the sampler's draw (any sampler, exact
-    included).  The schedule enters only in the metered row gathers,
+    included); an off-mode index of it outside its dimension raises
+    BoundsError.  The schedule enters only in the metered row gathers,
     whether the sketched Gram is allreduced, and the reduce-scatter.  An
     exact solve of the last mode keeps its reduced MTTKRP in
     ``ctx.last_mttkrp``.
@@ -221,6 +220,8 @@ def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
     else:
         if batch is None:
             batch = draw_batch(ctx, k)
+        else:  # the sampler's draws are in range by construction
+            check_columns(batch.X, ctx.grid.tensor_dims, k)
         if batch.weights is None:
             sample_weights(batch)
         t0 = time.perf_counter()

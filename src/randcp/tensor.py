@@ -71,38 +71,43 @@ class SparseTensorCOO:
     def norm_squared(self) -> float:
         return float(np.dot(self.vals, self.vals))
 
-    def canonical(self):
-        """Entries in lexicographic index order (for comparisons in tests)."""
-        order = np.lexsort(self.idx.T[::-1])
-        return self.idx[order], self.vals[order]
 
-
-def _packed_keys(idx):
-    """The index columns packed into as few int64 words as their bit widths
-    need, most significant word first and mode 0 most significant within a
-    word, so words compare as the tuples do.  Indices must be >= 0."""
-    words, key, used = [], 0, 0
-    for col in idx.T:
-        w = int(col.max()).bit_length()
+def plan_words(fields, reserve=0):
+    """Split (mode, bits) fields, most significant first, into int64 words
+    of at most 63 bits, each after the first keeping its top ``reserve``
+    bits for a parent id; a mode too wide for that raises ValueError."""
+    words, used = [], 64
+    for m, w in fields:
         if used + w > 63:
-            words.append(key)
-            key, used = 0, 0
-        key = (key << w) | col
+            used = reserve if words else 0
+            if used + w > 63:
+                raise ValueError("mode %d: %d index bits beside a %d-bit parent id "
+                                 "exceed an int64 word" % (m, w, reserve))
+            words.append([])
+        words[-1].append((m, w))
         used += w
-    words.append(key)
     return words
+
+
+def pack_word(idx, word, high=None):
+    """Shift-or the (mode, bits) fields of ``idx``, first most significant, below ``high``."""
+    key = high
+    for m, w in word:
+        key = idx[:, m] if key is None else (key << w) | idx[:, m]
+    return key
 
 
 def sum_duplicates(idx, vals):
     """Collapse repeated index tuples by summing their values.
 
     Returns the distinct tuples in lexicographic order.  The sort over the
-    packed keys is stable, so each tuple's values are summed in input
-    order.  Indices must be >= 0.
+    packed words (``plan_words``) is stable, so each tuple's values are
+    summed in input order.  Indices must be >= 0.
     """
     if idx.shape[0] == 0:
         return idx, vals
-    words = _packed_keys(idx)
+    fields = [(m, int(col.max()).bit_length()) for m, col in enumerate(idx.T)]
+    words = [pack_word(idx, word) for word in plan_words(fields)]
     order = np.lexsort(words[::-1])
     new_run = np.zeros(idx.shape[0], dtype=bool)
     new_run[0] = True

@@ -49,8 +49,7 @@ def _unit_factors(dims, R, seed):
 
 
 def _batch_tv(batch, dims, k, probs_ref):
-    keys = column_keys(batch.X, dims, k)
-    emp = np.bincount(keys, minlength=probs_ref.size) / batch.J
+    emp = np.bincount(column_keys(batch.X, dims, k), minlength=probs_ref.size) / batch.J
     return 0.5 * np.abs(emp - probs_ref).sum()
 
 
@@ -68,7 +67,7 @@ def suite_samplers(seed=0):
     batch = sts_sample(trees, k, J, seed=seed + 1)
     tv = _batch_tv(batch, dims, k, oracle)
     checks.append(("sts_tv_vs_exact_oracle < 0.01", tv < 0.01, "tv=%.4f" % tv))
-    err = np.abs(batch.prob - oracle_joint(oracle, batch, dims, k)).max()
+    err = np.abs(batch.prob - oracle[column_keys(batch.X, dims, k)]).max()
     checks.append(("sts_path_probability_identity < 1e-10", err < 1e-10, "err=%.2e" % err))
 
     states = [arls_lev_build(b) for b in blocks]
@@ -83,18 +82,13 @@ def suite_samplers(seed=0):
     for s in range(n_rep):
         b = arls_lev_sample(states, k, 2000, seed=seed + 10 + s)
         wts = sample_weights(b)
-        keys = b.X[:, 0] + dims[0] * b.X[:, 1]
         S = np.zeros((2000, 16))
-        S[np.arange(2000), keys] = wts
+        S[np.arange(2000), column_keys(b.X, dims, k)] = wts
         acc += S.T @ S
     acc /= n_rep
     err_w = np.abs(acc - np.eye(16)).max()
     checks.append(("weights_make_E[StS]=I within 5%", err_w < 0.05, "err=%.3f" % err_w))
     return checks
-
-
-def oracle_joint(oracle, batch, dims, k):
-    return oracle[column_keys(batch.X, dims, k)]
 
 
 def suite_mttkrp(seed=0):
@@ -124,9 +118,8 @@ def suite_mttkrp(seed=0):
                     H *= factors[i][X[:, i]]
             sub = gather_sampled_nonzeros_to_csr(m, X, k, weights=wts)
             got_ds = downsampled_mttkrp(sub, H * wts[:, None])
-            keys = column_keys(X, dims, k)
             S = np.zeros((J, A.shape[0]))
-            S[np.arange(J), keys] = wts
+            S[np.arange(J), column_keys(X, dims, k)] = wts
             ref_ds = dense_matricization(T, k) @ S.T @ S @ A
             denom = max(np.linalg.norm(ref_ds), 1e-12)
             worst_ds = max(worst_ds, np.linalg.norm(got_ds - ref_ds) / denom)

@@ -32,6 +32,25 @@ def unit_factors(dims, R, seed):
     return out
 
 
+class OnesFactor:
+    """An all-ones (I, 2) factor that never allocates its I rows."""
+
+    def __init__(self, n_rows):
+        self.shape = (n_rows, 2)
+
+    def take(self, rows, axis=0):
+        return np.ones((len(rows), 2))
+
+
+def py_column_key(row, dims, skip):
+    """The mixed-radix column key of one index tuple, in Python integers."""
+    key, stride = 0, 1
+    for m, (i, d) in enumerate(zip(row, dims)):
+        if m != skip:
+            key, stride = key + i * stride, stride * d
+    return key
+
+
 def rank_extractions(ctx, k, cols):
     """Run one sketched solve's extraction and kernel over the mode-k
     stack and cut the results by rank.
@@ -40,11 +59,11 @@ def rank_extractions(ctx, k, cols):
     Returns (got, full, searched).  Per rank, ``got`` holds the rank's
     entries, values, global rows and accumulator rows of the stacked
     results, and ``full`` the same four arrays that a search of every
-    distinct key over ``local(p, k)`` and the kernel on that one-block
+    distinct column over ``local(p, k)`` and the kernel on that one-block
     submatrix give (its rows that hold entries).  ``searched`` is the
-    number of keys the solve searched.
+    number of columns the solve searched.
     """
-    keys, X, Hw, weights = cols
+    X, Hw, weights = cols
     with mock.patch.object(Matricization, "lookup_columns", autospec=True,
                            side_effect=Matricization.lookup_columns) as lookup:
         sub, acc = schedules._sampled_mttkrp(ctx, k, cols)
@@ -56,8 +75,7 @@ def rank_extractions(ctx, k, cols):
         a, b = sub.rank_ptr[p:p + 2]
         mine = row_rank == p
         got.append((sub.idx[a:b], sub.vals[a:b], sub.idx[first[mine], 0], acc[mine]))
-        ref = gather_sampled_nonzeros_to_csr(ctx.local.local(p, k), X, k, keys=keys,
-                                             weights=weights)
+        ref = gather_sampled_nonzeros_to_csr(ctx.local.local(p, k), X, k, weights=weights)
         rows = np.flatnonzero(np.diff(ref.row_ptr))
         full.append((ref.idx, ref.vals, rows + ref.row_lo, downsampled_mttkrp(ref, Hw)[rows]))
     return got, full, searched

@@ -6,9 +6,10 @@ from randcp.als import AlsConfig, run_als
 from randcp.linalg import FactorBlocks
 from randcp.matricization import matricize, partition_to_grid
 from randcp.mttkrp import gather_sampled_nonzeros_to_csr
-from randcp.samplers import SampleBatch, sample_weights, sts_build, sts_sample
-from randcp.schedules import SolveContext, _sketched_gram, solve_mode
-from randcp.tensor import SparseTensorCOO
+from randcp.samplers import (SampleBatch, arls_lev_build, arls_lev_sample, sample_weights,
+                             sts_build, sts_sample)
+from randcp.schedules import SolveContext, _sketched_gram, distinct_columns, solve_mode
+from randcp.tensor import BoundsError, SparseTensorCOO
 from conftest import assert_same_bits, make_sparse, rank_extractions, unit_factors
 
 
@@ -51,12 +52,13 @@ class TestFourModeEndToEnd:
 
 
 def test_sampled_extraction_with_object_keys():
-    dims = (1 << 22, 1 << 22, 1 << 22, 1 << 22)  # off-mode space > int64
+    dims = (1 << 22, 1 << 22, 1 << 22, 1 << 22)  # off-mode key space 2^66 > int64
     gen = np.random.default_rng(5)
     idx = np.stack([gen.integers(0, d, 40) for d in dims], 1)
     t = SparseTensorCOO(dims, idx, gen.standard_normal(40))
     m = matricize(t, 0)
-    assert m.sorted_keys.dtype == object
+    _, plan, codes, col_ptr = m._csc
+    assert len(plan) == 2 and all(a.dtype == np.int64 for a in codes + [col_ptr])
     X = np.full((6, 4), -1, dtype=np.int64)
     X[:3, 1:] = idx[:3, 1:]               # hit three real columns
     X[3:, 1:] = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]  # almost surely empty
@@ -84,12 +86,83 @@ def test_cell_filtered_extraction_with_object_keys():
         batch = SampleBatch(X, np.ones(X.shape), gen.random(30) + 0.1)
         sample_weights(batch)
         _, cols = _sketched_gram(ctx, k, batch, metered=True)
-        assert cols[0].dtype == object
         got, full, searched = rank_extractions(ctx, k, cols)
+        _, plan, codes, col_ptr = ctx.local.views[k]._csc
+        assert len(plan) == 2 and all(a.dtype == np.int64 for a in codes + [col_ptr])
         for sub, ref in zip(got, full):
             assert_same_bits(sub, ref)
         assert sum(entries.shape[0] for entries, *_ in got) >= 20
         assert searched == cols[0].shape[0]
+
+
+@pytest.mark.parametrize("sampler", ["arls-lev", "sts"])
+@pytest.mark.parametrize("schedule", ["tensor-stationary", "accumulator-stationary"])
+def test_hyper6_injected_solves_keep_int64_columns(sampler, schedule):
+    # (2^13)^6: every mode's off-mode columns need two int64 levels.
+    dims = (1 << 13,) * 6
+    gen = np.random.default_rng(9)
+    idx = np.stack([gen.integers(0, d, 80) for d in dims], 1)
+    t = SparseTensorCOO(dims, idx, gen.standard_normal(80))
+    g = gridmod.ProcessorGrid(dims, (2, 1, 2, 1, 1, 1))
+    blocks = [FactorBlocks.from_global(U, g, j)
+              for j, U in enumerate(unit_factors(dims, 2, seed=10))]
+    build, sample = ((arls_lev_build, arls_lev_sample) if sampler == "arls-lev"
+                     else (sts_build, sts_sample))
+    states = [build(b) for b in blocks]
+    ctx = SolveContext(g, schedule, sampler, 48, blocks, partition_to_grid(t, g, schedule),
+                       gridmod.CommLedger(), seed=0)
+    batches = [sample(states, k, 48, seed=11 + k) for k in range(6)]  # before any solve
+    for k, batch in enumerate(batches):
+        hits = gen.permutation(80)[:24]
+        batch.X[:24] = np.where(np.arange(6) == k, -1, idx[hits])  # half the draws hit
+        batch.X[24:32] = batch.X[:8]                               # and some repeat
+        sample_weights(batch)
+        X, H, weights = distinct_columns(batch, [b.U for b in blocks], k)
+        _, cols = _sketched_gram(ctx, k, batch, metered=schedule == "tensor-stationary")
+        got, full, searched = rank_extractions(ctx, k, cols)
+        for sub, ref in zip(got, full):
+            assert_same_bits(sub, ref)
+        assert sum(entries.shape[0] for entries, *_ in got) >= 24
+        order, plan, codes, col_ptr = ctx.local.views[k]._csc
+        assert len(plan) == 2
+        assert all(a.dtype == np.int64 for a in [order, col_ptr, X] + codes)
+        solve_mode(ctx, k, injected_batch=batch)
+        assert np.isfinite(ctx.factors[k].U).all()
+
+
+class TestExtractionBounds:
+    """Off-mode sample indices outside their dimension raise BoundsError
+    rather than alias another column's nonzeros."""
+
+    @staticmethod
+    def view():
+        t = SparseTensorCOO((3, 4, 5), np.array([[0, 1, 2], [2, 3, 4]]), np.array([1.0, 2.0]))
+        return t, matricize(t, 2)
+
+    @pytest.mark.parametrize("bad", [[3, 0, -1], [-1, 0, -1], [0, 4, -1], [0, -2, 0]])
+    def test_out_of_range_index_raises(self, bad):
+        _, m = self.view()
+        X = np.array([[0, 1, -1], bad], dtype=np.int64)
+        with pytest.raises(BoundsError):
+            gather_sampled_nonzeros_to_csr(m, X, 2)
+
+    def test_in_range_extraction_still_hits(self):
+        _, m = self.view()
+        sub = gather_sampled_nonzeros_to_csr(m, np.array([[0, 1, -1], [2, 3, 7]]), 2)
+        assert sorted(sub.vals.tolist()) == [1.0, 2.0]
+
+    @pytest.mark.parametrize("schedule", ["tensor-stationary", "accumulator-stationary"])
+    @pytest.mark.parametrize("bad", [[3, 0, -1], [0, -1, -1]])
+    def test_injected_batch_raises(self, schedule, bad):
+        t, _ = self.view()
+        g = gridmod.ProcessorGrid(t.dims, (1, 1, 1))
+        blocks = [FactorBlocks.from_global(U, g, j)
+                  for j, U in enumerate(unit_factors(t.dims, 2, seed=3))]
+        ctx = SolveContext(g, schedule, "sts", 2, blocks, partition_to_grid(t, g, schedule),
+                           gridmod.CommLedger(), seed=0)
+        batch = SampleBatch(np.array([[0, 1, -1], bad]), np.ones((2, 3)), np.full(2, 0.5))
+        with pytest.raises(BoundsError):
+            solve_mode(ctx, 2, injected_batch=batch)
 
 
 def test_sts_build_exchange_metering_power_of_two():

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from randcp import grid as gridmod
 from randcp.als import AlsConfig, run_als
 from randcp.linalg import FactorBlocks
-from randcp.matricization import partition_to_grid
-from randcp.samplers import arls_lev_build, sample_weights, sts_build
-from randcp.schedules import SolveContext, _sketched_gram, draw_batch
+from randcp.matricization import Matricization, column_levels, partition_to_grid
+from randcp.samplers import SampleBatch, arls_lev_build, sample_weights, sts_build
+from randcp.schedules import SolveContext, _sketched_gram, distinct_columns, draw_batch
 from randcp.tensor import SparseTensorCOO
-from conftest import assert_same_bits, rank_extractions
+from conftest import OnesFactor, assert_same_bits, py_column_key, rank_extractions
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -108,6 +108,68 @@ def test_cell_filtered_extraction_matches_all_keys(case, R, sampler, J, schedule
             assert_same_bits(sub, ref)
         # Each distinct column is searched once per solve, over every rank.
         assert searched == cols[0].shape[0]
+
+
+# Off-mode index spaces needing one, two and three int64 column levels;
+# at (2^31)^5 a level would hold two 31-bit modes but for its parent ids.
+COLUMN_DIMS = [(5, 4, 3, 6), (1 << 22,) * 4, (4, 1 << 40, 1 << 40, 3), (1 << 13,) * 6,
+               (1 << 40,) * 4, (1 << 31,) * 5]
+
+
+@st.composite
+def column_cases(draw):
+    """Entries and query tuples over one of COLUMN_DIMS.  Each mode draws
+    from three indices, 0 and the widest among them, so columns repeat and
+    share prefixes at every level."""
+    dims = draw(st.sampled_from(COLUMN_DIMS))
+    skip = draw(st.integers(0, len(dims) - 1))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pools = [np.array([0, d - 1, gen.integers(0, d)]) for d in dims]
+    n, q = draw(st.integers(1, 50)), draw(st.integers(1, 20))
+    idx, queries = (np.stack([p[gen.integers(0, 3, size)] for p in pools], 1)
+                    for size in (n, q))
+    idx[:, skip] = gen.integers(0, min(dims[skip], 4), n)
+    queries[:, skip] = -1
+    return dims, skip, idx, queries, gen.random(n) + 0.1
+
+
+@PROPERTY
+@given(case=column_cases())
+def test_column_levels_sort_lookup_and_merge_as_mixed_radix_keys(case):
+    dims, skip, idx, queries, weights = case
+    keys = [py_column_key(r, dims, skip) for r in idx.tolist()]
+    m = Matricization(dims, idx, np.ones(idx.shape[0]), skip)
+    ref = sorted(range(idx.shape[0]), key=lambda e: (keys[e], idx[e, skip]))
+    assert m.col_order.tolist() == ref
+    order, plan, codes, col_ptr = m._csc
+    assert all(a.dtype == np.int64 for a in [order, col_ptr] + codes)
+
+    # lookup_columns against a filter scan over the entries in column order
+    lo, hi = m.lookup_columns(queries)
+    for s, row in enumerate(queries.tolist()):
+        want = py_column_key(row, dims, skip)
+        assert m.col_order[lo[s]:hi[s]].tolist() == [e for e in ref if keys[e] == want]
+
+    # the draw merge: distinct tuples in column order, root-sum-square weights
+    X = idx.copy()
+    X[:, skip] = -1
+    batch = SampleBatch(X, np.ones(X.shape), np.ones(X.shape[0]))
+    batch.weights = weights
+    Xd, _, merged = distinct_columns(batch, [OnesFactor(d) for d in dims], skip)
+    distinct = sorted(set(keys))
+    assert [py_column_key(r, dims, skip) for r in Xd.tolist()] == distinct
+    ref_sq = [0.0] * len(distinct)
+    for e, key in enumerate(keys):
+        ref_sq[distinct.index(key)] += weights[e] * weights[e]
+    assert np.array_equal(merged, np.sqrt(ref_sq))
+    _, codes, ids, first = column_levels(X, dims, skip)
+    assert all(a.dtype == np.int64 for a in codes + [ids, first])
+
+
+def test_column_dims_cover_one_to_three_levels():
+    levels = {len(column_levels(np.zeros((50, len(d)), dtype=np.int64), d, s)[0])
+              for d in COLUMN_DIMS for s in range(len(d))}
+    assert levels == {1, 2, 3}
 
 
 @PROPERTY

@@ -195,7 +195,7 @@ class TestStsSample:
         batch = sts_sample(trees, 2, 16, seed=11)
         assert (batch.X[:, :2] == 0).all()
         sample_weights(batch)
-        H = distinct_columns(batch, factors, 2)[2]
+        H = distinct_columns(batch, factors, 2)[1]
         assert np.allclose(H, [factors[0][0] * factors[1][0]])
 
     def test_h_after_first_mode(self):
@@ -206,7 +206,7 @@ class TestStsSample:
         trees = sts_setup(factors, g)
         batch = sts_sample(trees, 2, 32, seed=13)
         sample_weights(batch)
-        _, X, H, _ = distinct_columns(batch, factors, 2)
+        X, H, _ = distinct_columns(batch, factors, 2)
         assert np.allclose(H, factors[0][X[:, 0]])
 
     def test_empirical_matches_exact_oracle(self):
@@ -616,5 +616,5 @@ def test_state_owns_its_factor_and_gram(build, sample):
     batch = sample(states, 2, 64, seed=41)
     assert (batch.X[:, 0] == 3).all()
     sample_weights(batch)
-    _, X, H, _ = distinct_columns(batch, [fb.U for fb in blocks], 2)
+    X, H, _ = distinct_columns(batch, [fb.U for fb in blocks], 2)
     assert np.array_equal(H, blocks[0].U[3] * blocks[1].U[X[:, 1]])

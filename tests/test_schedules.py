@@ -4,7 +4,7 @@ import pytest
 from randcp import grid as gridmod
 from randcp.als import AlsConfig, run_als
 from randcp.linalg import FactorBlocks, gram, hadamard_gram_chain, pseudo_inverse
-from randcp.matricization import column_keys, matricize, partition_to_grid
+from randcp.matricization import column_keys, column_levels, matricize, partition_to_grid
 from randcp.mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
 from randcp.samplers import (SampleBatch, arls_lev_build, arls_lev_sample, sample_weights,
                              sts_build, sts_sample)
@@ -12,7 +12,7 @@ from randcp.schedules import (ScheduleError, SolveContext, _exact_mttkrp, _reduc
                               _sampled_mttkrp, _sketched_gram, distinct_columns,
                               refresh_gathered, solve_mode)
 from randcp.tensor import SparseTensorCOO
-from conftest import make_sparse, unit_factors
+from conftest import OnesFactor, make_sparse, unit_factors
 
 
 def make_ctx(t, grid, schedule, sampler, factors, J=0, ledger=None):
@@ -302,16 +302,6 @@ def rel_err(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
 
-class _OnesFactor:
-    """An all-ones (I, 2) factor that never allocates its I rows."""
-
-    def __init__(self, n_rows):
-        self.shape = (n_rows, 2)
-
-    def take(self, rows, axis=0):
-        return np.ones((len(rows), 2))
-
-
 class TestDistinctColumns:
     @pytest.mark.parametrize("schedule", ["tensor-stationary", "accumulator-stationary"])
     def test_matches_j_row_reference(self, schedule):
@@ -321,8 +311,8 @@ class TestDistinctColumns:
         for k in range(3):
             # a few tuples per mode pair cover most nonzero columns
             batch, H = repeated_batch(t.dims, factors, k, n_distinct=15, J=600, seed=42 + k)
-            keys = distinct_columns(batch, factors, k)[0]
-            assert keys.shape[0] == np.unique(batch.X, axis=0).shape[0] < batch.J
+            X = distinct_columns(batch, factors, k)[0]
+            assert X.shape[0] == np.unique(batch.X, axis=0).shape[0] < batch.J
 
             Hw = H * batch.weights[:, None]
             ref_gram = Hw.T @ Hw
@@ -334,7 +324,7 @@ class TestDistinctColumns:
             ctx = make_ctx(t, g, schedule, "sts", factors, J=batch.J)
             gram, cols = _sketched_gram(ctx, k, batch,
                                         metered=schedule == "tensor-stationary")
-            assert np.array_equal(cols[0], keys)
+            assert np.array_equal(cols[0], X)
             assert rel_err(gram, ref_gram) < 1e-12
             sub, acc = _sampled_mttkrp(ctx, k, cols)
             rhs = np.zeros_like(ref_rhs)
@@ -363,7 +353,7 @@ class TestDistinctColumns:
                 if i != k:
                     per_draw *= blocks[i].U[batch.X[:, i]]
             _, first = np.unique(column_keys(batch.X, dims, k), return_index=True)
-            _, X, H, _ = distinct_columns(batch, [b.U for b in blocks], k)
+            X, H, _ = distinct_columns(batch, [b.U for b in blocks], k)
             assert first.size < batch.J
             assert np.array_equal(X, batch.X[first])
             assert np.array_equal(H.view(np.int64), per_draw[first].view(np.int64))
@@ -372,20 +362,25 @@ class TestDistinctColumns:
         X = np.array([[-1, 1, 2], [-1, 0, 0], [-1, 1, 2], [-1, 1, 2]], dtype=np.int64)
         batch = SampleBatch(X, np.ones((4, 3)), np.ones(4))
         batch.weights = np.array([1.0, 2.0, 3.0, 4.0])
-        keys, Xd, _, weights = distinct_columns(batch, [np.ones((3, 2))] * 3, 0)
-        assert np.array_equal(keys, [0, 7])          # key = i_1 + 3 * i_2
+        Xd, _, weights = distinct_columns(batch, [np.ones((3, 2))] * 3, 0)
+        assert Xd.dtype == np.int64
+        assert np.array_equal(column_keys(Xd, (3, 3, 3), 0), [0, 7])  # i_1 + 3 * i_2
         assert np.array_equal(Xd, X[[1, 0]])
         assert np.allclose(weights, [2.0, np.sqrt(1.0 + 9.0 + 16.0)], rtol=1e-15)
 
     def test_object_keys(self):
-        dims = (4, 1 << 40, 1 << 40, 3)   # mode-0 key space overflows int64
+        # The mode-0 mixed-radix key space (2^82) overflows int64; the merge
+        # packs the draws into two int64 levels instead.
+        dims = (4, 1 << 40, 1 << 40, 3)
         X = np.array([[-1, 5, 1 << 39, 2], [-1, 5, 1 << 39, 2], [-1, 7, 3, 0]],
                      dtype=np.int64)
         batch = SampleBatch(X, np.ones((3, 4)), np.full(3, 0.5))
         sample_weights(batch)
-        keys, Xd, _, weights = distinct_columns(batch, [_OnesFactor(d) for d in dims], 0)
-        assert keys.dtype == object and list(keys) == sorted(keys)
-        assert np.array_equal(Xd, X[[2, 0]])
+        plan, codes, ids, _ = column_levels(X, dims, 0)
+        assert len(plan) == 2 and all(a.dtype == np.int64 for a in codes + [ids])
+        Xd, _, weights = distinct_columns(batch, [OnesFactor(d) for d in dims], 0)
+        assert Xd.dtype == np.int64
+        assert np.array_equal(Xd, X[[2, 0]])              # mode 3 slowest
         assert np.allclose(weights ** 2, [1.0 / 1.5, 2.0 / 1.5])
 
 

@@ -11,9 +11,9 @@ from randcp import grid as gridmod
 from randcp.als import AlsConfig, run_als
 from randcp.matricization import Matricization, column_keys, matricize, partition_to_grid
 from randcp.tensor import (BoundsError, ModePermutations, ParseError, SparseTensorCOO,
-                           _packed_keys, apply_permutations, load_frostt, permute_modes,
-                           read_matrix, sum_duplicates, write_matrix)
-from conftest import assert_same_bits, make_sparse
+                           apply_permutations, load_frostt, permute_modes,
+                           plan_words, read_matrix, sum_duplicates, write_matrix)
+from conftest import assert_same_bits, make_sparse, py_column_key
 
 
 def write_tns(tmp_path, text, name="t.tns"):
@@ -170,11 +170,18 @@ class TestSumDuplicates:
         pool[0] = np.array(dims) - 1     # the widest index of every mode
         idx = pool[gen.integers(0, 40, 400)]  # many repeats, some runs over 8
         vals = gen.standard_normal(400)
-        assert len(_packed_keys(idx)) == words
+        assert len(plan_words([(m, int(c.max()).bit_length())
+                               for m, c in enumerate(idx.T)])) == words
         got_idx, got_vals = sum_duplicates(idx, vals)
         ref_idx, ref_vals = lexsort_sum_duplicates(idx, vals)
         assert np.array_equal(got_idx, ref_idx) and got_idx.flags.c_contiguous
         assert_same_bits([got_vals], [ref_vals])
+
+    def test_plan_rejects_a_mode_wider_than_its_word(self):
+        fields = [(3, 20), (1, 40), (0, 40)]
+        assert plan_words(fields, reserve=23) == [[(3, 20), (1, 40)], [(0, 40)]]
+        with pytest.raises(ValueError, match="mode 0"):
+            plan_words(fields, reserve=24)
 
     def test_empty(self):
         idx, vals = sum_duplicates(np.zeros((0, 3), dtype=np.int64), np.zeros(0))
@@ -262,9 +269,7 @@ class TestPermutations:
         t = make_sparse((5, 4, 3), 25, seed=2)
         t2, mp = permute_modes(t, seed=7)
         t3 = apply_permutations(t2, mp.inverse())
-        a, av = t.canonical()
-        b, bv = t3.canonical()
-        assert np.array_equal(a, b) and np.array_equal(av, bv)
+        assert np.array_equal(t3.idx, t.idx) and np.array_equal(t3.vals, t.vals)
 
     def test_same_seed_same_perms(self):
         t = make_sparse((5, 4, 3), 25, seed=3)
@@ -276,7 +281,7 @@ class TestPermutations:
 
 def column_entries(m, index_tuple):
     """All (row, value) pairs of one off-mode column, through the view's lookup."""
-    lo, hi = m.lookup_columns(column_keys(np.array([index_tuple]), m.dims, m.mode))
+    lo, hi = m.lookup_columns(np.array([index_tuple]))
     pos = m.col_order[lo[0]:hi[0]]
     return m.idx[pos, m.mode], m.vals[pos]
 
@@ -288,8 +293,17 @@ class TestMatricize:
         m = matricize(t, 1)
         assert m.nnz == 1
         assert m.idx[m.col_order[0], 1] == 0
-        # mode 0 has stride 1 and mode 2 stride 2; the mode-1 entry is ignored
-        assert m.sorted_keys[0] == column_keys(np.array([[1, 1, 1]]), t.dims, 1)[0] == 3
+        # one level packs modes 2 and 0, one bit each, mode 2 high: the code
+        # equals the mixed-radix key; the mode-1 entry is ignored
+        _, plan, codes, col_ptr = m._csc
+        assert plan == [[(2, 1), (0, 1)]] and col_ptr.tolist() == [0, 1]
+        assert codes[0].tolist() == column_keys(np.array([[1, 1, 1]]), t.dims, 1).tolist() == [3]
+
+    def test_column_keys_reject_int64_overflow(self):
+        idx = np.zeros((1, 4), dtype=np.int64)
+        assert column_keys(idx, (1 << 21, 1 << 21, (1 << 21) - 1, 5), 3)[0] == 0
+        with pytest.raises(ValueError):
+            column_keys(idx, (1 << 21, 1 << 21, 1 << 21, 5), 3)  # 2^63 keys
 
     def test_empty_column_lookup(self):
         t = SparseTensorCOO((2, 2, 2), np.array([[1, 0, 1]]), np.array([5.0]))
@@ -324,7 +338,8 @@ class TestMatricize:
         idx = np.stack([gen.integers(0, d, 50) for d in dims], 1)
         t = SparseTensorCOO(dims, idx, gen.standard_normal(50))
         m = matricize(t, 3)
-        assert m.sorted_keys.dtype == object
+        _, plan, codes, col_ptr = m._csc
+        assert len(plan) == 2 and all(a.dtype == np.int64 for a in codes + [col_ptr])
         probe = t.idx[7]
         rows, vals = column_entries(m, probe)
         mask = np.all(np.delete(t.idx, 3, axis=1) == np.delete(probe, 3), axis=1)
@@ -335,18 +350,20 @@ class TestMatricize:
     @pytest.mark.parametrize("dims", [(6, 5, 4, 3), (1 << 22,) * 4])
     def test_col_order_matches_key_row_sort(self, dims):
         # Few distinct columns and rows, so columns repeat and some entries
-        # share every index; int64 keys for small dims, object keys for large.
+        # share every index; one column level for small dims, two for large.
         gen = np.random.default_rng(11)
         cols = np.stack([gen.integers(0, d, 6) for d in dims], 1)
         for mode in range(len(dims)):
             idx = cols[gen.integers(0, 6, 60)]
             idx[:, mode] = gen.integers(0, min(dims[mode], 3), 60)
             m = Matricization(dims, idx, gen.standard_normal(60), mode)
-            keys = column_keys(idx, dims, mode)
-            assert keys.dtype == (object if dims[0] > 1000 else np.int64)
+            keys = [py_column_key(row, dims, mode) for row in idx.tolist()]
             ref = sorted(range(60), key=lambda i: (keys[i], idx[i, mode]))
             assert m.col_order.tolist() == ref
-            assert np.array_equal(m.sorted_keys, keys[ref])
+            _, plan, codes, col_ptr = m._csc
+            assert len(plan) == (1 if dims[0] < 1000 else 2)
+            _, counts = np.unique(np.array(keys, dtype=object), return_counts=True)
+            assert np.diff(col_ptr).tolist() == counts.tolist()
 
 
 class TestPartition:
@@ -412,8 +429,8 @@ class TestPartition:
 
 
 def layouts(m):
-    """The layouts view ``m`` holds: "csc" (col_order, sorted_keys) and
-    "csr" (row_order, row_ptr)."""
+    """The layouts view ``m`` holds: "csc" (col_order and the column
+    levels) and "csr" (row_order, row_ptr)."""
     return {name for name in ("csc", "csr") if "_" + name in vars(m)}
 
 
@@ -438,9 +455,9 @@ class TestLayoutOnFirstRead:
         _, _, _, fit_mat, views = self.set_up(sched)
         assert all(layouts(m) == set() for m in views + [fit_mat])
         m = views[0]
-        keys = m.sorted_keys
+        order = m.col_order
         assert layouts(m) == {"csc"}
-        assert m.col_order is m.col_order and m.sorted_keys is keys  # built once
+        assert m.col_order is order and m._csc is m._csc  # built once
         ptr = m.row_ptr
         assert layouts(m) == {"csc", "csr"} and m.row_order is m.row_order
         assert ptr[-1] == m.nnz
