@@ -110,13 +110,20 @@ class ProcessorGrid:
         return self._block_lo[j], self._block_hi[j]
 
     def row_owner(self, j, rows):
-        """Owning rank of each global mode-j row (vectorized; rows past
-        the mode's end raise IndexError)."""
-        return self._owner_of[j].take(rows)
+        """Owning rank of each global mode-j row (vectorized; rows outside
+        the mode raise IndexError)."""
+        return _lookup(self._owner_of[j], rows)
 
     def chunk_of(self, j, rows):
-        """Mode-j chunk of each global row (rows past the end raise)."""
-        return self._chunk_of[j].take(rows)
+        """Mode-j chunk of each global row (rows outside the mode raise)."""
+        return _lookup(self._chunk_of[j], rows)
+
+
+def _lookup(table, rows):
+    """``table.take(rows)``, raising IndexError for negative rows, which take() wraps."""
+    if np.min(rows, initial=0) < 0:
+        raise IndexError("negative row %d" % np.min(rows))
+    return table.take(rows)
 
 
 def stable_argsort(keys, bound):

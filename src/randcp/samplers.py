@@ -22,7 +22,10 @@ seed)``.
   a search over each rank's leaf row blocks.  All simulated ranks walk
   together: samples sharing their rows so far share one walk per tree
   node, so a level costs O(J) plus one quadratic form per distinct walk,
-  and one leaf search serves every rank.
+  and one leaf search serves every rank.  One mass kernel forms every
+  quadratic form (tree nodes, leaves and rows alike) from stacks of
+  conditioned Grams, and the leaf search picks segments by an inverse
+  CDF over a (segments x walks) layout.
 
 Sampled rows are reweighted by 1 / sqrt(J * p_s), the scaling that makes
 the sketched normal equations unbiased.  A batch keeps all J draws,
@@ -43,18 +46,13 @@ from .linalg import gram, hadamard_gram_chain, khatri_rao, pseudo_inverse
 
 ORACLE_GUARD = 10 ** 6
 _ONE_BELOW = np.nextafter(1.0, 0.0)
-# Float64 elements in one leaf-search temporary: (walks x leaves x R) for
-# leaf masses, (walk-leaf pairs x leaf rows x R) for row masses.
+# Float64 elements in one walk temporary: the mass kernel's (m, walks, R)
+# product, or a leaf-search chunk's (segments x walks) mass columns.
 LEAF_SEARCH_BUDGET = 1 << 20
 
 
 class DegenerateWalkError(RuntimeError):
     """A tree walk hit a zero-mass node; h lies outside the row space."""
-
-
-def _quad(H, M):
-    """Row-wise quadratic forms h^T M h for each row h of H."""
-    return np.einsum("jr,jr->j", H @ M, H)
 
 
 def krp_leverage_scores(factors, skip=None):
@@ -67,7 +65,7 @@ def krp_leverage_scores(factors, skip=None):
         raise ValueError("oracle guard exceeded: %d rows > %d" % (size, ORACLE_GUARD))
     A = khatri_rao(factors, skip=skip)
     Gp = pseudo_inverse(A.T @ A)
-    return np.maximum(_quad(A, Gp), 0.0)
+    return np.maximum(np.einsum("jr,jr->j", A @ Gp, A), 0.0)
 
 
 def exact_krp_leverage_oracle(factors, skip=None):
@@ -303,33 +301,58 @@ def _compact(codes, size):
     return distinct, position[codes]
 
 
+def _masses(H, rows, groups, out):
+    """The walk's one mass kernel: quadratic forms h^T S_q h of grouped walks.
+
+    ``groups`` yields (lo, hi, S): walks lo..hi-1, with design rows
+    ``H[rows[lo:hi]]``, are evaluated against the (m, R, R) stack S into
+    ``out[lo:hi, :m]`` by one batched ``matmul`` and one ``einsum``, in
+    chunks whose (m, walks, R) product fits ``LEAF_SEARCH_BUDGET``.
+    """
+    for lo, hi, S in groups:
+        step = max(1, LEAF_SEARCH_BUDGET // (S.shape[0] * H.shape[1]))
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            Hs = H.take(rows[a:b], axis=0)
+            np.einsum("qkr,kr->kq", np.matmul(Hs, S), Hs, out=out[a:b, :S.shape[0]])
+
+
+def _branch(r, T):
+    """One tree level: residual r goes right when r >= T.  Returns the
+    branch, its probability p and the residual rescaled into it."""
+    right = r >= T
+    p = np.abs(right - T)  # 1 - T right, T left
+    return right, p, np.clip((r - right * T) / p, 0.0, _ONE_BELOW)
+
+
 def _inverse_cdf(masses, of, r, count):
     """Pick the segment of [0, 1) containing each residual r.
 
-    Row w of ``masses`` holds ``count[w]`` nonnegative segment masses,
-    then zero padding; sample s draws from row ``of[s]`` with residual
-    ``r[s]``.  Boundary hits go right, matching the r >= T branch rule,
-    so a zero-mass segment is never picked, and a choice past the row's
-    last real segment is clamped to it.  The comparison against each
-    sample's CDF row runs in chunks of ``LEAF_SEARCH_BUDGET`` elements.
-    Returns (choice, probability, rescaled residual) per sample.
+    Column w of ``masses`` (segments x walks) holds ``count[w]``
+    nonnegative segment masses, then zero padding; sample s draws from
+    column ``of[s]`` with residual ``r[s]``.  Boundary hits go right,
+    matching the r >= T branch rule, so a zero-mass segment is never
+    picked, and a choice past the column's last real segment is clamped
+    to it.  Choices count CDF rows at or below r * total a row at a time,
+    with no (samples x segments) temporary.  Returns (choice, probability,
+    rescaled residual) per sample.
     """
-    cdf = np.cumsum(masses, axis=1)
-    total = cdf[:, -1]
+    cdf = np.cumsum(masses, axis=0)
+    total = cdf[-1]
     if (total <= 0.0).any():
         raise DegenerateWalkError("zero total mass in leaf search")
-    total = total[of]
+    total = total.take(of)
     target = r * total
-    choice = np.empty(of.shape[0], dtype=np.int64)
-    step = max(1, LEAF_SEARCH_BUDGET // masses.shape[1])
-    for a in range(0, of.shape[0], step):
-        b = min(a + step, of.shape[0])
-        choice[a:b] = np.count_nonzero(cdf[of[a:b]] <= target[a:b, None], axis=1)
-    choice = np.minimum(choice, count[of] - 1)
-    picked = masses[of, choice]
-    prev = cdf[of, choice] - picked
+    choice = np.zeros(of.shape[0], dtype=np.int64)
+    for row in cdf[:-1]:  # the last row, the total, only adds what the clamp removes
+        choice += row.take(of) <= target
+    np.minimum(choice, count.take(of) - 1, out=choice)
+    flat = choice * masses.shape[1] + of
+    picked = masses.take(flat)
+    prev = cdf.take(flat) - picked
     with np.errstate(invalid="ignore", divide="ignore"):
-        r_out = np.where(picked > 0.0, (target - prev) / picked, 0.0)
+        r_out = (target - prev) / picked
+    r_out[picked <= 0.0] = 0.0
     return choice, picked / total, np.clip(r_out, 0.0, _ONE_BELOW)
 
 
@@ -338,72 +361,66 @@ def _leaf_search(tree, cond, H_rows, walk_rank, walk_row, walk_of, r):
 
     Walk w is on rank ``walk_rank[w]`` (a rank's walks are contiguous)
     with design row ``H_rows[walk_row[w]]``; sample s follows walk
-    ``walk_of[s]`` with residual ``r[s]``.  Leaf masses h^T (G_leaf *
-    cond) h are evaluated once per walk, from one product per rank with
-    its stacked leaf Grams, into rows padded to the tree's largest leaf
-    count; one inverse CDF then picks the leaves.  Row masses (u_q * h)^T
-    cond (u_q * h) are evaluated once per distinct (walk, leaf) pair from
-    (pairs, L, R) contractions, L the longest chosen leaf, with rows past
-    a leaf's end masked to zero mass; a second inverse CDF picks the
-    rows.  Walks are searched in chunks whose (walks, leaves, R) product
-    fits ``LEAF_SEARCH_BUDGET`` float64 elements (one chunk unless the
-    leaves are many), and the row products are chunked to fit it too.
+    ``walk_of[s]`` with residual ``r[s]``.  The mass kernel gives leaf
+    masses h^T (G_leaf * cond) h once per walk, grouped by rank, in
+    columns padded to the largest leaf count; an inverse CDF picks the
+    leaves.  It gives row masses (u_q * h)^T cond (u_q * h) once per
+    distinct (walk, leaf) pair, grouped by leaf against the stack of
+    u_q u_q^T * cond over its contiguous factor rows, in columns padded
+    with zero mass to the longest chosen leaf; a second inverse CDF picks
+    the rows.  Walks go in chunks whose mass columns fit
+    ``LEAF_SEARCH_BUDGET`` (one chunk unless the leaves are many and long).
 
     Returns each sample's global row, its probability, and the id of its
     (walk, row) cell, cells numbered in (walk, row) order.
     """
-    R = H_rows.shape[1]
+    U, leaf_bounds, width = tree.factor.U, tree.leaf_bounds, tree.leaf_bounds.shape[1] - 1
     count = tree.leaf_count[walk_rank]
     if (count == 0).any():
         raise DegenerateWalkError("walk reached a rank with no rows")
-    J = walk_of.shape[0]
-    n_walks = walk_rank.shape[0]
-    width = tree.leaf_bounds.shape[1] - 1
-    step = max(1, LEAF_SEARCH_BUDGET // (width * R))
-    order, bounds = gridmod.group_by_rank(walk_of // step, -(-n_walks // step))
-    rows = np.empty(J, dtype=np.int64)
-    prob = np.empty(J)
-    cell_of = np.empty(J, dtype=np.int64)
+    J, n_walks = walk_of.shape[0], walk_rank.shape[0]
+    step = max(1, LEAF_SEARCH_BUDGET // (width * int(np.diff(leaf_bounds).max())))
+    chunks = [slice(None)]
+    if n_walks > step:
+        order, chunk_at = gridmod.group_by_rank(walk_of // step, -(-n_walks // step))
+        chunks = np.split(order, chunk_at[1:-1])
+    rows, prob, cell_of = np.empty(J, dtype=np.int64), np.empty(J), np.empty(J, dtype=np.int64)
     n_cells = 0
-    for c in range(bounds.shape[0] - 1):
-        sel = order[bounds[c]:bounds[c + 1]]
+    for c, sel in enumerate(chunks):
         w0, w1 = c * step, min((c + 1) * step, n_walks)
-        leaf_masses = np.zeros((w1 - w0, width))
-        starts = w0 + np.flatnonzero(np.diff(walk_rank[w0:w1], prepend=-1))
-        for lo, hi in zip(starts, np.append(starts[1:], w1)):
-            grams = tree.leaf_grams[walk_rank[lo]]
-            n_leaves = grams.shape[0]
-            # (R, n_leaves * R): column block q holds leaf q's conditioned Gram.
-            leaf_cond = (grams * cond).transpose(1, 0, 2).reshape(R, n_leaves * R)
-            Hd = H_rows[walk_row[lo:hi]]
-            Y = (Hd @ leaf_cond).reshape(hi - lo, n_leaves, R)
-            leaf_masses[lo - w0:hi - w0, :n_leaves] = np.einsum("kqr,kr->kq", Y, Hd)
+        leaf_masses = np.zeros((width, w1 - w0))
+        rank_lo = np.flatnonzero(np.diff(walk_rank[w0:w1], prepend=-1))
+        _masses(H_rows, walk_row[w0:w1],
+                ((a, b, tree.leaf_grams[walk_rank[w0 + a]] * cond)
+                 for a, b in zip(rank_lo, np.append(rank_lo[1:], w1 - w0))), leaf_masses.T)
         np.maximum(leaf_masses, 0.0, out=leaf_masses)
         of = walk_of[sel] - w0
         leaf, leaf_prob, r_mid = _inverse_cdf(leaf_masses, of, r[sel], count[w0:w1])
 
         pairs, pair_of = _compact(of * width + leaf, (w1 - w0) * width)
-        pair_walk, pair_leaf = np.divmod(pairs, width)
-        pair_walk += w0
-        pair_rank = walk_rank[pair_walk]
-        first = tree.leaf_bounds[pair_rank, pair_leaf]
-        size = tree.leaf_bounds[pair_rank, pair_leaf + 1] - first
-        L = int(size.max())
-        row_masses = np.empty((pairs.shape[0], L))
-        pair_step = max(1, LEAF_SEARCH_BUDGET // (L * R))
-        for a in range(0, pairs.shape[0], pair_step):
-            b = min(a + pair_step, pairs.shape[0])
-            V = tree.factor.U.take(
-                first[a:b, None] + np.minimum(np.arange(L), size[a:b, None] - 1), axis=0)
-            V *= H_rows[walk_row[pair_walk[a:b]]][:, None, :]
-            VM = (V.reshape(-1, R) @ cond).reshape(V.shape)
-            row_masses[a:b] = np.einsum("klr,klr->kl", VM, V)
+        pair_walk, pair_leaf = np.divmod(pairs + w0 * width, width)
+        pair_rank = walk_rank.take(pair_walk)
+        # Row mass columns go leaf by leaf: column j holds pair by_leaf[j].
+        by_leaf, leaf_at = gridmod.group_by_rank(pair_rank * width + pair_leaf,
+                                                 leaf_bounds.size)
+        first = leaf_bounds[pair_rank, pair_leaf].take(by_leaf)
+        size = leaf_bounds[pair_rank, pair_leaf + 1].take(by_leaf) - first
+        row_masses = np.zeros((int(size.max()), pairs.shape[0]))
+        leaf_lo = leaf_at[np.flatnonzero(np.diff(leaf_at))]
+        _masses(H_rows, walk_row.take(pair_walk.take(by_leaf)),
+                ((a, b, U[f:e, :, None] * U[f:e, None, :] * cond) for a, b, f, e in
+                 zip(leaf_lo, np.append(leaf_lo[1:], pairs.shape[0]), first[leaf_lo],
+                     first[leaf_lo] + size[leaf_lo])),
+                row_masses.T)
         np.maximum(row_masses, 0.0, out=row_masses)
-        row_masses[np.arange(L) >= size[:, None]] = 0.0
-        q, row_prob, _ = _inverse_cdf(row_masses, pair_of, r_mid, size)
-        rows[sel] = first[pair_of] + q
+        column = np.empty_like(by_leaf)
+        column[by_leaf] = np.arange(by_leaf.shape[0])
+        col_of = column.take(pair_of)
+        q, row_prob, _ = _inverse_cdf(row_masses, col_of, r_mid, size)
+        rows[sel] = first.take(col_of) + q
         prob[sel] = leaf_prob * row_prob
-        cells, local = _compact(pair_of * L + q, pairs.shape[0] * L)
+        cells, local = _compact(pair_of * row_masses.shape[0] + q,
+                                pairs.shape[0] * row_masses.shape[0])
         cell_of[sel] = n_cells + local
         n_cells += cells.shape[0]
     return rows, prob, cell_of
@@ -459,7 +476,8 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
 
     X = np.full((J, N), -1, dtype=np.int64)
     per_mode_prob = np.ones((J, N))
-    owner = (np.arange(J, dtype=np.int64) * P) // J
+    sample = np.arange(J, dtype=np.int64)
+    owner = (sample * P) // J
     prefix = np.zeros(J, dtype=np.int64)  # index of each sample's row in H_prefix
     H_prefix = np.ones((1, R))
     # Each sample's rank before and after every routed level, in the narrowest
@@ -474,42 +492,29 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
         if i == k:
             continue
         tree = trees[i]
-        fb = tree.factor
-        M = gram_chain_pinv.copy()
-        for m in range(i + 1, N):
-            if m != k:
-                M = M * grams[m]
-        if uniform_override is not None:
-            r = np.array(uniform_override[:, i], dtype=np.float64)
-        else:
-            r = rng.stream(seed, rng.WALK_UNIFORM, round_id, k, i).random(J)
+        M = np.prod([gram_chain_pinv] + [grams[m] for m in range(i + 1, N) if m != k], axis=0)
+        r = (np.array(uniform_override[:, i], dtype=np.float64) if uniform_override is not None
+             else rng.stream(seed, rng.WALK_UNIFORM, round_id, k, i).random(J))
         prob_i = np.ones(J)
-        depth = tree.depth
         # Walks: distinct (node, prefix) pairs in that order; sample s is on
         # walk walk_of[s].  At the root every prefix is one walk.
         walk_node = np.zeros(H_prefix.shape[0], dtype=np.int64)
         walk_prefix = np.arange(H_prefix.shape[0])
         walk_of = prefix
-        for lev in range(depth):
+        for lev in range(tree.depth):
             bounds = np.searchsorted(walk_node, np.arange((1 << lev) + 1))
-            T = np.empty(walk_node.shape[0])
-            for v in np.flatnonzero(np.diff(bounds)):
-                sl = slice(bounds[v], bounds[v + 1])
-                Hs = H_prefix[walk_prefix[sl]]
-                den = _quad(Hs, tree.node_grams[lev][v] * M)
-                if (den <= 0.0).any():
-                    raise DegenerateWalkError(
-                        "zero node mass at level %d of mode-%d tree" % (lev, i))
-                num = np.maximum(_quad(Hs, tree.node_grams[lev + 1][2 * v] * M), 0.0)
-                T[sl] = num / den
-            T = np.clip(T, 0.0, 1.0)[walk_of]
-            right = r >= T
-            prob_i *= np.where(right, 1.0 - T, T)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                r = np.where(right,
-                             (r - T) / np.maximum(1.0 - T, np.finfo(float).tiny),
-                             r / np.maximum(T, np.finfo(float).tiny))
-            r = np.clip(r, 0.0, _ONE_BELOW)
+            # den and num: node and left-child masses, one stack per node
+            stacks = np.stack((tree.node_grams[lev], tree.node_grams[lev + 1][::2]), 1) * M
+            forms = np.empty((walk_node.shape[0], 2))
+            _masses(H_prefix, walk_prefix, ((bounds[v], bounds[v + 1], stacks[v])
+                                            for v in np.flatnonzero(np.diff(bounds))), forms)
+            den, num = forms.T
+            if (den <= 0.0).any():
+                raise DegenerateWalkError(
+                    "zero node mass at level %d of mode-%d tree" % (lev, i))
+            T = np.clip(np.maximum(num, 0.0) / den, 0.0, 1.0).take(walk_of)
+            right, p, r = _branch(r, T)
+            prob_i *= p
             # Children in (walk, branch) order; a stable sort of the few
             # distinct children by node restores (node, prefix) order.
             children, walk_of = _compact(2 * walk_of + right, 2 * walk_node.shape[0])
@@ -522,21 +527,19 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
             walk_node = child_node[order]
             walk_prefix = walk_prefix[parent[order]]
 
-            node = walk_node[walk_of]
-            width = 1 << (depth - 1 - lev)
-            leaf_lo = node * width
-            n_real = np.minimum((node + 1) * width, P) - leaf_lo
+            # Sample s moves to real rank leaf s mod n_real under its node.
+            width = 1 << (tree.depth - 1 - lev)
+            leaf_lo = walk_node * width
+            n_real = np.minimum(leaf_lo + width, P) - leaf_lo
             if (n_real <= 0).any():
                 raise DegenerateWalkError("walk branched into an empty padded subtree")
-            leaf_idx = leaf_lo + (np.arange(J, dtype=np.int64) % n_real)
-            owner = tree.leaf_rank[leaf_idx]
+            owner = tree.leaf_rank.take(leaf_lo.take(walk_of) + sample % n_real.take(walk_of))
             hop += 1
             route[hop] = owner
 
         X[:, i], prob_leaf, cell_of = _leaf_search(
             tree, M, H_prefix, tree.leaf_rank[walk_node], walk_prefix, walk_of, r)
-        prob_i *= prob_leaf
-        per_mode_prob[:, i] = prob_i
+        per_mode_prob[:, i] = prob_i * prob_leaf
         if i == last:
             break  # no later mode reads the prefixes
 
@@ -548,7 +551,7 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
         kept = kept[np.argsort(prefix[kept], kind="stable")]
         renumber = np.empty_like(kept)
         renumber[cell_of[kept]] = np.arange(kept.shape[0])
-        H_prefix = H_prefix[prefix[kept]] * fb.U[X[kept, i]]
+        H_prefix = H_prefix[prefix[kept]] * tree.factor.U[X[kept, i]]
         prefix = renumber[cell_of]
 
     if hop:

@@ -78,6 +78,20 @@ class TestGridPartitions:
             assert g.cell_rank(idx).dtype == np.int64
             assert np.array_equal(g.cell_rank(idx), ref)
 
+    def test_negative_rows_raise(self):
+        # take() would wrap -1 to the last row, whose owner and chunk are 1
+        g = ProcessorGrid((4, 3, 2), (2, 1, 1))
+        for lookup in (g.row_owner, g.chunk_of):
+            assert lookup(0, [3]) == 1
+            with pytest.raises(IndexError):
+                lookup(0, [-1])
+            with pytest.raises(IndexError):
+                lookup(0, np.array([0, -4]))
+        with pytest.raises(IndexError):
+            g.cell_rank(np.array([[-1, 0, 0]]))
+        assert g.cell_rank(np.array([[3, 0, 0]])) == 1
+        assert g.cell_rank(np.array([[3, -1, 0]]), skip=1) == 1
+
     def test_cell_rank_does_not_overflow_narrow_lookups(self):
         # 2 x 200 x 2 ranks: chunk ids fit in uint8, cell ranks do not
         g = ProcessorGrid((2, 400, 4), (2, 200, 2))

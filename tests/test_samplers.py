@@ -434,7 +434,8 @@ def test_inverse_cdf_rescales_midpoints_and_skips_padding():
     of = np.array([0, 0, 0, 1, 0, 1, 2])
     top = samplers._ONE_BELOW
     r = np.array([0.5 / 6, 2.5 / 6, 5.0 / 6, 0.5, top, top, top])
-    choice, prob, r_out = samplers._inverse_cdf(masses, of, r, count)
+    # one walk per row above; the search takes walks as columns
+    choice, prob, r_out = samplers._inverse_cdf(masses.T.copy(), of, r, count)
     # subnormal masses round r * total up to total: only the clamp keeps
     # the last draw off the padding
     assert np.array_equal(choice, [0, 1, 3, 0, 3, 0, 1])
@@ -505,8 +506,8 @@ class TestLeafSearchAcrossRanks:
 
 def test_leaf_search_temporaries_stay_within_budget(monkeypatch):
     # 40,000 rows in 200 leaves of 200 rows; 20,000 samples on one walk.
-    # Unchunked, the comparison against each sample's CDF row alone would
-    # take 20,000 x 200 float64s (32 MB).
+    # Any (samples x leaves) or (samples x leaf rows) temporary would take
+    # 20,000 x 200 float64s (32 MB).
     gen = np.random.default_rng(37)
     tree = sts_build(FactorBlocks(gen.standard_normal((40000, 2)), [0], [40000]))
     assert tree.leaf_bounds.shape == (1, 201)
@@ -618,3 +619,143 @@ def test_state_owns_its_factor_and_gram(build, sample):
     sample_weights(batch)
     X, H, _ = distinct_columns(batch, [fb.U for fb in blocks], 2)
     assert np.array_equal(H, blocks[0].U[3] * blocks[1].U[X[:, 1]])
+
+
+def head_inverse_cdf(masses, of, r, count):
+    """The (walks x segments) inverse CDF that the (segments x walks)
+    search replaced, kept as the bitwise reference."""
+    cdf = np.cumsum(masses, axis=1)
+    total = cdf[:, -1][of]
+    target = r * total
+    choice = np.count_nonzero(cdf[of] <= target[:, None], axis=1)
+    choice = np.minimum(choice, count[of] - 1)
+    picked = masses[of, choice]
+    prev = cdf[of, choice] - picked
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r_out = np.where(picked > 0.0, (target - prev) / picked, 0.0)
+    return choice, picked / total, np.clip(r_out, 0.0, samplers._ONE_BELOW)
+
+
+def test_inverse_cdf_matches_reference_and_searchsorted():
+    gen = np.random.default_rng(39)
+    width, n_walks = 7, 40
+    count = gen.integers(1, width + 1, n_walks)
+    masses = gen.random((n_walks, width))
+    masses[:, 0] = np.where(gen.random(n_walks) < 0.3, 0.0, masses[:, 0])  # zero-mass segments
+    masses[gen.random((n_walks, width)) < 0.2] = 0.0
+    masses[:5] = gen.integers(0, 4, (5, width))       # exact segment boundaries
+    masses[np.arange(width) >= count[:, None]] = 0.0  # padding
+    masses[:, 0] += masses.sum(axis=1) == 0.0         # every walk has mass
+    # subnormal masses round r * total up to total at r = _ONE_BELOW
+    count[5] = 2
+    masses[5] = 0.0
+    masses[5, :2] = 2 * 5e-324, 5e-324
+    cdf = np.cumsum(masses, axis=1)
+    total = cdf[:, -1]
+    of, r = [], []
+    for w in range(n_walks):
+        edges = cdf[w, :count[w]] / total[w]
+        for x in (0.0, samplers._ONE_BELOW, *edges[edges < 1.0], *gen.random(4)):
+            of.append(w)
+            r.append(x)
+    of, r = np.array(of), np.array(r)
+    got = samplers._inverse_cdf(masses.T.copy(), of, r, count)
+    ref = head_inverse_cdf(masses, of, r, count)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    # one searchsorted per sample, clamped to the walk's last real segment
+    expect = [min(int(np.searchsorted(cdf[w], x * total[w], side="right")), count[w] - 1)
+              for w, x in zip(of, r)]
+    assert np.array_equal(got[0], expect)
+    assert (masses[of, got[0]] > 0.0).all()
+
+
+def test_branch_matches_the_two_branch_update():
+    tiny = np.finfo(float).tiny
+    values = np.unique(np.concatenate([
+        [0.0, 5e-324, 2.0 ** -53, 0.25, 0.5, 0.75, samplers._ONE_BELOW, 1.0],
+        np.random.default_rng(40).integers(0, 1 << 53, 40) * 2.0 ** -53]))
+    r, T = (a.ravel() for a in np.meshgrid(values[values < 1.0], values))
+    right, p, r_new = samplers._branch(r, T)
+    ref_right = r >= T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ref_r = np.where(ref_right, (r - T) / np.maximum(1.0 - T, tiny),
+                         r / np.maximum(T, tiny))
+    assert np.array_equal(right, ref_right)
+    assert np.array_equal(p, np.where(ref_right, 1.0 - T, T))
+    assert np.array_equal(r_new, np.clip(ref_r, 0.0, samplers._ONE_BELOW))
+    assert right[T == 0.0].all() and not right[T == 1.0].any()
+
+
+class TestMassKernelAtRank25:
+    """Leaf and row masses against the per-row forms (u_q * h)^T M (u_q * h)."""
+
+    @staticmethod
+    def case():
+        gen = np.random.default_rng(41)
+        R = 25
+        W = gen.standard_normal((300, R))
+        tree = sts_build(FactorBlocks(W, [0, 120, 120, 210], [120, 120, 210, 300]))
+        B = gen.standard_normal((R, R))
+        cond = B @ B.T / R
+        designs = gen.standard_normal((4, R))
+        ranks = np.array([0, 2, 3])
+        walk_rank, walk_row = np.repeat(ranks, 4), np.tile(np.arange(4), 3)
+        forms = [np.array([(W[q] * designs[d]) @ cond @ (W[q] * designs[d])
+                           for q in range(tree.factor.lows[p], tree.factor.his[p])])
+                 for p, d in zip(walk_rank, walk_row)]
+        return tree, cond, designs, walk_rank, walk_row, forms
+
+    def test_leaf_masses(self):
+        tree, cond, designs, walk_rank, walk_row, forms = self.case()
+        width = tree.leaf_bounds.shape[1] - 1
+        out = np.zeros((walk_rank.size, width))
+        samplers._masses(designs, walk_row, ((4 * i, 4 * i + 4, tree.leaf_grams[p] * cond)
+                                             for i, p in enumerate([0, 2, 3])), out)
+        for w, p in enumerate(walk_rank):
+            edges = tree.leaf_bounds[p, :tree.leaf_count[p] + 1] - tree.factor.lows[p]
+            expect = np.add.reduceat(forms[w], edges[:-1])
+            assert np.allclose(out[w, :expect.size], expect, rtol=1e-13, atol=0.0)
+            assert (out[w, expect.size:] == 0.0).all()
+
+    def test_row_masses(self):
+        tree, cond, designs, walk_rank, walk_row, forms = self.case()
+        # steer one sample to the middle of each row's segment
+        which = np.concatenate([np.full(m.size, w) for w, m in enumerate(forms)])
+        r = np.concatenate([(np.cumsum(m) - 0.5 * m) / m.sum() for m in forms])
+        rows, prob, _ = samplers._leaf_search(tree, cond, designs, walk_rank, walk_row,
+                                              which, r)
+        expect = np.concatenate([m / m.sum() for m in forms])
+        assert np.array_equal(rows, np.concatenate(
+            [np.arange(tree.factor.lows[p], tree.factor.his[p]) for p in walk_rank]))
+        assert np.allclose(prob, expect, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("spread", [True, False])
+def test_mass_kernel_temporaries_stay_within_budget(monkeypatch, spread):
+    # 10,000 walks at R=25, one sample each.  Spread: one rank of 400 rows
+    # in 20 leaves of 20, rows drawn all over it.  One leaf: a rank whose
+    # only leaf holds 8 rows, so every walk ends in it.
+    gen = np.random.default_rng(42)
+    J, R = 10000, 25
+    if spread:
+        tree = sts_build(FactorBlocks(gen.standard_normal((400, R)), [0], [400]))
+    else:
+        W = gen.standard_normal((8, R))
+        tree = leaf_tree(W, [0, 8], (W.T @ W)[None])
+    designs = gen.standard_normal((J, R))
+    r = gen.random(J)
+    budget = 1 << 15
+    monkeypatch.setattr(samplers, "LEAF_SEARCH_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        rows, _, _ = samplers._leaf_search(tree, np.eye(R), designs, *one_walk_each(J),
+                                           np.arange(J), r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A few dozen J-length arrays and a few budget-sized temporaries.
+    # Unchunked, the spread case's leaf and row mass columns would take
+    # 20 x J float64s each, and the one-leaf case's row product 8 x J x R.
+    assert peak < 24 * J * 8 + 4 * budget * 8
+    assert (rows >= 0).all() and (rows < tree.factor.U.shape[0]).all()
