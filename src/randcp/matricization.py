@@ -19,10 +19,12 @@ compressed-sparse-row storage:
 No run reads both layouts of one view, so each view pays for one.
 
 A partition keeps one view per mode, a stack of every simulated rank's
-nonzeros, rank-major with per-rank entry offsets, so one column search
-or one kernel call serves all ranks.  A stack's rows are the (row, rank)
-pairs that hold an entry; a one-block view, such as one rank's slice of
-a stack, keeps every row of its range.
+nonzeros, so one column search or one kernel call serves all ranks.  A
+stack references the tensor's own nonzeros, in the tensor's order, and
+adds only an owner table: each nonzero's rank, in the narrowest unsigned
+dtype.  A stack's rows are the (row, rank) pairs that hold an entry; a
+one-block view, such as one rank's entries gathered from a stack, keeps
+every row of its range.
 """
 
 from functools import cached_property
@@ -110,35 +112,38 @@ class Matricization:
     Parameters
     ----------
     dims : global mode dimensions
-    idx, vals : nonzero coordinates (global indices) and values
+    idx, vals : nonzero coordinates (global indices) and values, not
+        copied when already int64 and float64 C arrays
     mode : the matricized mode j
     row_lo, row_hi : the half-open global row range of the block; for a
         stack, each rank's range (length-P sequences)
-    rank_ptr : for a stack, the P + 1 entry offsets, rank p's entries
-        being ``idx[rank_ptr[p]:rank_ptr[p + 1]]``; None for one block
+    owner : for a stack, the rank of each nonzero, an unsigned integer
+        table that views over the same nonzeros may share; None for one
+        block
     """
 
-    def __init__(self, dims, idx, vals, mode, row_lo=0, row_hi=None, rank_ptr=None):
+    def __init__(self, dims, idx, vals, mode, row_lo=0, row_hi=None, owner=None):
         self.dims = tuple(int(d) for d in dims)
         self.mode = int(mode)
         self.idx = np.ascontiguousarray(idx, dtype=np.int64)
         self.vals = np.ascontiguousarray(vals, dtype=np.float64)
-
-        # One past each mode's largest index (0 without entries), for factor
-        # coverage checks; column by column, as an axis-0 reduction over the
-        # narrow rows measured about 10x slower.
-        self.idx_hi = np.array([c.max(initial=-1) for c in self.idx.T]) + 1
-        if rank_ptr is None:
-            self.rank_ptr, counts = None, [self.nnz]
-            self.row_lo = int(row_lo)
-            self.row_hi = int(self.dims[mode] if row_hi is None else row_hi)
+        self.owner = owner
+        if owner is None:
+            self.row_lo = lo = int(row_lo)
+            self.row_hi = hi = int(self.dims[mode] if row_hi is None else row_hi)
         else:
-            self.rank_ptr = np.asarray(rank_ptr, dtype=np.int64)
-            counts = np.diff(self.rank_ptr)
             self.row_lo, self.row_hi = np.asarray(row_lo), np.asarray(row_hi)
-        rel = self.idx[:, mode] - np.repeat(self.row_lo, counts)
-        if ((rel < 0) | (rel >= np.repeat(self.row_hi - self.row_lo, counts))).any():
+            lo, hi = self.row_lo.take(owner), self.row_hi.take(owner)
+        rows = self.idx[:, mode]
+        if ((rows < lo) | (rows >= hi)).any():
             raise ValueError("entry rows outside the view's row blocks")
+
+    @cached_property
+    def idx_hi(self):
+        """One past each mode's largest index (0 without entries), for factor
+        coverage checks; column by column, as an axis-0 reduction over the
+        narrow rows measured about 10x slower."""
+        return np.array([c.max(initial=-1) for c in self.idx.T]) + 1
 
     @cached_property
     def _csc(self):
@@ -157,13 +162,14 @@ class Matricization:
         prefixes = _prefix_table(self.idx, [m for m in range(len(self.dims))
                                             if m != self.mode][:-1])
         rows = self.idx[:, self.mode]
-        if self.rank_ptr is None:
+        if self.owner is None:
             rel = rows - self.row_lo
             row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
             np.cumsum(np.bincount(rel, minlength=self.n_rows), out=row_ptr[1:])
             return gridmod.stable_argsort(rel, self.n_rows), row_ptr, prefixes
-        P = self.rank_ptr.size - 1
-        pair = rows * P + np.repeat(np.arange(P), np.diff(self.rank_ptr))
+        P = self.row_lo.size
+        pair = rows * P
+        pair += self.owner  # in int64: a narrow table's own arithmetic would wrap
         order = gridmod.stable_argsort(pair, self.dims[self.mode] * P)
         ordered = pair[order]
         head = np.ones(ordered.size + 1, dtype=bool)  # a pair's first entry, and the end
@@ -182,7 +188,7 @@ class Matricization:
     @property
     def n_rows(self):
         """Accumulator rows; a stack's count builds its CSR analogue."""
-        return self.row_hi - self.row_lo if self.rank_ptr is None else self.row_ptr.size - 1
+        return self.row_hi - self.row_lo if self.owner is None else self.row_ptr.size - 1
 
     def lookup_columns(self, X):
         """(lo, hi): the off-mode column of index tuple X[q] (column ``mode``
@@ -218,16 +224,18 @@ class LocalTensorSet:
         self.views = views  # views[mode] -> Matricization stacking every rank
 
     def local(self, rank, mode) -> Matricization:
-        """Rank ``rank``'s block of the mode view, as a one-block view of a slice."""
+        """Rank ``rank``'s block of the mode view: its entries, in the
+        tensor's order, gathered into a one-block view."""
         m = self.views[mode]
-        a, b = m.rank_ptr[rank:rank + 2]
-        return Matricization(m.dims, m.idx[a:b], m.vals[a:b], mode, m.row_lo[rank],
+        mine = np.flatnonzero(m.owner == rank)
+        return Matricization(m.dims, m.idx[mine], m.vals[mine], mode, m.row_lo[rank],
                              m.row_hi[rank])
 
     def stored_nnz(self) -> int:
-        """Nonzeros stored across ranks, each stored copy counted once: the
-        tensor-stationary views share one copy, while
-        accumulator-stationary stores one replica per mode."""
+        """Nonzeros stored across ranks in the paper's storage model, each
+        stored copy counted once: the tensor-stationary views share one
+        copy, while accumulator-stationary stores one replica per mode.
+        The simulation itself holds the tensor's one copy under both."""
         if self.schedule == "tensor-stationary":
             return self.views[0].nnz
         return sum(m.nnz for m in self.views)
@@ -236,32 +244,34 @@ class LocalTensorSet:
 def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet:
     """Assign nonzeros to simulated ranks.
 
-    tensor-stationary: each nonzero goes to the unique grid cell whose
-    index hyper-rectangle contains it; the N mode views stack one copy of
-    the nonzeros grouped by cell, each rank's rows being its cell's chunk.
+    Every view references ``t.idx`` and ``t.vals`` and adds an owner
+    table, each nonzero's rank in the narrowest unsigned dtype.
 
-    accumulator-stationary: one replicated copy per mode, grouped by the
-    mode's factor block rows, so each rank's mode-j entries cover
-    exactly its stationary accumulator block.
+    tensor-stationary: each nonzero goes to the unique grid cell whose
+    index hyper-rectangle contains it; the N mode views share one owner
+    table, each rank's rows being its cell's chunk.
+
+    accumulator-stationary: a table per mode, in place of the paper's
+    replica per mode, grouping the nonzeros by the mode's factor block
+    rows, so each rank's mode-j entries cover exactly its stationary
+    accumulator block.
     """
     if tuple(grid.tensor_dims) != tuple(t.dims):
         raise ValueError("grid built for dims %s, tensor has %s"
                          % (grid.tensor_dims, t.dims))
+    narrow = np.min_scalar_type(grid.P - 1)
     if schedule == "tensor-stationary":
-        order, bounds = gridmod.group_by_rank(grid.cell_rank(t.idx), grid.P)
-        idx, vals = t.idx[order], t.vals[order]  # shared by the N views
+        owner = grid.cell_rank(t.idx).astype(narrow)
         coords = np.array([grid.coords(p) for p in range(grid.P)])
-        views = [Matricization(t.dims, idx, vals, j, off[coords[:, j]], off[coords[:, j] + 1],
-                               rank_ptr=bounds)
+        views = [Matricization(t.dims, t.idx, t.vals, j, off[coords[:, j]], off[coords[:, j] + 1],
+                               owner=owner)
                  for j, off in enumerate(grid.chunk_offsets)]
-        return LocalTensorSet(schedule, views)
-
-    if schedule == "accumulator-stationary":
-        views = []
-        for j in range(t.mode_count):
-            order, bounds = gridmod.group_by_rank(grid.row_owner(j, t.idx[:, j]), grid.P)
-            views.append(Matricization(t.dims, t.idx[order], t.vals[order], j,
-                                       *grid.block_ranges(j), rank_ptr=bounds))
-        return LocalTensorSet(schedule, views)
-
-    raise ValueError("unknown schedule %r" % schedule)
+    elif schedule == "accumulator-stationary":
+        views = [Matricization(t.dims, t.idx, t.vals, j, *grid.block_ranges(j),
+                               owner=grid.row_owner(j, t.idx[:, j]).astype(narrow))
+                 for j in range(t.mode_count)]
+    else:
+        raise ValueError("unknown schedule %r" % schedule)
+    for m in views[1:]:  # the views share idx, so they share its column maxima
+        m.idx_hi = views[0].idx_hi
+    return LocalTensorSet(schedule, views)

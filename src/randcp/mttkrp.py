@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import grid as gridmod
 from .matricization import Matricization
 
 _CHUNK_NNZ = 1 << 12
@@ -130,8 +129,8 @@ def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, weights=None) -> Ma
     (dims[k], J) over the view's row blocks: mode 0 holds an entry's
     global row, mode 1 the row s of X that hit it (one column per copy of
     a repeated tuple), and the value carries ``weights[s]`` when weights
-    are given.  A stack's submatrix stacks the same ranks, each rank's
-    entries in column order.
+    are given.  Entries come in column order; a stack's submatrix stacks
+    the same ranks, each entry carrying its owner from the stack's table.
     """
     if mat.mode != k:
         raise ValueError("matricization is for mode %d, expected %d" % (mat.mode, k))
@@ -139,19 +138,15 @@ def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, weights=None) -> Ma
     pos, counts = _concat_ranges(*mat.lookup_columns(X))
     entry = mat.col_order[pos]
     cols = np.repeat(np.arange(J, dtype=np.int64), counts)
-    rank_ptr = mat.rank_ptr
-    if rank_ptr is not None:  # the hits regrouped rank-major
-        ranks = np.searchsorted(rank_ptr, entry, side="right") - 1
-        order, rank_ptr = gridmod.group_by_rank(ranks, rank_ptr.size - 1)
-        entry, cols = entry[order], cols[order]
     vals = mat.vals[entry]
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (J,):
             raise ValueError("weights do not match the %d sampled columns" % J)
         vals *= weights[cols]  # a fresh gather, so in place
+    owner = None if mat.owner is None else mat.owner.take(entry)
     return Matricization((mat.dims[k], J), np.column_stack((mat.idx[entry, k], cols)),
-                         vals, 0, mat.row_lo, mat.row_hi, rank_ptr)
+                         vals, 0, mat.row_lo, mat.row_hi, owner)
 
 
 def downsampled_mttkrp(sub: Matricization, HW, workers=1):

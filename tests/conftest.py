@@ -69,12 +69,12 @@ def rank_extractions(ctx, k, cols):
         sub, acc = schedules._sampled_mttkrp(ctx, k, cols)
     searched = sum(len(call.args[1]) for call in lookup.call_args_list)
     first = sub.row_order[sub.row_ptr[:-1]]
-    row_rank = np.searchsorted(sub.rank_ptr, first, side="right") - 1
+    row_rank = sub.owner[first]
     got, full = [], []
     for p in range(ctx.grid.P):
-        a, b = sub.rank_ptr[p:p + 2]
+        hits = sub.owner == p
         mine = row_rank == p
-        got.append((sub.idx[a:b], sub.vals[a:b], sub.idx[first[mine], 0], acc[mine]))
+        got.append((sub.idx[hits], sub.vals[hits], sub.idx[first[mine], 0], acc[mine]))
         ref = gather_sampled_nonzeros_to_csr(ctx.local.local(p, k), X, k, weights=weights)
         rows = np.flatnonzero(np.diff(ref.row_ptr))
         full.append((ref.idx, ref.vals, rows + ref.row_lo, downsampled_mttkrp(ref, Hw)[rows]))

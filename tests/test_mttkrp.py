@@ -232,6 +232,88 @@ class TestSketchedSubmatrix:
                     assert np.array_equal(downsampled_mttkrp(sub, Hw, workers=workers), ref)
 
 
+def rank_major_blocks(t, g, schedule, j):
+    """A rank-major reference for a mode-j stack: the nonzeros stably
+    grouped by owner, one one-block view per rank."""
+    owner = g.cell_rank(t.idx) if schedule == "tensor-stationary" else g.row_owner(j, t.idx[:, j])
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(g.P + 1))
+    lo, hi = (g.block_ranges(j) if schedule == "accumulator-stationary" else
+              [np.array([g.chunk_offsets[j][g.coords(p)[j] + e] for p in range(g.P)])
+               for e in (0, 1)])
+    return [Matricization(t.dims, t.idx[order[a:b]], t.vals[order[a:b]], j, lo[p], hi[p])
+            for p, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+
+
+class TestStackAgainstRankMajorCopy:
+    """A stack over the tensor's own nonzeros and an owner table gives what
+    a rank-major copy gives, bit for bit: per-rank blocks, extraction and
+    both kernels."""
+
+    @staticmethod
+    def tensor(dims, nnz, seed, row_cap):
+        # Mode-0 rows stay below row_cap, so the ranks of the last rows hold
+        # nothing; a third of the index tuples repeat with other values.
+        gen = np.random.default_rng(seed)
+        idx = np.stack([gen.integers(0, row_cap if m == 0 else d, nnz)
+                        for m, d in enumerate(dims)], 1)
+        idx = np.concatenate([idx, idx[gen.integers(0, nnz, nnz // 3)]])
+        return SparseTensorCOO(dims, idx, gen.standard_normal(idx.shape[0]))
+
+    @pytest.mark.parametrize("schedule", ["tensor-stationary", "accumulator-stationary"])
+    @pytest.mark.parametrize("dims, grid_dims, row_cap, dtype", [
+        ((200, 9, 8), (3, 2, 1), 130, np.uint8),      # P = 6, (row, rank) keys past 255
+        ((400, 30, 5), (20, 15, 1), 300, np.uint16),  # P = 300, keys past 65535
+    ])
+    def test_bit_identical_to_rank_major_copy(self, schedule, dims, grid_dims, row_cap, dtype):
+        t = self.tensor(dims, 600, seed=40, row_cap=row_cap)
+        g = gridmod.ProcessorGrid(dims, grid_dims)
+        part = partition_to_grid(t, g, schedule)
+        gen = np.random.default_rng(41)
+        factors = [gen.standard_normal((d, 3)) for d in dims]
+        for j, stack in enumerate(part.views):
+            assert stack.owner.dtype == dtype
+            blocks = rank_major_blocks(t, g, schedule, j)
+            assert j or any(b.nnz == 0 for b in blocks)  # some mode-0 rank is empty
+            for p, ref in enumerate(blocks):
+                got = part.local(p, j)
+                assert (got.row_lo, got.row_hi) == (ref.row_lo, ref.row_hi)
+                assert np.array_equal(got.idx, ref.idx) and np.array_equal(got.vals, ref.vals)
+
+            # The exact kernel: a stack row per (row, rank) pair, in that order.
+            acc = mttkrp_exact(stack, factors)
+            first = stack.row_order[stack.row_ptr[:-1]]
+            pairs = stack.idx[first, j] * g.P + stack.owner[first]
+            assert (np.diff(pairs) > 0).all()
+            for p, ref in enumerate(blocks):
+                rows = np.flatnonzero(np.diff(ref.row_ptr))
+                mine = stack.owner[first] == p
+                assert np.array_equal(stack.idx[first[mine], j], rows + ref.row_lo)
+                assert np.array_equal(acc[mine].view(np.int64),
+                                      mttkrp_exact(ref, factors)[rows].view(np.int64))
+
+            # Extraction and the downsampled kernel, with hits, misses and repeats.
+            X = np.concatenate([t.idx[gen.integers(0, t.nnz, 40)],
+                                np.stack([gen.integers(0, d, 20) for d in dims], 1)])
+            X[50:] = X[:10]
+            X[:, j] = -1
+            w = gen.random(60) + 0.5
+            HW = gen.standard_normal((60, 3))
+            sub = gather_sampled_nonzeros_to_csr(stack, X, j, weights=w)
+            acc = downsampled_mttkrp(sub, HW)
+            first = sub.row_order[sub.row_ptr[:-1]]
+            for p, ref in enumerate(blocks):
+                ref = gather_sampled_nonzeros_to_csr(ref, X, j, weights=w)
+                hits = sub.owner == p
+                assert np.array_equal(sub.idx[hits], ref.idx)
+                assert np.array_equal(sub.vals[hits].view(np.int64), ref.vals.view(np.int64))
+                rows = np.flatnonzero(np.diff(ref.row_ptr))
+                mine = sub.owner[first] == p
+                assert np.array_equal(sub.idx[first[mine], 0], rows + ref.row_lo)
+                assert np.array_equal(acc[mine].view(np.int64),
+                                      downsampled_mttkrp(ref, HW)[rows].view(np.int64))
+
+
 class TestGatherSampled:
     def test_all_zero_column_contributes_nothing(self):
         t = SparseTensorCOO((2, 2, 2), np.array([[0, 0, 0]]), np.array([1.0]))

@@ -543,6 +543,34 @@ def test_route_meter_counts_words_and_source_ranks():
     assert led.rounds() == [2]
 
 
+@pytest.mark.parametrize("P", [7, 8, 12])
+def test_walk_routes_to_the_real_leaf_sample_mod_real_leaves(monkeypatch, P):
+    # At every tree level sample s moves to real leaf s mod n_real under its
+    # node.  At 7 and 12 ranks the padded edge node's real leaves do not
+    # divide its width, so a mask of the width would send samples elsewhere.
+    gen = np.random.default_rng(50)
+    dims = (2 * P, 3 * P, 5)
+    g = gridmod.ProcessorGrid(dims, (P, 1, 1))
+    blocks = [FactorBlocks.from_global(gen.standard_normal((d, 3)), g, j)
+              for j, d in enumerate(dims)]
+    trees = [sts_build(b) for b in blocks]
+    routes = []
+    monkeypatch.setattr(samplers, "_route_meter", lambda *args: routes.append(args[3]))
+    J = 600
+    sts_sample(trees, 2, J, seed=51)
+    (route,) = routes  # each sample's rank after every level
+    sample, hop = np.arange(J), 0
+    for tree in trees[:2]:
+        leaf = np.argsort(tree.leaf_rank[:P])[route[hop + tree.depth - 1]]  # the walk's leaf
+        for lev in range(tree.depth):
+            width = 1 << (tree.depth - 1 - lev)
+            lo = (leaf >> (tree.depth - 1 - lev)) * width
+            n_real = np.minimum(lo + width, P) - lo
+            assert np.array_equal(route[hop], tree.leaf_rank[lo + sample % n_real])
+            hop += 1
+    assert hop == route.shape[0]
+
+
 def test_route_meter_sums_stacked_levels():
     # One call over stacked levels records what one call per level records.
     gen = np.random.default_rng(34)

@@ -1,6 +1,7 @@
 import bz2
 import gzip
 import lzma
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -403,14 +404,41 @@ class TestPartition:
             assert sorted(seen) == ref
 
     def test_tensor_stationary_views_share_nonzeros(self):
+        # The N views reference the tensor's nonzeros and share one owner table.
         t = make_sparse((7, 6, 5), 80, seed=9)
         g = gridmod.ProcessorGrid(t.dims, (2, 3, 1))
         ls = partition_to_grid(t, g, "tensor-stationary")
-        for p in range(g.P):
-            first = ls.local(p, 0)
-            for j in (1, 2):
-                assert np.shares_memory(ls.local(p, j).idx, first.idx)
-                assert np.shares_memory(ls.local(p, j).vals, first.vals)
+        for m in ls.views:
+            assert np.shares_memory(m.idx, t.idx) and np.shares_memory(m.vals, t.vals)
+            assert m.owner is ls.views[0].owner and m.owner.dtype == np.uint8
+        assert np.array_equal(ls.views[0].owner, g.cell_rank(t.idx))
+
+    def test_accumulator_stationary_views_share_nonzeros(self):
+        # One owner table per mode, the owner of each nonzero's row block.
+        t = make_sparse((7, 6, 5), 80, seed=9)
+        g = gridmod.ProcessorGrid(t.dims, (2, 3, 1))
+        ls = partition_to_grid(t, g, "accumulator-stationary")
+        for j, m in enumerate(ls.views):
+            assert np.shares_memory(m.idx, t.idx) and np.shares_memory(m.vals, t.vals)
+            assert m.owner.dtype == np.uint8
+            assert np.array_equal(m.owner, g.row_owner(j, t.idx[:, j]))
+
+    @pytest.mark.parametrize("sched", ["tensor-stationary", "accumulator-stationary"])
+    def test_partition_keeps_owner_tables_only(self, sched):
+        # A one-byte owner table per nonzero, one table per view under
+        # accumulator-stationary; a copy of the nonzeros would keep 40 bytes.
+        t = make_sparse((40, 30, 20, 10), 20000, seed=13)
+        g = gridmod.ProcessorGrid(t.dims, (2, 2, 2, 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            part = partition_to_grid(t, g, sched)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        tables = 1 if sched == "tensor-stationary" else t.mode_count
+        assert len(part.views) == t.mode_count
+        assert kept <= tables * t.nnz + 8192
 
     @pytest.mark.parametrize("sched,copies", [("tensor-stationary", 1),
                                               ("accumulator-stationary", 3)])
