@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import grid as gridmod
 from .matricization import Matricization
 
 _CHUNK_NNZ = 1 << 12
@@ -129,8 +130,8 @@ def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, weights=None) -> Ma
     (dims[k], J) over the view's row blocks: mode 0 holds an entry's
     global row, mode 1 the row s of X that hit it (one column per copy of
     a repeated tuple), and the value carries ``weights[s]`` when weights
-    are given.  Entries come in column order; a stack's submatrix stacks
-    the same ranks, each entry carrying its owner from the stack's table.
+    are given.  Entries come in CSR order: by row, or for a stack by
+    (row, rank) with each entry's owner, and then by column.
     """
     if mat.mode != k:
         raise ValueError("matricization is for mode %d, expected %d" % (mat.mode, k))
@@ -138,15 +139,19 @@ def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, weights=None) -> Ma
     pos, counts = _concat_ranges(*mat.lookup_columns(X))
     entry = mat.col_order[pos]
     cols = np.repeat(np.arange(J, dtype=np.int64), counts)
+    rows, owner, P = mat.idx[entry, k], None, 1
+    if mat.owner is not None:
+        owner, P = mat.owner.take(entry), mat.row_lo.size
+    order = gridmod.stable_argsort(rows * P + (0 if owner is None else owner), mat.dims[k] * P)
+    entry, cols, rows = entry[order], cols[order], rows[order]
     vals = mat.vals[entry]
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (J,):
             raise ValueError("weights do not match the %d sampled columns" % J)
         vals *= weights[cols]  # a fresh gather, so in place
-    owner = None if mat.owner is None else mat.owner.take(entry)
-    return Matricization((mat.dims[k], J), np.column_stack((mat.idx[entry, k], cols)),
-                         vals, 0, mat.row_lo, mat.row_hi, owner)
+    return Matricization((mat.dims[k], J), np.column_stack((rows, cols)), vals, 0,
+                         mat.row_lo, mat.row_hi, None if owner is None else owner[order])
 
 
 def downsampled_mttkrp(sub: Matricization, HW, workers=1):

@@ -533,11 +533,7 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
             n_real = np.minimum(leaf_lo + width, P) - leaf_lo
             if (n_real <= 0).any():
                 raise DegenerateWalkError("walk branched into an empty padded subtree")
-            leaf = sample & (width - 1)  # s mod width under a node of width real leaves
-            if (n_real < width).any():  # the padded edge node
-                edge = np.flatnonzero((n_real < width).take(walk_of))
-                leaf[edge] = sample[edge] % n_real.take(walk_of[edge])
-            owner = tree.leaf_rank.take(leaf_lo.take(walk_of) + leaf)
+            owner = tree.leaf_rank.take(leaf_lo.take(walk_of) + sample % n_real.take(walk_of))
             hop += 1
             route[hop] = owner
 

@@ -301,9 +301,11 @@ class TestStackAgainstRankMajorCopy:
             HW = gen.standard_normal((60, 3))
             sub = gather_sampled_nonzeros_to_csr(stack, X, j, weights=w)
             acc = downsampled_mttkrp(sub, HW)
+            assert np.array_equal(sub.row_order, np.arange(sub.nnz))  # built in CSR order
             first = sub.row_order[sub.row_ptr[:-1]]
             for p, ref in enumerate(blocks):
                 ref = gather_sampled_nonzeros_to_csr(ref, X, j, weights=w)
+                assert np.array_equal(ref.row_order, np.arange(ref.nnz))
                 hits = sub.owner == p
                 assert np.array_equal(sub.idx[hits], ref.idx)
                 assert np.array_equal(sub.vals[hits].view(np.int64), ref.vals.view(np.int64))
