@@ -7,7 +7,13 @@ communication ledger, so they never perturb the metered cost shapes.  An
 exact run's fit reads the round's last-mode MTTKRP, which the mode's
 solve just computed, and the Grams the run maintains, so it costs
 O(I_N R + N R^2); a sketched run's fit runs one full exact MTTKRP over
-the fit view, a one-block last-mode matricization.
+the fit view, a last-mode matricization.
+
+A column whose scale reaches zero stays exactly zero, with scale zero,
+in every later solve: ``linalg.pseudo_inverse`` is zero on each row and
+column where the system matrix is, so no rounding revives it, and the
+run goes on as a model of lower rank.  Only a sketched solve that leaves
+a whole factor zero stops the run (``DegenerateSketchError``).
 """
 
 import time

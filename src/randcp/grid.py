@@ -52,7 +52,6 @@ class ProcessorGrid:
         self.warning = warning
 
         self._coords = np.stack(np.unravel_index(np.arange(self.P), self.grid_dims), axis=1)
-        self._coord_tuples = [tuple(row) for row in self._coords.tolist()]
         self.chunk_offsets = [balanced_offsets(I, Pj)
                               for I, Pj in zip(self.tensor_dims, self.grid_dims)]
 
@@ -84,19 +83,6 @@ class ProcessorGrid:
             self._chunk_of.append(np.repeat(
                 np.arange(self.grid_dims[j], dtype=np.min_scalar_type(self.grid_dims[j])),
                 np.diff(self.chunk_offsets[j])))
-
-    def coords(self, p):
-        return self._coord_tuples[p]
-
-    def cell_rank(self, idx, skip=None):
-        """Rank owning the grid cell of each index tuple (row of ``idx``);
-        mode ``skip`` counts as chunk 0.  Ranks number cells in C order."""
-        rank = np.zeros(idx.shape[0], dtype=np.int64)
-        for j in range(self.N):
-            rank *= self.grid_dims[j]
-            if j != skip:
-                rank += self.chunk_of(j, idx[:, j])
-        return rank
 
     def slice_group(self, j, c):
         """Ranks sharing mode-j chunk c, ordered by rank id."""

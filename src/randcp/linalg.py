@@ -80,6 +80,9 @@ def pseudo_inverse(G):
 
     Uses a symmetric eigendecomposition; eigenvalues below
     PINV_CUTOFF * lambda_max are treated as zero and inverted to zero.
+    The rows and columns where G's row is all zero are exactly zero, as
+    in the exact pseudo-inverse, so rounding in the eigenvectors cannot
+    leak into them.
     """
     G = np.asarray(G, dtype=np.float64)
     scale = np.abs(G).max() if G.size else 0.0
@@ -94,7 +97,11 @@ def pseudo_inverse(G):
     inv_w = np.where(w > PINV_CUTOFF * lam_max, 1.0, 0.0)
     with np.errstate(divide="ignore"):
         inv_w = np.where(inv_w > 0, 1.0 / np.where(w > 0, w, 1.0), 0.0)
-    return (V * inv_w) @ V.T
+    out = (V * inv_w) @ V.T
+    zero = ~G.any(axis=1)
+    out[zero] = 0.0
+    out[:, zero] = 0.0
+    return out
 
 
 def column_sumsq(U):

@@ -18,13 +18,11 @@ compressed-sparse-row storage:
 
 No run reads both layouts of one view, so each view pays for one.
 
-A partition keeps one view per mode, a stack of every simulated rank's
-nonzeros, so one column search or one kernel call serves all ranks.  A
-stack references the tensor's own nonzeros, in the tensor's order, and
-adds only an owner table: each nonzero's rank, in the narrowest unsigned
-dtype.  A stack's rows are the (row, rank) pairs that hold an entry; a
-one-block view, such as one rank's entries gathered from a stack, keeps
-every row of its range.
+A view spans every row of its mode and references the nonzeros it is
+given without copying them.  A partition keeps one view per mode over
+the tensor's own ``idx`` and ``vals``, so one column search or one
+kernel call serves every simulated rank; the grid and schedule enter
+only the communication ledger.
 """
 
 from functools import cached_property
@@ -103,11 +101,8 @@ def _prefix_table(idx, modes):
 
 
 class Matricization:
-    """Mode-j view of nonzeros, each layout built on first read.
-
-    The rows of a one-block view are all rows of its range, so
-    accumulators over it have row_hi - row_lo rows.  A stack's rows are
-    its (row, rank) pairs that hold an entry, ordered by row, then rank.
+    """Mode-j view of nonzeros over all dims[j] rows of the mode, each
+    layout built on first read; accumulators over it have dims[j] rows.
 
     Parameters
     ----------
@@ -115,28 +110,16 @@ class Matricization:
     idx, vals : nonzero coordinates (global indices) and values, not
         copied when already int64 and float64 C arrays
     mode : the matricized mode j
-    row_lo, row_hi : the half-open global row range of the block; for a
-        stack, each rank's range (length-P sequences)
-    owner : for a stack, the rank of each nonzero, an unsigned integer
-        table that views over the same nonzeros may share; None for one
-        block
     """
 
-    def __init__(self, dims, idx, vals, mode, row_lo=0, row_hi=None, owner=None):
+    def __init__(self, dims, idx, vals, mode):
         self.dims = tuple(int(d) for d in dims)
         self.mode = int(mode)
         self.idx = np.ascontiguousarray(idx, dtype=np.int64)
         self.vals = np.ascontiguousarray(vals, dtype=np.float64)
-        self.owner = owner
-        if owner is None:
-            self.row_lo = lo = int(row_lo)
-            self.row_hi = hi = int(self.dims[mode] if row_hi is None else row_hi)
-        else:
-            self.row_lo, self.row_hi = np.asarray(row_lo), np.asarray(row_hi)
-            lo, hi = self.row_lo.take(owner), self.row_hi.take(owner)
-        rows = self.idx[:, mode]
-        if ((rows < lo) | (rows >= hi)).any():
-            raise ValueError("entry rows outside the view's row blocks")
+        rows = self.idx[:, self.mode]
+        if ((rows < 0) | (rows >= self.n_rows)).any():
+            raise ValueError("entry rows outside [0, %d)" % self.n_rows)
 
     @cached_property
     def idx_hi(self):
@@ -150,31 +133,21 @@ class Matricization:
         """(col_order, plan, codes, col_ptr): entries by (column, row), the
         CSC analogue; column c holds ``col_order[col_ptr[c]:col_ptr[c + 1]]``."""
         plan, codes, ids, _ = column_levels(self.idx, self.dims, self.mode)
-        by_row = gridmod.stable_argsort(self.idx[:, self.mode], self.dims[self.mode])
+        by_row = gridmod.stable_argsort(self.idx[:, self.mode], self.n_rows)
         order, col_ptr = gridmod.group_by_rank(ids[by_row], codes[-1].size)
         return by_row[order], plan, codes, col_ptr
 
     @cached_property
     def _csr(self):
-        """(row_order, row_ptr, prefixes): entries grouped by view row, the
-        CSR analogue, with the off-mode prefix table of ``_prefix_table``
-        over every off mode but the last."""
+        """(row_order, row_ptr, prefixes): entries grouped by row in tensor
+        order, the CSR analogue, with the off-mode prefix table of
+        ``_prefix_table`` over every off mode but the last."""
         prefixes = _prefix_table(self.idx, [m for m in range(len(self.dims))
                                             if m != self.mode][:-1])
         rows = self.idx[:, self.mode]
-        if self.owner is None:
-            rel = rows - self.row_lo
-            row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rel, minlength=self.n_rows), out=row_ptr[1:])
-            return gridmod.stable_argsort(rel, self.n_rows), row_ptr, prefixes
-        P = self.row_lo.size
-        pair = rows * P
-        pair += self.owner  # in int64: a narrow table's own arithmetic would wrap
-        order = gridmod.stable_argsort(pair, self.dims[self.mode] * P)
-        ordered = pair[order]
-        head = np.ones(ordered.size + 1, dtype=bool)  # a pair's first entry, and the end
-        np.not_equal(ordered[1:], ordered[:-1], out=head[1:-1])
-        return order, np.flatnonzero(head), prefixes
+        row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n_rows), out=row_ptr[1:])
+        return gridmod.stable_argsort(rows, self.n_rows), row_ptr, prefixes
 
     col_order = property(lambda self: self._csc[0])
     row_order = property(lambda self: self._csr[0])
@@ -187,15 +160,14 @@ class Matricization:
 
     @property
     def n_rows(self):
-        """Accumulator rows; a stack's count builds its CSR analogue."""
-        return self.row_hi - self.row_lo if self.owner is None else self.row_ptr.size - 1
+        return self.dims[self.mode]
 
     def lookup_columns(self, X):
         """(lo, hi): the off-mode column of index tuple X[q] (column ``mode``
-        ignored) holds ``col_order[lo[q]:hi[q]]``, every rank's entries of a
-        stack among them.  A code per level, below the position its prefix
-        found one level up, is binary-searched; an index outside its
-        dimension raises BoundsError.  The first call builds the CSC analogue.
+        ignored) holds ``col_order[lo[q]:hi[q]]``.  A code per level, below
+        the position its prefix found one level up, is binary-searched; an
+        index outside its dimension raises BoundsError.  The first call
+        builds the CSC analogue.
         """
         X = check_columns(X, self.dims, self.mode)
         if not self.nnz:
@@ -217,19 +189,11 @@ def matricize(t: SparseTensorCOO, mode: int) -> Matricization:
 
 
 class LocalTensorSet:
-    """Every rank's nonzeros under one schedule's partition: one stack per mode."""
+    """Every rank's nonzeros under one schedule's partition: one view per mode."""
 
     def __init__(self, schedule, views):
         self.schedule = schedule
-        self.views = views  # views[mode] -> Matricization stacking every rank
-
-    def local(self, rank, mode) -> Matricization:
-        """Rank ``rank``'s block of the mode view: its entries, in the
-        tensor's order, gathered into a one-block view."""
-        m = self.views[mode]
-        mine = np.flatnonzero(m.owner == rank)
-        return Matricization(m.dims, m.idx[mine], m.vals[mine], mode, m.row_lo[rank],
-                             m.row_hi[rank])
+        self.views = views  # views[mode] -> whole-mode Matricization
 
     def stored_nnz(self) -> int:
         """Nonzeros stored across ranks in the paper's storage model, each
@@ -242,36 +206,21 @@ class LocalTensorSet:
 
 
 def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet:
-    """Assign nonzeros to simulated ranks.
+    """The N mode views of ``t`` under a schedule on ``grid``.
 
-    Every view references ``t.idx`` and ``t.vals`` and adds an owner
-    table, each nonzero's rank in the narrowest unsigned dtype.
-
-    tensor-stationary: each nonzero goes to the unique grid cell whose
-    index hyper-rectangle contains it; the N mode views share one owner
-    table, each rank's rows being its cell's chunk.
-
-    accumulator-stationary: a table per mode, in place of the paper's
-    replica per mode, grouping the nonzeros by the mode's factor block
-    rows, so each rank's mode-j entries cover exactly its stationary
-    accumulator block.
+    Each view references ``t.idx`` and ``t.vals`` and spans its whole
+    mode.  Which rank holds a nonzero (its grid cell under
+    tensor-stationary, its mode's factor block under
+    accumulator-stationary) changes no result and no ledger record, so
+    no view stores it; per-rank counts follow from ``grid.row_owner``
+    and ``grid.chunk_of`` when needed.
     """
     if tuple(grid.tensor_dims) != tuple(t.dims):
         raise ValueError("grid built for dims %s, tensor has %s"
                          % (grid.tensor_dims, t.dims))
-    narrow = np.min_scalar_type(grid.P - 1)
-    if schedule == "tensor-stationary":
-        owner = grid.cell_rank(t.idx).astype(narrow)
-        coords = np.array([grid.coords(p) for p in range(grid.P)])
-        views = [Matricization(t.dims, t.idx, t.vals, j, off[coords[:, j]], off[coords[:, j] + 1],
-                               owner=owner)
-                 for j, off in enumerate(grid.chunk_offsets)]
-    elif schedule == "accumulator-stationary":
-        views = [Matricization(t.dims, t.idx, t.vals, j, *grid.block_ranges(j),
-                               owner=grid.row_owner(j, t.idx[:, j]).astype(narrow))
-                 for j in range(t.mode_count)]
-    else:
+    if schedule not in ("tensor-stationary", "accumulator-stationary"):
         raise ValueError("unknown schedule %r" % schedule)
+    views = [Matricization(t.dims, t.idx, t.vals, j) for j in range(t.mode_count)]
     for m in views[1:]:  # the views share idx, so they share its column maxima
         m.idx_hi = views[0].idx_hi
     return LocalTensorSet(schedule, views)

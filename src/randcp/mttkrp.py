@@ -10,9 +10,8 @@ distinct off-mode index prefix once, from the view's prefix table, so an
 entry costs two factor-row gathers rather than N - 1.  The sampled
 MTTKRP runs it on the sketched submatrix mat(T, k) S^T, which
 extraction returns as a two-mode ``Matricization``, so there is no
-separate sparse transpose.  On a stack of every rank's nonzeros one call
-serves all ranks, with one output row per (row, rank) pair that holds
-entries.
+separate sparse transpose.  A view spans its whole mode, so one call
+serves every simulated rank and returns the dense (I_j, R) rows.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -69,9 +68,8 @@ def _accumulate_rows(out, row_ptr, order, make_rows, ra, rb):
 
 
 def mttkrp_exact(mat: Matricization, factors, workers=1):
-    """Exact MTTKRP: out[r, :] sums v * hadamard of factor rows over the
-    entries of view row r (row i_j - row_lo of a one-block view, one
-    (row, rank) pair of a stack).
+    """Exact MTTKRP: out[i, :] sums v * hadamard of factor rows over the
+    entries of mode row i, for every row of the view's mode.
 
     ``factors[i]`` is mode i's factor matrix, read by global row; the
     entry for ``mat.mode`` is ignored.  The rows of each distinct prefix
@@ -127,11 +125,10 @@ def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, weights=None) -> Ma
     X is the (J, N) sample index matrix; column k is ignored, and another
     index outside its dimension raises BoundsError.  One lookup finds
     every column.  Returns a two-mode ``Matricization`` of shape
-    (dims[k], J) over the view's row blocks: mode 0 holds an entry's
-    global row, mode 1 the row s of X that hit it (one column per copy of
-    a repeated tuple), and the value carries ``weights[s]`` when weights
-    are given.  Entries come in CSR order: by row, or for a stack by
-    (row, rank) with each entry's owner, and then by column.
+    (dims[k], J): mode 0 holds an entry's global row, mode 1 the row s of
+    X that hit it (one column per copy of a repeated tuple), and the value
+    carries ``weights[s]`` when weights are given.  Entries come in CSR
+    order: by row, then by column.
     """
     if mat.mode != k:
         raise ValueError("matricization is for mode %d, expected %d" % (mat.mode, k))
@@ -139,10 +136,8 @@ def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, weights=None) -> Ma
     pos, counts = _concat_ranges(*mat.lookup_columns(X))
     entry = mat.col_order[pos]
     cols = np.repeat(np.arange(J, dtype=np.int64), counts)
-    rows, owner, P = mat.idx[entry, k], None, 1
-    if mat.owner is not None:
-        owner, P = mat.owner.take(entry), mat.row_lo.size
-    order = gridmod.stable_argsort(rows * P + (0 if owner is None else owner), mat.dims[k] * P)
+    rows = mat.idx[entry, k]
+    order = gridmod.stable_argsort(rows, mat.dims[k])
     entry, cols, rows = entry[order], cols[order], rows[order]
     vals = mat.vals[entry]
     if weights is not None:
@@ -150,8 +145,7 @@ def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, weights=None) -> Ma
         if weights.shape != (J,):
             raise ValueError("weights do not match the %d sampled columns" % J)
         vals *= weights[cols]  # a fresh gather, so in place
-    return Matricization((mat.dims[k], J), np.column_stack((rows, cols)), vals, 0,
-                         mat.row_lo, mat.row_hi, None if owner is None else owner[order])
+    return Matricization((mat.dims[k], J), np.column_stack((rows, cols)), vals, 0)
 
 
 def downsampled_mttkrp(sub: Matricization, HW, workers=1):

@@ -18,10 +18,11 @@ everyone, each rank's downsampled MTTKRP rows are scattered into its
 stationary block, and no reduction occurs.  Defined only for sketched
 solves; exact solves must use the tensor-stationary schedule.
 
-Every rank's MTTKRP is one kernel call over the mode's stack of all
-ranks' nonzeros (``LocalTensorSet.views``), with a row per (row, rank)
-pair that holds entries; ``_reduce_along_mode`` adds those rows into the
-mode's factor rows in rank order, as the dense reduce-scatter would.
+Every rank's MTTKRP is one kernel call over the mode's whole-mode view
+of the nonzeros (``LocalTensorSet.views``), which returns the reduced
+(I_k, R) rows; ``_reduce_along_mode`` only meters the reduce-scatter,
+and the sketched Gram is formed once and its allreduce only metered.
+So a solve's result does not depend on the grid or the schedule.
 
 Sketched solves minimize the sketched problem: the right-hand side is
 the exact kernel run on the sketched submatrix, whose values carry the
@@ -31,7 +32,7 @@ solve the J draws are merged into their distinct off-mode columns, each
 carrying the summed squared weight of its copies (the sketch S^T S is
 unchanged), and each distinct column's design row is formed once from
 the factors.  One extraction then searches each distinct column once
-over the stack.  Metering still follows the J draws.
+over the view.  Metering still follows the J draws.
 """
 
 import time
@@ -135,37 +136,31 @@ def draw_batch(ctx: SolveContext, k: int):
     return batch
 
 
-def _sketched_gram(ctx: SolveContext, k: int, batch, metered: bool):
+def _sketched_gram(ctx: SolveContext, k: int, batch):
     """Merge the batch's repeated draws; Gram of the weighted distinct columns.
 
-    The metered Gram is summed in cell-owner rank order.  Returns the
-    Gram and the columns as ``distinct_columns`` gives them, but with the
-    design rows weighted (X, Hw, weights).  The merge is timed as
-    sampling, the Gram as postprocessing.
+    A tensor-stationary solve meters the allreduce of the R x R Gram over
+    all ranks.  Returns the Gram and the columns as
+    ``distinct_columns`` gives them, but with the design rows weighted
+    (X, Hw, weights).  The merge is timed as sampling, the Gram as
+    postprocessing.
     """
     t0 = time.perf_counter()
     X, Hw, weights = distinct_columns(batch, [f.U for f in ctx.factors], k)
     ctx.stats["distinct_samples"] += X.shape[0]
     t0 = ctx.tick("sampling", t0)
     Hw *= weights[:, None]
-    grid = ctx.grid
-    if not metered or grid.P == 1:
-        Gs = Hw.T @ Hw
-    else:
-        order, bounds = gridmod.group_by_rank(grid.cell_rank(X, skip=k), grid.P)
-        partials = []
-        for p in range(grid.P):
-            rows = Hw[order[bounds[p]:bounds[p + 1]]]
-            partials.append(rows.T @ rows)
-        Gs = gridmod.allreduce(partials, list(range(grid.P)),
-                               ledger=ctx.ledger, round_id=ctx.round_id)
+    Gs = Hw.T @ Hw
+    if ctx.schedule == "tensor-stationary":
+        gridmod.meter(ctx.ledger, ctx.round_id, gridmod.ALLREDUCE, list(range(ctx.grid.P)),
+                      Gs.size)
     ctx.tick("postprocess", t0)
     return Gs, (X, Hw, weights)
 
 
 def _sampled_mttkrp(ctx: SolveContext, k: int, cols):
-    """One extraction and one downsampled MTTKRP over the mode-k stack;
-    returns the sketched submatrix and its accumulator rows."""
+    """One extraction and one downsampled MTTKRP over the mode-k view;
+    returns the accumulator rows."""
     X, Hw, weights = cols
     t0 = time.perf_counter()
     sub = gather_sampled_nonzeros_to_csr(ctx.local.views[k], X, k, weights=weights)
@@ -173,17 +168,16 @@ def _sampled_mttkrp(ctx: SolveContext, k: int, cols):
     t0 = ctx.tick("extract", t0)
     acc = downsampled_mttkrp(sub, Hw, workers=ctx.workers)
     ctx.tick("mttkrp", t0)
-    return sub, acc
+    return acc
 
 
 def _exact_mttkrp(ctx: SolveContext, k: int):
-    """One exact MTTKRP over the mode-k stack, reading the factors in place
-    (``refresh_gathered`` metered the gathers); returns the stack and its
-    accumulator rows."""
+    """One exact MTTKRP over the mode-k view, reading the factors in place
+    (``refresh_gathered`` metered the gathers); returns the accumulator rows."""
     t0 = time.perf_counter()
     acc = mttkrp_exact(ctx.local.views[k], [f.U for f in ctx.factors], workers=ctx.workers)
     ctx.tick("mttkrp", t0)
-    return ctx.local.views[k], acc
+    return acc
 
 
 def _postprocess(ctx, k, rows, system_pinv):
@@ -201,8 +195,8 @@ def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
 
     ``injected_batch`` replaces the sampler's draw (any sampler, exact
     included); an off-mode index of it outside its dimension raises
-    BoundsError.  The schedule enters only in the metered row gathers,
-    whether the sketched Gram is allreduced, and the reduce-scatter.  An
+    BoundsError.  The schedule enters only the ledger: the metered row
+    gathers, the sketched Gram's allreduce and the reduce-scatter.  An
     exact solve of the last mode keeps its reduced MTTKRP in
     ``ctx.last_mttkrp``.
     """
@@ -215,7 +209,7 @@ def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
         if not ts:
             raise ScheduleError("accumulator-stationary schedule requires a sampler; "
                                 "exact solves must use tensor-stationary")
-        mat, acc = _exact_mttkrp(ctx, k)
+        acc = _exact_mttkrp(ctx, k)
         system_pinv = pseudo_inverse(hadamard_gram_chain(ctx.grams, skip=k))
     else:
         if batch is None:
@@ -230,11 +224,11 @@ def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
         else:
             _meter_sampled_gathers_as(ctx, k, batch)
         ctx.tick("gather", t0)
-        Gs, cols = _sketched_gram(ctx, k, batch, metered=ts)
-        mat, acc = _sampled_mttkrp(ctx, k, cols)
+        Gs, cols = _sketched_gram(ctx, k, batch)
+        acc = _sampled_mttkrp(ctx, k, cols)
         system_pinv = pseudo_inverse(Gs)
     t0 = time.perf_counter()
-    rows = _reduce_along_mode(ctx, k, mat, acc)
+    rows = _reduce_along_mode(ctx, k, acc)
     ctx.tick("reduction", t0)
     if batch is None and k == len(ctx.factors) - 1:
         ctx.last_mttkrp = rows
@@ -242,33 +236,17 @@ def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
     return batch
 
 
-def _reduce_along_mode(ctx, k, mat, acc):
-    """Add a mode-k stack's accumulator rows into the mode's I_k rows.
-
-    A row's partial sums are added in rank order, every slice group's
-    order, and a row that a group member lacks gets the +0.0 of that
-    member's dense accumulator, so each row equals ``grid.reduce_scatter``
-    of dense accumulators bit for bit, signed zeros included.  Only
-    tensor-stationary meters the reduce-scatter; an accumulator-stationary
-    row has one holder, so it is only scattered.
-    """
-    grid, fb = ctx.grid, ctx.factors[k]
-    rows, starts, held = np.unique(mat.idx[mat.row_order[mat.row_ptr[:-1]], mat.mode],
-                                   return_index=True, return_counts=True)
-    out = np.zeros_like(fb.U)
-    out[rows] = acc[starts]
-    for t in range(1, held.max(initial=0)):  # every row's t-th holder, as += adds it
-        more = held > t
-        out[rows[more]] += acc[starts[more] + t]
-    members = 1
+def _reduce_along_mode(ctx, k, acc):
+    """The reduced mode-k rows ``acc``; a tensor-stationary solve meters
+    their reduce-scatter along the mode's slice groups, while an
+    accumulator-stationary row has one holder, so it is only scattered."""
     if ctx.schedule == "tensor-stationary":
-        members = grid.P // grid.grid_dims[k]
+        fb = ctx.factors[k]
         words = (fb.his - fb.lows) * fb.R
-        for c in range(grid.grid_dims[k]):
-            group = grid.slice_group(k, c)
+        for c in range(ctx.grid.grid_dims[k]):
+            group = ctx.grid.slice_group(k, c)
             gridmod.meter(ctx.ledger, ctx.round_id, gridmod.REDUCE_SCATTER, group, words[group])
-    out[rows[held < members]] += 0.0
-    return out
+    return acc
 
 
 def _meter_sampled_gathers_ts(ctx, k, batch):

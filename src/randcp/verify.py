@@ -181,8 +181,8 @@ def suite_schedules(seed=0):
     solve_mode(ctx_t, 0, injected_batch=batch)
     solve_mode(ctx_a, 0, injected_batch=batch)
     diff = np.abs(ctx_t.factors[0].U - ctx_a.factors[0].U).max()
-    checks.append(("schedule_equivalence_injected_batch < 1e-12", diff < 1e-12,
-                   "err=%.2e" % diff))
+    checks.append(("schedule_equivalence_injected_batch bit for bit",
+                   np.array_equal(ctx_t.factors[0].U, ctx_a.factors[0].U), "err=%.2e" % diff))
     return checks
 
 

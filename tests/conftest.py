@@ -1,11 +1,6 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 
-from randcp import schedules
-from randcp.matricization import Matricization
-from randcp.mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr
 from randcp.tensor import SparseTensorCOO
 from randcp.verify import dense_matricization, dense_of  # noqa: F401  (shared oracles)
 
@@ -49,36 +44,6 @@ def py_column_key(row, dims, skip):
         if m != skip:
             key, stride = key + i * stride, stride * d
     return key
-
-
-def rank_extractions(ctx, k, cols):
-    """Run one sketched solve's extraction and kernel over the mode-k
-    stack and cut the results by rank.
-
-    ``cols`` is what ``schedules._sketched_gram`` returns beside the Gram.
-    Returns (got, full, searched).  Per rank, ``got`` holds the rank's
-    entries, values, global rows and accumulator rows of the stacked
-    results, and ``full`` the same four arrays that a search of every
-    distinct column over ``local(p, k)`` and the kernel on that one-block
-    submatrix give (its rows that hold entries).  ``searched`` is the
-    number of columns the solve searched.
-    """
-    X, Hw, weights = cols
-    with mock.patch.object(Matricization, "lookup_columns", autospec=True,
-                           side_effect=Matricization.lookup_columns) as lookup:
-        sub, acc = schedules._sampled_mttkrp(ctx, k, cols)
-    searched = sum(len(call.args[1]) for call in lookup.call_args_list)
-    first = sub.row_order[sub.row_ptr[:-1]]
-    row_rank = sub.owner[first]
-    got, full = [], []
-    for p in range(ctx.grid.P):
-        hits = sub.owner == p
-        mine = row_rank == p
-        got.append((sub.idx[hits], sub.vals[hits], sub.idx[first[mine], 0], acc[mine]))
-        ref = gather_sampled_nonzeros_to_csr(ctx.local.local(p, k), X, k, weights=weights)
-        rows = np.flatnonzero(np.diff(ref.row_ptr))
-        full.append((ref.idx, ref.vals, rows + ref.row_lo, downsampled_mttkrp(ref, Hw)[rows]))
-    return got, full, searched
 
 
 def assert_same_bits(got, ref):

@@ -356,9 +356,12 @@ class TestExactFitFromLastSolve:
         self.check_history(t, res, calls)
         assert counts == {"schedules": rounds * N, "linalg": 0}
 
-    def test_zero_column(self, monkeypatch):
-        # A zero column of the last initial factor stays zero in every factor,
-        # and its scale is zero.
+    @pytest.mark.parametrize("procs", [1, 6])
+    @pytest.mark.parametrize("tensor_seed", range(30, 50))
+    def test_zero_column(self, monkeypatch, tensor_seed, procs):
+        # A zero column of the last initial factor stays exactly zero in every
+        # factor, and its scale is zero: the pseudo-inverse leaks nothing into
+        # it for the renormalization to scale up.
         from randcp import als
         real_init = als.init_factors
 
@@ -367,9 +370,9 @@ class TestExactFitFromLastSolve:
             factors[-1][:, 1] = 0.0
             return factors, sigma
         monkeypatch.setattr(als, "init_factors", init_with_zero_column)
-        t = make_sparse(EXACT_FIT_DIMS[4], 150, seed=32)
+        t = make_sparse(EXACT_FIT_DIMS[4], 150, seed=tensor_seed)
         calls = record_fits(monkeypatch)
-        cfg = AlsConfig(rank=3, rounds=3, sampler="exact", procs=6, seed=33, fit_every=1,
+        cfg = AlsConfig(rank=3, rounds=3, sampler="exact", procs=procs, seed=33, fit_every=1,
                         permute=False)
         res = run_als(cfg, tensor=t)
         assert res.sigma[1] == 0.0 and all(not U[:, 1].any() for U in res.factors)

@@ -72,11 +72,6 @@ class TestGridPartitions:
                 for lookup in (g.chunk_of, g.row_owner):
                     with pytest.raises(IndexError):
                         lookup(j, np.array([0, dims[j]]))
-            idx = np.stack([gen.integers(0, d, 32) for d in dims], axis=1)
-            ref = np.ravel_multi_index(tuple(g.chunk_of(j, idx[:, j]).astype(np.int64)
-                                             for j in range(N)), gdims)
-            assert g.cell_rank(idx).dtype == np.int64
-            assert np.array_equal(g.cell_rank(idx), ref)
 
     def test_negative_rows_raise(self):
         # take() would wrap -1 to the last row, whose owner and chunk are 1
@@ -87,28 +82,6 @@ class TestGridPartitions:
                 lookup(0, [-1])
             with pytest.raises(IndexError):
                 lookup(0, np.array([0, -4]))
-        with pytest.raises(IndexError):
-            g.cell_rank(np.array([[-1, 0, 0]]))
-        assert g.cell_rank(np.array([[3, 0, 0]])) == 1
-        assert g.cell_rank(np.array([[3, -1, 0]]), skip=1) == 1
-
-    def test_cell_rank_does_not_overflow_narrow_lookups(self):
-        # 2 x 200 x 2 ranks: chunk ids fit in uint8, cell ranks do not
-        g = ProcessorGrid((2, 400, 4), (2, 200, 2))
-        idx = np.array([[1, 399, 3], [1, 0, 3]])
-        assert np.array_equal(g.cell_rank(idx), [g.P - 1, 200 * 2 + 1])
-
-    def test_cell_rank_matches_coords(self):
-        g = ProcessorGrid((13, 7, 5, 3), (3, 2, 1, 2))
-        gen = np.random.default_rng(0)
-        idx = np.stack([gen.integers(0, d, 200) for d in g.tensor_dims], axis=1)
-        chunks = np.stack([g.chunk_of(j, idx[:, j]) for j in range(4)], axis=1)
-        ranks = g.cell_rank(idx)
-        assert [g.coords(p) for p in ranks] == [tuple(c) for c in chunks.tolist()]
-        idx[:, 1] = -1
-        chunks[:, 1] = 0
-        assert np.array_equal(g.cell_rank(idx, skip=1),
-                              np.ravel_multi_index(tuple(chunks.T), g.grid_dims))
 
     def test_slice_groups_partition_ranks(self):
         g = ProcessorGrid((8, 8, 8), (2, 2, 2))

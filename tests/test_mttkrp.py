@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from randcp import grid as gridmod
 from randcp import mttkrp
 from randcp.linalg import khatri_rao
-from randcp.matricization import Matricization, column_keys, matricize, partition_to_grid
+from randcp.matricization import Matricization, column_keys, matricize
 from randcp.mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
 from randcp.tensor import SparseTensorCOO
 from conftest import dense_matricization, dense_of, make_sparse
@@ -182,8 +181,11 @@ class TestSketchedSubmatrix:
     def views():
         t = skewed_rows_tensor()
         keep = (t.idx[:, 0] >= 9) & (t.idx[:, 0] < 38)
-        block = Matricization(t.dims, t.idx[keep], t.vals[keep], 0, row_lo=9, row_hi=38)
-        return t, [matricize(t, k) for k in range(3)] + [block]
+        block = Matricization(t.dims, t.idx[keep], t.vals[keep], 0)
+        again = np.arange(0, t.nnz, 3)  # index tuples held twice, with other values
+        twice = Matricization(t.dims, np.concatenate([t.idx, t.idx[again]]),
+                              np.concatenate([t.vals, t.vals[again] + 1.0]), 1)
+        return t, [matricize(t, k) for k in range(3)] + [block, twice]
 
     @staticmethod
     def per_entry_reference(m, X, H, w):
@@ -193,7 +195,7 @@ class TestSketchedSubmatrix:
         rows, cols, vals = [], [], []
         for s in range(X.shape[0]):
             hit = np.flatnonzero(np.all(m.idx[:, others] == X[s, others], axis=1))
-            rows += (m.idx[hit, k] - m.row_lo).tolist()
+            rows += m.idx[hit, k].tolist()
             cols += [s] * hit.size
             vals += m.vals[hit].tolist()
         order = np.lexsort((cols, rows))
@@ -220,100 +222,16 @@ class TestSketchedSubmatrix:
             assert rows.size >= 60
 
             sub = gather_sampled_nonzeros_to_csr(m, X, k, weights=w)
-            order = np.lexsort((sub.idx[:, 1], sub.idx[:, 0]))
-            assert np.array_equal(sub.idx[order, 0] - sub.row_lo, rows)
-            assert np.array_equal(sub.idx[order, 1], cols)
-            assert np.array_equal(sub.vals[order], weighted)  # v * w_col, bit for bit
+            assert np.array_equal(sub.row_order, np.arange(sub.nnz))  # built in CSR order
+            assert np.array_equal(sub.idx[:, 0], rows)
+            assert np.array_equal(sub.idx[:, 1], cols)
+            assert np.array_equal(sub.vals, weighted)  # v * w_col, bit for bit
 
             Hw = H * w[:, None]
             for chunk in (1, 7, mttkrp._CHUNK_NNZ):
                 monkeypatch.setattr(mttkrp, "_CHUNK_NNZ", chunk)
                 for workers in (1, 3):
                     assert np.array_equal(downsampled_mttkrp(sub, Hw, workers=workers), ref)
-
-
-def rank_major_blocks(t, g, schedule, j):
-    """A rank-major reference for a mode-j stack: the nonzeros stably
-    grouped by owner, one one-block view per rank."""
-    owner = g.cell_rank(t.idx) if schedule == "tensor-stationary" else g.row_owner(j, t.idx[:, j])
-    order = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[order], np.arange(g.P + 1))
-    lo, hi = (g.block_ranges(j) if schedule == "accumulator-stationary" else
-              [np.array([g.chunk_offsets[j][g.coords(p)[j] + e] for p in range(g.P)])
-               for e in (0, 1)])
-    return [Matricization(t.dims, t.idx[order[a:b]], t.vals[order[a:b]], j, lo[p], hi[p])
-            for p, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
-
-
-class TestStackAgainstRankMajorCopy:
-    """A stack over the tensor's own nonzeros and an owner table gives what
-    a rank-major copy gives, bit for bit: per-rank blocks, extraction and
-    both kernels."""
-
-    @staticmethod
-    def tensor(dims, nnz, seed, row_cap):
-        # Mode-0 rows stay below row_cap, so the ranks of the last rows hold
-        # nothing; a third of the index tuples repeat with other values.
-        gen = np.random.default_rng(seed)
-        idx = np.stack([gen.integers(0, row_cap if m == 0 else d, nnz)
-                        for m, d in enumerate(dims)], 1)
-        idx = np.concatenate([idx, idx[gen.integers(0, nnz, nnz // 3)]])
-        return SparseTensorCOO(dims, idx, gen.standard_normal(idx.shape[0]))
-
-    @pytest.mark.parametrize("schedule", ["tensor-stationary", "accumulator-stationary"])
-    @pytest.mark.parametrize("dims, grid_dims, row_cap, dtype", [
-        ((200, 9, 8), (3, 2, 1), 130, np.uint8),      # P = 6, (row, rank) keys past 255
-        ((400, 30, 5), (20, 15, 1), 300, np.uint16),  # P = 300, keys past 65535
-    ])
-    def test_bit_identical_to_rank_major_copy(self, schedule, dims, grid_dims, row_cap, dtype):
-        t = self.tensor(dims, 600, seed=40, row_cap=row_cap)
-        g = gridmod.ProcessorGrid(dims, grid_dims)
-        part = partition_to_grid(t, g, schedule)
-        gen = np.random.default_rng(41)
-        factors = [gen.standard_normal((d, 3)) for d in dims]
-        for j, stack in enumerate(part.views):
-            assert stack.owner.dtype == dtype
-            blocks = rank_major_blocks(t, g, schedule, j)
-            assert j or any(b.nnz == 0 for b in blocks)  # some mode-0 rank is empty
-            for p, ref in enumerate(blocks):
-                got = part.local(p, j)
-                assert (got.row_lo, got.row_hi) == (ref.row_lo, ref.row_hi)
-                assert np.array_equal(got.idx, ref.idx) and np.array_equal(got.vals, ref.vals)
-
-            # The exact kernel: a stack row per (row, rank) pair, in that order.
-            acc = mttkrp_exact(stack, factors)
-            first = stack.row_order[stack.row_ptr[:-1]]
-            pairs = stack.idx[first, j] * g.P + stack.owner[first]
-            assert (np.diff(pairs) > 0).all()
-            for p, ref in enumerate(blocks):
-                rows = np.flatnonzero(np.diff(ref.row_ptr))
-                mine = stack.owner[first] == p
-                assert np.array_equal(stack.idx[first[mine], j], rows + ref.row_lo)
-                assert np.array_equal(acc[mine].view(np.int64),
-                                      mttkrp_exact(ref, factors)[rows].view(np.int64))
-
-            # Extraction and the downsampled kernel, with hits, misses and repeats.
-            X = np.concatenate([t.idx[gen.integers(0, t.nnz, 40)],
-                                np.stack([gen.integers(0, d, 20) for d in dims], 1)])
-            X[50:] = X[:10]
-            X[:, j] = -1
-            w = gen.random(60) + 0.5
-            HW = gen.standard_normal((60, 3))
-            sub = gather_sampled_nonzeros_to_csr(stack, X, j, weights=w)
-            acc = downsampled_mttkrp(sub, HW)
-            assert np.array_equal(sub.row_order, np.arange(sub.nnz))  # built in CSR order
-            first = sub.row_order[sub.row_ptr[:-1]]
-            for p, ref in enumerate(blocks):
-                ref = gather_sampled_nonzeros_to_csr(ref, X, j, weights=w)
-                assert np.array_equal(ref.row_order, np.arange(ref.nnz))
-                hits = sub.owner == p
-                assert np.array_equal(sub.idx[hits], ref.idx)
-                assert np.array_equal(sub.vals[hits].view(np.int64), ref.vals.view(np.int64))
-                rows = np.flatnonzero(np.diff(ref.row_ptr))
-                mine = sub.owner[first] == p
-                assert np.array_equal(sub.idx[first[mine], 0], rows + ref.row_lo)
-                assert np.array_equal(acc[mine].view(np.int64),
-                                      downsampled_mttkrp(ref, HW)[rows].view(np.int64))
 
 
 class TestGatherSampled:
@@ -507,14 +425,11 @@ class TestPrefixSharing:
 
     @staticmethod
     def views(t):
-        g = gridmod.ProcessorGrid(t.dims, (2,) + (1,) * (t.mode_count - 2) + (2,))
-        for sched in ("tensor-stationary", "accumulator-stationary"):
-            part = partition_to_grid(t, g, sched)
-            for k in range(t.mode_count):
-                yield part.views[k]
-                yield part.local(1, k)
+        # Every nonzero, and the nonzeros of the mode's upper half of rows.
         for k in range(t.mode_count):
             yield matricize(t, k)
+            keep = t.idx[:, k] >= t.dims[k] // 2
+            yield Matricization(t.dims, t.idx[keep], t.vals[keep], k)
 
     @pytest.mark.parametrize("dims", [(5, 4, 6), (4, 3, 5, 4), (3, 4, 2, 3, 2, 4)])
     def test_bit_identical_to_per_entry_formula(self, monkeypatch, dims):

@@ -7,60 +7,32 @@ from hypothesis import given, settings, strategies as st
 
 from randcp import grid as gridmod
 from randcp.als import AlsConfig, run_als
-from randcp.linalg import FactorBlocks
-from randcp.matricization import Matricization, column_levels, partition_to_grid
-from randcp.samplers import SampleBatch, arls_lev_build, sample_weights, sts_build
-from randcp.schedules import SolveContext, _sketched_gram, distinct_columns, draw_batch
+from randcp.matricization import Matricization, column_levels
+from randcp.samplers import SampleBatch
+from randcp.schedules import distinct_columns
 from randcp.tensor import SparseTensorCOO
-from conftest import OnesFactor, assert_same_bits, py_column_key, rank_extractions
+from conftest import OnesFactor, py_column_key
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
 
 @st.composite
-def gridded_tensors(draw, dense=False):
-    """A 3- or 4-mode tensor with modes of size 1 to 4 on a grid of P <= 12
-    ranks, P_k chosen freely (P_k > I_k leaves chunks, and so ranks, empty)."""
+def gridded_tensors(draw):
+    """A dense 3- or 4-mode tensor with modes of size 1 to 4 on a grid of
+    P <= 12 ranks, P_k chosen freely (P_k > I_k leaves chunks, and so
+    ranks, empty)."""
     dims = tuple(draw(st.lists(st.integers(1, 4), min_size=3, max_size=4)))
     P = draw(st.integers(1, 12))
     grid_dims = draw(st.sampled_from(list(gridmod.factorizations(P, len(dims)))))
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     idx = np.stack(np.meshgrid(*[np.arange(d) for d in dims], indexing="ij"),
                    -1).reshape(-1, len(dims))
-    if not dense:
-        idx = idx[gen.random(idx.shape[0]) < draw(st.sampled_from([0.2, 0.6, 1.0]))]
     t = SparseTensorCOO(dims, idx, gen.standard_normal(idx.shape[0]))
     return t, gridmod.ProcessorGrid(dims, grid_dims)
 
 
-def _entry_rows(idx, vals):
-    rows = np.column_stack([idx, vals.view(np.int64)])
-    return rows[np.lexsort(rows.T[::-1])]
-
-
 @PROPERTY
-@given(case=gridded_tensors(),
-       schedule=st.sampled_from(["tensor-stationary", "accumulator-stationary"]))
-def test_partition_holds_every_nonzero_once_per_mode(case, schedule):
-    t, g = case
-    part = partition_to_grid(t, g, schedule)
-    for j in range(t.mode_count):
-        views = [part.local(p, j) for p in range(g.P)]
-        got = _entry_rows(np.concatenate([m.idx for m in views]),
-                          np.concatenate([m.vals for m in views]))
-        assert np.array_equal(got, _entry_rows(t.idx, t.vals))
-        for p, m in enumerate(views):
-            if schedule == "tensor-stationary":
-                c = g.coords(p)[j]
-                assert (m.row_lo, m.row_hi) == tuple(g.chunk_offsets[j][c:c + 2])
-                assert (g.cell_rank(m.idx) == p).all()
-            else:
-                assert (m.row_lo, m.row_hi) == g.block_range(j, p)
-                assert (g.row_owner(j, m.idx[:, j]) == p).all()
-
-
-@PROPERTY
-@given(case=gridded_tensors(dense=True), R=st.integers(1, 6),
+@given(case=gridded_tensors(), R=st.integers(1, 6),
        sampler=st.sampled_from(["exact", "sts", "arls-lev"]), J=st.integers(1, 40))
 def test_round_ledger_matches_closed_forms(case, R, sampler, J):
     t, g = case
@@ -81,33 +53,6 @@ def test_round_ledger_matches_closed_forms(case, R, sampler, J):
         # and constant mode, and each rebuild allgathers one mass per rank.
         expected += N * (N - 1) * (P - 1) * 2 * J + N * P * (P - 1)
     assert gathered == expected
-
-
-@PROPERTY
-@given(case=gridded_tensors(), R=st.integers(1, 3),
-       sampler=st.sampled_from(["sts", "arls-lev"]), J=st.integers(1, 40),
-       schedule=st.sampled_from(["tensor-stationary", "accumulator-stationary"]))
-def test_cell_filtered_extraction_matches_all_keys(case, R, sampler, J, schedule):
-    # One extraction and one kernel call over the stack equal, rank by rank
-    # and bit for bit, a search of every key over each rank's own slice.
-    t, g = case
-    gen = np.random.default_rng(J)
-    blocks = [FactorBlocks.from_global(gen.standard_normal((d, R)), g, j)
-              for j, d in enumerate(t.dims)]
-    ctx = SolveContext(g, schedule, sampler, J, blocks, partition_to_grid(t, g, schedule),
-                       gridmod.CommLedger(), seed=J)
-    build = sts_build if sampler == "sts" else arls_lev_build
-    ctx.states = [build(b) for b in blocks]
-    for k in range(t.mode_count):
-        batch = draw_batch(ctx, k)
-        sample_weights(batch)
-        _, cols = _sketched_gram(ctx, k, batch, metered=schedule == "tensor-stationary")
-        got, full, searched = rank_extractions(ctx, k, cols)
-        assert len(got) == g.P
-        for sub, ref in zip(got, full):
-            assert_same_bits(sub, ref)
-        # Each distinct column is searched once per solve, over every rank.
-        assert searched == cols[0].shape[0]
 
 
 # Off-mode index spaces needing one, two and three int64 column levels;

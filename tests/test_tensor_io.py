@@ -368,65 +368,27 @@ class TestMatricize:
 
 
 class TestPartition:
-    def test_p1_owns_everything(self):
-        t = make_sparse((6, 5, 4), 40, seed=7)
-        g = gridmod.ProcessorGrid(t.dims, (1, 1, 1))
-        for sched in ("tensor-stationary", "accumulator-stationary"):
-            ls = partition_to_grid(t, g, sched)
-            for j in range(3):
-                assert ls.local(0, j).nnz == t.nnz
-
-    def test_mode0_block_rows(self):
-        # 4-long mode split over P_0 = 2: rows 0-1 to slice 0, rows 2-3 to slice 1
-        g = gridmod.ProcessorGrid((4, 4, 4), (2, 1, 1))
-        assert np.array_equal(g.chunk_of(0, np.arange(4)), [0, 0, 1, 1])
-        t = make_sparse((4, 4, 4), 30, seed=8)
-        ls = partition_to_grid(t, g, "tensor-stationary")
-        for p in range(2):
-            local = ls.local(p, 0)
-            if local.nnz:
-                assert set(np.unique(local.idx[:, 0]) // 2) == {p}
-
-    @pytest.mark.parametrize("sched", ["tensor-stationary", "accumulator-stationary"])
-    def test_partition_complete_and_disjoint(self, sched):
+    @staticmethod
+    def check_views_reference_tensor(sched):
+        # Mode j's view spans all of mode j over the tensor's own arrays.
         t = make_sparse((7, 6, 5), 80, seed=9)
         g = gridmod.ProcessorGrid(t.dims, (2, 3, 1))
         ls = partition_to_grid(t, g, sched)
-        for j in range(3):
-            seen = []
-            total = 0
-            for p in range(g.P):
-                m = ls.local(p, j)
-                total += m.nnz
-                seen.extend(map(tuple, np.column_stack([m.idx, m.vals]).tolist()))
-            assert total == t.nnz
-            ref = sorted(map(tuple, np.column_stack([t.idx, t.vals]).tolist()))
-            assert sorted(seen) == ref
+        assert [m.mode for m in ls.views] == [0, 1, 2]
+        for m in ls.views:
+            assert m.idx is t.idx and m.vals is t.vals
+            assert m.n_rows == t.dims[m.mode]
 
     def test_tensor_stationary_views_share_nonzeros(self):
-        # The N views reference the tensor's nonzeros and share one owner table.
-        t = make_sparse((7, 6, 5), 80, seed=9)
-        g = gridmod.ProcessorGrid(t.dims, (2, 3, 1))
-        ls = partition_to_grid(t, g, "tensor-stationary")
-        for m in ls.views:
-            assert np.shares_memory(m.idx, t.idx) and np.shares_memory(m.vals, t.vals)
-            assert m.owner is ls.views[0].owner and m.owner.dtype == np.uint8
-        assert np.array_equal(ls.views[0].owner, g.cell_rank(t.idx))
+        self.check_views_reference_tensor("tensor-stationary")
 
     def test_accumulator_stationary_views_share_nonzeros(self):
-        # One owner table per mode, the owner of each nonzero's row block.
-        t = make_sparse((7, 6, 5), 80, seed=9)
-        g = gridmod.ProcessorGrid(t.dims, (2, 3, 1))
-        ls = partition_to_grid(t, g, "accumulator-stationary")
-        for j, m in enumerate(ls.views):
-            assert np.shares_memory(m.idx, t.idx) and np.shares_memory(m.vals, t.vals)
-            assert m.owner.dtype == np.uint8
-            assert np.array_equal(m.owner, g.row_owner(j, t.idx[:, j]))
+        self.check_views_reference_tensor("accumulator-stationary")
 
     @pytest.mark.parametrize("sched", ["tensor-stationary", "accumulator-stationary"])
-    def test_partition_keeps_owner_tables_only(self, sched):
-        # A one-byte owner table per nonzero, one table per view under
-        # accumulator-stationary; a copy of the nonzeros would keep 40 bytes.
+    def test_partition_keeps_no_per_nonzero_data(self, sched):
+        # The views add nothing per nonzero; a copy of the nonzeros would
+        # keep 40 bytes each, an owner table one.
         t = make_sparse((40, 30, 20, 10), 20000, seed=13)
         g = gridmod.ProcessorGrid(t.dims, (2, 2, 2, 1))
         tracemalloc.start()
@@ -436,9 +398,8 @@ class TestPartition:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        tables = 1 if sched == "tensor-stationary" else t.mode_count
         assert len(part.views) == t.mode_count
-        assert kept <= tables * t.nnz + 8192
+        assert kept <= 8192
 
     @pytest.mark.parametrize("sched,copies", [("tensor-stationary", 1),
                                               ("accumulator-stationary", 3)])
