@@ -10,11 +10,15 @@ compressed-sparse-row storage:
   words of bit-packed indices, each level after the first below its
   prefix's id one level up (``column_levels``), so a column lookup is one
   binary search per level.  Only sampled extraction reads it.
-- the CSR analogue groups the nonzeros by the view's rows for the kernels
-  that accumulate into rows.  Only exact MTTKRP, and so the fit, reads it.
-  With it comes the table of the distinct off-mode index prefixes, the
-  levels of a compressed-sparse-fiber tree, so the kernel forms each
-  prefix's partial Khatri-Rao row once, not once per nonzero.
+- the CSR analogue stores, in row order, what the exact MTTKRP streams:
+  each entry's last off-mode index, its deepest prefix id and its value,
+  with the row pointers.  With it comes the table of the distinct
+  off-mode index prefixes, the levels of a compressed-sparse-fiber tree,
+  so the kernel forms each prefix's partial Khatri-Rao row once, not once
+  per nonzero.  Only exact MTTKRP, and so the fit, reads it.  It holds
+  the values a second time (8 bytes per entry) and the two index arrays
+  in their narrowest unsigned dtype.  Extraction hands the sketched
+  submatrix, already in row order, its row layout.
 
 No run reads both layouts of one view, so each view pays for one.
 
@@ -100,6 +104,11 @@ def _prefix_table(idx, modes):
     return tuple(levels), leaf
 
 
+def _narrow(a, bound):
+    """``a``, whose values lie in [0, bound), in the narrowest unsigned dtype."""
+    return a.astype(np.min_scalar_type(max(int(bound) - 1, 0)))
+
+
 class Matricization:
     """Mode-j view of nonzeros over all dims[j] rows of the mode, each
     layout built on first read; accumulators over it have dims[j] rows.
@@ -139,20 +148,36 @@ class Matricization:
 
     @cached_property
     def _csr(self):
-        """(row_order, row_ptr, prefixes): entries grouped by row in tensor
-        order, the CSR analogue, with the off-mode prefix table of
-        ``_prefix_table`` over every off mode but the last."""
-        prefixes = _prefix_table(self.idx, [m for m in range(len(self.dims))
-                                            if m != self.mode][:-1])
-        rows = self.idx[:, self.mode]
-        row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n_rows), out=row_ptr[1:])
-        return gridmod.stable_argsort(rows, self.n_rows), row_ptr, prefixes
+        """(row_ptr, levels, last, leaf, vals): the CSR analogue.  Row r
+        holds positions ``row_ptr[r]:row_ptr[r + 1]``, entries of a row in
+        tensor order; position p holds an entry's last off-mode index
+        ``last[p]``, its deepest prefix id ``leaf[p]`` and its value
+        ``vals[p]``.  ``levels`` and the ids are ``_prefix_table`` over
+        every off mode but the last.  ``last`` and ``leaf`` take the
+        narrowest unsigned dtype that holds them, as a gather reads them
+        no slower than int64."""
+        off = [m for m in range(len(self.dims)) if m != self.mode]
+        levels, leaf = _prefix_table(self.idx, off[:-1])
+        order, row_ptr = gridmod.group_by_rank(self.idx[:, self.mode], self.n_rows)
+        last = _narrow(self.idx[order, off[-1]], self.idx_hi[off[-1]])
+        if leaf is not None:
+            leaf = _narrow(leaf.take(order), levels[-1][1].size)
+        return row_ptr, levels, last, leaf, self.vals.take(order)
+
+    @classmethod
+    def sorted_by_row(cls, n_rows, n_cols, rows, cols, vals, row_ptr):
+        """The two-mode (n_rows, n_cols) view of entries (rows[e], cols[e])
+        held in row order, ``row_ptr`` their row bounds; its row layout is
+        ``cols``, ``vals`` and ``row_ptr`` as given, so no kernel sorts it."""
+        m = cls((n_rows, n_cols), np.column_stack((rows, cols)), vals, 0)
+        m._csr = (row_ptr, (), cols, None, m.vals)
+        return m
 
     col_order = property(lambda self: self._csc[0])
-    row_order = property(lambda self: self._csr[0])
-    row_ptr = property(lambda self: self._csr[1])
-    prefixes = property(lambda self: self._csr[2])
+    row_ptr = property(lambda self: self._csr[0])
+    prefixes = property(lambda self: (self._csr[1], self._csr[3]))
+    row_last = property(lambda self: self._csr[2])
+    row_vals = property(lambda self: self._csr[4])
 
     @property
     def nnz(self):

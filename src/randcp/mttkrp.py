@@ -2,16 +2,18 @@
 
 The kernel accumulates into disjoint contiguous output row blocks, one
 per worker, so multi-threaded results are bit-identical to the serial
-ones (no atomics, no data races).  Within a block, entries are consumed
-in the view's compressed-row order through chunks that never split a
-row, keeping each output row's accumulation order fixed regardless of
-worker count.  Each call first forms the partial Khatri-Rao row of every
-distinct off-mode index prefix once, from the view's prefix table, so an
-entry costs two factor-row gathers rather than N - 1.  The sampled
-MTTKRP runs it on the sketched submatrix mat(T, k) S^T, which
-extraction returns as a two-mode ``Matricization``, so there is no
-separate sparse transpose.  A view spans its whole mode, so one call
-serves every simulated rank and returns the dense (I_j, R) rows.
+ones (no atomics, no data races).  Within a block, the view's row layout
+is streamed in contiguous chunks that never split a row, keeping each
+output row's accumulation order fixed regardless of worker count.  Each
+call first forms the partial Khatri-Rao row of every distinct off-mode
+index prefix once, from the view's prefix table, so an entry costs two
+factor-row gathers rather than N - 1 and reads its last off-mode index,
+prefix id and value from slices of the layout.  The sampled MTTKRP runs
+it on the sketched submatrix mat(T, k) S^T, which extraction returns as
+a two-mode ``Matricization`` with its row layout in place, so there is
+no separate sparse transpose and no second sort.  A view spans its
+whole mode, so one call serves every simulated rank and returns the
+dense (I_j, R) rows.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -44,14 +46,15 @@ def _row_blocks(row_ptr, workers):
     return [(bounds[i], bounds[i + 1]) for i in range(workers) if bounds[i] < bounds[i + 1]]
 
 
-def _accumulate_rows(out, row_ptr, order, make_rows, ra, rb):
+def _accumulate_rows(out, row_ptr, make_rows, ra, rb):
     """Sum per-entry row contributions into out[ra:rb] in row order.
 
     Each chunk takes whole rows greedily up to ``_CHUNK_NNZ`` entries (a
     longer row forms a chunk of its own), so a row's entries are summed
     by one ``reduceat`` segment whatever the chunk size.  A chunk's end
     is one binary search, so Python work grows with the number of
-    chunks, not rows.  ``order`` maps compressed-row positions to entries.
+    chunks, not rows.  ``make_rows(lo, hi)`` gives the contributions of
+    row-layout positions lo..hi-1.
     """
     ends = row_ptr[:rb + 1]
     r = ra
@@ -61,7 +64,7 @@ def _accumulate_rows(out, row_ptr, order, make_rows, ra, rb):
         r_end = min(max(r_end, r + 1), rb)
         hi = int(row_ptr[r_end])
         if hi > lo:
-            contrib = make_rows(order[lo:hi])
+            contrib = make_rows(lo, hi)
             rows = np.flatnonzero(np.diff(row_ptr[r:r_end + 1]))
             out[r + rows] = np.add.reduceat(contrib, row_ptr[r + rows] - lo, axis=0)
         r = r_end
@@ -75,7 +78,8 @@ def mttkrp_exact(mat: Matricization, factors, workers=1):
     entry for ``mat.mode`` is ignored.  The rows of each distinct prefix
     of the off modes (``mat.prefixes``) are multiplied once per call,
     level by level; an entry then takes its deepest prefix's row times
-    the last off mode's row times v.  Every entry thus gets the
+    the last off mode's row times v, each read from the view's row layout
+    in the order it is summed.  Every entry thus gets the
     ascending-mode products of a per-entry evaluation, bit for bit.
     """
     j = mat.mode
@@ -92,27 +96,27 @@ def mttkrp_exact(mat: Matricization, factors, workers=1):
 
     # Prefix rows, shared read-only by the threads: pre_d = pre_{d-1}[parent] * U[index].
     levels, leaf = mat.prefixes
+    row_ptr, last_idx, vals = mat.row_ptr, mat.row_last, mat.row_vals
     pre = None
     for i, (parent, index) in zip(off, levels):
         rows = factors[i].take(index, axis=0)
         pre = rows if pre is None else np.multiply(pre.take(parent, axis=0), rows, out=rows)
     last = factors[off[-1]]
 
-    def make_rows(sel):
-        prod = last.take(mat.idx[sel, off[-1]], axis=0)
+    def make_rows(lo, hi):
+        prod = last.take(last_idx[lo:hi], axis=0)
         if pre is not None:
-            prod *= pre.take(leaf[sel], axis=0)
-        prod *= mat.vals[sel, None]
+            prod *= pre.take(leaf[lo:hi], axis=0)
+        prod *= vals[lo:hi, None]
         return prod
 
     # One thread per nnz-balanced row block; the blocks' rows are disjoint.
-    row_ptr, order = mat.row_ptr, mat.row_order
     blocks = _row_blocks(row_ptr, workers)
     if len(blocks) == 1:
-        _accumulate_rows(out, row_ptr, order, make_rows, *blocks[0])
+        _accumulate_rows(out, row_ptr, make_rows, *blocks[0])
         return out
     with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        futs = [pool.submit(_accumulate_rows, out, row_ptr, order, make_rows, ra, rb)
+        futs = [pool.submit(_accumulate_rows, out, row_ptr, make_rows, ra, rb)
                 for ra, rb in blocks]
         for f in futs:
             f.result()
@@ -128,7 +132,8 @@ def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, weights=None) -> Ma
     (dims[k], J): mode 0 holds an entry's global row, mode 1 the row s of
     X that hit it (one column per copy of a repeated tuple), and the value
     carries ``weights[s]`` when weights are given.  Entries come in CSR
-    order: by row, then by column.
+    order, by row and then by column, and the result holds them as its
+    row layout.
     """
     if mat.mode != k:
         raise ValueError("matricization is for mode %d, expected %d" % (mat.mode, k))
@@ -139,13 +144,14 @@ def gather_sampled_nonzeros_to_csr(mat: Matricization, X, k, weights=None) -> Ma
     rows = mat.idx[entry, k]
     order = gridmod.stable_argsort(rows, mat.dims[k])
     entry, cols, rows = entry[order], cols[order], rows[order]
+    row_ptr = np.searchsorted(rows, np.arange(mat.dims[k] + 1))
     vals = mat.vals[entry]
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (J,):
             raise ValueError("weights do not match the %d sampled columns" % J)
         vals *= weights[cols]  # a fresh gather, so in place
-    return Matricization((mat.dims[k], J), np.column_stack((rows, cols)), vals, 0)
+    return Matricization.sorted_by_row(mat.dims[k], J, rows, cols, vals, row_ptr)
 
 
 def downsampled_mttkrp(sub: Matricization, HW, workers=1):

@@ -97,6 +97,9 @@ def _meter_allgather_model(ledger, round_id, ranks, member_words):
     gridmod.meter(ledger, round_id, gridmod.ALLGATHER, ranks, member_words)
 
 
+_DESIGN_CHUNK = 1 << 12
+
+
 def distinct_columns(batch, factors, k):
     """Merge repeated sample tuples of a weighted batch into one column each.
 
@@ -109,16 +112,24 @@ def distinct_columns(batch, factors, k):
     so the sketched Gram and the downsampled MTTKRP are unchanged up to
     rounding.  A design row is the Hadamard product of the tuple's factor
     rows, multiplied in ascending mode order as the samplers' running
-    products are.
+    products are.  The design rows are the one (J_d, R) array formed:
+    they are written chunk by chunk, each later mode's rows gathered into
+    one reused chunk buffer and multiplied in place.
     """
     _, _, inverse, first = column_levels(batch.X, [U.shape[0] for U in factors], k)
     sq = np.bincount(inverse, weights=batch.weights * batch.weights, minlength=first.size)
     X = batch.X.take(first, axis=0)
-    H = None
-    for i, U in enumerate(factors):
-        if i != k:
-            rows = U.take(X[:, i], axis=0)
-            H = rows if H is None else H.__imul__(rows)
+    modes = [i for i in range(len(factors)) if i != k]
+    H = np.empty((X.shape[0], factors[modes[0]].shape[1]))
+    buf = np.empty((min(X.shape[0], _DESIGN_CHUNK), H.shape[1]))
+    # column_levels checked every index, so take need not buffer ``out``
+    # against an out-of-range one, as its default mode="raise" does.
+    for lo in range(0, X.shape[0], _DESIGN_CHUNK):
+        tuples = X[lo:lo + _DESIGN_CHUNK]
+        h = H[lo:lo + len(tuples)]
+        factors[modes[0]].take(tuples[:, modes[0]], axis=0, out=h, mode="clip")
+        for i in modes[1:]:
+            h *= factors[i].take(tuples[:, i], axis=0, out=buf[:len(h)], mode="clip")
     return X, H, np.sqrt(sq)
 
 

@@ -33,8 +33,11 @@ class OnesFactor:
     def __init__(self, n_rows):
         self.shape = (n_rows, 2)
 
-    def take(self, rows, axis=0):
-        return np.ones((len(rows), 2))
+    def take(self, rows, axis=0, out=None, mode="raise"):
+        if out is None:
+            return np.ones((len(rows), 2))
+        out[...] = 1.0
+        return out
 
 
 def py_column_key(row, dims, skip):

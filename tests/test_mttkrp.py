@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from randcp import mttkrp
+from randcp import grid as gridmod, mttkrp
 from randcp.linalg import khatri_rao
 from randcp.matricization import Matricization, column_keys, matricize
 from randcp.mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
@@ -88,11 +90,11 @@ def count_make_rows(monkeypatch):
     calls = []
     real = mttkrp._accumulate_rows
 
-    def counting(out, row_ptr, order, make_rows, ra, rb):
-        def counted(sel):
-            calls.append(sel)
-            return make_rows(sel)
-        return real(out, row_ptr, order, counted, ra, rb)
+    def counting(out, row_ptr, make_rows, ra, rb):
+        def counted(lo, hi):
+            calls.append(range(lo, hi))
+            return make_rows(lo, hi)
+        return real(out, row_ptr, counted, ra, rb)
 
     monkeypatch.setattr(mttkrp, "_accumulate_rows", counting)
     return calls
@@ -222,10 +224,12 @@ class TestSketchedSubmatrix:
             assert rows.size >= 60
 
             sub = gather_sampled_nonzeros_to_csr(m, X, k, weights=w)
-            assert np.array_equal(sub.row_order, np.arange(sub.nnz))  # built in CSR order
             assert np.array_equal(sub.idx[:, 0], rows)
             assert np.array_equal(sub.idx[:, 1], cols)
             assert np.array_equal(sub.vals, weighted)  # v * w_col, bit for bit
+            # built in CSR order: its row layout is the entries as held
+            assert np.array_equal(sub.row_ptr, np.searchsorted(rows, np.arange(m.n_rows + 1)))
+            assert np.array_equal(sub.row_last, cols) and sub.row_vals is sub.vals
 
             Hw = H * w[:, None]
             for chunk in (1, 7, mttkrp._CHUNK_NNZ):
@@ -386,7 +390,7 @@ def shared_prefix_tensor(dims, seed):
 
 def per_entry_reference(m, factors):
     """The per-entry formula: factor rows multiplied in ascending mode order,
-    then v; each view row's terms, in row order, summed by one reduceat."""
+    then v; each view row's terms, in tensor order, summed by one reduceat."""
     contrib = None
     for i, f in enumerate(factors):
         if i != m.mode:
@@ -394,8 +398,10 @@ def per_entry_reference(m, factors):
             contrib = rows if contrib is None else contrib * rows
     contrib = contrib * m.vals[:, None]
     out = np.zeros((m.n_rows, contrib.shape[1]))
+    by_row = np.argsort(m.idx[:, m.mode], kind="stable")
+    ptr = np.searchsorted(m.idx[by_row, m.mode], np.arange(m.n_rows + 1))
     for r in range(m.n_rows):
-        entries = m.row_order[m.row_ptr[r]:m.row_ptr[r + 1]]
+        entries = by_row[ptr[r]:ptr[r + 1]]
         if entries.size:
             out[r] = np.add.reduceat(contrib[entries], [0], axis=0)[0]
     return out
@@ -403,7 +409,8 @@ def per_entry_reference(m, factors):
 
 def check_prefix_table(m):
     """Each level holds the distinct prefixes in lexicographic order, and
-    each entry's deepest prefix walks up to its own index tuple."""
+    the deepest prefix of each entry, in row order, walks up to its own
+    index tuple."""
     modes = [i for i in range(len(m.dims)) if i != m.mode][:-1]
     levels, leaf = m.prefixes
     assert len(levels) == len(modes)
@@ -416,7 +423,8 @@ def check_prefix_table(m):
         tuples.append([tuples[-1][p] + (int(x),) for p, x in zip(parent, index)])
     for d, level in enumerate(tuples, 1):
         assert level == sorted({tuple(r) for r in m.idx[:, modes[:d]].tolist()})
-    assert [tuples[-1][e] for e in leaf] == [tuple(r) for r in m.idx[:, modes].tolist()]
+    by_row = np.argsort(m.idx[:, m.mode], kind="stable")
+    assert [tuples[-1][e] for e in leaf] == [tuple(r) for r in m.idx[by_row][:, modes].tolist()]
 
 
 class TestPrefixSharing:
@@ -472,3 +480,49 @@ class TestPrefixSharing:
         got = downsampled_mttkrp(sub, H)
         ref = per_entry_reference(sub, [None, H])
         assert got.view(np.int64).tolist() == ref.view(np.int64).tolist()
+
+
+class TestStreamOrder:
+    """The kernels read the row layout as stored: in row order, nothing
+    gathered through a permutation."""
+
+    def test_row_layout_holds_last_index_prefix_id_and_value(self):
+        t = make_sparse((40, 30, 20, 10), 20000, seed=40)
+        for k in range(4):
+            m = matricize(t, k)
+            m.idx_hi  # the coverage maxima are not part of the layout
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                layout = m._csr
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            row_ptr, levels, last, leaf, vals = layout
+            check_prefix_table(m)
+            by_row = np.argsort(m.idx[:, k], kind="stable")
+            off = [i for i in range(4) if i != k]
+            assert np.array_equal(row_ptr, np.searchsorted(m.idx[by_row, k],
+                                                           np.arange(m.n_rows + 1)))
+            assert np.array_equal(last, m.idx[by_row, off[-1]])
+            assert np.array_equal(vals.view(np.int64), m.vals[by_row].view(np.int64))
+            assert leaf.shape == (m.nnz,)  # check_prefix_table reads its ids
+            # At most 24 bytes per entry, and no other array per entry is kept.
+            assert last.itemsize + leaf.itemsize + vals.itemsize <= 24
+            per_level = sum(a.nbytes for level in levels for a in level if a is not None)
+            assert kept <= last.nbytes + leaf.nbytes + vals.nbytes + row_ptr.nbytes \
+                + per_level + 8192
+
+    def test_downsampled_kernel_sorts_nothing(self, monkeypatch):
+        t = make_sparse((20, 15, 12), 600, seed=41)
+        gen = np.random.default_rng(42)
+        factors = [gen.standard_normal((d, 3)) for d in t.dims]
+        m = matricize(t, 1)
+        X, H, w = random_batch(t.dims, 1, 80, 43, 3, factors)
+        sub = gather_sampled_nonzeros_to_csr(m, X, 1, weights=w)
+        assert sub.nnz > 0
+        calls = []
+        real = gridmod.stable_argsort
+        monkeypatch.setattr(gridmod, "stable_argsort", lambda *a: calls.append(a) or real(*a))
+        downsampled_mttkrp(sub, H * w[:, None])
+        assert calls == []

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from randcp import grid as gridmod
+from randcp import grid as gridmod, schedules
 from randcp.als import AlsConfig, run_als
 from randcp.linalg import FactorBlocks, gram, hadamard_gram_chain, pseudo_inverse
 from randcp.matricization import column_keys, column_levels, matricize, partition_to_grid
@@ -288,7 +290,7 @@ class TestDistinctColumns:
 
     @pytest.mark.parametrize("build,sample", [(arls_lev_build, arls_lev_sample),
                                               (sts_build, sts_sample)])
-    def test_design_rows_equal_per_draw_product(self, build, sample):
+    def test_design_rows_equal_per_draw_product(self, monkeypatch, build, sample):
         dims = (8, 7, 6, 5)
         g = gridmod.ProcessorGrid(dims, (2, 1, 2, 2))
         blocks = [FactorBlocks.from_global(U, g, j)
@@ -304,10 +306,39 @@ class TestDistinctColumns:
                 if i != k:
                     per_draw *= blocks[i].U[batch.X[:, i]]
             _, first = np.unique(column_keys(batch.X, dims, k), return_index=True)
-            X, H, _ = distinct_columns(batch, [b.U for b in blocks], k)
             assert first.size < batch.J
-            assert np.array_equal(X, batch.X[first])
-            assert np.array_equal(H.view(np.int64), per_draw[first].view(np.int64))
+            for chunk in (7, 4096):  # design rows written in chunks or at once
+                monkeypatch.setattr(schedules, "_DESIGN_CHUNK", chunk)
+                X, H, _ = distinct_columns(batch, [b.U for b in blocks], k)
+                assert np.array_equal(X, batch.X[first])
+                assert np.array_equal(H.view(np.int64), per_draw[first].view(np.int64))
+
+    def test_one_design_row_array(self):
+        # J = 2^14 draws, nearly all distinct: the merge's peak is its one
+        # (J_d, R) design-row array, one chunk buffer, the distinct tuples
+        # and weights, and what column_levels itself holds at its peak.
+        J, R, dims = 1 << 14, 25, (60, 70, 80, 90)
+        gen = np.random.default_rng(60)
+        X = np.stack([gen.integers(0, d, J) for d in dims], 1)
+        X[:, 0] = -1
+        batch = SampleBatch(X, np.ones((J, 4)), gen.random(J) + 0.5)
+        sample_weights(batch)
+        factors = [gen.standard_normal((d, R)) for d in dims]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            levels = column_levels(batch.X, dims, 0)
+            levels_peak = tracemalloc.get_traced_memory()[1] - base
+            del levels
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            Xd, H, weights = distinct_columns(batch, factors, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert H.shape == (Xd.shape[0], R) and H.shape[0] > J * 0.9
+        buffer = schedules._DESIGN_CHUNK * R * 8
+        assert peak <= H.nbytes + buffer + levels_peak + Xd.nbytes + weights.nbytes + 4096
 
     def test_merged_weight_is_root_sum_of_squares(self):
         X = np.array([[-1, 1, 2], [-1, 0, 0], [-1, 1, 2], [-1, 1, 2]], dtype=np.int64)

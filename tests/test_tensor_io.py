@@ -331,7 +331,10 @@ class TestMatricize:
         for mode in range(3):
             m = matricize(t, mode)
             assert sorted(m.col_order.tolist()) == list(range(t.nnz))
-            assert sorted(m.row_order.tolist()) == list(range(t.nnz))
+            rows = np.repeat(np.arange(m.n_rows), np.diff(m.row_ptr))
+            last = 2 if mode < 2 else 1
+            assert sorted(zip(rows.tolist(), m.row_last.tolist(), m.row_vals.tolist())) \
+                == sorted(zip(t.idx[:, mode].tolist(), t.idx[:, last].tolist(), t.vals.tolist()))
 
     def test_object_key_fallback_huge_dims(self):
         dims = (1 << 22, 1 << 22, 1 << 22, 8)  # off-mode space overflows int64
@@ -419,7 +422,8 @@ class TestPartition:
 
 def layouts(m):
     """The layouts view ``m`` holds: "csc" (col_order and the column
-    levels) and "csr" (row_order, row_ptr)."""
+    levels) and "csr" (row_ptr, the prefix table and the entries in row
+    order)."""
     return {name for name in ("csc", "csr") if "_" + name in vars(m)}
 
 
@@ -448,7 +452,7 @@ class TestLayoutOnFirstRead:
         assert layouts(m) == {"csc"}
         assert m.col_order is order and m._csc is m._csc  # built once
         ptr = m.row_ptr
-        assert layouts(m) == {"csc", "csr"} and m.row_order is m.row_order
+        assert layouts(m) == {"csc", "csr"} and m.row_last is m.row_last
         assert ptr[-1] == m.nnz
 
     def test_exact_run_builds_rows_only(self):
