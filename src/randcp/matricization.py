@@ -9,7 +9,8 @@ compressed-sparse-row storage:
   Its columns form a compressed-sparse-fiber tree whose levels are int64
   words of bit-packed indices, each level after the first below its
   prefix's id one level up (``column_levels``), so a column lookup is one
-  binary search per level.  Only sampled extraction reads it.
+  binary search per level.  It holds the entry order in the narrowest
+  unsigned dtype.  Only sampled extraction reads it.
 - the CSR analogue stores, in row order, what the exact MTTKRP streams:
   each entry's last off-mode index, its deepest prefix id and its value,
   with the row pointers.  With it comes the table of the distinct
@@ -140,11 +141,12 @@ class Matricization:
     @cached_property
     def _csc(self):
         """(col_order, plan, codes, col_ptr): entries by (column, row), the
-        CSC analogue; column c holds ``col_order[col_ptr[c]:col_ptr[c + 1]]``."""
+        CSC analogue; column c holds ``col_order[col_ptr[c]:col_ptr[c + 1]]``,
+        ``col_order`` in the narrowest unsigned dtype."""
         plan, codes, ids, _ = column_levels(self.idx, self.dims, self.mode)
         by_row = gridmod.stable_argsort(self.idx[:, self.mode], self.n_rows)
         order, col_ptr = gridmod.group_by_rank(ids[by_row], codes[-1].size)
-        return by_row[order], plan, codes, col_ptr
+        return _narrow(by_row, self.nnz).take(order), plan, codes, col_ptr
 
     @cached_property
     def _csr(self):

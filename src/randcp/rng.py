@@ -2,9 +2,9 @@
 
 Every random draw in the library comes from a counter-based Philox
 generator keyed by a tuple (base_seed, purpose, *context).  Context is
-typically (round, solve_mode, sampled_mode, rank).  Streams that must be
+typically (round, solve_mode, sampled_mode).  Streams that must be
 shared across simulated ranks (the "consistent" draws, e.g. the
-multinomial split of a sample budget) simply omit the rank from the key,
+multinomial row counts of a sample batch) omit the rank from the key,
 so every rank derives the identical generator.  Keeping one stream per
 (purpose, context) tuple means adding or removing ranks never perturbs
 draws taken from unrelated streams.
@@ -16,8 +16,8 @@ import numpy as np
 # reproducibility contract.
 INIT = 0          # factor matrix initialization (context: trial, mode)
 TENSOR_PERM = 1   # load-balancing index permutations (context: mode)
-MULTINOMIAL = 2   # consistent multinomial sample split (round, k, mode)
-LOCAL_DRAW = 3    # per-rank local leverage draws (round, k, mode, rank)
+MULTINOMIAL = 2   # consistent multinomial row counts (round, k, mode)
+LOCAL_DRAW = 3    # no longer drawn (was per-rank local leverage draws)
 SHUFFLE = 4       # consistent sample permutation (round, k, mode)
 WALK_UNIFORM = 5  # uniform residuals driving tree walks (round, k, mode)
 GENERIC = 6       # scratch streams for tests and verification suites

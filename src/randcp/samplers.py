@@ -8,10 +8,12 @@ draws a mode-k batch from the states of all modes, ``(states, k, J,
 seed)``.
 
 * approximate sampler (``arls_lev_build`` -> ``ArlsLevState``): weighs
-  each candidate row by the product of per-factor leverage scores; every
-  rank samples its own block from an independent local distribution
-  after a consistent multinomial split of the sample budget, by
-  inverting that rank's CDF (built once per factor) on its own stream.
+  each candidate row by the product of per-factor leverage scores.  For
+  each off mode it draws J iid rows at once, as one multinomial over the
+  factor's rows on the shared stream, expanded and shuffled.  A
+  multinomial over rows, grouped by block, is a multinomial over the
+  ranks' masses followed by each rank's local draw, so the per-rank split
+  that the ledger meters is the block sum of the row counts.
 
 * exact sampler (``sts_build`` -> ``LeverageTree``): draws from the exact
   Khatri-Rao leverage distribution by walking a binary tree of partial
@@ -113,51 +115,44 @@ def _empty_batch(N):
 
 
 class ArlsLevState:
-    """Per-mode sampling state: the factor, its Gram, local leverage
-    distributions and masses.
+    """Per-mode sampling state: the factor, its Gram and its leverage
+    distribution.
 
-    dists[p] is the normalized leverage distribution over rank p's block
-    rows, cdfs[p] its CDF as ``Generator.choice`` builds it, C[p] its
-    pre-normalization mass; C is replicated (gathered once at build time)
-    so sample calls need no mass exchange.
+    ``dist`` is the normalized leverage distribution over every row of the
+    factor (all zero when the factor has no leverage mass).  ``C[p]`` is
+    rank p's pre-normalization mass, the sum over its block; C is
+    replicated (gathered once at build time), one word per rank.
     """
 
-    def __init__(self, factor, gram_matrix, dists, cdfs, C):
+    def __init__(self, factor, gram_matrix, dist, C):
         self.factor = factor
         self.gram = gram_matrix
-        self.dists = dists
-        self.cdfs = cdfs
+        self.dist = dist
         self.C = C
 
 
 def arls_lev_build(blocks, ledger=None, round_id=0) -> ArlsLevState:
-    """Build the approximate-leverage state for one factor's blocks."""
+    """Build the approximate-leverage state for one factor's blocks, from the
+    whole factor at once, so its leverage does not depend on the blocks."""
     G = gram(blocks, ledger=ledger, round_id=round_id)
-    Gp = pseudo_inverse(G)
-    dists, cdfs = [], []
-    C = np.zeros(blocks.n_blocks)
-    for p, B in enumerate(blocks.blocks):
-        d = np.maximum(np.einsum("ir,ir->i", B @ Gp, B), 0.0)
-        mass = float(d.sum())
-        C[p] = mass
-        dist = d / mass if mass > 0.0 else d
-        cdf = dist.cumsum()
-        if mass > 0.0:
-            cdf /= cdf[-1]
-        dists.append(dist)
-        cdfs.append(cdf)
+    U = blocks.U
+    d = np.maximum(np.einsum("ir,ir->i", U @ pseudo_inverse(G), U), 0.0)
+    cs = np.concatenate(([0.0], d.cumsum()))
+    C = cs[blocks.his] - cs[blocks.lows]
+    dist = d / cs[-1] if cs[-1] > 0.0 else d
     # C is allgathered, one word per rank.
     gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(blocks.n_blocks),
                   np.ones(blocks.n_blocks, dtype=np.int64))
-    return ArlsLevState(blocks, G, dists, cdfs, C)
+    return ArlsLevState(blocks, G, dist, C)
 
 
 def consistent_multinomial(masses, J, seed, round_id, k, mode):
-    """Sample-count split every rank computes identically from the shared stream."""
+    """Counts of J draws over categories (rows) weighted by ``masses``, which
+    every rank computes identically from the shared stream."""
     masses = np.asarray(masses, dtype=np.float64)
     total = masses.sum()
     if total <= 0.0:
-        raise ValueError("all rank masses are zero; nothing to sample from")
+        raise ValueError("all masses are zero; nothing to sample from")
     gen = rng.stream(seed, rng.MULTINOMIAL, round_id, k, mode)
     return gen.multinomial(int(J), masses / total)
 
@@ -165,10 +160,10 @@ def consistent_multinomial(masses, J, seed, round_id, k, mode):
 def arls_lev_sample(states, k, J, seed, round_id=0, ledger=None) -> SampleBatch:
     """Draw J rows from the product-of-factor-leverage distribution.
 
-    For each constant mode independently: split J across ranks by a
-    consistent multinomial over the block masses, draw each rank's quota
-    from its local distribution, gather in rank order, then apply the
-    shared-stream permutation.  The result is replicated on every rank.
+    For each constant mode independently: count every row's draws by a
+    consistent multinomial over its leverage distribution, expand the
+    counts into rows and apply the shared-stream permutation.  Each rank
+    allgathers its block's draws, so every rank holds the result.
     """
     N = len(states)
     if J == 0:
@@ -179,22 +174,14 @@ def arls_lev_sample(states, k, J, seed, round_id=0, ledger=None) -> SampleBatch:
         if i == k:
             continue
         st = states[i]
-        W = float(st.C.sum())
-        if W <= 0.0:
-            raise ValueError("mode %d has zero total leverage mass" % i)
-        split = consistent_multinomial(st.C, J, seed, round_id, k, i)
-        rows, probs = [], []
-        for p in np.flatnonzero(split):
-            # Generator.choice(p=dists[p]) without its per-call validation.
-            u = rng.stream(seed, rng.LOCAL_DRAW, round_id, k, i, p).random(int(split[p]))
-            local = st.cdfs[p].searchsorted(u, side="right")
-            rows.append(st.factor.lows[p] + local)
-            probs.append((st.C[p] / W) * st.dists[p][local])
-        # Allgather of every rank's (row, probability) pairs, in rank order.
-        gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(len(split)), 2 * split)
+        counts = consistent_multinomial(st.dist, J, seed, round_id, k, i)
+        cs = np.concatenate(([0], counts.cumsum()))
+        split = cs[st.factor.his] - cs[st.factor.lows]
+        # Allgather of every rank's (row, probability) pairs.
+        gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(split.size), 2 * split)
         perm = rng.stream(seed, rng.SHUFFLE, round_id, k, i).permutation(J)
-        X[:, i] = np.concatenate(rows)[perm]
-        per_mode_prob[:, i] = np.concatenate(probs)[perm]
+        X[:, i] = rows = np.repeat(np.arange(counts.size), counts)[perm]
+        per_mode_prob[:, i] = st.dist.take(rows)
     prob = per_mode_prob.prod(axis=1)
     return SampleBatch(X, per_mode_prob, prob, owner=None)
 

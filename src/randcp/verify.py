@@ -70,12 +70,22 @@ def suite_samplers(seed=0):
     err = np.abs(batch.prob - oracle[column_keys(batch.X, dims, k)]).max()
     checks.append(("sts_path_probability_identity < 1e-10", err < 1e-10, "err=%.2e" % err))
 
-    states = [arls_lev_build(b) for b in blocks]
-    batch_a = arls_lev_sample(states, k, J, seed=seed + 2)
-    per = [exact_krp_leverage_oracle([factors[i]]) for i in range(2)]
-    prod = np.multiply.outer(per[1], per[0]).reshape(-1)
-    tv_a = _batch_tv(batch_a, dims, k, prod)
-    checks.append(("arls_tv_vs_product_oracle < 0.01", tv_a < 0.01, "tv=%.4f" % tv_a))
+    # ARLS-LEV on six ranks (3x2x1: empty blocks in both off modes, mode 1's
+    # out of row order; factor 0's row 1 zeroed), then on one rank, whose
+    # states the weights check reads.
+    zeroed = [U.copy() for U in factors]
+    zeroed[0][1] = 0.0
+    for s, fs, gdims in ((3, zeroed, (3, 2, 1)), (2, factors, (1, 1, 1))):
+        g = gridmod.ProcessorGrid(dims, gdims)
+        states = [arls_lev_build(FactorBlocks.from_global(U, g, j)) for j, U in enumerate(fs)]
+        batch_a = arls_lev_sample(states, k, J, seed=seed + s)
+        per = [exact_krp_leverage_oracle([fs[i]]) for i in range(2)]
+        tv_a = _batch_tv(batch_a, dims, k, np.multiply.outer(per[1], per[0]).reshape(-1))
+        checks.append(("arls_tv_vs_product_oracle < 0.01 (P=%d)" % g.P, tv_a < 0.01,
+                       "tv=%.4f" % tv_a))
+        hits = int((per[0].take(batch_a.X[:, 0]) == 0.0).sum())
+        checks.append(("arls_zero_leverage_rows_never_drawn (P=%d)" % g.P, hits == 0,
+                       "draws=%d" % hits))
 
     acc = np.zeros((16, 16))
     n_rep = 50

@@ -18,9 +18,9 @@ GOLDEN = {
     (6, "exact", "tensor-stationary"):
         "8bf94753d70e6cac7a8b9e8ec43c786f8302d74df661f936cef904bbf8960533",
     (6, "arls-lev", "tensor-stationary"):
-        "cb8252299a042ea5369edf852ce1796701033cb4228b3312f7a96133c6666063",
+        "a11512e6fcf02e74ced346134b57e2c51b60114125c4ff5a4f766a51a9be030f",
     (6, "arls-lev", "accumulator-stationary"):
-        "83cddd409ec5985562f8e95deaf458fe86b8100d99aa479946fb30b0721365c9",
+        "bd998d49f5465c3a81016a4cd1d2759f4ecb4ed0140f1c248865dde22eb5d2b2",
     (6, "sts", "tensor-stationary"):
         "fa19294423c86098e62e0bdff927b711ae48ab5b555eb948db71fbea73a92eae",
     (6, "sts", "accumulator-stationary"):
@@ -28,9 +28,9 @@ GOLDEN = {
     (8, "exact", "tensor-stationary"):
         "ee44d9c34016c5c1243ec344e60eec317f5d7face95a481235edf7e2b3e9df60",
     (8, "arls-lev", "tensor-stationary"):
-        "cc63a3f14a2d04e32818303b783ab579c7bdb28d6e24a8fc83bb1c3d1d43322f",
+        "23b1ec94c411cec6589e490a52e2d4c7a1bcaf9c8c1216bfe1796fc3d8595fcc",
     (8, "arls-lev", "accumulator-stationary"):
-        "a4021bd6ef75b6020e493c6abb039d75aac5a0f78cade5c4aa6c475a744e6417",
+        "35e3ca195324e8df0cc1ff0224e9b6cf0d99ab0b5cf6638a57ec843ee253059a",
     (8, "sts", "tensor-stationary"):
         "6410bc32ce75df94e5d7a4c8cb5a5ac843eeef953fc656bf6d118d2c8c57eb1d",
     (8, "sts", "accumulator-stationary"):

@@ -87,7 +87,8 @@ def test_column_levels_sort_lookup_and_merge_as_mixed_radix_keys(case):
     ref = sorted(range(idx.shape[0]), key=lambda e: (keys[e], idx[e, skip]))
     assert m.col_order.tolist() == ref
     order, plan, codes, col_ptr = m._csc
-    assert all(a.dtype == np.int64 for a in [order, col_ptr] + codes)
+    assert all(a.dtype == np.int64 for a in [col_ptr] + codes)
+    assert order.dtype == np.uint8  # positions of at most 50 entries, narrowed
 
     # lookup_columns against a filter scan over the entries in column order
     lo, hi = m.lookup_columns(queries)

@@ -4,8 +4,9 @@ The digests pin every sampled X (all solves of two rounds, in order) for
 both samplers at P=6 (a 3x2x1x1 grid, whose STS trees pad six rank leaves
 to eight) and at P=8 (2x2x2x1), on the tensor and configuration of
 ``test_ledger_golden``.  The schedule does not enter the draws, so both
-schedules must give the same digest; the STS draws do not depend on P
-either.  A change to either sampler's walk, streams or split shows here.
+schedules must give the same digest.  Neither sampler's draws depend on
+P: ARLS-LEV draws row counts over the whole factor and STS walks every
+rank at once.  A change to either sampler's walk or streams shows here.
 """
 
 import hashlib
@@ -17,9 +18,9 @@ from randcp.als import AlsConfig, run_als
 from conftest import make_sparse
 
 GOLDEN = {
-    (6, "arls-lev"): "51c2ae765239e782d860b639443a94b5826fdce96aed314ebb9c9e9fe88dffa0",
+    (6, "arls-lev"): "81c5f51af5a4a267614529df3fc4527dd53e625359a30a2171628784ab294310",
     (6, "sts"): "6238096352e48a524aaba4ae32fc926f7cf564afaaa3853736081179f8b238f5",
-    (8, "arls-lev"): "68c553baa76c5392bfa299c5d8c73d2bc73e3fd28e61ee012158d193f464e643",
+    (8, "arls-lev"): "81c5f51af5a4a267614529df3fc4527dd53e625359a30a2171628784ab294310",
     (8, "sts"): "6238096352e48a524aaba4ae32fc926f7cf564afaaa3853736081179f8b238f5",
 }
 
@@ -29,9 +30,7 @@ def tensor():
     return make_sparse((9, 7, 6, 5), 500, seed=21)
 
 
-@pytest.mark.parametrize("schedule", ["tensor-stationary", "accumulator-stationary"])
-@pytest.mark.parametrize("P, sampler", sorted(GOLDEN))
-def test_sampled_rows_match_golden(tensor, P, sampler, schedule):
+def sample_digest(tensor, P, sampler, schedule):
     cfg = AlsConfig(rank=4, rounds=2, sampler=sampler, samples=128, schedule=schedule,
                     procs=P, seed=5, permute=False, compute_fits=False,
                     record_samples=True)
@@ -40,4 +39,17 @@ def test_sampled_rows_match_golden(tensor, P, sampler, schedule):
     digest = hashlib.sha256()
     for X in log:
         digest.update(np.ascontiguousarray(X, dtype=np.int64).tobytes())
-    assert digest.hexdigest() == GOLDEN[(P, sampler)]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("schedule", ["tensor-stationary", "accumulator-stationary"])
+@pytest.mark.parametrize("P, sampler", sorted(GOLDEN))
+def test_sampled_rows_match_golden(tensor, P, sampler, schedule):
+    assert sample_digest(tensor, P, sampler, schedule) == GOLDEN[(P, sampler)]
+
+
+@pytest.mark.parametrize("schedule", ["tensor-stationary", "accumulator-stationary"])
+@pytest.mark.parametrize("P", [1, 5, 6, 8])
+def test_arls_lev_draws_do_not_depend_on_p(tensor, P, schedule):
+    # P=1 keeps every factor in one block; P=5 is a 5x1x1x1 grid.
+    assert sample_digest(tensor, P, "arls-lev", schedule) == GOLDEN[(6, "arls-lev")]

@@ -55,14 +55,14 @@ class TestArlsBuild:
     def test_identity_block(self):
         fb = FactorBlocks(np.eye(2), [0], [2])
         st = arls_lev_build(fb)
-        assert np.allclose(st.dists[0], [0.5, 0.5])
+        assert np.allclose(st.dist, [0.5, 0.5])
         assert np.allclose(st.C, [2.0])
 
     def test_duplicate_rows_equal_weights(self):
         row = np.array([1.0, 2.0, -1.0])
         fb = FactorBlocks(np.tile(row, (4, 1)), [0], [4])
         st = arls_lev_build(fb)
-        assert np.allclose(st.dists[0], 0.25)
+        assert np.allclose(st.dist, 0.25)
 
     def test_blocks_concatenate_to_exact_leverage(self):
         gen = np.random.default_rng(2)
@@ -70,13 +70,10 @@ class TestArlsBuild:
         g = gridmod.ProcessorGrid((16, 4, 4), (4, 1, 1))
         fb = FactorBlocks.from_global(U, g, 0)
         st = arls_lev_build(fb)
-        full = np.zeros(16)
-        for p in range(4):
-            lo, hi = fb.lows[p], fb.his[p]
-            full[lo:hi] = st.dists[p] * st.C[p]
-        full /= full.sum()
         ref = exact_krp_leverage_oracle([U])
-        assert np.abs(full - ref).max() < 1e-12
+        assert np.abs(st.dist - ref).max() < 1e-12
+        masses = [ref[lo:hi].sum() for lo, hi in zip(fb.lows, fb.his)]
+        assert np.abs(st.C / st.C.sum() - masses).max() < 1e-12
 
 
 class TestArlsSample:
@@ -139,6 +136,38 @@ class TestArlsSample:
             batch = arls_lev_sample(states, 2, J, seed=7)
             emps[gdims] = np.bincount(column_keys(batch.X, dims, 2), minlength=48) / J
         assert 0.5 * np.abs(emps[(1, 1, 1)] - emps[(2, 2, 1)]).sum() < 0.02
+
+    # Six ranks on a 3x2x1 grid over (4, 4, 3): both off modes of k=2 have
+    # an empty block, and mode 1's blocks are out of row order.
+    @staticmethod
+    def six_rank_states(factors):
+        g = gridmod.ProcessorGrid((4, 4, 3), (3, 2, 1))
+        return g, [arls_lev_build(b) for b in blocks_for(factors, g)]
+
+    def test_ledger_words_are_block_counts(self):
+        gen = np.random.default_rng(8)
+        g, states = self.six_rank_states([gen.standard_normal((d, 2)) for d in (4, 4, 3)])
+        J = 1000
+        ledger = gridmod.CommLedger()
+        batch = arls_lev_sample(states, 2, J, seed=9, round_id=1, ledger=ledger)
+        received = np.zeros(g.P, dtype=np.int64)
+        for i in (0, 1):
+            counts = np.bincount(g.row_owner(i, batch.X[:, i]), minlength=g.P)
+            assert counts.sum() == J and (counts == 0).any()
+            received += 2 * J - 2 * counts  # the other ranks' (row, prob) pairs
+        words = [ledger.words(kind=gridmod.ALLGATHER, round_id=1, rank=p) for p in range(g.P)]
+        assert words == received.tolist()
+        assert sum(words) == 2 * (g.P - 1) * 2 * J
+
+    def test_zero_leverage_row_never_drawn(self):
+        gen = np.random.default_rng(10)
+        factors = [gen.standard_normal((d, 2)) for d in (4, 4, 3)]
+        factors[1][2] = 0.0
+        _, states = self.six_rank_states(factors)
+        assert states[1].dist[2] == 0.0
+        batch = arls_lev_sample(states, 2, 20000, seed=11)
+        assert not (batch.X[:, 1] == 2).any()
+        assert set(np.unique(batch.X[:, 1])) == {0, 1, 3}
 
 
 class TestStsBuild:
