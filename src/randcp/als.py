@@ -160,8 +160,10 @@ def _renormalize(ctx, k):
     """
     fb = ctx.factors[k]
     partials = [np.einsum("ir,ir->r", b, b) for b in fb.blocks]
-    sumsq = gridmod.allreduce(partials, list(range(ctx.grid.P)),
-                              ledger=ctx.ledger, round_id=ctx.round_id)
+    sumsq = partials[0]
+    for part in partials[1:]:  # the allreduce's sum, in block order
+        sumsq += part
+    gridmod.meter(ctx.ledger, ctx.round_id, gridmod.ALLREDUCE, range(ctx.grid.P), sumsq.size)
     norms = np.sqrt(sumsq)
     if not np.isfinite(norms).all():
         raise FloatingPointError("non-finite factor entries after round %d mode %d solve"

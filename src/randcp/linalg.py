@@ -55,12 +55,15 @@ class FactorBlocks:
 
 
 def gram(blocks, ledger=None, round_id=0):
-    """U^T U summed over blocks: Allreduce of the per-rank partial Grams."""
+    """U^T U summed over blocks: Allreduce of the per-rank partial Grams,
+    summed in block order and metered."""
     if isinstance(blocks, np.ndarray):
         return blocks.T @ blocks
-    partials = [b.T @ b for b in blocks.blocks]
-    return gridmod.allreduce(partials, list(range(len(partials))),
-                             ledger=ledger, round_id=round_id)
+    G = blocks.blocks[0].T @ blocks.blocks[0]
+    for b in blocks.blocks[1:]:
+        G += b.T @ b
+    gridmod.meter(ledger, round_id, gridmod.ALLREDUCE, range(blocks.n_blocks), G.size)
+    return G
 
 
 def hadamard_gram_chain(grams, skip=None):

@@ -55,24 +55,47 @@ def check_columns(X, dims, skip):
     return X
 
 
-def column_levels(X, dims, skip):
-    """Group index tuples by off-mode column, one int64 word per level: the
+def column_levels(X, dims, skip, rows=None):
+    """Sort index tuples by off-mode column, one int64 word per level: the
     modes != skip bit-packed in descending mode order (``plan_words``),
     below the prefix's id one level up, which gets the bits of (tuple
     count - 1).  Codes sort as ``column_keys`` do.  Returns (plan, codes,
-    ids, first): each level's fields and sorted distinct codes, each
-    tuple's column id (its index in ``codes[-1]``), a tuple per column."""
+    ids, order, ptr): each level's fields and sorted distinct codes, each
+    tuple's column id (its index in ``codes[-1]``), and the tuples in
+    column order, column c holding ``order[ptr[c]:ptr[c + 1]]``.  Given
+    ``rows``, one integer per tuple, a column's tuples are in ``rows``
+    order and then in input order; without, their order is unspecified.
+    A level is one sort of its words, packed in place; its codes and ids
+    come from the sorted words' run heads."""
     X = check_columns(X, dims, skip)
+    n = X.shape[0]
     plan = plan_words([(m, max(int(dims[m]) - 1, 0).bit_length())
                        for m in reversed(range(len(dims))) if m != skip],
-                      reserve=max(X.shape[0] - 1, 0).bit_length())
+                      reserve=max(n - 1, 0).bit_length())
     codes, ids = [], None
-    for word in plan:  # no return_index, so np.unique sorts unstably, the fast way
-        code, ids = np.unique(pack_word(X, word, high=ids), return_inverse=True)
-        codes.append(code)
-    first = np.empty_like(codes[-1])
-    first[ids] = np.arange(ids.size)
-    return plan, codes, ids, first
+    for word in plan:
+        # Packed in place, so no shifted copy is alive beside the key; ids
+        # is the previous level's, this function's own array.
+        key = ids
+        for m, w in word:
+            if key is None:
+                key = X[:, m].copy()
+            else:
+                key <<= w
+                key |= X[:, m]
+        # Without rows (the draws' merge), numpy's fastest sort, an unstable one.
+        order = np.argsort(key) if rows is None else np.lexsort((rows, key))
+        key = key.take(order)
+        head = np.empty(n, dtype=bool)
+        head[:1] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        codes.append(key[head])
+        np.cumsum(head, out=key)
+        key -= 1
+        ids = np.empty_like(key)
+        ids[order] = key
+        del key
+    return plan, codes, ids, order, np.append(np.flatnonzero(head), n)
 
 
 def _prefix_table(idx, modes):
@@ -143,10 +166,9 @@ class Matricization:
         """(col_order, plan, codes, col_ptr): entries by (column, row), the
         CSC analogue; column c holds ``col_order[col_ptr[c]:col_ptr[c + 1]]``,
         ``col_order`` in the narrowest unsigned dtype."""
-        plan, codes, ids, _ = column_levels(self.idx, self.dims, self.mode)
-        by_row = gridmod.stable_argsort(self.idx[:, self.mode], self.n_rows)
-        order, col_ptr = gridmod.group_by_rank(ids[by_row], codes[-1].size)
-        return _narrow(by_row, self.nnz).take(order), plan, codes, col_ptr
+        rows = _narrow(self.idx[:, self.mode], self.n_rows)  # lexsort radix-sorts 16-bit keys
+        plan, codes, _, order, col_ptr = column_levels(self.idx, self.dims, self.mode, rows)
+        return _narrow(order, self.nnz), plan, codes, col_ptr
 
     @cached_property
     def _csr(self):

@@ -116,9 +116,10 @@ def distinct_columns(batch, factors, k):
     they are written chunk by chunk, each later mode's rows gathered into
     one reused chunk buffer and multiplied in place.
     """
-    _, _, inverse, first = column_levels(batch.X, [U.shape[0] for U in factors], k)
-    sq = np.bincount(inverse, weights=batch.weights * batch.weights, minlength=first.size)
-    X = batch.X.take(first, axis=0)
+    _, _, inverse, order, ptr = column_levels(batch.X, [U.shape[0] for U in factors], k)
+    X = batch.X.take(order[ptr[:-1]], axis=0)
+    sq = np.bincount(inverse, weights=batch.weights * batch.weights, minlength=X.shape[0])
+    del inverse, order  # freed before the design rows are formed
     modes = [i for i in range(len(factors)) if i != k]
     H = np.empty((X.shape[0], factors[modes[0]].shape[1]))
     buf = np.empty((min(X.shape[0], _DESIGN_CHUNK), H.shape[1]))

@@ -8,6 +8,15 @@ for error messages are recovered by a rescan, only when the input is
 rejected.  Duplicate coordinates are summed at ingestion, after one
 stable sort over the index tuples packed into int64 words, after which
 index tuples are unique and in lexicographic order.
+
+Memory: ingest holds at most one extra copy of the nonzeros, and a few
+nnz-long index vectors, beside the tensor it returns; on a four-mode
+tensor its peak is about 2.2 times the returned arrays' bytes.  The
+parsed text table is split into the index and a copy of the value column
+and dropped before deduplication, range checks run column by column, and
+each sort temporary is dropped once its pass is done.  Values are never
+written after ingest: ``apply_permutations`` and every view share the
+loaded tensor's ``vals``.
 """
 
 import itertools
@@ -57,7 +66,9 @@ class SparseTensorCOO:
             if self.vals.shape != (self.idx.shape[0],):
                 raise ValueError("value count %d != index row count %d"
                                  % (self.vals.size, self.idx.shape[0]))
-            if self.idx.size and (self.idx.min() < 0 or (self.idx >= np.array(self.dims)).any()):
+            # Column by column, negative indices wrapping to 2^64 - 1.
+            if any(int(c.view(np.uint64).max(initial=0)) >= d
+                   for c, d in zip(self.idx.T, self.dims)):
                 raise BoundsError("tensor index out of bounds for dims %s" % (self.dims,))
 
     @property
@@ -100,9 +111,14 @@ def pack_word(idx, word, high=None):
 def sum_duplicates(idx, vals):
     """Collapse repeated index tuples by summing their values.
 
-    Returns the distinct tuples in lexicographic order.  The sort over the
-    packed words (``plan_words``) is stable, so each tuple's values are
-    summed in input order.  Indices must be >= 0.
+    Returns new arrays: the distinct tuples in lexicographic order and
+    their sums.  The sort over the packed words (``plan_words``) is
+    stable, so each tuple's values are summed in input order.  Indices
+    must be >= 0.  ``idx`` and ``vals`` are not written.  Besides them it
+    holds the packed words and the sort order, then the output: each
+    word, its sorted copy, the sorted values and the order are dropped
+    once their pass is done, so the new index is gathered beside nothing
+    nnz-long but the inputs, the sums and the gathered rows.
     """
     if idx.shape[0] == 0:
         return idx, vals
@@ -111,12 +127,15 @@ def sum_duplicates(idx, vals):
     order = np.lexsort(words[::-1])
     new_run = np.zeros(idx.shape[0], dtype=bool)
     new_run[0] = True
-    for w in words:
-        w_s = w[order]
+    while words:
+        w_s = words.pop(0).take(order)
         new_run[1:] |= w_s[1:] != w_s[:-1]
+        del w_s
     starts = np.flatnonzero(new_run)
-    summed = np.add.reduceat(vals[order], starts)
-    return idx[order[starts]], summed
+    summed = np.add.reduceat(vals.take(order), starts)
+    rows = order.take(starts)
+    del order, starts
+    return idx.take(rows, axis=0), summed
 
 
 def load_frostt(path, *, log_transform=False, dims=None) -> SparseTensorCOO:
@@ -126,7 +145,10 @@ def load_frostt(path, *, log_transform=False, dims=None) -> SparseTensorCOO:
     separated.  Text from ``#`` to the end of a line is a comment, blank
     lines are skipped, and the values of repeated index tuples are summed.
     The file is parsed in one pass by numpy's C reader; line numbers are
-    recovered by a rescan only when the input is rejected.
+    recovered by a rescan only when the input is rejected.  The text
+    table lives only until its index and values are split off, so the
+    peak is one extra copy of the nonzeros, beside the returned tensor,
+    plus a few nnz-long vectors (see the module docstring).
 
     Parameters
     ----------
@@ -154,35 +176,45 @@ def load_frostt(path, *, log_transform=False, dims=None) -> SparseTensorCOO:
         raise ParseError("%s: need at least 3 index columns and a value, got %d columns"
                          % (path, table.shape[1]))
     n_modes = table.shape[1] - 1
-    idx_f = table[:, :n_modes]
-    idx = idx_f.astype(np.int64)
-    if (idx != idx_f).any():
-        bad = int(np.flatnonzero((idx != idx_f).any(axis=1))[0])
+    vals = table[:, n_modes].copy()
+    idx = table[:, :n_modes].astype(np.int64)
+    bad = _first_row(c != f for c, f in zip(idx.T, table.T))
+    del table
+    if bad is not None:
         raise ParseError("%s: line %d: non-integer index" % (path, _line_of_row(path, bad)))
-    if idx.min() < 1:
-        bad = int(np.flatnonzero((idx < 1).any(axis=1))[0])
+    bad = _first_row(c < 1 for c in idx.T)
+    if bad is not None:
         raise BoundsError("%s: line %d: indices are 1-based and must be >= 1"
                           % (path, _line_of_row(path, bad)))
     idx -= 1
-    vals = table[:, n_modes]
 
     if dims is not None:
         dims = tuple(int(d) for d in dims)
         if len(dims) != n_modes:
             raise ParseError("%s: file has %d modes but %d dims declared"
                              % (path, n_modes, len(dims)))
-        over = idx >= np.array(dims)
-        if over.any():
-            bad = int(np.flatnonzero(over.any(axis=1))[0])
+        bad = _first_row(c >= d for c, d in zip(idx.T, dims))
+        if bad is not None:
             raise BoundsError("%s: line %d: index exceeds declared dims %s"
                               % (path, _line_of_row(path, bad), dims))
     else:
-        dims = tuple(int(m) + 1 for m in idx.max(axis=0))
+        dims = tuple(int(c.max()) + 1 for c in idx.T)
 
     idx, vals = sum_duplicates(idx, vals)
     if log_transform:
-        vals = np.log1p(vals)
+        np.log1p(vals, out=vals)  # the sums are this function's own array
     return SparseTensorCOO(dims, idx, vals)
+
+
+def _first_row(masks):
+    """Smallest row flagged by any of the per-column boolean ``masks``, or
+    None.  One column's mask is alive at a time, not an nnz x N table."""
+    first = None
+    for mask in masks:
+        if mask.any():
+            row = int(mask.argmax())
+            first = row if first is None else min(first, row)
+    return first
 
 
 def _data_lines(path):
@@ -260,10 +292,13 @@ class ModePermutations:
 
 
 def apply_permutations(t: SparseTensorCOO, mp: ModePermutations) -> SparseTensorCOO:
+    """``t`` with mode j's index i renamed ``mp.perms[j][i]``: a new index
+    array, and ``t.vals`` shared, not copied, since values are never
+    written after ingest.  ``t`` itself is not written."""
     idx = np.empty_like(t.idx)
     for j, p in enumerate(mp.perms):
         idx[:, j] = p[t.idx[:, j]]
-    return SparseTensorCOO(t.dims, idx, t.vals.copy(), validate=False)
+    return SparseTensorCOO(t.dims, idx, t.vals, validate=False)
 
 
 def permute_modes(t: SparseTensorCOO, seed: int):

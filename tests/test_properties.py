@@ -108,8 +108,8 @@ def test_column_levels_sort_lookup_and_merge_as_mixed_radix_keys(case):
     for e, key in enumerate(keys):
         ref_sq[distinct.index(key)] += weights[e] * weights[e]
     assert np.array_equal(merged, np.sqrt(ref_sq))
-    _, codes, ids, first = column_levels(X, dims, skip)
-    assert all(a.dtype == np.int64 for a in codes + [ids, first])
+    _, codes, ids, order, ptr = column_levels(X, dims, skip)
+    assert all(a.dtype == np.int64 for a in codes + [ids, order, ptr])
 
 
 def test_column_dims_cover_one_to_three_levels():

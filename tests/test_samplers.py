@@ -8,7 +8,7 @@ from randcp.linalg import FactorBlocks, gram
 from randcp.matricization import column_keys
 from randcp import samplers
 from randcp.samplers import (DegenerateWalkError, arls_lev_build, arls_lev_sample,
-                             consistent_multinomial, exact_krp_leverage_oracle,
+                             consistent_multinomial, exact_krp_leverage_oracle, joint_prob,
                              krp_leverage_scores, sample_weights, sts_build, sts_sample)
 from randcp.schedules import distinct_columns
 
@@ -168,6 +168,25 @@ class TestArlsSample:
         batch = arls_lev_sample(states, 2, 20000, seed=11)
         assert not (batch.X[:, 1] == 2).any()
         assert set(np.unique(batch.X[:, 1])) == {0, 1, 3}
+
+
+@pytest.mark.parametrize("N", [3, 4, 6])
+def test_joint_prob_has_the_bits_of_the_row_product(N):
+    gen = np.random.default_rng(N)
+    per_mode = gen.random((4096, N)) ** 8  # spread exponents, some subnormal products
+    per_mode[:, N // 2] = 1.0              # the solved mode's column
+    per_mode[:3] = [1e-300, 1e-10, 0.5] + [0.25] * (N - 3)
+    want = per_mode.prod(axis=1)
+    assert np.array_equal(joint_prob(per_mode).view(np.int64), want.view(np.int64))
+    # and what both samplers attach to their batches
+    dims = (7, 6, 5, 4, 3, 2)[:N]
+    factors = [gen.standard_normal((d, 2)) for d in dims]
+    g = single_grid(dims)
+    for batch in (sts_sample(sts_setup(factors, g), 1, 512, seed=N),
+                  arls_lev_sample([arls_lev_build(b) for b in blocks_for(factors, g)],
+                                  1, 512, seed=N)):
+        want = batch.per_mode_prob.prod(axis=1)
+        assert np.array_equal(batch.prob.view(np.int64), want.view(np.int64))
 
 
 class TestStsBuild:

@@ -358,7 +358,7 @@ class TestDistinctColumns:
                      dtype=np.int64)
         batch = SampleBatch(X, np.ones((3, 4)), np.full(3, 0.5))
         sample_weights(batch)
-        plan, codes, ids, _ = column_levels(X, dims, 0)
+        plan, codes, ids, _, _ = column_levels(X, dims, 0)
         assert len(plan) == 2 and all(a.dtype == np.int64 for a in codes + [ids])
         Xd, _, weights = distinct_columns(batch, [OnesFactor(d) for d in dims], 0)
         assert Xd.dtype == np.int64

@@ -188,6 +188,65 @@ class TestSumDuplicates:
         idx, vals = sum_duplicates(np.zeros((0, 3), dtype=np.int64), np.zeros(0))
         assert idx.shape == (0, 3) and vals.shape == (0,)
 
+    def test_inputs_not_written(self):
+        gen = np.random.default_rng(5)
+        idx = gen.integers(0, 4, (300, 3))  # many repeats
+        vals = gen.standard_normal(300)
+        idx0, vals0 = idx.copy(), vals.copy()
+        got_idx, got_vals = sum_duplicates(idx, vals)
+        assert np.array_equal(idx, idx0) and np.array_equal(vals, vals0)
+        assert not np.shares_memory(got_idx, idx) and not np.shares_memory(got_vals, vals)
+
+
+class TestIngestMemory:
+    """load_frostt holds at most one extra copy of the nonzeros beside the
+    tensor it returns; a peak over 2.75x the output's bytes means a second
+    copy (the text table, a second gathered index) outlived its pass."""
+
+    N_UNIQUE = 50_000
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """(sorted unique file, shuffled file with repeats, expected idx, vals)."""
+        gen = np.random.default_rng(22)
+        dims = (183, 24, 1140, 1717)
+        keys = np.unique(gen.integers(0, np.prod(dims), self.N_UNIQUE + 500))
+        keys = keys[gen.permutation(keys.size)[:self.N_UNIQUE]]
+        keys.sort()
+        idx = np.stack(np.unravel_index(keys, dims), axis=1).astype(np.int64)
+        # Multiples of 1/16: every split and every sum of parts is exact.
+        sixteenths = gen.integers(-(1 << 20), 1 << 20, idx.shape[0])
+        vals = sixteenths / 16.0
+        rows = list(zip(idx.tolist(), vals.tolist()))
+        shuffled = list(rows)
+        for e in gen.choice(idx.shape[0], 5_000, replace=False):  # 5,000 tuples in 2-4 parts
+            parts = gen.integers(-(1 << 16), 1 << 16, gen.integers(1, 4))
+            shuffled[e] = (rows[e][0], (sixteenths[e] - parts.sum()) / 16.0)
+            shuffled.extend((rows[e][0], p / 16.0) for p in parts)
+        shuffled = [shuffled[i] for i in gen.permutation(len(shuffled))]
+        out = []
+        for name, entries in (("sorted.tns", rows), ("shuffled.tns", shuffled)):
+            path = tmp_path_factory.mktemp("ingest") / name
+            path.write_text("".join("%d %d %d %d %.17g\n" % (*(i + 1 for i in tup), v)
+                                    for tup, v in entries))
+            out.append(str(path))
+        return out[0], out[1], idx, vals
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["sorted-unique", "shuffled-repeats"])
+    def test_peak_within_one_extra_copy(self, files, which):
+        path, (_, _, idx, vals) = files[which], files
+        load_frostt(path)  # first call: imports and reader set-up untraced
+        tracemalloc.start()
+        try:
+            t = load_frostt(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(t.idx, idx) and t.idx.flags.c_contiguous
+        assert_same_bits([t.vals], [vals])
+        assert t.dims == tuple(int(c.max()) + 1 for c in idx.T)
+        assert peak <= 2.75 * (t.idx.nbytes + t.vals.nbytes)
+
 
 @st.composite
 def frostt_files(draw):
@@ -271,6 +330,14 @@ class TestPermutations:
         t2, mp = permute_modes(t, seed=7)
         t3 = apply_permutations(t2, mp.inverse())
         assert np.array_equal(t3.idx, t.idx) and np.array_equal(t3.vals, t.vals)
+
+    def test_input_not_written_and_values_shared(self):
+        t = make_sparse((5, 4, 3), 25, seed=4)
+        idx0, vals0 = t.idx.copy(), t.vals.copy()
+        t2 = apply_permutations(t, ModePermutations.random(t.dims, seed=11))
+        assert np.array_equal(t.idx, idx0) and np.array_equal(t.vals, vals0)
+        assert not np.shares_memory(t2.idx, t.idx)
+        assert t2.vals is t.vals  # values are never written after ingest
 
     def test_same_seed_same_perms(self):
         t = make_sparse((5, 4, 3), 25, seed=3)
