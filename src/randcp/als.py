@@ -9,6 +9,13 @@ solve just computed, and the Grams the run maintains, so it costs
 O(I_N R + N R^2); a sketched run's fit runs one full exact MTTKRP over
 the fit view, a last-mode matricization.
 
+Each factor update reduces once: every rank forms the Gram of its block
+of the solved factor, and one reduction (an allreduce, or the STS tree
+build's own upward exchange) sums them.  The column norms, sigma, are
+the square roots of its diagonal, and the Gram of the unit-norm factor
+that the solves and samplers read is the same sum rescaled, so no second
+collective runs.
+
 A column whose scale reaches zero stays exactly zero, with scale zero,
 in every later solve: ``linalg.pseudo_inverse`` is zero on each row and
 column where the system matrix is, so no rounding revives it, and the
@@ -23,7 +30,7 @@ import numpy as np
 
 from . import grid as gridmod
 from . import rng
-from .linalg import FactorBlocks, compute_fit, gram, normalize_columns
+from .linalg import FactorBlocks, compute_fit, gram, gram_scale, normalize_columns
 from .matricization import matricize, partition_to_grid
 from .samplers import arls_lev_build, sts_build
 from .schedules import ScheduleError, SolveContext, refresh_gathered, solve_mode
@@ -135,40 +142,54 @@ def build_grid(dims, cfg: AlsConfig):
     return gridmod.optimal_grid(dims, cfg.procs)
 
 
-def _rebuild_mode_state(ctx, k):
-    """The one refresh after a mode-k factor update.
+def _rebuild_mode_state(ctx, k, renormalize=True):
+    """The one refresh after a mode-k factor update, around its one reduction.
 
-    A sampled run rebuilds the mode's sampler state, which meters the
-    factor's Gram and keeps it.  An exact run (tensor-stationary, as
-    ``AlsConfig.validate`` requires) meters the Gram that its solves read
-    and the factor's slice-group gathers.
+    Every rank forms the Gram of its block of the factor and one reduction
+    sums them: ``gram``'s allreduce, or for STS the upward exchange of the
+    tree build, whose root every rank reads.  With ``renormalize`` the
+    columns are scaled to unit norm from that Gram's diagonal
+    (``_renormalize``) and the kept Grams are scaled to match
+    (``gram_scale``); the unit-norm initial factors keep the Gram as
+    reduced.  A sampled run keeps the mode's sampler state.  An exact run
+    (tensor-stationary, as ``AlsConfig.validate`` requires) keeps the Gram
+    that its solves read and meters the factor's slice-group gathers.
+    Returns the column norms, None without ``renormalize``.
     """
     fb = ctx.factors[k]
+    state = sts_build(fb, ledger=ctx.ledger, round_id=ctx.round_id) \
+        if ctx.sampler == "sts" else None
+    G = gram(fb, ledger=ctx.ledger, round_id=ctx.round_id) if state is None else state.gram
+    norms = None
+    if renormalize:
+        norms = _renormalize(ctx, k, G)
+        scale = gram_scale(norms)
+        if state is None:
+            G = G * scale
+        else:
+            state.rescale(scale)
     if ctx.sampler == "exact":
-        ctx.grams[k] = gram(fb, ledger=ctx.ledger, round_id=ctx.round_id)
+        ctx.grams[k] = G
         refresh_gathered(ctx, k)
-    else:
-        build = arls_lev_build if ctx.sampler == "arls-lev" else sts_build
-        ctx.states[k] = build(fb, ledger=ctx.ledger, round_id=ctx.round_id)
+    elif ctx.sampler == "arls-lev":
+        state = arls_lev_build(fb, ledger=ctx.ledger, round_id=ctx.round_id, gram_matrix=G)
+    ctx.states[k] = state
+    return norms
 
 
-def _renormalize(ctx, k):
-    """sigma[i] = ||U_k[:, i]||, then scale columns to unit norm (metered).
+def _renormalize(ctx, k, G):
+    """sigma[i] = ||U_k[:, i]|| = sqrt(G[i, i]) from the reduced Gram G of
+    the solved factor, then scale its columns to unit norm in place.
 
-    A non-finite norm (a non-finite entry, or squares that overflow)
-    raises FloatingPointError before any column is scaled.
+    No collective: the norms ride on G's reduction.  A non-finite norm (a
+    non-finite entry, or squares that overflow) raises FloatingPointError
+    before any column is scaled; a zero norm scales nothing.
     """
-    fb = ctx.factors[k]
-    partials = [np.einsum("ir,ir->r", b, b) for b in fb.blocks]
-    sumsq = partials[0]
-    for part in partials[1:]:  # the allreduce's sum, in block order
-        sumsq += part
-    gridmod.meter(ctx.ledger, ctx.round_id, gridmod.ALLREDUCE, range(ctx.grid.P), sumsq.size)
-    norms = np.sqrt(sumsq)
+    norms = np.sqrt(np.diagonal(G))
     if not np.isfinite(norms).all():
         raise FloatingPointError("non-finite factor entries after round %d mode %d solve"
                                  % (ctx.round_id, k))
-    fb.U /= np.where(norms > 0.0, norms, 1.0)
+    ctx.factors[k].U /= np.where(norms > 0.0, norms, 1.0)
     return norms
 
 
@@ -218,7 +239,7 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
                        ledger, cfg.seed, workers=cfg.workers)
     ctx.round_id = 0
     for j in range(N):
-        _rebuild_mode_state(ctx, j)
+        _rebuild_mode_state(ctx, j, renormalize=False)
 
     fit_history = []
     running_max = []
@@ -245,13 +266,12 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
             batch = solve_mode(ctx, k)
             if cfg.record_samples and batch is not None:
                 sample_log.append(batch.X.copy())
-            sigma = _renormalize(ctx, k)
+            sigma = _rebuild_mode_state(ctx, k)
             if batch is not None and not sigma.any():
                 raise DegenerateSketchError(
                     "sketched solve left the mode-%d factor all zero in round %d "
                     "(J=%d samples hit %d sampled nonzeros)"
                     % (k, rnd, ctx.J, ctx.stats["sampled_nnz"] - nnz_before))
-            _rebuild_mode_state(ctx, k)
         if cfg.compute_fits and (rnd % cfg.fit_every == 0 or rnd == cfg.rounds):
             evaluate_fit(rnd)
         ctx.last_mttkrp = None  # only this round's fit reads it

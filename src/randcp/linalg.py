@@ -55,15 +55,28 @@ class FactorBlocks:
 
 
 def gram(blocks, ledger=None, round_id=0):
-    """U^T U summed over blocks: Allreduce of the per-rank partial Grams,
-    summed in block order and metered."""
+    """U^T U.  For ``FactorBlocks`` each rank forms its block's Gram and one
+    metered allreduce sums them in block order: a factor update's one
+    reduction, whose diagonal also gives the column norms
+    (``als._rebuild_mode_state``).  Overflow to a non-finite Gram is left
+    to that caller's finiteness check, so it raises no warning here."""
     if isinstance(blocks, np.ndarray):
         return blocks.T @ blocks
-    G = blocks.blocks[0].T @ blocks.blocks[0]
-    for b in blocks.blocks[1:]:
-        G += b.T @ b
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = blocks.blocks[0].T @ blocks.blocks[0]
+        for b in blocks.blocks[1:]:
+            G += b.T @ b
     gridmod.meter(ledger, round_id, gridmod.ALLREDUCE, range(blocks.n_blocks), G.size)
     return G
+
+
+def gram_scale(norms):
+    """Elementwise factors 1 / (norms[r] norms[s]) that turn the Grams of a
+    factor into those of the factor with its columns divided by ``norms``.
+    A column of zero norm is not scaled; its row and column of factors are
+    zero, so they stay exactly zero in every scaled Gram."""
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    return np.multiply.outer(inv, inv)
 
 
 def hadamard_gram_chain(grams, skip=None):

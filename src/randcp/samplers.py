@@ -3,9 +3,9 @@
 Two production samplers plus a brute-force oracle.  Each sampler is a
 build/sample pair: the build turns one factor into its per-mode state,
 which keeps that ``FactorBlocks`` (read in place, so the state is rebuilt
-after every update of the factor) and its metered Gram; the sample call
-draws a mode-k batch from the states of all modes, ``(states, k, J,
-seed)``.
+after every update of the factor) and its Gram, the sum of one metered
+reduction; the sample call draws a mode-k batch from the states of all
+modes, ``(states, k, J, seed)``.
 
 * approximate sampler (``arls_lev_build`` -> ``ArlsLevState``): weighs
   each candidate row by the product of per-factor leverage scores.  For
@@ -19,7 +19,9 @@ seed)``.
   Khatri-Rao leverage distribution by walking a binary tree of partial
   Gram matrices once per constant factor, conditioning each mode's draw
   on the rows already chosen; the chain pseudo-inverse comes from the
-  trees' Grams.  The top log2(P) tree levels are shared across ranks;
+  trees' Grams.  The build's upward exchange is the factor's one
+  reduction: its root is the Gram.  The top log2(P) tree levels are
+  shared across ranks;
   the walk routes samples between ranks level by level and finishes with
   a search over each rank's leaf row blocks.  All simulated ranks walk
   together: samples sharing their rows so far share one walk per tree
@@ -37,8 +39,6 @@ not design rows: the solve merges repeated draws into one column whose
 squared weight is the sum of its copies' squared weights, and forms the
 design row of each distinct column once (``schedules.distinct_columns``).
 """
-
-import math
 
 import numpy as np
 
@@ -142,10 +142,14 @@ class ArlsLevState:
         self.C = C
 
 
-def arls_lev_build(blocks, ledger=None, round_id=0) -> ArlsLevState:
+def arls_lev_build(blocks, ledger=None, round_id=0, gram_matrix=None) -> ArlsLevState:
     """Build the approximate-leverage state for one factor's blocks, from the
-    whole factor at once, so its leverage does not depend on the blocks."""
-    G = gram(blocks, ledger=ledger, round_id=round_id)
+    whole factor at once, so its leverage does not depend on the blocks.
+
+    ``gram_matrix`` is the factor's Gram when the caller has reduced it
+    already (a factor update reduces once, ``als._rebuild_mode_state``);
+    without it the build reduces it (``gram``, metered)."""
+    G = gram(blocks, ledger=ledger, round_id=round_id) if gram_matrix is None else gram_matrix
     U = blocks.U
     d = np.maximum(np.einsum("ir,ir->i", U @ pseudo_inverse(G), U), 0.0)
     cs = np.concatenate(([0.0], d.cumsum()))
@@ -200,23 +204,21 @@ def arls_lev_sample(states, k, J, seed, round_id=0, ledger=None) -> SampleBatch:
 class LeverageTree:
     """Binary tree of partial Gram matrices over one factor's row blocks.
 
-    ``factor`` is the FactorBlocks the tree was built from and ``gram``
-    its metered Gram, which the walk's conditioning matrices multiply.
-    ``node_grams[lev]`` holds the (2^lev, R, R) node matrices; level
-    ``depth`` is the rank-leaf level (leaf ell belongs to the rank in
-    row-block order, padding leaves hold zero).  Below that, each rank
-    subdivides its block into contiguous leaf blocks whose Grams drive
-    the leaf search: rank p has ``leaf_count[p]`` leaves, Grams
+    ``factor`` is the FactorBlocks the tree was built from.
+    ``node_grams[lev]`` holds the (2^lev, R, R) node matrices; the root,
+    ``gram``, is the factor's Gram, which the walk's conditioning matrices
+    multiply.  Level ``depth`` is the rank-leaf level (leaf ell belongs to
+    the rank in row-block order, padding leaves hold zero).  Below that,
+    each rank subdivides its block into contiguous leaf blocks whose Grams
+    drive the leaf search: rank p has ``leaf_count[p]`` leaves, Grams
     ``leaf_grams[p]`` (leaf_count[p], R, R), and global row bounds
     ``leaf_bounds[p, :leaf_count[p] + 1]``; the rest of that row of
     ``leaf_bounds`` repeats the block's end, so the padded leaves are
     empty.
     """
 
-    def __init__(self, factor, gram_matrix, node_grams, leaf_rank, leaf_bounds,
-                 leaf_grams):
+    def __init__(self, factor, node_grams, leaf_rank, leaf_bounds, leaf_grams):
         self.factor = factor
-        self.gram = gram_matrix
         self.node_grams = node_grams
         self.leaf_rank = leaf_rank
         self.leaf_bounds = leaf_bounds
@@ -227,26 +229,61 @@ class LeverageTree:
     def depth(self):
         return len(self.node_grams) - 1
 
+    @property
+    def gram(self):
+        return self.node_grams[0][0]
+
+    def rescale(self, scale):
+        """Multiply every node and leaf Gram elementwise by ``scale``
+        (``linalg.gram_scale``), after the factor's columns were rescaled."""
+        self.node_grams = [g * scale for g in self.node_grams]
+        self.leaf_grams = [g * scale for g in self.leaf_grams]
+
+
+def tree_exchange(P):
+    """The upward pass's sends over P rank leaves: a (depth, P, P) stack
+    whose level-s matrix is 1 where leaf i sends leaf j its partial, the
+    sum over its aligned block of 2^s leaves.
+
+    Leaves exchange with the leaf whose position differs in bit s
+    (recursive doubling).  When P is not a power of two, a leaf whose
+    partner is padding instead receives the partner block's partial from
+    the last real leaf, P - 1, whenever that block holds a real leaf:
+    P - 1 then lies in it and, by induction over the levels, holds the
+    block's whole sum.  So after the last level every rank holds the root.
+    """
+    depth = (P - 1).bit_length()  # ceil(log2(P))
+    leaf = np.arange(P)
+    sends = np.zeros((depth, P, P), dtype=np.int64)
+    for s in range(depth):
+        partner = leaf ^ (1 << s)
+        holds = partner >> s << s < P  # the partner block holds a real leaf
+        sends[s, np.where(partner < P, partner, P - 1)[holds], leaf[holds]] = 1
+    return sends
+
 
 def sts_build(blocks, ledger=None, round_id=0) -> LeverageTree:
     """Build the leverage tree for one factor (exact-sampler build pass).
 
-    The factor's Gram is allreduced as for every factor update.  Leaf
-    Grams come from each rank's local rows; the upward pass mirrors the
-    bidirectional-exchange Allreduce, metering one R*R matrix received
-    per rank per level (general P handled by padding with empty leaves,
-    which carry zero mass and are never routed to).
+    Leaf Grams come from each rank's local rows, and a rank's Gram is the
+    sum of its leaves'.  The upward pass is the factor update's one
+    reduction: the exchange of ``tree_exchange`` over the rank leaves in
+    row-block order, metered as one R*R partial per message, after which
+    every rank reads the factor's Gram at the root (general P is handled
+    by padding with empty leaves, which carry zero mass and are never
+    routed to).  Overflow to non-finite Grams raises no warning here; the
+    caller's norm check rejects them.
 
     The leaf search enumerates leaf masses and then the chosen leaf's
     row masses, costing about (n/L + L) R^2 per sample for leaf size L.
     L = ceil(sqrt(n)) minimizes that and keeps the leaf Grams at about
     sqrt(n) R^2 words per rank.
     """
-    G = gram(blocks, ledger=ledger, round_id=round_id)
     R = blocks.R
     P = blocks.n_blocks
     order = np.lexsort((np.arange(P), blocks.lows))  # rank ids in row-block order
-    depth = max(int(math.ceil(math.log2(P))), 0) if P > 1 else 0
+    sends = tree_exchange(P)
+    depth = sends.shape[0]
     padded = 1 << depth
 
     n = blocks.his - blocks.lows
@@ -257,34 +294,26 @@ def sts_build(blocks, ledger=None, round_id=0) -> LeverageTree:
         + blocks.lows[:, None]
     leaf_grams = []
     rank_gram = np.zeros((P, R, R))
-    for p in range(P):
-        stacked = np.zeros((n_leaves[p] * size[p], R))
-        stacked[:n[p]] = blocks.blocks[p]
-        stacked = stacked.reshape(n_leaves[p], size[p], R)
-        grams_p = np.matmul(stacked.transpose(0, 2, 1), stacked)
-        leaf_grams.append(grams_p)
-        if n_leaves[p]:
-            rank_gram[p] = grams_p.sum(axis=0)
+    node_grams = [None] * (depth + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(P):
+            stacked = np.zeros((n_leaves[p] * size[p], R))
+            stacked[:n[p]] = blocks.blocks[p]
+            stacked = stacked.reshape(n_leaves[p], size[p], R)
+            grams_p = np.matmul(stacked.transpose(0, 2, 1), stacked)
+            leaf_grams.append(grams_p)
+            if n_leaves[p]:
+                rank_gram[p] = grams_p.sum(axis=0)
+        leaves = np.zeros((padded, R, R))
+        leaves[:P] = rank_gram[order]
+        node_grams[depth] = leaves
+        for lev in range(depth - 1, -1, -1):
+            node_grams[lev] = node_grams[lev + 1].reshape(-1, 2, R, R).sum(axis=1)
 
     leaf_rank = np.full(padded, -1, dtype=np.int64)
     leaf_rank[:P] = order
-    node_grams = [None] * (depth + 1)
-    leaves = np.zeros((padded, R, R))
-    leaves[:P] = rank_gram[order]
-    node_grams[depth] = leaves
-    for lev in range(depth - 1, -1, -1):
-        node_grams[lev] = node_grams[lev + 1].reshape(-1, 2, R, R).sum(axis=1)
-
-    # Level lev exchanges one R x R matrix between leaves whose positions
-    # differ in bit depth-1-lev (an empty padding partner sends nothing).
-    leaf = np.arange(P)
-    for lev in range(depth - 1, -1, -1):
-        partner = leaf ^ (1 << (depth - 1 - lev))
-        real = partner < P
-        sent = np.bincount(partner[real] * P + leaf[real], minlength=P * P) * (R * R)
-        gridmod.meter(ledger, round_id, gridmod.ALL_TO_ALLV, order, sent)
-
-    return LeverageTree(blocks, G, node_grams, leaf_rank, leaf_bounds, leaf_grams)
+    gridmod.meter(ledger, round_id, gridmod.ALL_TO_ALLV, order, sends * (R * R))
+    return LeverageTree(blocks, node_grams, leaf_rank, leaf_bounds, leaf_grams)
 
 
 def _compact(codes, size):
@@ -354,7 +383,7 @@ def _inverse_cdf(masses, of, r, count):
     return choice, picked / total, np.clip(r_out, 0.0, _ONE_BELOW)
 
 
-def _leaf_search(tree, cond, H_rows, walk_rank, walk_row, walk_of, r):
+def _leaf_search(tree, cond, H_rows, walk_rank, walk_row, walk_of, r, cells=True):
     """Leaf-block then row search for the samples of every rank at once.
 
     Walk w is on rank ``walk_rank[w]`` (a rank's walks are contiguous)
@@ -370,7 +399,8 @@ def _leaf_search(tree, cond, H_rows, walk_rank, walk_row, walk_of, r):
     ``LEAF_SEARCH_BUDGET`` (one chunk unless the leaves are many and long).
 
     Returns each sample's global row, its probability, and the id of its
-    (walk, row) cell, cells numbered in (walk, row) order.
+    (walk, row) cell, cells numbered in (walk, row) order; without
+    ``cells`` the ids are not formed and None stands in for them.
     """
     U, leaf_bounds, width = tree.factor.U, tree.leaf_bounds, tree.leaf_bounds.shape[1] - 1
     count = tree.leaf_count[walk_rank]
@@ -382,7 +412,8 @@ def _leaf_search(tree, cond, H_rows, walk_rank, walk_row, walk_of, r):
     if n_walks > step:
         order, chunk_at = gridmod.group_by_rank(walk_of // step, -(-n_walks // step))
         chunks = np.split(order, chunk_at[1:-1])
-    rows, prob, cell_of = np.empty(J, dtype=np.int64), np.empty(J), np.empty(J, dtype=np.int64)
+    rows, prob = np.empty(J, dtype=np.int64), np.empty(J)
+    cell_of = np.empty(J, dtype=np.int64) if cells else None
     n_cells = 0
     for c, sel in enumerate(chunks):
         w0, w1 = c * step, min((c + 1) * step, n_walks)
@@ -417,10 +448,11 @@ def _leaf_search(tree, cond, H_rows, walk_rank, walk_row, walk_of, r):
         q, row_prob, _ = _inverse_cdf(row_masses, col_of, r_mid, size)
         rows[sel] = first.take(col_of) + q
         prob[sel] = leaf_prob * row_prob
-        cells, local = _compact(pair_of * row_masses.shape[0] + q,
-                                pairs.shape[0] * row_masses.shape[0])
-        cell_of[sel] = n_cells + local
-        n_cells += cells.shape[0]
+        if cells:
+            distinct, local = _compact(pair_of * row_masses.shape[0] + q,
+                                       pairs.shape[0] * row_masses.shape[0])
+            cell_of[sel] = n_cells + local
+            n_cells += distinct.shape[0]
     return rows, prob, cell_of
 
 
@@ -536,10 +568,11 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
             route[hop] = owner
 
         X[:, i], prob_leaf, cell_of = _leaf_search(
-            tree, M, H_prefix, tree.leaf_rank[walk_node], walk_prefix, walk_of, r)
+            tree, M, H_prefix, tree.leaf_rank[walk_node], walk_prefix, walk_of, r,
+            cells=i != last)
         per_mode_prob[:, i] = prob_i * prob_leaf
         if i == last:
-            break  # no later mode reads the prefixes
+            break  # no later mode reads the prefixes or the cells
 
         # Extend every prefix by its mode-i row.  Cells come in (walk, row)
         # order, and rows grow with the walk's node, so a stable sort of

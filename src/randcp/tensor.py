@@ -287,8 +287,11 @@ class ModePermutations:
         return ModePermutations(inv)
 
     def unpermute_factor(self, U, mode):
-        """Reorder a factor computed in permuted space back to original rows."""
-        return U[self.perms[mode]]
+        """Reorder a factor computed in permuted space back to original rows,
+        in place: the reordered rows are formed once and copied back into
+        ``U``, which is returned."""
+        U[...] = U.take(self.perms[mode], axis=0)
+        return U
 
 
 def apply_permutations(t: SparseTensorCOO, mp: ModePermutations) -> SparseTensorCOO:

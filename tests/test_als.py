@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from randcp.als import AlsConfig, _renormalize, init_factors, run_als, run_trials
+from randcp.als import (AlsConfig, _rebuild_mode_state, _renormalize, init_factors,
+                        run_als, run_trials)
 from randcp.grid import CommLedger, ProcessorGrid
 from randcp.linalg import FactorBlocks, normalize_columns
 from randcp.schedules import SolveContext
@@ -260,22 +261,38 @@ def renormalize_ctx(U, round_id=3):
 
 
 class TestNormChecks:
+    """The norms come from the factor update's one reduction
+    (``_rebuild_mode_state``); ``_renormalize`` reads them off its Gram."""
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])  # 1e200 squares to inf
     def test_non_finite_norm_raises_before_scaling(self, bad):
         U = np.ones((6, 2))
         U[4, 1] = bad
         before = U.copy()
         with pytest.raises(FloatingPointError, match="after round 3 mode 0 solve"):
-            _renormalize(renormalize_ctx(U), 0)
+            _rebuild_mode_state(renormalize_ctx(U), 0)
         assert np.array_equal(U, before, equal_nan=True)
 
     def test_underflowing_column_counts_as_zero(self):
         U = np.full((6, 2), 1e-170)     # squares underflow to 0
         U[:, 0] = 2.0
-        norms = _renormalize(renormalize_ctx(U), 0)
+        ctx = renormalize_ctx(U)
+        norms = _rebuild_mode_state(ctx, 0)
         assert np.array_equal(norms, [np.sqrt(24.0), 0.0])
         assert np.allclose(U[:, 0], 1.0 / np.sqrt(6.0), rtol=1e-15)
         assert np.array_equal(U[:, 1], np.full(6, 1e-170))  # a zero norm scales nothing
+        # the zero column's row and column of the kept Gram are exactly zero
+        assert np.array_equal(ctx.grams[0][1], [0.0, 0.0])
+        assert np.array_equal(ctx.grams[0][:, 1], [0.0, 0.0])
+        assert np.allclose(ctx.grams[0][0, 0], 1.0, rtol=1e-15)
+
+    def test_renormalize_reads_the_reduced_gram(self):
+        U = np.arange(12.0).reshape(6, 2)
+        ctx = renormalize_ctx(U.copy())
+        norms = _renormalize(ctx, 0, U.T @ U)
+        assert np.allclose(norms, np.linalg.norm(U, axis=0), rtol=1e-15)
+        assert np.allclose(ctx.factors[0].U, U / norms, rtol=1e-15)
+        assert ctx.ledger.records() == {}   # no collective of its own
 
 
 def fit_formula_on_view(t, factors, sigma):

@@ -16,25 +16,25 @@ from conftest import make_sparse
 
 GOLDEN = {
     (6, "exact", "tensor-stationary"):
-        "8bf94753d70e6cac7a8b9e8ec43c786f8302d74df661f936cef904bbf8960533",
+        "e20041491d8671933590792651f333c0695fa42edeca338e111ad4fb58afa97f",
     (6, "arls-lev", "tensor-stationary"):
-        "a11512e6fcf02e74ced346134b57e2c51b60114125c4ff5a4f766a51a9be030f",
+        "d23fcbc99f4670fb64a24d7fc0f3fceb74d6c5532853c8e7b80e615aa4d29e7a",
     (6, "arls-lev", "accumulator-stationary"):
-        "bd998d49f5465c3a81016a4cd1d2759f4ecb4ed0140f1c248865dde22eb5d2b2",
+        "ec48696ee63cbfaaf12659f53a573dd3b44b32c29a5ea225686f5b57a4953437",
     (6, "sts", "tensor-stationary"):
-        "fa19294423c86098e62e0bdff927b711ae48ab5b555eb948db71fbea73a92eae",
+        "5d740bdb947534d8b6f39b8aa4b0ca3baba9b291eb0a39063f26c22b1763ffb5",
     (6, "sts", "accumulator-stationary"):
-        "b9a6bfca77f3df78309028c5890663e36d6936eb918dfae380e104af8251ab40",
+        "2ec32b73b326f19ba9518bda0d4ba597103731585e4c2e32538765b607c120c8",
     (8, "exact", "tensor-stationary"):
-        "ee44d9c34016c5c1243ec344e60eec317f5d7face95a481235edf7e2b3e9df60",
+        "dafc722efb4e59c1e2763f7f0c76ab80fe1abb435da96b7e336e3f22da1c0fe7",
     (8, "arls-lev", "tensor-stationary"):
-        "23b1ec94c411cec6589e490a52e2d4c7a1bcaf9c8c1216bfe1796fc3d8595fcc",
+        "fa1ecbf52f5c852c312c1c80ee99a38176d56a25705cff54461d2a3d865c29f5",
     (8, "arls-lev", "accumulator-stationary"):
-        "35e3ca195324e8df0cc1ff0224e9b6cf0d99ab0b5cf6638a57ec843ee253059a",
+        "96579f818e601b33389c3f0222d2210e266a44685e841edf275d00c642578392",
     (8, "sts", "tensor-stationary"):
-        "6410bc32ce75df94e5d7a4c8cb5a5ac843eeef953fc656bf6d118d2c8c57eb1d",
+        "7fd1137a67b2be1e991c09603efc891576793561a2e6fa99121cd2f6bb01d8ac",
     (8, "sts", "accumulator-stationary"):
-        "f62ffad535aa4a20d037ae7c54b08c8f1f54b9a89af51c91c8420838cec2f269",
+        "8dcf2a532c73d28387ae4367d825fe46a7cb3a18e474601dff3600716df0714b",
 }
 
 

@@ -356,7 +356,7 @@ class TestStsSample:
 def leaf_tree(W, offs, grams):
     """A one-rank tree over W with leaves at row offsets ``offs`` and
     Grams ``grams``; only the leaf search reads it."""
-    return samplers.LeverageTree(FactorBlocks(W, [0], [W.shape[0]]), None, [None], None,
+    return samplers.LeverageTree(FactorBlocks(W, [0], [W.shape[0]]), [None], None,
                                  np.asarray(offs, dtype=np.int64)[None, :], [grams])
 
 
@@ -442,6 +442,11 @@ class TestBatchedLeafSearch:
         assert np.array_equal(rows, np.tile(np.arange(11), len(designs)))
         assert np.allclose(prob, expected, rtol=1e-12, atol=0.0)
         assert np.array_equal(cells, np.arange(which.size))  # (walk, row) order
+        # the last visited mode skips the cell ids; the draws stay bit-identical
+        rows_only, prob_only, none = samplers._leaf_search(
+            tree, cond, designs, *one_walk_each(len(designs)), which, r, cells=False)
+        assert none is None
+        assert np.array_equal(rows_only, rows) and np.array_equal(prob_only, prob)
 
     @pytest.mark.parametrize("leaf_size", [1, 3, 11])
     def test_matches_row_enumeration(self, leaf_size):
@@ -683,7 +688,11 @@ def test_state_owns_its_factor_and_gram(build, sample):
     states = [build(b) for b in blocks]
     for st, fb in zip(states, blocks):
         assert st.factor is fb
-        assert np.array_equal(st.gram, gram(fb))
+        if build is sts_build:  # the tree's upward exchange sums it: the root
+            assert np.array_equal(st.gram, st.node_grams[0][0])
+            assert np.abs(st.gram - gram(fb)).max() <= 1e-13 * np.abs(st.gram).max()
+        else:
+            assert np.array_equal(st.gram, gram(fb))
     # Update mode 0 in place so that only row 3 keeps leverage mass, then
     # rebuild its state: every draw must read the new rows.
     blocks[0].U[:] = 0.0

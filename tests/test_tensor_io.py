@@ -339,6 +339,14 @@ class TestPermutations:
         assert not np.shares_memory(t2.idx, t.idx)
         assert t2.vals is t.vals  # values are never written after ingest
 
+    def test_unpermute_factor_reorders_in_place(self):
+        mp = ModePermutations.random((9, 4), seed=13)
+        U = np.random.default_rng(14).standard_normal((9, 3))
+        expected = U[mp.perms[0]]
+        out = mp.unpermute_factor(U, 0)
+        assert out is U                      # the factor's own buffer, no second copy
+        assert np.array_equal(U, expected)
+
     def test_same_seed_same_perms(self):
         t = make_sparse((5, 4, 3), 25, seed=3)
         _, mp1 = permute_modes(t, seed=5)
