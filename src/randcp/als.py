@@ -151,9 +151,11 @@ def _rebuild_mode_state(ctx, k, renormalize=True):
     columns are scaled to unit norm from that Gram's diagonal
     (``_renormalize``) and the kept Grams are scaled to match
     (``gram_scale``); the unit-norm initial factors keep the Gram as
-    reduced.  A sampled run keeps the mode's sampler state.  An exact run
-    (tensor-stationary, as ``AlsConfig.validate`` requires) keeps the Gram
-    that its solves read and meters the factor's slice-group gathers.
+    reduced.  Every run keeps the Gram in ``ctx.grams[k]``, the STS tree's
+    root for STS, which exact solves and the fit read.  A sampled run
+    keeps the mode's sampler state.  An exact run (tensor-stationary, as
+    ``AlsConfig.validate`` requires) meters the factor's slice-group
+    gathers.
     Returns the column norms, None without ``renormalize``.
     """
     fb = ctx.factors[k]
@@ -168,8 +170,9 @@ def _rebuild_mode_state(ctx, k, renormalize=True):
             G = G * scale
         else:
             state.rescale(scale)
+            G = state.gram
+    ctx.grams[k] = G
     if ctx.sampler == "exact":
-        ctx.grams[k] = G
         refresh_gathered(ctx, k)
     elif ctx.sampler == "arls-lev":
         state = arls_lev_build(fb, ledger=ctx.ledger, round_id=ctx.round_id, gram_matrix=G)
@@ -249,11 +252,8 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     def evaluate_fit(round_id):
         nonlocal best
         t_fit = time.perf_counter()
-        Us = [fb.U for fb in ctx.factors]
-        if cfg.sampler == "exact":
-            f = compute_fit(tensor, Us, sigma, mttkrp=ctx.last_mttkrp, grams=ctx.grams)
-        else:
-            f = compute_fit(tensor, Us, sigma, mode_mat=fit_mat, workers=cfg.workers)
+        f = compute_fit(tensor, [fb.U for fb in ctx.factors], sigma, mode_mat=fit_mat,
+                        workers=cfg.workers, mttkrp=ctx.last_mttkrp, grams=ctx.grams)
         best = max(best, f)
         fit_history.append((round_id, f))
         running_max.append(best)

@@ -88,10 +88,6 @@ class ProcessorGrid:
         """Ranks sharing mode-j chunk c, ordered by rank id."""
         return self._slice_groups[j][c]
 
-    def block_range(self, j, p):
-        """Factor row block [lo, hi) of mode j owned by rank p."""
-        return int(self._block_lo[j, p]), int(self._block_hi[j, p])
-
     def block_ranges(self, j):
         return self._block_lo[j], self._block_hi[j]
 
@@ -134,7 +130,8 @@ def group_by_rank(ranks, P):
     """Stable grouping of items by rank: (order, bounds), with the items of
     rank p at ``order[bounds[p]:bounds[p + 1]]`` in their original order."""
     order = stable_argsort(ranks, P)
-    bounds = np.searchsorted(np.asarray(ranks)[order], np.arange(P + 1))
+    bounds = np.zeros(P + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ranks, minlength=P), out=bounds[1:])
     return order, bounds
 
 

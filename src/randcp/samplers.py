@@ -1,11 +1,11 @@
 """Row samplers for the Khatri-Rao design matrix.
 
 Two production samplers plus a brute-force oracle.  Each sampler is a
-build/sample pair: the build turns one factor into its per-mode state,
-which keeps that ``FactorBlocks`` (read in place, so the state is rebuilt
-after every update of the factor) and its Gram, the sum of one metered
-reduction; the sample call draws a mode-k batch from the states of all
-modes, ``(states, k, J, seed)``.
+build/sample pair: the build turns one factor and its Gram, the sum of
+one metered reduction, into its per-mode state, which keeps that
+``FactorBlocks`` (read in place, so the state is rebuilt after every
+update of the factor); the sample call draws a mode-k batch from the
+states of all modes, ``(states, k, J, seed)``.
 
 * approximate sampler (``arls_lev_build`` -> ``ArlsLevState``): weighs
   each candidate row by the product of per-factor leverage scores.  For
@@ -20,16 +20,18 @@ modes, ``(states, k, J, seed)``.
   Gram matrices once per constant factor, conditioning each mode's draw
   on the rows already chosen; the chain pseudo-inverse comes from the
   trees' Grams.  The build's upward exchange is the factor's one
-  reduction: its root is the Gram.  The top log2(P) tree levels are
-  shared across ranks;
-  the walk routes samples between ranks level by level and finishes with
-  a search over each rank's leaf row blocks.  All simulated ranks walk
-  together: samples sharing their rows so far share one walk per tree
-  node, so a level costs O(J) plus one quadratic form per distinct walk,
-  and one leaf search serves every rank.  One mass kernel forms every
-  quadratic form (tree nodes, leaves and rows alike) from stacks of
-  conditioned Grams, and the leaf search picks segments by an inverse
-  CDF over a (segments x walks) layout.
+  reduction: its root is the Gram.  The walk is inverse-CDF sampling in
+  tree order, and every step follows one rule (``_descend``): the masses
+  of a node's children form a CDF, the sample's residual picks a child,
+  and the residual is rescaled into that child's segment.  The top
+  log2(P) steps pick between the two children of a tree node shared
+  across ranks, routing samples between ranks; one more step picks among
+  the rank's leaf row blocks and a last one among the chosen block's
+  rows.  All simulated ranks walk together: samples sharing their rows
+  so far share one walk per node, so a step costs O(J) plus one
+  quadratic form per distinct walk and child.  One mass kernel forms
+  every quadratic form from stacks of conditioned Grams, and the inverse
+  CDF runs over a (children x walks) layout.
 
 Sampled rows are reweighted by 1 / sqrt(J * p_s), the scaling that makes
 the sketched normal equations unbiased.  A batch keeps all J draws,
@@ -49,7 +51,7 @@ from .linalg import gram, hadamard_gram_chain, khatri_rao, pseudo_inverse
 ORACLE_GUARD = 10 ** 6
 _ONE_BELOW = np.nextafter(1.0, 0.0)
 # Float64 elements in one walk temporary: the mass kernel's (m, walks, R)
-# product, or a leaf-search chunk's (segments x walks) mass columns.
+# product, or a walk step's (children x walks) mass columns.
 LEAF_SEARCH_BUDGET = 1 << 20
 
 
@@ -126,20 +128,15 @@ def _empty_batch(N):
 
 
 class ArlsLevState:
-    """Per-mode sampling state: the factor, its Gram and its leverage
-    distribution.
+    """Per-mode sampling state: the factor and its leverage distribution.
 
     ``dist`` is the normalized leverage distribution over every row of the
-    factor (all zero when the factor has no leverage mass).  ``C[p]`` is
-    rank p's pre-normalization mass, the sum over its block; C is
-    replicated (gathered once at build time), one word per rank.
+    factor (all zero when the factor has no leverage mass).
     """
 
-    def __init__(self, factor, gram_matrix, dist, C):
+    def __init__(self, factor, dist):
         self.factor = factor
-        self.gram = gram_matrix
         self.dist = dist
-        self.C = C
 
 
 def arls_lev_build(blocks, ledger=None, round_id=0, gram_matrix=None) -> ArlsLevState:
@@ -153,12 +150,12 @@ def arls_lev_build(blocks, ledger=None, round_id=0, gram_matrix=None) -> ArlsLev
     U = blocks.U
     d = np.maximum(np.einsum("ir,ir->i", U @ pseudo_inverse(G), U), 0.0)
     cs = np.concatenate(([0.0], d.cumsum()))
-    C = cs[blocks.his] - cs[blocks.lows]
     dist = d / cs[-1] if cs[-1] > 0.0 else d
-    # C is allgathered, one word per rank.
+    # Every rank's block mass, the sum of its rows' d, is allgathered: one
+    # word per rank.
     gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(blocks.n_blocks),
                   np.ones(blocks.n_blocks, dtype=np.int64))
-    return ArlsLevState(blocks, G, dist, C)
+    return ArlsLevState(blocks, dist)
 
 
 def consistent_multinomial(masses, J, seed, round_id, k, mode):
@@ -210,7 +207,7 @@ class LeverageTree:
     multiply.  Level ``depth`` is the rank-leaf level (leaf ell belongs to
     the rank in row-block order, padding leaves hold zero).  Below that,
     each rank subdivides its block into contiguous leaf blocks whose Grams
-    drive the leaf search: rank p has ``leaf_count[p]`` leaves, Grams
+    drive the leaf-block step: rank p has ``leaf_count[p]`` leaves, Grams
     ``leaf_grams[p]`` (leaf_count[p], R, R), and global row bounds
     ``leaf_bounds[p, :leaf_count[p] + 1]``; the rest of that row of
     ``leaf_bounds`` repeats the block's end, so the padded leaves are
@@ -274,8 +271,9 @@ def sts_build(blocks, ledger=None, round_id=0) -> LeverageTree:
     routed to).  Overflow to non-finite Grams raises no warning here; the
     caller's norm check rejects them.
 
-    The leaf search enumerates leaf masses and then the chosen leaf's
-    row masses, costing about (n/L + L) R^2 per sample for leaf size L.
+    The last two walk steps evaluate a rank's leaf masses and then the
+    chosen leaf's row masses, costing about (n/L + L) R^2 per sample for
+    leaf size L.
     L = ceil(sqrt(n)) minimizes that and keeps the leaf Grams at about
     sqrt(n) R^2 words per rank.
     """
@@ -337,123 +335,104 @@ def _masses(H, rows, groups, out):
     chunks whose (m, walks, R) product fits ``LEAF_SEARCH_BUDGET``.
     """
     for lo, hi, S in groups:
-        step = max(1, LEAF_SEARCH_BUDGET // (S.shape[0] * H.shape[1]))
+        step = max(1, LEAF_SEARCH_BUDGET // max(1, S.shape[0] * H.shape[1]))
         for a in range(lo, hi, step):
             b = min(a + step, hi)
             Hs = H.take(rows[a:b], axis=0)
             np.einsum("qkr,kr->kq", np.matmul(Hs, S), Hs, out=out[a:b, :S.shape[0]])
 
 
-def _branch(r, T):
-    """One tree level: residual r goes right when r >= T.  Returns the
-    branch, its probability p and the residual rescaled into it."""
-    right = r >= T
-    p = np.abs(right - T)  # 1 - T right, T left
-    return right, p, np.clip((r - right * T) / p, 0.0, _ONE_BELOW)
-
-
-def _inverse_cdf(masses, of, r, count):
+def _inverse_cdf(masses, of, r):
     """Pick the segment of [0, 1) containing each residual r.
 
-    Column w of ``masses`` (segments x walks) holds ``count[w]``
-    nonnegative segment masses, then zero padding; sample s draws from
-    column ``of[s]`` with residual ``r[s]``.  Boundary hits go right,
-    matching the r >= T branch rule, so a zero-mass segment is never
-    picked, and a choice past the column's last real segment is clamped
-    to it.  Choices count CDF rows at or below r * total a row at a time,
-    with no (samples x segments) temporary.  Returns (choice, probability,
+    Column w of ``masses`` (segments x walks) holds walk w's nonnegative
+    segment masses, zero-padded; sample s draws from column ``of[s]`` with
+    residual ``r[s]`` in [0, 1).  Each column is normalized once, so its
+    CDF reaches exactly 1 at its last real segment and no residual passes
+    it.  Boundary hits go right, so a zero-mass segment is never picked.
+    Choices count normalized CDF rows at or below r a row at a time, with
+    no (samples x segments) temporary.  Returns (choice, probability,
     rescaled residual) per sample.
     """
     cdf = np.cumsum(masses, axis=0)
     total = cdf[-1]
     if (total <= 0.0).any():
-        raise DegenerateWalkError("zero total mass in leaf search")
-    total = total.take(of)
-    target = r * total
+        raise DegenerateWalkError("zero total mass at a walk step")
+    prob = masses / total
+    cdf /= total
     choice = np.zeros(of.shape[0], dtype=np.int64)
-    for row in cdf[:-1]:  # the last row, the total, only adds what the clamp removes
-        choice += row.take(of) <= target
-    np.minimum(choice, count.take(of) - 1, out=choice)
-    flat = choice * masses.shape[1] + of
-    picked = masses.take(flat)
-    prev = cdf.take(flat) - picked
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r_out = (target - prev) / picked
-    r_out[picked <= 0.0] = 0.0
-    return choice, picked / total, np.clip(r_out, 0.0, _ONE_BELOW)
+    for row in cdf[:-1]:  # the last row is 1, above every residual
+        choice += row.take(of) <= r
+    flat = choice * masses.shape[1]
+    flat += of
+    picked = prob.take(flat)
+    cdf -= prob  # each segment's start
+    r_out = cdf.take(flat)
+    np.subtract(r, r_out, out=r_out)
+    r_out /= picked
+    np.clip(r_out, 0.0, _ONE_BELOW, out=r_out)
+    return choice, picked, r_out
 
 
-def _leaf_search(tree, cond, H_rows, walk_rank, walk_row, walk_of, r, cells=True):
-    """Leaf-block then row search for the samples of every rank at once.
+def _descend(H, walk_row, walk_of, r, group_at, stack, width):
+    """One walk step: every sample picks a child of its walk's node.
 
-    Walk w is on rank ``walk_rank[w]`` (a rank's walks are contiguous)
-    with design row ``H_rows[walk_row[w]]``; sample s follows walk
-    ``walk_of[s]`` with residual ``r[s]``.  The mass kernel gives leaf
-    masses h^T (G_leaf * cond) h once per walk, grouped by rank, in
-    columns padded to the largest leaf count; an inverse CDF picks the
-    leaves.  It gives row masses (u_q * h)^T cond (u_q * h) once per
-    distinct (walk, leaf) pair, grouped by leaf against the stack of
-    u_q u_q^T * cond over its contiguous factor rows, in columns padded
-    with zero mass to the longest chosen leaf; a second inverse CDF picks
-    the rows.  Walks go in chunks whose mass columns fit
-    ``LEAF_SEARCH_BUDGET`` (one chunk unless the leaves are many and long).
-
-    Returns each sample's global row, its probability, and the id of its
-    (walk, row) cell, cells numbered in (walk, row) order; without
-    ``cells`` the ids are not formed and None stands in for them.
+    Walk w has design row ``H[walk_row[w]]``; walks ``group_at[g]`` to
+    ``group_at[g + 1] - 1`` share the conditioned stack ``stack(g)``, one
+    (R, R) matrix per child, at most ``width`` of them.  The mass kernel
+    gives each walk's child masses h^T S_q h into zero-padded (children x
+    walks) columns, in chunks of walks that fit ``LEAF_SEARCH_BUDGET``,
+    and the inverse CDF picks the child of sample s from walk
+    ``walk_of[s]`` with residual ``r[s]``.  Returns the index of each
+    sample's (walk, child) pair among the distinct pairs, those pairs'
+    walks and children in (walk, child) order, and each sample's
+    probability and residual rescaled into its child.
     """
-    U, leaf_bounds, width = tree.factor.U, tree.leaf_bounds, tree.leaf_bounds.shape[1] - 1
-    count = tree.leaf_count[walk_rank]
-    if (count == 0).any():
-        raise DegenerateWalkError("walk reached a rank with no rows")
-    J, n_walks = walk_of.shape[0], walk_rank.shape[0]
-    step = max(1, LEAF_SEARCH_BUDGET // (width * int(np.diff(leaf_bounds).max())))
-    chunks = [slice(None)]
+    n_walks = walk_row.shape[0]
+    step = max(1, LEAF_SEARCH_BUDGET // width)
+    chunks = [(0, n_walks, slice(None))]
     if n_walks > step:
         order, chunk_at = gridmod.group_by_rank(walk_of // step, -(-n_walks // step))
-        chunks = np.split(order, chunk_at[1:-1])
-    rows, prob = np.empty(J, dtype=np.int64), np.empty(J)
-    cell_of = np.empty(J, dtype=np.int64) if cells else None
-    n_cells = 0
-    for c, sel in enumerate(chunks):
-        w0, w1 = c * step, min((c + 1) * step, n_walks)
-        leaf_masses = np.zeros((width, w1 - w0))
-        rank_lo = np.flatnonzero(np.diff(walk_rank[w0:w1], prepend=-1))
-        _masses(H_rows, walk_row[w0:w1],
-                ((a, b, tree.leaf_grams[walk_rank[w0 + a]] * cond)
-                 for a, b in zip(rank_lo, np.append(rank_lo[1:], w1 - w0))), leaf_masses.T)
-        np.maximum(leaf_masses, 0.0, out=leaf_masses)
-        of = walk_of[sel] - w0
-        leaf, leaf_prob, r_mid = _inverse_cdf(leaf_masses, of, r[sel], count[w0:w1])
+        chunks = [(c * step, min(c * step + step, n_walks), sel)
+                  for c, sel in enumerate(np.split(order, chunk_at[1:-1]))]
+    parts, pairs, n_pairs = [], [], 0
+    for w0, w1, sel in chunks:
+        masses = np.zeros((width, w1 - w0))
+        at = np.clip(group_at, w0, w1) - w0
+        _masses(H, walk_row[w0:w1], ((at[g], at[g + 1], stack(g))
+                                     for g in np.flatnonzero(np.diff(at))), masses.T)
+        np.maximum(masses, 0.0, out=masses)
+        of = walk_of[sel] - w0 if w0 else walk_of[sel]
+        child, prob, r_out = _inverse_cdf(masses, of, r[sel])
+        code = of * width
+        code += child
+        distinct, pair_of = _compact(code, (w1 - w0) * width)
+        parts.append((pair_of + n_pairs if n_pairs else pair_of, prob, r_out))
+        pairs.append(distinct + w0 * width)
+        n_pairs += distinct.shape[0]
+    parent, child = np.divmod(np.concatenate(pairs), width)
+    if len(parts) == 1:
+        pair_of, prob, r_out = parts[0]
+    else:
+        out = pair_of, prob, r_out = np.empty_like(walk_of), np.empty(r.shape), np.empty(r.shape)
+        for (_, _, sel), part in zip(chunks, parts):
+            for a, x in zip(out, part):
+                a[sel] = x
+    return pair_of, parent, child, prob, r_out
 
-        pairs, pair_of = _compact(of * width + leaf, (w1 - w0) * width)
-        pair_walk, pair_leaf = np.divmod(pairs + w0 * width, width)
-        pair_rank = walk_rank.take(pair_walk)
-        # Row mass columns go leaf by leaf: column j holds pair by_leaf[j].
-        by_leaf, leaf_at = gridmod.group_by_rank(pair_rank * width + pair_leaf,
-                                                 leaf_bounds.size)
-        first = leaf_bounds[pair_rank, pair_leaf].take(by_leaf)
-        size = leaf_bounds[pair_rank, pair_leaf + 1].take(by_leaf) - first
-        row_masses = np.zeros((int(size.max()), pairs.shape[0]))
-        leaf_lo = leaf_at[np.flatnonzero(np.diff(leaf_at))]
-        _masses(H_rows, walk_row.take(pair_walk.take(by_leaf)),
-                ((a, b, U[f:e, :, None] * U[f:e, None, :] * cond) for a, b, f, e in
-                 zip(leaf_lo, np.append(leaf_lo[1:], pairs.shape[0]), first[leaf_lo],
-                     first[leaf_lo] + size[leaf_lo])),
-                row_masses.T)
-        np.maximum(row_masses, 0.0, out=row_masses)
-        column = np.empty_like(by_leaf)
-        column[by_leaf] = np.arange(by_leaf.shape[0])
-        col_of = column.take(pair_of)
-        q, row_prob, _ = _inverse_cdf(row_masses, col_of, r_mid, size)
-        rows[sel] = first.take(col_of) + q
-        prob[sel] = leaf_prob * row_prob
-        if cells:
-            distinct, local = _compact(pair_of * row_masses.shape[0] + q,
-                                       pairs.shape[0] * row_masses.shape[0])
-            cell_of[sel] = n_cells + local
-            n_cells += distinct.shape[0]
-    return rows, prob, cell_of
+
+def _children(pair_of, key, bound):
+    """The next step's walks: the distinct (walk, child) pairs of a step,
+    stably grouped by ``key`` (one value in range(bound) per pair).
+
+    New walk w is pair ``order[w]``.  Returns ``order``, each sample's new
+    walk, and the group bounds: group g is walks ``group_at[g]`` to
+    ``group_at[g + 1] - 1``.
+    """
+    order, group_at = gridmod.group_by_rank(key, bound)
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(order.shape[0])
+    return order, renumber.take(pair_of), group_at
 
 
 def _route_meter(ledger, round_id, old_owner, new_owner, payload_words, P):
@@ -478,19 +457,23 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
     modes > i (excluding k), where G_chain_pinv is the pseudo-inverse of
     the Hadamard product of the trees' Grams over the modes != k
     (``trees[k]`` is not read); the contribution of already-sampled modes
-    lives in the running rows H.  Each sample walks the shared tree
-    levels (routing between ranks at every level; one ``meter`` call at
-    the end records every level), finishes with the local leaf search on
-    its terminal rank, and multiplies its H row by the selected factor
-    row, which that rank owns.  The last walked mode extends no prefix.
+    lives in the running rows H.  Each mode's draw is a walk of
+    ``_descend`` steps, each an inverse CDF over the walk node's
+    children: one per tree level over the two child nodes (routing
+    samples between ranks; one ``meter`` call at the end records every
+    level), one over the terminal rank's leaf blocks and one over the
+    chosen block's rows.  Each sample then multiplies its H row by the
+    selected factor row, which that rank owns.  The last walked mode
+    extends no prefix.
 
     Samples that drew the same rows so far (the same prefix) share their
     H row, so every quadratic form is evaluated once per distinct walk:
     a (tree node, prefix) pair at the tree levels, a (rank, prefix) pair
-    for the leaf masses and a (rank, prefix, leaf) triple for the row
-    masses.  A walk's children are (2 node + branch, prefix), so each
-    level's walks come from the last level's without sorting the samples;
-    they stay in (node, prefix) order, grouped by node.
+    at the leaf blocks and a (rank, leaf, prefix) triple at the rows.
+    ``_children`` makes each step's walks from the last step's distinct
+    (walk, child) pairs without sorting the samples, grouped by the stack
+    of the next step: by node, then by leaf, and at the end by prefix,
+    which gives the next mode's prefixes in (prefix, row) order.
 
     ``uniform_override`` (J, N) replaces the per-mode uniform draws; a
     test hook for steering walks down chosen paths.
@@ -526,36 +509,19 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
         r = (np.array(uniform_override[:, i], dtype=np.float64) if uniform_override is not None
              else rng.stream(seed, rng.WALK_UNIFORM, round_id, k, i).random(J))
         prob_i = np.ones(J)
-        # Walks: distinct (node, prefix) pairs in that order; sample s is on
-        # walk walk_of[s].  At the root every prefix is one walk.
+        # Walks: distinct (node, prefix) pairs, grouped by node; sample s is
+        # on walk walk_of[s].  At the root every prefix is one walk.
         walk_node = np.zeros(H_prefix.shape[0], dtype=np.int64)
         walk_prefix = np.arange(H_prefix.shape[0])
-        walk_of = prefix
+        walk_of, group_at = prefix, np.array([0, H_prefix.shape[0]])
         for lev in range(tree.depth):
-            bounds = np.searchsorted(walk_node, np.arange((1 << lev) + 1))
-            # den and num: node and left-child masses, one stack per node
-            stacks = np.stack((tree.node_grams[lev], tree.node_grams[lev + 1][::2]), 1) * M
-            forms = np.empty((walk_node.shape[0], 2))
-            _masses(H_prefix, walk_prefix, ((bounds[v], bounds[v + 1], stacks[v])
-                                            for v in np.flatnonzero(np.diff(bounds))), forms)
-            den, num = forms.T
-            if (den <= 0.0).any():
-                raise DegenerateWalkError(
-                    "zero node mass at level %d of mode-%d tree" % (lev, i))
-            T = np.clip(np.maximum(num, 0.0) / den, 0.0, 1.0).take(walk_of)
-            right, p, r = _branch(r, T)
+            kids = tree.node_grams[lev + 1].reshape(-1, 2, R, R) * M
+            pair_of, parent, branch, p, r = _descend(
+                H_prefix, walk_prefix, walk_of, r, group_at, kids.__getitem__, 2)
             prob_i *= p
-            # Children in (walk, branch) order; a stable sort of the few
-            # distinct children by node restores (node, prefix) order.
-            children, walk_of = _compact(2 * walk_of + right, 2 * walk_node.shape[0])
-            parent, branch = np.divmod(children, 2)
-            child_node = 2 * walk_node[parent] + branch
-            order = np.argsort(child_node, kind="stable")
-            renumber = np.empty_like(order)
-            renumber[order] = np.arange(order.shape[0])
-            walk_of = renumber[walk_of]
-            walk_node = child_node[order]
-            walk_prefix = walk_prefix[parent[order]]
+            node = 2 * walk_node[parent] + branch
+            order, walk_of, group_at = _children(pair_of, node, 2 << lev)
+            walk_node, walk_prefix = node[order], walk_prefix[parent[order]]
 
             # Sample s moves to real rank leaf s mod n_real under its node.
             width = 1 << (tree.depth - 1 - lev)
@@ -567,23 +533,35 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
             hop += 1
             route[hop] = owner
 
-        X[:, i], prob_leaf, cell_of = _leaf_search(
-            tree, M, H_prefix, tree.leaf_rank[walk_node], walk_prefix, walk_of, r,
-            cells=i != last)
-        per_mode_prob[:, i] = prob_i * prob_leaf
+        # The rank's leaf blocks, then the chosen block's rows.  Leaf cell
+        # node * width + leaf spans rows lo[cell]..hi[cell]-1.
+        width = tree.leaf_bounds.shape[1] - 1
+        node_bounds = tree.leaf_bounds[tree.leaf_rank]
+        lo, hi = node_bounds[:, :-1].ravel(), node_bounds[:, 1:].ravel()
+        pair_of, parent, leaf, p, r = _descend(
+            H_prefix, walk_prefix, walk_of, r, group_at,
+            lambda v: tree.leaf_grams[tree.leaf_rank[v]] * M, width)
+        prob_i *= p
+        cell = walk_node[parent] * width + leaf
+        order, walk_of, group_at = _children(pair_of, cell, lo.shape[0])
+        cell, walk_prefix = cell[order], walk_prefix[parent[order]]
+        U = tree.factor.U
+        pair_of, parent, q, p, _ = _descend(
+            H_prefix, walk_prefix, walk_of, r, group_at,
+            lambda c: U[lo[c]:hi[c], :, None] * U[lo[c]:hi[c], None, :] * M,
+            int((hi - lo)[cell].max()))
+        prob_i *= p
+        per_mode_prob[:, i] = prob_i
+        rows = lo[cell[parent]] + q
+        X[:, i] = rows.take(pair_of)
         if i == last:
-            break  # no later mode reads the prefixes or the cells
-
-        # Extend every prefix by its mode-i row.  Cells come in (walk, row)
-        # order, and rows grow with the walk's node, so a stable sort of
-        # the cells by prefix puts them in (prefix, row) order.
-        kept = np.empty(cell_of.max() + 1, dtype=np.int64)
-        kept[cell_of] = np.arange(J)
-        kept = kept[np.argsort(prefix[kept], kind="stable")]
-        renumber = np.empty_like(kept)
-        renumber[cell_of[kept]] = np.arange(kept.shape[0])
-        H_prefix = H_prefix[prefix[kept]] * tree.factor.U[X[kept, i]]
-        prefix = renumber[cell_of]
+            break  # no later mode reads the prefixes
+        # The row step's walks come in row order within a prefix, so
+        # grouping their (walk, row) pairs by prefix puts them in (prefix,
+        # row) order: the next mode's prefixes.
+        kept = walk_prefix[parent]
+        order, prefix, _ = _children(pair_of, kept, H_prefix.shape[0])
+        H_prefix = H_prefix[kept[order]] * U[rows[order]]
 
     if hop:
         _route_meter(ledger, round_id, route[:-1], route[1:], payload_words, P)

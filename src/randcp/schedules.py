@@ -66,7 +66,7 @@ class SolveContext:
         self.workers = workers
         self.round_id = 0
         # Per mode, refreshed after each factor update: the R x R Gram that
-        # exact solves read, or the sampler state that draws read.
+        # exact solves and the fit read, and a sampled run's sampler state.
         self.grams = [None] * len(factors)
         self.states = [None] * len(factors)
         # The reduced last-mode MTTKRP of an exact solve, which the fit after

@@ -295,14 +295,17 @@ class TestNormChecks:
         assert ctx.ledger.records() == {}   # no collective of its own
 
 
-def fit_formula_on_view(t, factors, sigma):
-    """The fit-view formula term by term: whole-factor Grams and one exact
-    MTTKRP over a freshly built last-mode matricization."""
+def fit_formula_on_view(t, factors, sigma, grams=None):
+    """The fit-view formula term by term: the given Grams (whole-factor
+    Grams when None) and one exact MTTKRP over a freshly built last-mode
+    matricization."""
     from randcp.linalg import gram, hadamard_gram_chain
     from randcp.matricization import matricize
     from randcp.mttkrp import mttkrp_exact
     last = t.mode_count - 1
-    model_sq = float(sigma @ hadamard_gram_chain([gram(U) for U in factors]) @ sigma)
+    if grams is None:
+        grams = [gram(U) for U in factors]
+    model_sq = float(sigma @ hadamard_gram_chain(grams) @ sigma)
     M = mttkrp_exact(matricize(t, last), factors)
     cross = float(np.sum(sigma * np.einsum("ir,ir->r", factors[last], M)))
     norm_sq = t.norm_squared()
@@ -319,13 +322,14 @@ def dense_fit(t, factors, sigma):
 
 def record_fits(monkeypatch):
     """Wrap ``als.compute_fit``; returns the list of (factors, sigma, kwargs,
-    fit) of its calls, factors and sigma copied at call time."""
+    fit) of its calls, factors, sigma and Grams copied at call time."""
     from randcp import als
     calls = []
     real = als.compute_fit
 
     def recorded(tensor, factors, sigma, **kw):
         f = real(tensor, factors, sigma, **kw)
+        kw = dict(kw, grams=[G.copy() for G in kw["grams"]])
         calls.append(([U.copy() for U in factors], sigma.copy(), kw, f))
         return f
     monkeypatch.setattr(als, "compute_fit", recorded)
@@ -354,7 +358,7 @@ class TestExactFitFromLastSolve:
     def check_history(t, res, calls):
         assert [f for _, f in res.fit_history] == [f for *_, f in calls]
         for factors, sigma, kw, f in calls:
-            assert kw["mttkrp"] is not None and "mode_mat" not in kw
+            assert kw["mttkrp"] is not None and kw["mode_mat"] is None
             for ref in (fit_formula_on_view(t, factors, sigma), dense_fit(t, factors, sigma)):
                 assert abs(f - ref) <= 1e-12 * abs(ref)
 
@@ -415,5 +419,8 @@ def test_sampled_fit_runs_one_fit_view_mttkrp(monkeypatch, sampler, schedule):
     assert counts == {"schedules": 0, "linalg": 4}
     assert [f for _, f in res.fit_history] == [f for *_, f in calls]
     for factors, sigma, kw, f in calls:
-        assert kw["mode_mat"].mode == 2 and "mttkrp" not in kw
-        assert f == fit_formula_on_view(t, factors, sigma)
+        # the fit view's MTTKRP and the Grams that the factor updates kept
+        assert kw["mode_mat"].mode == 2 and kw["mttkrp"] is None
+        for G, U in zip(kw["grams"], factors):
+            assert np.abs(G - U.T @ U).max() <= 1e-13 * np.abs(G).max()
+        assert f == fit_formula_on_view(t, factors, sigma, grams=kw["grams"])

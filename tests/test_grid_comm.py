@@ -48,8 +48,7 @@ class TestGridPartitions:
         g = ProcessorGrid((13, 7, 5), (2, 2, 2))
         for j in range(3):
             owners = g.row_owner(j, np.arange(g.tensor_dims[j]))
-            for p in range(g.P):
-                lo, hi = g.block_range(j, p)
+            for p, (lo, hi) in enumerate(zip(*g.block_ranges(j))):
                 assert np.all(owners[lo:hi] == p)
 
     def test_lookup_tables_match_searchsorted_definitions(self):

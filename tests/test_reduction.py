@@ -65,13 +65,14 @@ def update_ctx(U, sampler, P, round_id=2):
 
 
 def kept_grams(ctx, k):
-    """Every Gram the update keeps for mode k, with the rows each one sums."""
+    """Every Gram the update keeps for mode k, with the rows each one sums:
+    ``ctx.grams[k]`` for every sampler, and an STS tree's nodes and leaves,
+    whose root is that same Gram."""
     fb = ctx.factors[k]
-    if ctx.sampler == "exact":
-        return [(ctx.grams[k], slice(None))]
-    st = ctx.states[k]
-    out = [(st.gram, slice(None))]
+    out = [(ctx.grams[k], slice(None))]
     if ctx.sampler == "sts":
+        st = ctx.states[k]
+        assert np.shares_memory(st.gram, ctx.grams[k])
         for p, grams_p in enumerate(st.leaf_grams):
             bounds = st.leaf_bounds[p]
             out += [(G, slice(bounds[q], bounds[q + 1])) for q, G in enumerate(grams_p)]

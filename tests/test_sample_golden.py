@@ -53,3 +53,11 @@ def test_sampled_rows_match_golden(tensor, P, sampler, schedule):
 def test_arls_lev_draws_do_not_depend_on_p(tensor, P, schedule):
     # P=1 keeps every factor in one block; P=5 is a 5x1x1x1 grid.
     assert sample_digest(tensor, P, "arls-lev", schedule) == GOLDEN[(6, "arls-lev")]
+
+
+@pytest.mark.parametrize("schedule", ["tensor-stationary", "accumulator-stationary"])
+@pytest.mark.parametrize("P", [1, 5, 6, 8])
+def test_sts_draws_do_not_depend_on_p(tensor, P, schedule):
+    # The tree steps run on no level (P=1), on padded trees (5, 6) and on a
+    # full one (8); only the summation order of the masses changes.
+    assert sample_digest(tensor, P, "sts", schedule) == GOLDEN[(6, "sts")]

@@ -56,7 +56,6 @@ class TestArlsBuild:
         fb = FactorBlocks(np.eye(2), [0], [2])
         st = arls_lev_build(fb)
         assert np.allclose(st.dist, [0.5, 0.5])
-        assert np.allclose(st.C, [2.0])
 
     def test_duplicate_rows_equal_weights(self):
         row = np.array([1.0, 2.0, -1.0])
@@ -72,8 +71,6 @@ class TestArlsBuild:
         st = arls_lev_build(fb)
         ref = exact_krp_leverage_oracle([U])
         assert np.abs(st.dist - ref).max() < 1e-12
-        masses = [ref[lo:hi].sum() for lo, hi in zip(fb.lows, fb.his)]
-        assert np.abs(st.C / st.C.sum() - masses).max() < 1e-12
 
 
 class TestArlsSample:
@@ -355,7 +352,7 @@ class TestStsSample:
 
 def leaf_tree(W, offs, grams):
     """A one-rank tree over W with leaves at row offsets ``offs`` and
-    Grams ``grams``; only the leaf search reads it."""
+    Grams ``grams``; only the leaf-block and row steps read it."""
     return samplers.LeverageTree(FactorBlocks(W, [0], [W.shape[0]]), [None], None,
                                  np.asarray(offs, dtype=np.int64)[None, :], [grams])
 
@@ -365,12 +362,39 @@ def one_walk_each(n_walks):
     return np.zeros(n_walks, dtype=np.int64), np.arange(n_walks)
 
 
+def leaf_then_row(tree, cond, designs, walk_rank, walk_row, walk_of, r):
+    """The leaf-block and row steps of ``sts_sample`` (two ``_descend``
+    steps joined by ``_children``) for walks on ranks ``walk_rank``, in
+    ascending order, with design rows ``designs[walk_row]``; sample s
+    follows walk ``walk_of[s]`` with residual ``r[s]``.
+
+    Returns each sample's global row, its probability, and its (design
+    row, row) cell numbered in that order, as the prefix extension numbers
+    the next prefixes.
+    """
+    P, width = tree.leaf_bounds.shape[0], tree.leaf_bounds.shape[1] - 1
+    lo, hi = tree.leaf_bounds[:, :-1].ravel(), tree.leaf_bounds[:, 1:].ravel()
+    pair_of, parent, leaf, p_leaf, r = samplers._descend(
+        designs, walk_row, walk_of, r, np.searchsorted(walk_rank, np.arange(P + 1)),
+        lambda p: tree.leaf_grams[p] * cond, width)
+    cell = walk_rank[parent] * width + leaf
+    order, walk_of, group_at = samplers._children(pair_of, cell, lo.size)
+    cell, walk_row = cell[order], walk_row[parent[order]]
+    U = tree.factor.U
+    pair_of, parent, q, p_row, _ = samplers._descend(
+        designs, walk_row, walk_of, r, group_at,
+        lambda c: U[lo[c]:hi[c], :, None] * U[lo[c]:hi[c], None, :] * cond,
+        int((hi - lo)[cell].max()))
+    _, cells, _ = samplers._children(pair_of, walk_row[parent], designs.shape[0])
+    return (lo[cell[parent]] + q).take(pair_of), p_leaf * p_row, cells
+
+
 def leaf_search(h, W, leaf_grams, offs, cond, r):
     """Local rows picked by one design row ``h`` at each residual in ``r``."""
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     tree = leaf_tree(W, offs, leaf_grams)
-    rows, _, _ = samplers._leaf_search(tree, cond, np.asarray(h, dtype=np.float64)[None, :],
-                                       *one_walk_each(1), np.zeros(r.size, dtype=np.int64), r)
+    rows, _, _ = leaf_then_row(tree, cond, np.asarray(h, dtype=np.float64)[None, :],
+                               *one_walk_each(1), np.zeros(r.size, dtype=np.int64), r)
     return rows
 
 
@@ -437,16 +461,11 @@ class TestBatchedLeafSearch:
 
     @staticmethod
     def check_matches(tree, cond, designs, which, r, expected):
-        rows, prob, cells = samplers._leaf_search(
+        rows, prob, cells = leaf_then_row(
             tree, cond, designs, *one_walk_each(len(designs)), which, r)
         assert np.array_equal(rows, np.tile(np.arange(11), len(designs)))
         assert np.allclose(prob, expected, rtol=1e-12, atol=0.0)
-        assert np.array_equal(cells, np.arange(which.size))  # (walk, row) order
-        # the last visited mode skips the cell ids; the draws stay bit-identical
-        rows_only, prob_only, none = samplers._leaf_search(
-            tree, cond, designs, *one_walk_each(len(designs)), which, r, cells=False)
-        assert none is None
-        assert np.array_equal(rows_only, rows) and np.array_equal(prob_only, prob)
+        assert np.array_equal(cells, np.arange(which.size))  # (design row, row) order
 
     @pytest.mark.parametrize("leaf_size", [1, 3, 11])
     def test_matches_row_enumeration(self, leaf_size):
@@ -462,15 +481,12 @@ class TestBatchedLeafSearch:
 
     def test_shared_design_rows_and_chunks(self, monkeypatch):
         tree, cond, designs, which, r, _ = self.case(3)
-        shared = samplers._leaf_search(tree, cond, designs, *one_walk_each(len(designs)),
-                                       which, r)
+        shared = leaf_then_row(tree, cond, designs, *one_walk_each(len(designs)), which, r)
         # one walk per sample, each naming its design row
-        per_sample = samplers._leaf_search(tree, cond, designs,
-                                           np.zeros(which.size, dtype=np.int64), which,
-                                           np.arange(which.size), r)
+        per_sample = leaf_then_row(tree, cond, designs, np.zeros(which.size, dtype=np.int64),
+                                   which, np.arange(which.size), r)
         monkeypatch.setattr(samplers, "LEAF_SEARCH_BUDGET", 1)   # one walk per chunk
-        chunked = samplers._leaf_search(tree, cond, designs, *one_walk_each(len(designs)),
-                                        which, r)
+        chunked = leaf_then_row(tree, cond, designs, *one_walk_each(len(designs)), which, r)
         # single-row products may round differently, so only the rows are exact
         for other in (per_sample, chunked):
             assert np.array_equal(other[0], shared[0])
@@ -482,15 +498,14 @@ def test_inverse_cdf_rescales_midpoints_and_skips_padding():
     tiny = np.nextafter(0.0, 1.0)
     masses = np.array([[1.0, 3.0, 0.0, 2.0, 0.0, 0.0],
                        [4.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-                       [2 * tiny, tiny, 0.0, 0.0, 0.0, 0.0]])
-    count = np.array([4, 1, 2])   # the trailing zeros are padding
+                       [2 * tiny, tiny, 0.0, 0.0, 0.0, 0.0]])   # trailing zeros pad
     of = np.array([0, 0, 0, 1, 0, 1, 2])
     top = samplers._ONE_BELOW
     r = np.array([0.5 / 6, 2.5 / 6, 5.0 / 6, 0.5, top, top, top])
     # one walk per row above; the search takes walks as columns
-    choice, prob, r_out = samplers._inverse_cdf(masses.T.copy(), of, r, count)
-    # subnormal masses round r * total up to total: only the clamp keeps
-    # the last draw off the padding
+    choice, prob, r_out = samplers._inverse_cdf(masses.T.copy(), of, r)
+    # r * total would round up to the total of the subnormal masses; the
+    # normalized CDF still ends at exactly 1, so the draw stays off the padding
     assert np.array_equal(choice, [0, 1, 3, 0, 3, 0, 1])
     assert np.allclose(prob, [1 / 6, 3 / 6, 2 / 6, 1.0, 2 / 6, 1.0, 1 / 3], rtol=1e-15)
     assert np.allclose(r_out[:4], 0.5, atol=1e-12)   # midpoints stay midpoints
@@ -536,25 +551,25 @@ class TestLeafSearchAcrossRanks:
     def test_matches_row_enumeration_per_rank(self, monkeypatch, budget):
         tree, cond, designs, walk_rank, walk_row, which, r, rows, expected = self.case()
         monkeypatch.setattr(samplers, "LEAF_SEARCH_BUDGET", budget)
-        got, prob, cells = samplers._leaf_search(tree, cond, designs, walk_rank, walk_row,
-                                                 which, r)
+        got, prob, cells = leaf_then_row(tree, cond, designs, walk_rank, walk_row, which, r)
         assert np.array_equal(got, rows)
         assert np.allclose(prob, expected, rtol=1e-12, atol=0.0)
-        assert np.array_equal(cells, np.arange(which.size))
+        # cells go by design row, then row: walks (rank, design) regroup
+        assert np.array_equal(np.argsort(cells), np.lexsort((rows, walk_row[which])))
 
     def test_residual_one_below_lands_on_last_real_row(self):
         tree, cond, designs, walk_rank, walk_row, *_ = self.case()
         r = np.full(walk_rank.size, samplers._ONE_BELOW)
-        got, prob, _ = samplers._leaf_search(tree, cond, designs, walk_rank, walk_row,
-                                             np.arange(walk_rank.size), r)
+        got, prob, _ = leaf_then_row(tree, cond, designs, walk_rank, walk_row,
+                                     np.arange(walk_rank.size), r)
         assert np.array_equal(got, tree.factor.his[walk_rank] - 1)
         assert (prob > 0.0).all()
 
     def test_walk_on_an_empty_rank_errors(self):
         tree, cond, designs, *_ = self.case()
-        with pytest.raises(DegenerateWalkError):
-            samplers._leaf_search(tree, cond, designs, np.array([1]), np.array([0]),
-                                  np.zeros(1, dtype=np.int64), np.array([0.5]))
+        with pytest.raises(DegenerateWalkError, match="zero total mass"):
+            leaf_then_row(tree, cond, designs, np.array([1]), np.array([0]),
+                          np.zeros(1, dtype=np.int64), np.array([0.5]))
 
 
 def test_leaf_search_temporaries_stay_within_budget(monkeypatch):
@@ -569,8 +584,8 @@ def test_leaf_search_temporaries_stay_within_budget(monkeypatch):
     monkeypatch.setattr(samplers, "LEAF_SEARCH_BUDGET", 1 << 12)
     tracemalloc.start()
     try:
-        rows, _, _ = samplers._leaf_search(tree, np.eye(2), np.ones((1, 2)), *one_walk_each(1),
-                                           np.zeros(J, dtype=np.int64), r)
+        rows, _, _ = leaf_then_row(tree, np.eye(2), np.ones((1, 2)), *one_walk_each(1),
+                                   np.zeros(J, dtype=np.int64), r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -691,8 +706,8 @@ def test_state_owns_its_factor_and_gram(build, sample):
         if build is sts_build:  # the tree's upward exchange sums it: the root
             assert np.array_equal(st.gram, st.node_grams[0][0])
             assert np.abs(st.gram - gram(fb)).max() <= 1e-13 * np.abs(st.gram).max()
-        else:
-            assert np.array_equal(st.gram, gram(fb))
+        else:  # the leverage comes from the factor's Gram, given or reduced
+            assert np.array_equal(st.dist, arls_lev_build(fb, gram_matrix=gram(fb)).dist)
     # Update mode 0 in place so that only row 3 keeps leverage mass, then
     # rebuild its state: every draw must read the new rows.
     blocks[0].U[:] = 0.0
@@ -706,19 +721,16 @@ def test_state_owns_its_factor_and_gram(build, sample):
     assert np.array_equal(H, blocks[0].U[3] * blocks[1].U[X[:, 1]])
 
 
-def head_inverse_cdf(masses, of, r, count):
-    """The (walks x segments) inverse CDF that the (segments x walks)
-    search replaced, kept as the bitwise reference."""
+def head_inverse_cdf(masses, of, r):
+    """The same arithmetic in a (walks x segments) layout, with a
+    (samples x segments) comparison: the bitwise reference."""
     cdf = np.cumsum(masses, axis=1)
-    total = cdf[:, -1][of]
-    target = r * total
-    choice = np.count_nonzero(cdf[of] <= target[:, None], axis=1)
-    choice = np.minimum(choice, count[of] - 1)
-    picked = masses[of, choice]
-    prev = cdf[of, choice] - picked
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r_out = np.where(picked > 0.0, (target - prev) / picked, 0.0)
-    return choice, picked / total, np.clip(r_out, 0.0, samplers._ONE_BELOW)
+    total = cdf[:, -1:]
+    prob, cdf = masses / total, cdf / total
+    choice = np.count_nonzero(cdf[of] <= r[:, None], axis=1)
+    picked = prob[of, choice]
+    start = (cdf - prob)[of, choice]
+    return choice, picked, np.clip((r - start) / picked, 0.0, samplers._ONE_BELOW)
 
 
 def test_inverse_cdf_matches_reference_and_searchsorted():
@@ -731,7 +743,7 @@ def test_inverse_cdf_matches_reference_and_searchsorted():
     masses[:5] = gen.integers(0, 4, (5, width))       # exact segment boundaries
     masses[np.arange(width) >= count[:, None]] = 0.0  # padding
     masses[:, 0] += masses.sum(axis=1) == 0.0         # every walk has mass
-    # subnormal masses round r * total up to total at r = _ONE_BELOW
+    # subnormal masses, whose r * total rounds up to the total at _ONE_BELOW
     count[5] = 2
     masses[5] = 0.0
     masses[5, :2] = 2 * 5e-324, 5e-324
@@ -744,32 +756,27 @@ def test_inverse_cdf_matches_reference_and_searchsorted():
             of.append(w)
             r.append(x)
     of, r = np.array(of), np.array(r)
-    got = samplers._inverse_cdf(masses.T.copy(), of, r, count)
-    ref = head_inverse_cdf(masses, of, r, count)
+    got = samplers._inverse_cdf(masses.T.copy(), of, r)
+    ref = head_inverse_cdf(masses, of, r)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
-    # one searchsorted per sample, clamped to the walk's last real segment
-    expect = [min(int(np.searchsorted(cdf[w], x * total[w], side="right")), count[w] - 1)
-              for w, x in zip(of, r)]
+    # one searchsorted per sample over the walk's normalized CDF
+    expect = [int(np.searchsorted(cdf[w] / total[w], x, side="right")) for w, x in zip(of, r)]
     assert np.array_equal(got[0], expect)
-    assert (masses[of, got[0]] > 0.0).all()
-
-
-def test_branch_matches_the_two_branch_update():
-    tiny = np.finfo(float).tiny
-    values = np.unique(np.concatenate([
-        [0.0, 5e-324, 2.0 ** -53, 0.25, 0.5, 0.75, samplers._ONE_BELOW, 1.0],
-        np.random.default_rng(40).integers(0, 1 << 53, 40) * 2.0 ** -53]))
-    r, T = (a.ravel() for a in np.meshgrid(values[values < 1.0], values))
-    right, p, r_new = samplers._branch(r, T)
-    ref_right = r >= T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ref_r = np.where(ref_right, (r - T) / np.maximum(1.0 - T, tiny),
-                         r / np.maximum(T, tiny))
-    assert np.array_equal(right, ref_right)
-    assert np.array_equal(p, np.where(ref_right, 1.0 - T, T))
-    assert np.array_equal(r_new, np.clip(ref_r, 0.0, samplers._ONE_BELOW))
-    assert right[T == 0.0].all() and not right[T == 1.0].any()
+    assert (got[0] < count[of]).all() and (masses[of, got[0]] > 0.0).all()
+    # Two segments, as at a tree level (masses left, right per walk): a tie
+    # goes right, and a zero-mass child is never picked.
+    top = samplers._ONE_BELOW
+    pair = np.array([[1.0, 3.0], [1.0, 3.0], [1.0, 3.0], [0.0, 2.0], [0.0, 2.0],
+                     [3.0, 0.0], [3.0, 0.0]])
+    of = np.arange(pair.shape[0])
+    r = np.array([0.25, np.nextafter(0.25, 0.0), 0.0, 0.0, top, 0.0, top])
+    got = samplers._inverse_cdf(pair.T.copy(), of, r)
+    for a, b in zip(got, head_inverse_cdf(pair, of, r)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got[0], [1, 0, 0, 1, 1, 0, 0])
+    assert np.array_equal(got[1], [0.75, 0.25, 0.25, 1.0, 1.0, 1.0, 1.0])
+    assert got[2][0] == 0.0 and (got[2] <= top).all()
 
 
 class TestMassKernelAtRank25:
@@ -808,8 +815,7 @@ class TestMassKernelAtRank25:
         # steer one sample to the middle of each row's segment
         which = np.concatenate([np.full(m.size, w) for w, m in enumerate(forms)])
         r = np.concatenate([(np.cumsum(m) - 0.5 * m) / m.sum() for m in forms])
-        rows, prob, _ = samplers._leaf_search(tree, cond, designs, walk_rank, walk_row,
-                                              which, r)
+        rows, prob, _ = leaf_then_row(tree, cond, designs, walk_rank, walk_row, which, r)
         expect = np.concatenate([m / m.sum() for m in forms])
         assert np.array_equal(rows, np.concatenate(
             [np.arange(tree.factor.lows[p], tree.factor.his[p]) for p in walk_rank]))
@@ -834,8 +840,8 @@ def test_mass_kernel_temporaries_stay_within_budget(monkeypatch, spread):
     monkeypatch.setattr(samplers, "LEAF_SEARCH_BUDGET", budget)
     tracemalloc.start()
     try:
-        rows, _, _ = samplers._leaf_search(tree, np.eye(R), designs, *one_walk_each(J),
-                                           np.arange(J), r)
+        rows, _, _ = leaf_then_row(tree, np.eye(R), designs, *one_walk_each(J),
+                                   np.arange(J), r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
