@@ -68,7 +68,8 @@ def build_parser():
                    choices=sorted(verifymod.SUITES) + ["all"])
     v.add_argument("--seed", type=int, default=0)
 
-    c = sub.add_parser("comm-report", help="run one round per schedule and print the ledger")
+    c = sub.add_parser("comm-report", help="run one round each of exact, STS and ARLS-LEV "
+                       "and print the ledgers")
     c.add_argument("--tensor", required=True)
     c.add_argument("--rank", type=_positive_int, default=8)
     c.add_argument("--samples", type=_positive_int, default=1 << 10)
@@ -144,10 +145,10 @@ def cmd_comm_report(args) -> int:
     print("analytic exact tensor-stationary words/round (all ranks): %d"
           % gridmod.ts_exact_round_words_total(grid, R))
     print("analytic accumulator gather words/solve (all ranks, sts): %d"
-          % gridmod.as_gather_words_total_per_solve(args.samples, R, grid.N,
-                                                    grid.P, "sts"))
+          % gridmod.as_gather_words_total_per_solve(args.samples, R, grid.N, grid.P))
     for sampler, schedule in (("exact", "tensor-stationary"),
-                              ("sts", "accumulator-stationary")):
+                              ("sts", "accumulator-stationary"),
+                              ("arls-lev", "tensor-stationary")):
         cfg = AlsConfig(rank=R, rounds=1, tensor_path=None, sampler=sampler,
                         samples=args.samples, schedule=schedule, procs=args.procs,
                         seed=args.seed, fit_every=1, permute=False, compute_fits=False)

@@ -370,10 +370,10 @@ def ts_exact_round_words_total(grid: ProcessorGrid, R: int) -> int:
     return 2 * total
 
 
-def as_gather_words_total_per_solve(J, R, N, P, sampler) -> int:
-    """Closed-form accumulator-stationary gather words per mode solve,
-    summed over all ranks.  STS routes indices and step probabilities with
-    the rows (R+2 words per sample per constant mode); CP-ARLS-LEV
-    replicated them during sampling so only rows move (R words)."""
-    per_sample = (R + 2) if sampler == "sts" else R
-    return (P - 1) * J * (N - 1) * per_sample
+def as_gather_words_total_per_solve(J, R, N, P) -> int:
+    """Closed-form STS accumulator-stationary gather words per mode solve,
+    summed over all ranks: only a sample's owner knows its tuple, so its
+    row travels with its index and step probability, R+2 words per sample
+    per constant mode.  (ARLS-LEV replicates its tuples while sampling, so
+    its rows move once per distinct row, which no closed form in J gives.)"""
+    return (P - 1) * J * (N - 1) * (R + 2)

@@ -50,6 +50,11 @@ class FactorBlocks:
     def R(self):
         return self.U.shape[1]
 
+    def block_sums(self, values):
+        """Per block, the sum of ``values`` (one per factor row) over its rows."""
+        cs = np.concatenate(([0], np.cumsum(values)))
+        return cs[self.his] - cs[self.lows]
+
     def copy(self):
         return FactorBlocks(self.U.copy(), self.lows, self.his)
 

@@ -12,8 +12,10 @@ states of all modes, ``(states, k, J, seed)``.
   each off mode it draws J iid rows at once, as one multinomial over the
   factor's rows on the shared stream, expanded and shuffled.  A
   multinomial over rows, grouped by block, is a multinomial over the
-  ranks' masses followed by each rank's local draw, so the per-rank split
-  that the ledger meters is the block sum of the row counts.
+  ranks' masses followed by each rank's local draw, so each rank
+  allgathers only its block's drawn rows with their counts: the ledger
+  meters 3 words per distinct drawn row, and every rank rebuilds the
+  same J draws from the counts and the shared permutation.
 
 * exact sampler (``sts_build`` -> ``LeverageTree``): draws from the exact
   Khatri-Rao leverage distribution by walking a binary tree of partial
@@ -35,8 +37,9 @@ states of all modes, ``(states, k, J, seed)``.
 
 Sampled rows are reweighted by 1 / sqrt(J * p_s), the scaling that makes
 the sketched normal equations unbiased.  A batch keeps all J draws,
-repeats included: that is what the samplers communicate and what the
-ledger meters.  A batch holds the drawn index tuples and probabilities,
+repeats included, as the solve's weights need them; what moves is
+metered per distinct row wherever the tuples are replicated first
+(``schedules``).  A batch holds the drawn index tuples and probabilities,
 not design rows: the solve merges repeated draws into one column whose
 squared weight is the sum of its copies' squared weights, and forms the
 design row of each distinct column once (``schedules.distinct_columns``).
@@ -175,7 +178,9 @@ def arls_lev_sample(states, k, J, seed, round_id=0, ledger=None) -> SampleBatch:
     For each constant mode independently: count every row's draws by a
     consistent multinomial over its leverage distribution, expand the
     counts into rows and apply the shared-stream permutation.  Each rank
-    allgathers its block's draws, so every rank holds the result.
+    allgathers its block's distinct drawn rows as (row, count, leverage)
+    triples, from which every rank rebuilds the same draws, so every rank
+    holds the result.
     """
     N = len(states)
     if J == 0:
@@ -187,10 +192,9 @@ def arls_lev_sample(states, k, J, seed, round_id=0, ledger=None) -> SampleBatch:
             continue
         st = states[i]
         counts = consistent_multinomial(st.dist, J, seed, round_id, k, i)
-        cs = np.concatenate(([0], counts.cumsum()))
-        split = cs[st.factor.his] - cs[st.factor.lows]
-        # Allgather of every rank's (row, probability) pairs.
-        gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(split.size), 2 * split)
+        # Allgather of every rank's distinct drawn (row, count, leverage) triples.
+        gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(st.factor.n_blocks),
+                      3 * st.factor.block_sums(counts > 0))
         perm = rng.stream(seed, rng.SHUFFLE, round_id, k, i).permutation(J)
         X[:, i] = rows = np.repeat(np.arange(counts.size), counts)[perm]
         per_mode_prob[:, i] = st.dist.take(rows)

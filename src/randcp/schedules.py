@@ -7,16 +7,17 @@ communication schedules differ only in what they move:
 tensor-stationary: nonzeros stay on their grid cell.  Factor blocks are
 allgathered within per-mode slice groups (``refresh_gathered`` meters
 this after every update of an exact run; a rank then reads its chunk's
-rows in place), sketched solves gather only the sampled rows and
+rows in place), sketched solves gather only the distinct sampled rows and
 allreduce the sketched Gram, and the MTTKRP accumulator is
 reduce-scattered along the solved mode's slices.  Sampling does not
 shrink the reduction.
 
 accumulator-stationary: each rank's output block stays put.  Only
-sampled rows (plus their indices and probabilities) are allgathered to
-everyone, each rank's downsampled MTTKRP rows are scattered into its
-stationary block, and no reduction occurs.  Defined only for sketched
-solves; exact solves must use the tensor-stationary schedule.
+sampled rows (with an STS sample's index and probability) are
+allgathered to everyone, each rank's downsampled MTTKRP rows are
+scattered into its stationary block, and no reduction occurs.  Defined
+only for sketched solves; exact solves must use the tensor-stationary
+schedule.
 
 Every rank's MTTKRP is one kernel call over the mode's whole-mode view
 of the nonzeros (``LocalTensorSet.views``), which returns the reduced
@@ -32,7 +33,15 @@ solve the J draws are merged into their distinct off-mode columns, each
 carrying the summed squared weight of its copies (the sketch S^T S is
 unchanged), and each distinct column's design row is formed once from
 the factors.  One extraction then searches each distinct column once
-over the view.  Metering still follows the J draws.
+over the view.
+
+Sampled rows move once per distinct row wherever the tuples are
+replicated first: every ARLS-LEV batch (its sampler allgathers the
+drawn rows with their counts) and every tensor-stationary batch (an STS
+batch's tuples are broadcast first).  Each rank then indexes the rows
+per draw on its own.  Only an STS batch under accumulator-stationary
+moves a row with each sample, since only the sample's owner knows its
+tuple.
 """
 
 import time
@@ -261,8 +270,21 @@ def _reduce_along_mode(ctx, k, acc):
     return acc
 
 
+def _drawn_rows(X, i, fb):
+    """Per rank, the distinct mode-i rows of the tuples ``X`` in its block of
+    the factor ``fb``: one O(J + I_i) mask, no sort."""
+    drawn = np.zeros(fb.U.shape[0], dtype=bool)
+    drawn[X[:, i]] = True
+    return fb.block_sums(drawn)
+
+
 def _meter_sampled_gathers_ts(ctx, k, batch):
-    """Ledger traffic for the sampled-row gathers of a tensor-stationary solve."""
+    """Ledger traffic for the sampled-row gathers of a tensor-stationary solve.
+
+    Every rank holds the batch's tuples before any row moves (an STS batch
+    has its tuples broadcast first), so each distinct drawn row goes once
+    from its owner to the slice group of the row's chunk, and every rank
+    indexes the rows per draw on its own."""
     grid = ctx.grid
     if grid.P == 1:
         return
@@ -275,8 +297,7 @@ def _meter_sampled_gathers_ts(ctx, k, batch):
         if i == k:
             continue
         # A row's owner sits in the slice group of the row's chunk.
-        words = np.bincount(grid.row_owner(i, batch.X[:, i]), minlength=grid.P) \
-            * ctx.factors[i].R
+        words = _drawn_rows(batch.X, i, ctx.factors[i]) * ctx.factors[i].R
         for c in range(grid.grid_dims[i]):
             group = grid.slice_group(i, c)
             if words[group].any():  # some sample drew a row of chunk c
@@ -285,12 +306,17 @@ def _meter_sampled_gathers_ts(ctx, k, batch):
 
 def _meter_sampled_gathers_as(ctx, k, batch):
     """Ledger traffic for the sampled-row allgathers of an accumulator-stationary
-    solve: every rank receives every sampled row, and with an exact-sampler
-    batch its index and probability too."""
+    solve: every rank receives every sampled row.  A replicated batch
+    (``owner`` None) moves each distinct drawn row once; an exact-sampler
+    batch's tuples are known only to their owners, so each sample's row
+    travels with its index and probability."""
     grid = ctx.grid
-    per_sample = ctx.factors[k].R + 2 if batch.owner is not None else ctx.factors[k].R
+    R = ctx.factors[k].R
     for i in range(grid.N):
-        if i != k:
-            counts = np.bincount(grid.row_owner(i, batch.X[:, i]), minlength=grid.P)
-            _meter_allgather_model(ctx.ledger, ctx.round_id, list(range(grid.P)),
-                                   counts * per_sample)
+        if i == k:
+            continue
+        if batch.owner is None:
+            words = _drawn_rows(batch.X, i, ctx.factors[i]) * R
+        else:
+            words = np.bincount(grid.row_owner(i, batch.X[:, i]), minlength=grid.P) * (R + 2)
+        _meter_allgather_model(ctx.ledger, ctx.round_id, list(range(grid.P)), words)

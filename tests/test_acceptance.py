@@ -280,8 +280,7 @@ def test_criterion_7_ledger_cost_shapes():
         res = run_als(cfg, tensor=t)
         assert res.ledger.words(kind=gridmod.REDUCE_SCATTER) == 0
         gather_words[J] = res.ledger.words(kind=gridmod.ALLGATHER, round_id=1)
-        assert gather_words[J] == 3 * gridmod.as_gather_words_total_per_solve(
-            J, R, 3, 4, "sts")
+        assert gather_words[J] == 3 * gridmod.as_gather_words_total_per_solve(J, R, 3, 4)
     assert gather_words[1 << 12] * (1 << 10) == gather_words[1 << 10] * (1 << 12)
 
     # (b) tensor-stationary reduce-scatter words independent of J

@@ -128,7 +128,22 @@ def test_comm_report(tns_file, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "analytic exact tensor-stationary" in out
-    assert "kind=allgather" in out
+    sections = {}
+    for part in out.split("--- ")[1:]:
+        title, body = part.split(" ---\n", 1)
+        sections[title] = body
+    assert sorted(sections) == ["arls-lev / tensor-stationary", "exact / tensor-stationary",
+                                "sts / accumulator-stationary"]
+    assert all("kind=allgather" in body for body in sections.values())
+    # ARLS-LEV moves each distinct drawn row once: at most every row of every
+    # off mode, as a 3-word (row, count, leverage) triple and an R-word factor
+    # row, to the P-1 other ranks, plus each rebuild's one mass per rank.  A
+    # meter per draw would exceed this bound 5-fold at J=128.
+    N, P, R, rows = 3, 4, 3, 8
+    words = sum(int(line.split("words=")[1].split()[0])
+                for line in sections["arls-lev / tensor-stationary"].splitlines()
+                if line.startswith("record round=1 kind=allgather"))
+    assert 0 < words <= N * (N - 1) * (P - 1) * rows * (3 + R) + N * P * (P - 1)
 
 
 @pytest.mark.parametrize("flag", ["--procs", "--rank", "--samples"])

@@ -18,21 +18,21 @@ GOLDEN = {
     (6, "exact", "tensor-stationary"):
         "e20041491d8671933590792651f333c0695fa42edeca338e111ad4fb58afa97f",
     (6, "arls-lev", "tensor-stationary"):
-        "d23fcbc99f4670fb64a24d7fc0f3fceb74d6c5532853c8e7b80e615aa4d29e7a",
+        "ad26051f1221d279efbc5d10320652dd241ddf2ab41d1b8f04c490a39135634e",
     (6, "arls-lev", "accumulator-stationary"):
-        "ec48696ee63cbfaaf12659f53a573dd3b44b32c29a5ea225686f5b57a4953437",
+        "a23fe75cb73eedbc1349743b0ffa700f7e1d0e9c6cb486ec5b6440c5cbf7c3de",
     (6, "sts", "tensor-stationary"):
-        "5d740bdb947534d8b6f39b8aa4b0ca3baba9b291eb0a39063f26c22b1763ffb5",
+        "4aa9c4c02366838bd6391df9f1d2ebd000bcd7feab96f6ca91d2279b3f6a0e2c",
     (6, "sts", "accumulator-stationary"):
         "2ec32b73b326f19ba9518bda0d4ba597103731585e4c2e32538765b607c120c8",
     (8, "exact", "tensor-stationary"):
         "dafc722efb4e59c1e2763f7f0c76ab80fe1abb435da96b7e336e3f22da1c0fe7",
     (8, "arls-lev", "tensor-stationary"):
-        "fa1ecbf52f5c852c312c1c80ee99a38176d56a25705cff54461d2a3d865c29f5",
+        "6c3f607978feda21f517a33973a7b07d6c84eacde9c2ca5f2e5d4078157f2466",
     (8, "arls-lev", "accumulator-stationary"):
-        "96579f818e601b33389c3f0222d2210e266a44685e841edf275d00c642578392",
+        "8fddd8dce94f4a2eb61a15fc918d72cbe58b730d27c80d534ea394e08bb06c1a",
     (8, "sts", "tensor-stationary"):
-        "7fd1137a67b2be1e991c09603efc891576793561a2e6fa99121cd2f6bb01d8ac",
+        "dd25f01fad70e60965cd43f8b54407c0707c8488d1bdfc3232cf1c8f0675c11c",
     (8, "sts", "accumulator-stationary"):
         "8dcf2a532c73d28387ae4367d825fe46a7cb3a18e474601dff3600716df0714b",
 }

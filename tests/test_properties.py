@@ -2,10 +2,12 @@
 that is not a power of two, grids with more chunks than rows (so some
 ranks hold nothing), and rank R above a mode dimension."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from randcp import grid as gridmod
+from randcp import grid as gridmod, schedules
 from randcp.als import AlsConfig, run_als
 from randcp.matricization import Matricization, column_levels
 from randcp.samplers import SampleBatch
@@ -39,7 +41,14 @@ def test_round_ledger_matches_closed_forms(case, R, sampler, J):
     schedule = "tensor-stationary" if sampler == "exact" else "accumulator-stationary"
     cfg = AlsConfig(rank=R, rounds=1, sampler=sampler, samples=J, schedule=schedule,
                     grid_dims=g.grid_dims, seed=J, permute=False, compute_fits=False)
-    led = run_als(cfg, tensor=t).ledger
+    batches, draw = [], schedules.draw_batch
+
+    def recording_draw(ctx, k):
+        batches.append((k, draw(ctx, k)))
+        return batches[-1][1]
+
+    with mock.patch.object(schedules, "draw_batch", recording_draw):
+        led = run_als(cfg, tensor=t).ledger
     gathered = led.words(kind=gridmod.ALLGATHER, round_id=1)
     reduced = led.words(kind=gridmod.REDUCE_SCATTER, round_id=1)
     N, P = t.mode_count, g.P
@@ -47,12 +56,16 @@ def test_round_ledger_matches_closed_forms(case, R, sampler, J):
         assert gathered + reduced == gridmod.ts_exact_round_words_total(g, R)
         return
     assert reduced == 0
-    expected = N * gridmod.as_gather_words_total_per_solve(J, R, N, P, sampler)
-    if sampler == "arls-lev":
-        # Each solve's draws also allgather a (row, probability) pair per sample
-        # and constant mode, and each rebuild allgathers one mass per rank.
-        expected += N * (N - 1) * (P - 1) * 2 * J + N * P * (P - 1)
-    assert gathered == expected
+    if sampler == "sts":
+        assert gathered == N * gridmod.as_gather_words_total_per_solve(J, R, N, P)
+        return
+    # ARLS-LEV: per solve and constant mode, every distinct drawn row goes to
+    # the P-1 other ranks twice, as a (row, count, leverage) triple while
+    # sampling and as its R-word factor row; each rebuild allgathers one mass
+    # per rank.
+    assert [k for k, _ in batches] == list(range(N))
+    distinct = sum(np.unique(b.X[:, i]).size for k, b in batches for i in range(N) if i != k)
+    assert gathered == (P - 1) * (3 + R) * distinct + N * P * (P - 1)
 
 
 # Off-mode index spaces needing one, two and three int64 column levels;

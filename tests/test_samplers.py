@@ -149,12 +149,17 @@ class TestArlsSample:
         batch = arls_lev_sample(states, 2, J, seed=9, round_id=1, ledger=ledger)
         received = np.zeros(g.P, dtype=np.int64)
         for i in (0, 1):
-            counts = np.bincount(g.row_owner(i, batch.X[:, i]), minlength=g.P)
-            assert counts.sum() == J and (counts == 0).any()
-            received += 2 * J - 2 * counts  # the other ranks' (row, prob) pairs
+            rows, counts = np.unique(batch.X[:, i], return_counts=True)
+            assert counts.sum() == J and (counts > 1).any()
+            sent = np.bincount(g.row_owner(i, rows), minlength=g.P)
+            assert (sent == 0).any()
+            # the other ranks' (row, count, leverage) triples, one per distinct row
+            received += 3 * (sent.sum() - sent)
         words = [ledger.words(kind=gridmod.ALLGATHER, round_id=1, rank=p) for p in range(g.P)]
         assert words == received.tolist()
-        assert sum(words) == 2 * (g.P - 1) * 2 * J
+        assert sum(words) == (g.P - 1) * 3 * sum(np.unique(batch.X[:, i]).size for i in (0, 1))
+        assert [ledger.messages(kind=gridmod.ALLGATHER, round_id=1, rank=p)
+                for p in range(g.P)] == [2 * (g.P - 1)] * g.P
 
     def test_zero_leverage_row_never_drawn(self):
         gen = np.random.default_rng(10)

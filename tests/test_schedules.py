@@ -193,7 +193,7 @@ class TestAccumulatorStationary:
                             permute=False, compute_fits=False)
             res = run_als(cfg, tensor=t)
             words[J] = res.ledger.words(kind=gridmod.ALLGATHER, round_id=1)
-            pred = 3 * gridmod.as_gather_words_total_per_solve(J, 2, 3, 4, "sts")
+            pred = 3 * gridmod.as_gather_words_total_per_solve(J, 2, 3, 4)
             assert words[J] == pred
         assert words[128] == 2 * words[64]
 
@@ -253,6 +253,105 @@ def repeated_batch(dims, factors, k, n_distinct, J, seed):
     batch = SampleBatch(X, np.ones(X.shape), gen.random(J) + 0.05)
     sample_weights(batch)
     return batch, H
+
+
+def direct_gather_count(grid, batch, k, schedule, R):
+    """Allgather words and messages each rank receives for a solve's sampled
+    rows, counted directly.  Under tensor-stationary, and for a replicated
+    batch (``owner`` None) under accumulator-stationary, each distinct
+    drawn row (``np.unique``) goes once from its owner to its chunk's slice
+    group or to every rank; an STS batch under accumulator-stationary sends
+    a row, index and probability per sample, and under tensor-stationary
+    first broadcasts every sample's tuple and probability."""
+    P, N = grid.P, grid.N
+    words = np.zeros(P, dtype=np.int64)
+    msgs = np.zeros(P, dtype=np.int64)
+
+    def gather(group, sent):
+        words[group] += sent.sum() - sent
+        msgs[group] += len(group) - 1
+
+    if P == 1:
+        return words, msgs
+    ts = schedule == "tensor-stationary"
+    if ts and batch.owner is not None:
+        gather(np.arange(P), N * np.bincount(batch.owner, minlength=P))
+    for i in range(N):
+        if i == k:
+            continue
+        if not ts:
+            rows, per_row = ((np.unique(batch.X[:, i]), R) if batch.owner is None
+                             else (batch.X[:, i], R + 2))
+            gather(np.arange(P), per_row * np.bincount(grid.row_owner(i, rows), minlength=P))
+            continue
+        rows = np.unique(batch.X[:, i])
+        for c in range(grid.grid_dims[i]):
+            group = grid.slice_group(i, c)
+            owners = grid.row_owner(i, rows[grid.chunk_of(i, rows) == c])
+            if owners.size and len(group) > 1:
+                gather(group, R * np.array([np.count_nonzero(owners == p) for p in group]))
+    return words, msgs
+
+
+class TestDistinctRowGathers:
+    """The ledger's sampled-row gathers against a direct count of distinct rows."""
+
+    DIMS = (9, 7, 6, 5)
+    GRIDS = [(1, 1, 1, 1), (1, 3, 1, 1), (3, 2, 1, 1), (2, 2, 2, 1)]
+
+    def batches(self, t, g, factors, k, J, seed):
+        """An ARLS-LEV, an STS and an injected batch of J draws of a few
+        repeated tuples, the last both replicated and owned."""
+        blocks = [FactorBlocks.from_global(U, g, j) for j, U in enumerate(factors)]
+        arls = arls_lev_sample([arls_lev_build(b) for b in blocks], k, J, seed=seed)
+        sts = sts_sample([sts_build(b) for b in blocks], k, J, seed=seed)
+        repeated, _ = repeated_batch(t.dims, factors, k, n_distinct=4, J=J, seed=seed)
+        owned = SampleBatch(repeated.X, repeated.per_mode_prob, repeated.prob,
+                            owner=np.arange(J) * g.P // max(J, 1))
+        return {"arls-lev": arls, "sts": sts, "repeated": repeated, "owned": owned}
+
+    @pytest.mark.parametrize("gdims", GRIDS)
+    @pytest.mark.parametrize("schedule", ["tensor-stationary", "accumulator-stationary"])
+    @pytest.mark.parametrize("J", [0, 5, 300])
+    def test_ledger_matches_direct_count(self, gdims, schedule, J):
+        t = make_sparse(self.DIMS, 300, seed=60)
+        R = 3
+        factors = unit_factors(t.dims, R, seed=61)
+        g = gridmod.ProcessorGrid(t.dims, gdims)
+        for k in range(len(self.DIMS)):
+            for name, batch in self.batches(t, g, factors, k, J, seed=62 + k).items():
+                ctx = make_ctx(t, g, schedule, "sts", factors, J=J)
+                if batch.weights is None:
+                    sample_weights(batch)
+                solve_mode(ctx, k, injected_batch=batch)
+                words, msgs = direct_gather_count(g, batch, k, schedule, R)
+                got = [ctx.ledger.per_rank(gridmod.ALLGATHER, 0, g.P)[j].tolist()
+                       for j in (0, 1)]
+                assert got == [words.tolist(), msgs.tolist()], (name, k)
+                if J == 5 and g.P == 8:  # five draws leave some rank without a row
+                    off = [i for i in range(len(self.DIMS)) if i != k]
+                    assert all((np.bincount(g.row_owner(i, batch.X[:, i]), minlength=8) == 0)
+                               .any() for i in off)
+                if J == 300 and g.P > 1:  # rows repeat: no mode has 300 rows
+                    assert words.sum() > 0
+
+    def test_repeated_draws_add_no_traffic(self):
+        t = make_sparse(self.DIMS, 300, seed=63)
+        factors = unit_factors(t.dims, 3, seed=64)
+        g = gridmod.ProcessorGrid(t.dims, (2, 2, 2, 1))
+        repeated, _ = repeated_batch(t.dims, factors, 0, n_distinct=4, J=400, seed=65)
+        unique = SampleBatch(np.unique(repeated.X, axis=0), None, None)
+        per_draw = 3 * (g.P - 1) * 400 * 3  # R words per draw and off mode, to P-1 ranks
+        for schedule, meter in (("tensor-stationary", schedules._meter_sampled_gathers_ts),
+                                ("accumulator-stationary", schedules._meter_sampled_gathers_as)):
+            ctx = make_ctx(t, g, schedule, "sts", factors, J=400)
+            words = []
+            for batch in (repeated, unique):
+                before = ctx.ledger.words(kind=gridmod.ALLGATHER)
+                meter(ctx, 0, batch)
+                words.append(ctx.ledger.words(kind=gridmod.ALLGATHER) - before)
+            # repeats move nothing more than the distinct tuples alone
+            assert 0 < words[0] == words[1] < per_draw
 
 
 def rel_err(got, ref):
@@ -387,7 +486,7 @@ class TestLedgerReportClosedForms:
                         schedule="accumulator-stationary", procs=P, seed=51,
                         permute=False, compute_fits=False)
         report = gridmod.ledger_report(run_als(cfg, tensor=t).ledger, P=P)
-        per_solve = gridmod.as_gather_words_total_per_solve(J, R, 3, P, "sts")
+        per_solve = gridmod.as_gather_words_total_per_solve(J, R, 3, P)
         assert _record_words(report, gridmod.ALLGATHER) == {1: 3 * per_solve,
                                                             2: 3 * per_solve}
         assert _record_words(report, gridmod.REDUCE_SCATTER) == {}
