@@ -7,7 +7,8 @@ communication ledger, so they never perturb the metered cost shapes.  An
 exact run's fit reads the round's last-mode MTTKRP, which the mode's
 solve just computed, and the Grams the run maintains, so it costs
 O(I_N R + N R^2); a sketched run's fit runs one full exact MTTKRP over
-the fit view, a last-mode matricization.
+the partition's last-mode view, or over a last-mode view passed in as
+``fit_mat``.
 
 Each factor update reduces once: every rank forms the Gram of its block
 of the solved factor, and one reduction (an allreduce, or the STS tree
@@ -31,7 +32,7 @@ import numpy as np
 from . import grid as gridmod
 from . import rng
 from .linalg import FactorBlocks, compute_fit, gram, gram_scale, normalize_columns
-from .matricization import matricize, partition_to_grid
+from .matricization import partition_to_grid
 from .samplers import arls_lev_build, sts_build
 from .schedules import ScheduleError, SolveContext, refresh_gathered, solve_mode
 from .tensor import ModePermutations, load_frostt, permute_modes
@@ -198,10 +199,11 @@ def _renormalize(ctx, k, G):
 
 def _set_up(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
             fit_mat=None):
-    """File to ready state: load, permute, grid, partition, fit matricization.
+    """File to ready state: load, permute, grid, partition, fit view.
 
-    Pieces passed in are kept.  Only a sketched run with fits builds the fit
-    view.  Returns the five in ``run_als``'s argument order.
+    Pieces passed in are kept.  A sketched run with fits and no ``fit_mat``
+    takes the partition's last-mode view as its fit view, so no view is
+    built for the fit.  Returns the five in ``run_als``'s argument order.
     """
     if tensor is None:
         if cfg.tensor_path is None:
@@ -216,15 +218,16 @@ def _set_up(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     if partition is None:
         partition = partition_to_grid(tensor, grid, cfg.schedule)
     if fit_mat is None and cfg.compute_fits and cfg.sampler != "exact":
-        fit_mat = matricize(tensor, tensor.mode_count - 1)
+        fit_mat = partition.views[-1]
     return tensor, perms, grid, partition, fit_mat
 
 
 def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
             fit_mat=None) -> DecompResult:
     """Run one ALS trial.  Preloaded tensor/partition state may be passed
-    in so multi-trial harnesses pay ingestion and partitioning once.  An
-    exact run does not read ``fit_mat``."""
+    in so multi-trial harnesses pay ingestion and partitioning once.
+    ``fit_mat``, a last-mode view of ``tensor``, replaces the partition's
+    own in a sketched run's fit; an exact run does not read it."""
     cfg.validate()
     timings = {"load": 0.0, "fit": 0.0}
     t0 = time.perf_counter()

@@ -51,7 +51,7 @@ class ProcessorGrid:
         self.N = len(self.grid_dims)
         self.warning = warning
 
-        self._coords = np.stack(np.unravel_index(np.arange(self.P), self.grid_dims), axis=1)
+        coords = np.stack(np.unravel_index(np.arange(self.P), self.grid_dims), axis=1)
         self.chunk_offsets = [balanced_offsets(I, Pj)
                               for I, Pj in zip(self.tensor_dims, self.grid_dims)]
 
@@ -61,7 +61,7 @@ class ProcessorGrid:
         self._block_hi = np.zeros((self.N, self.P), dtype=np.int64)
         self._slice_groups = []
         for j in range(self.N):
-            groups = [np.flatnonzero(self._coords[:, j] == c) for c in range(self.grid_dims[j])]
+            groups = [np.flatnonzero(coords[:, j] == c) for c in range(self.grid_dims[j])]
             self._slice_groups.append(groups)
             for c, members in enumerate(groups):
                 lo = int(self.chunk_offsets[j][c])
@@ -71,41 +71,12 @@ class ProcessorGrid:
                     self._block_lo[j, p] = lo + sub[m]
                     self._block_hi[j, p] = lo + sub[m + 1]
 
-        # Lookup tables, one entry per global row, in the narrowest dtype
-        # holding the rank or chunk count.
-        self._owner_of = []
-        self._chunk_of = []
-        for j in range(self.N):
-            owner = np.empty(self.tensor_dims[j], dtype=np.min_scalar_type(self.P))
-            for p in range(self.P):
-                owner[self._block_lo[j, p]:self._block_hi[j, p]] = p
-            self._owner_of.append(owner)
-            self._chunk_of.append(np.repeat(
-                np.arange(self.grid_dims[j], dtype=np.min_scalar_type(self.grid_dims[j])),
-                np.diff(self.chunk_offsets[j])))
-
     def slice_group(self, j, c):
         """Ranks sharing mode-j chunk c, ordered by rank id."""
         return self._slice_groups[j][c]
 
     def block_ranges(self, j):
         return self._block_lo[j], self._block_hi[j]
-
-    def row_owner(self, j, rows):
-        """Owning rank of each global mode-j row (vectorized; rows outside
-        the mode raise IndexError)."""
-        return _lookup(self._owner_of[j], rows)
-
-    def chunk_of(self, j, rows):
-        """Mode-j chunk of each global row (rows outside the mode raise)."""
-        return _lookup(self._chunk_of[j], rows)
-
-
-def _lookup(table, rows):
-    """``table.take(rows)``, raising IndexError for negative rows, which take() wraps."""
-    if np.min(rows, initial=0) < 0:
-        raise IndexError("negative row %d" % np.min(rows))
-    return table.take(rows)
 
 
 def stable_argsort(keys, bound):
@@ -233,31 +204,29 @@ class CommLedger:
         return isinstance(other, CommLedger) and self.records() == other.records()
 
 
-def ledger_report(ledger: CommLedger, round_id=None, P=None) -> str:
-    """Machine-readable ledger summary.
+def ledger_report(ledger: CommLedger, round_id=None, *, P) -> str:
+    """Machine-readable ledger summary for a run over P ranks.
 
     One ``record`` line per (round, collective, rank) plus per-collective
-    max/mean aggregates.  ``round_id=None`` reports every round.
+    max/mean aggregates over the P ranks.  ``round_id=None`` reports every
+    round.  A record of a rank outside [0, P) raises ValueError, as no
+    aggregate would count it.
     """
+    outside = [p for (_, _, p) in ledger._rec if not 0 <= p < P]
+    if outside:
+        raise ValueError("ledger records rank %d, outside a %d-rank run" % (outside[0], P))
     rounds = ledger.rounds() if round_id is None else [round_id]
     lines = []
     for r in rounds:
-        seen = sorted({(k, p) for (rr, k, p) in ledger._rec if rr == r})
-        for k, p in seen:
+        for k, p in sorted((k, p) for (rr, k, p) in ledger._rec if rr == r):
             w, m = ledger._rec[(r, k, p)]
             lines.append("record round=%d kind=%s rank=%d words=%d messages=%d"
                          % (r, k, p, w, m))
         for k in KINDS:
-            ranks = [p for (kk, p) in seen if kk == k]
-            if P is not None:
-                n = P
-            else:
-                n = (max(ranks) + 1) if ranks else 1
-            words = [ledger._rec.get((r, k, p), [0, 0])[0] for p in range(n)]
-            msgs = [ledger._rec.get((r, k, p), [0, 0])[1] for p in range(n)]
+            words, msgs = ledger.per_rank(k, r, P)
             lines.append("aggregate round=%d kind=%s words_max=%d words_mean=%.3f "
                          "messages_max=%d messages_mean=%.3f"
-                         % (r, k, max(words), sum(words) / n, max(msgs), sum(msgs) / n))
+                         % (r, k, words.max(), words.sum() / P, msgs.max(), msgs.sum() / P))
     return "\n".join(lines) if lines else "empty ledger"
 
 

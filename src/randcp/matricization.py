@@ -21,7 +21,9 @@ compressed-sparse-row storage:
   in their narrowest unsigned dtype.  Extraction hands the sketched
   submatrix, already in row order, its row layout.
 
-No run reads both layouts of one view, so each view pays for one.
+A view pays only for the layouts its run reads.  Sampled solves read
+the CSC analogue and exact solves the CSR analogue; a sampled run with
+fits reads both on the last-mode view, whose exact MTTKRP is the fit's.
 
 A view spans every row of its mode and references the nonzeros it is
 given without copying them.  A partition keeps one view per mode over
@@ -140,8 +142,9 @@ class Matricization:
     Parameters
     ----------
     dims : global mode dimensions
-    idx, vals : nonzero coordinates (global indices) and values, not
-        copied when already int64 and float64 C arrays
+    idx, vals : nonzero coordinates (global indices, each below its
+        mode's dimension) and values, not copied when already int64 and
+        float64 C arrays
     mode : the matricized mode j
     """
 
@@ -153,13 +156,6 @@ class Matricization:
         rows = self.idx[:, self.mode]
         if ((rows < 0) | (rows >= self.n_rows)).any():
             raise ValueError("entry rows outside [0, %d)" % self.n_rows)
-
-    @cached_property
-    def idx_hi(self):
-        """One past each mode's largest index (0 without entries), for factor
-        coverage checks; column by column, as an axis-0 reduction over the
-        narrow rows measured about 10x slower."""
-        return np.array([c.max(initial=-1) for c in self.idx.T]) + 1
 
     @cached_property
     def _csc(self):
@@ -179,11 +175,13 @@ class Matricization:
         ``vals[p]``.  ``levels`` and the ids are ``_prefix_table`` over
         every off mode but the last.  ``last`` and ``leaf`` take the
         narrowest unsigned dtype that holds them, as a gather reads them
-        no slower than int64."""
+        no slower than int64, so an off-mode index outside its dimension
+        raises BoundsError, as in the CSC analogue."""
+        check_columns(self.idx, self.dims, self.mode)
         off = [m for m in range(len(self.dims)) if m != self.mode]
         levels, leaf = _prefix_table(self.idx, off[:-1])
         order, row_ptr = gridmod.group_by_rank(self.idx[:, self.mode], self.n_rows)
-        last = _narrow(self.idx[order, off[-1]], self.idx_hi[off[-1]])
+        last = _narrow(self.idx[order, off[-1]], self.dims[off[-1]])
         if leaf is not None:
             leaf = _narrow(leaf.take(order), levels[-1][1].size)
         return row_ptr, levels, last, leaf, self.vals.take(order)
@@ -261,15 +259,14 @@ def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet
     mode.  Which rank holds a nonzero (its grid cell under
     tensor-stationary, its mode's factor block under
     accumulator-stationary) changes no result and no ledger record, so
-    no view stores it; per-rank counts follow from ``grid.row_owner``
-    and ``grid.chunk_of`` when needed.
+    no view stores it; per-rank counts follow from the factor blocks'
+    ``block_sums`` and ``grid.chunk_offsets`` when needed.  The last view
+    also serves a sampled run's fit.
     """
     if tuple(grid.tensor_dims) != tuple(t.dims):
         raise ValueError("grid built for dims %s, tensor has %s"
                          % (grid.tensor_dims, t.dims))
     if schedule not in ("tensor-stationary", "accumulator-stationary"):
         raise ValueError("unknown schedule %r" % schedule)
-    views = [Matricization(t.dims, t.idx, t.vals, j) for j in range(t.mode_count)]
-    for m in views[1:]:  # the views share idx, so they share its column maxima
-        m.idx_hi = views[0].idx_hi
-    return LocalTensorSet(schedule, views)
+    return LocalTensorSet(schedule, [Matricization(t.dims, t.idx, t.vals, j)
+                                     for j in range(t.mode_count)])

@@ -87,9 +87,9 @@ def mttkrp_exact(mat: Matricization, factors, workers=1):
     for i in off:
         if factors[i] is None:
             raise ValueError("mode-%d factor is missing" % i)
-        if mat.idx_hi[i] > factors[i].shape[0]:
+        if factors[i].shape[0] < mat.dims[i]:
             raise ValueError("mode-%d rows [0, %d) not covered by a %d-row factor"
-                             % (i, mat.idx_hi[i], factors[i].shape[0]))
+                             % (i, mat.dims[i], factors[i].shape[0]))
     out = np.zeros((mat.n_rows, factors[off[0]].shape[1]))
     if mat.nnz == 0:
         return out

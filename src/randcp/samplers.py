@@ -211,9 +211,9 @@ class LeverageTree:
     multiply.  Level ``depth`` is the rank-leaf level (leaf ell belongs to
     the rank in row-block order, padding leaves hold zero).  Below that,
     each rank subdivides its block into contiguous leaf blocks whose Grams
-    drive the leaf-block step: rank p has ``leaf_count[p]`` leaves, Grams
-    ``leaf_grams[p]`` (leaf_count[p], R, R), and global row bounds
-    ``leaf_bounds[p, :leaf_count[p] + 1]``; the rest of that row of
+    drive the leaf-block step: rank p has n_p leaves, Grams
+    ``leaf_grams[p]`` (n_p, R, R), and global row bounds
+    ``leaf_bounds[p, :n_p + 1]``; the rest of that row of
     ``leaf_bounds`` repeats the block's end, so the padded leaves are
     empty.
     """
@@ -224,7 +224,6 @@ class LeverageTree:
         self.leaf_rank = leaf_rank
         self.leaf_bounds = leaf_bounds
         self.leaf_grams = leaf_grams
-        self.leaf_count = np.array([g.shape[0] for g in leaf_grams], dtype=np.int64)
 
     @property
     def depth(self):

@@ -315,8 +315,9 @@ def _meter_sampled_gathers_as(ctx, k, batch):
     for i in range(grid.N):
         if i == k:
             continue
+        fb = ctx.factors[i]
         if batch.owner is None:
-            words = _drawn_rows(batch.X, i, ctx.factors[i]) * R
+            words = _drawn_rows(batch.X, i, fb) * R
         else:
-            words = np.bincount(grid.row_owner(i, batch.X[:, i]), minlength=grid.P) * (R + 2)
+            words = fb.block_sums(np.bincount(batch.X[:, i], minlength=fb.U.shape[0])) * (R + 2)
         _meter_allgather_model(ctx.ledger, ctx.round_id, list(range(grid.P)), words)

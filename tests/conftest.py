@@ -40,6 +40,16 @@ class OnesFactor:
         return out
 
 
+def block_owner(grid, j, rows):
+    """The owning rank of each global mode-j row: the one rank whose range
+    in ``grid.block_ranges(j)`` holds it."""
+    lows, his = grid.block_ranges(j)
+    rows = np.asarray(rows, dtype=np.int64)[:, None]
+    inside = (lows <= rows) & (rows < his)
+    assert (inside.sum(axis=1) == 1).all()
+    return inside.argmax(axis=1)
+
+
 def py_column_key(row, dims, skip):
     """The mixed-radix column key of one index tuple, in Python integers."""
     key, stride = 0, 1

@@ -404,7 +404,30 @@ class TestExactFitFromLastSolve:
         t = make_sparse((6, 5, 4), 40, seed=34)
         exact = _set_up(AlsConfig(rank=2, rounds=1), tensor=t)
         sketched = _set_up(AlsConfig(rank=2, rounds=1, sampler="sts", samples=8), tensor=t)
-        assert exact[-1] is None and sketched[-1].mode == 2
+        assert exact[-1] is None and sketched[-1] is sketched[3].views[-1]
+
+
+@pytest.mark.parametrize("sampler,schedule", [("sts", "accumulator-stationary"),
+                                              ("arls-lev", "tensor-stationary")])
+def test_sampled_fit_reads_the_partitions_last_view(monkeypatch, sampler, schedule):
+    from randcp import matricization
+    t = make_sparse((9, 8, 7), 200, seed=37)
+    cfg = AlsConfig(rank=3, rounds=3, sampler=sampler, samples=64, schedule=schedule,
+                    procs=6, seed=38, fit_every=1, permute=False)
+    given = run_als(cfg, tensor=t, fit_mat=matricization.matricize(t, 2))
+    views = []  # the views over the tensor's modes; a sketched submatrix has two
+    real = matricization.Matricization.__init__
+
+    def counting(self, dims, *args, **kw):
+        real(self, dims, *args, **kw)
+        if self.dims == t.dims:
+            views.append(self.mode)
+
+    monkeypatch.setattr(matricization.Matricization, "__init__", counting)
+    res = run_als(cfg, tensor=t)
+    assert views == [0, 1, 2]
+    assert np.array_equal(np.array(res.fit_history).view(np.int64),
+                          np.array(given.fit_history).view(np.int64))
 
 
 @pytest.mark.parametrize("sampler,schedule", [("sts", "accumulator-stationary"),

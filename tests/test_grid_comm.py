@@ -44,44 +44,6 @@ class TestGridPartitions:
                 covered.extend(range(a, b))
             assert sorted(covered) == list(range(g.tensor_dims[j]))
 
-    def test_row_owner_inverts_block_ranges(self):
-        g = ProcessorGrid((13, 7, 5), (2, 2, 2))
-        for j in range(3):
-            owners = g.row_owner(j, np.arange(g.tensor_dims[j]))
-            for p, (lo, hi) in enumerate(zip(*g.block_ranges(j))):
-                assert np.all(owners[lo:hi] == p)
-
-    def test_lookup_tables_match_searchsorted_definitions(self):
-        gen = np.random.default_rng(3)
-        for _ in range(40):
-            N = int(gen.integers(1, 4))
-            dims = tuple(int(d) for d in gen.integers(1, 12, N))
-            gdims = tuple(int(p) for p in gen.integers(1, 5, N))   # may exceed dims
-            g = ProcessorGrid(dims, gdims)
-            for j in range(N):
-                rows = gen.integers(0, dims[j], 64)
-                chunk = np.searchsorted(g.chunk_offsets[j], rows, side="right") - 1
-                assert np.array_equal(g.chunk_of(j, rows), chunk)
-                # the owner is the nonempty block whose range holds the row
-                lows, his = g.block_ranges(j)
-                order = np.lexsort((np.arange(g.P), lows))
-                nonempty = order[his[order] > lows[order]]
-                owner = nonempty[np.searchsorted(his[nonempty], rows, side="right")]
-                assert np.array_equal(g.row_owner(j, rows), owner)
-                for lookup in (g.chunk_of, g.row_owner):
-                    with pytest.raises(IndexError):
-                        lookup(j, np.array([0, dims[j]]))
-
-    def test_negative_rows_raise(self):
-        # take() would wrap -1 to the last row, whose owner and chunk are 1
-        g = ProcessorGrid((4, 3, 2), (2, 1, 1))
-        for lookup in (g.row_owner, g.chunk_of):
-            assert lookup(0, [3]) == 1
-            with pytest.raises(IndexError):
-                lookup(0, [-1])
-            with pytest.raises(IndexError):
-                lookup(0, np.array([0, -4]))
-
     def test_slice_groups_partition_ranks(self):
         g = ProcessorGrid((8, 8, 8), (2, 2, 2))
         for j in range(3):
@@ -236,6 +198,18 @@ class TestLedger:
         text = ledger_report(led, round_id=3, P=2)
         assert "words_max=0" in text
         assert "record" not in text
+
+    def test_rank_outside_the_run_raises(self):
+        # a rank-5 record under P=2 would print, but no aggregate counts it
+        led = CommLedger()
+        led.add(0, gridmod.ALLGATHER, 5, 7, 1)
+        with pytest.raises(ValueError, match="rank 5"):
+            ledger_report(led, P=2)
+        with pytest.raises(ValueError):
+            ledger_report(led, round_id=0, P=5)
+        assert "words_max=7 words_mean=1.167" in ledger_report(led, P=6)
+        with pytest.raises(TypeError):
+            ledger_report(led)  # P is required
 
     def test_one_allgather_reported(self):
         led = CommLedger()

@@ -60,6 +60,23 @@ class TestExactMttkrp:
         with pytest.raises(ValueError):
             mttkrp_exact(m, short)
 
+    def test_factor_shorter_than_its_mode_raises(self):
+        # every mode-1 index is below 3, yet a 3-row factor does not span the mode's 6 rows
+        t = make_sparse((5, 3, 7), 40, seed=6)
+        t = SparseTensorCOO((5, 6, 7), t.idx, t.vals)
+        gen = np.random.default_rng(7)
+        factors = [None, gen.standard_normal((3, 2)), gen.standard_normal((7, 2))]
+        with pytest.raises(ValueError, match="mode-1 rows"):
+            mttkrp_exact(matricize(t, 0), factors)
+        factors[1] = np.vstack([factors[1], gen.standard_normal((3, 2))])
+        assert mttkrp_exact(matricize(t, 0), factors).shape == (5, 2)
+
+    def test_off_mode_index_outside_its_dimension_raises(self):
+        # 300 would wrap to 44 in the uint8 that narrows a 200-row mode's indices
+        m = Matricization((3, 4, 200), np.array([[0, 1, 300], [2, 3, 5]]), np.ones(2), 0)
+        with pytest.raises(ValueError):
+            mttkrp_exact(m, [None, np.ones((4, 1)), np.ones((200, 1))])
+
     def test_worker_bit_identity(self):
         t = make_sparse((9, 8, 7), 300, seed=4)
         gen = np.random.default_rng(5)
@@ -490,7 +507,6 @@ class TestStreamOrder:
         t = make_sparse((40, 30, 20, 10), 20000, seed=40)
         for k in range(4):
             m = matricize(t, k)
-            m.idx_hi  # the coverage maxima are not part of the layout
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]

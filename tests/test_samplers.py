@@ -11,6 +11,7 @@ from randcp.samplers import (DegenerateWalkError, arls_lev_build, arls_lev_sampl
                              consistent_multinomial, exact_krp_leverage_oracle, joint_prob,
                              krp_leverage_scores, sample_weights, sts_build, sts_sample)
 from randcp.schedules import distinct_columns
+from conftest import block_owner
 
 
 def single_grid(dims):
@@ -151,7 +152,7 @@ class TestArlsSample:
         for i in (0, 1):
             rows, counts = np.unique(batch.X[:, i], return_counts=True)
             assert counts.sum() == J and (counts > 1).any()
-            sent = np.bincount(g.row_owner(i, rows), minlength=g.P)
+            sent = np.bincount(block_owner(g, i, rows), minlength=g.P)
             assert (sent == 0).any()
             # the other ranks' (row, count, leverage) triples, one per distinct row
             received += 3 * (sent.sum() - sent)
@@ -303,7 +304,7 @@ class TestStsSample:
         gen = np.random.default_rng(seed)
         factors = [gen.standard_normal((d, 2)) for d in self.PADDED_DIMS]
         trees = sts_setup(factors, gridmod.ProcessorGrid(self.PADDED_DIMS, gdims))
-        assert (trees[1].leaf_count == 0).any()
+        assert any(grams.shape[0] == 0 for grams in trees[1].leaf_grams)
         return factors, trees
 
     @pytest.mark.parametrize("gdims", [(3, 1, 2), (2, 1, 4)])
@@ -481,7 +482,7 @@ class TestBatchedLeafSearch:
         tree, *rest = self.case(4)
         built = sts_build(tree.factor)
         assert np.array_equal(built.leaf_bounds, [[0, 4, 8, 11]])
-        assert np.array_equal(built.leaf_count, [3])
+        assert [grams.shape[0] for grams in built.leaf_grams] == [3]
         self.check_matches(built, *rest)
 
     def test_shared_design_rows_and_chunks(self, monkeypatch):
@@ -548,7 +549,7 @@ class TestLeafSearchAcrossRanks:
 
     def test_layout_pads_to_the_largest_leaf_count(self):
         tree = self.case()[0]
-        assert np.array_equal(tree.leaf_count, [2, 0, 2, 1])
+        assert [grams.shape[0] for grams in tree.leaf_grams] == [2, 0, 2, 1]
         assert np.array_equal(tree.leaf_bounds,
                               [[0, 3, 5], [5, 5, 5], [5, 7, 9], [9, 11, 11]])
 
@@ -810,7 +811,7 @@ class TestMassKernelAtRank25:
         samplers._masses(designs, walk_row, ((4 * i, 4 * i + 4, tree.leaf_grams[p] * cond)
                                              for i, p in enumerate([0, 2, 3])), out)
         for w, p in enumerate(walk_rank):
-            edges = tree.leaf_bounds[p, :tree.leaf_count[p] + 1] - tree.factor.lows[p]
+            edges = tree.leaf_bounds[p, :tree.leaf_grams[p].shape[0] + 1] - tree.factor.lows[p]
             expect = np.add.reduceat(forms[w], edges[:-1])
             assert np.allclose(out[w, :expect.size], expect, rtol=1e-13, atol=0.0)
             assert (out[w, expect.size:] == 0.0).all()

@@ -13,7 +13,7 @@ from randcp.samplers import (SampleBatch, arls_lev_build, arls_lev_sample, sampl
 from randcp.schedules import (ScheduleError, SolveContext, _exact_mttkrp, _reduce_along_mode,
                               _sampled_mttkrp, _sketched_gram, distinct_columns,
                               refresh_gathered, solve_mode)
-from conftest import OnesFactor, make_sparse, unit_factors
+from conftest import OnesFactor, block_owner, make_sparse, unit_factors
 
 
 def make_ctx(t, grid, schedule, sampler, factors, J=0, ledger=None):
@@ -282,12 +282,13 @@ def direct_gather_count(grid, batch, k, schedule, R):
         if not ts:
             rows, per_row = ((np.unique(batch.X[:, i]), R) if batch.owner is None
                              else (batch.X[:, i], R + 2))
-            gather(np.arange(P), per_row * np.bincount(grid.row_owner(i, rows), minlength=P))
+            gather(np.arange(P), per_row * np.bincount(block_owner(grid, i, rows), minlength=P))
             continue
         rows = np.unique(batch.X[:, i])
+        chunks = np.searchsorted(grid.chunk_offsets[i], rows, side="right") - 1
         for c in range(grid.grid_dims[i]):
             group = grid.slice_group(i, c)
-            owners = grid.row_owner(i, rows[grid.chunk_of(i, rows) == c])
+            owners = block_owner(grid, i, rows[chunks == c])
             if owners.size and len(group) > 1:
                 gather(group, R * np.array([np.count_nonzero(owners == p) for p in group]))
     return words, msgs
@@ -330,8 +331,8 @@ class TestDistinctRowGathers:
                 assert got == [words.tolist(), msgs.tolist()], (name, k)
                 if J == 5 and g.P == 8:  # five draws leave some rank without a row
                     off = [i for i in range(len(self.DIMS)) if i != k]
-                    assert all((np.bincount(g.row_owner(i, batch.X[:, i]), minlength=8) == 0)
-                               .any() for i in off)
+                    assert all((np.bincount(block_owner(g, i, batch.X[:, i]), minlength=8)
+                                == 0).any() for i in off)
                 if J == 300 and g.P > 1:  # rows repeat: no mode has 300 rows
                     assert words.sum() > 0
 
