@@ -29,11 +29,14 @@ states of all modes, ``(states, k, J, seed)``.
   log2(P) steps pick between the two children of a tree node shared
   across ranks, routing samples between ranks; one more step picks among
   the rank's leaf row blocks and a last one among the chosen block's
-  rows.  All simulated ranks walk together: samples sharing their rows
-  so far share one walk per node, so a step costs O(J) plus one
-  quadratic form per distinct walk and child.  One mass kernel forms
-  every quadratic form from stacks of conditioned Grams, and the inverse
-  CDF runs over a (children x walks) layout.
+  rows.  A routed sample sends N + 2 words (its X row, residual and
+  running probability); the samples of one prefix share their H row, so
+  each message sends a prefix's R-word H row once.  All simulated ranks
+  walk together: samples sharing their rows so far share one walk per
+  node, so a step costs O(J) plus one quadratic form per distinct walk
+  and child.  One mass kernel forms every quadratic form from stacks of
+  conditioned Grams, and the inverse CDF runs over a (children x walks)
+  layout.
 
 Sampled rows are reweighted by 1 / sqrt(J * p_s), the scaling that makes
 the sketched normal equations unbiased.  A batch keeps all J draws,
@@ -54,7 +57,8 @@ from .linalg import gram, hadamard_gram_chain, khatri_rao, pseudo_inverse
 ORACLE_GUARD = 10 ** 6
 _ONE_BELOW = np.nextafter(1.0, 0.0)
 # Float64 elements in one walk temporary: the mass kernel's (m, walks, R)
-# product, or a walk step's (children x walks) mass columns.
+# product, or a walk step's (children x walks) mass columns; also the least
+# number of slots in the route's tag buffer.
 LEAF_SEARCH_BUDGET = 1 << 20
 
 
@@ -438,17 +442,62 @@ def _children(pair_of, key, bound):
     return order, renumber.take(pair_of), group_at
 
 
+def _one_per_key(key, bound, tag, ids):
+    """Mark one sample per distinct value of ``key`` (each in range(bound)).
+
+    Every sample writes its id ``ids[s]`` into slot ``key[s]`` of the tag
+    buffer; whichever write a slot keeps, exactly one sample of that value
+    reads its own id back.  No sort: keys beyond the buffer are handled in
+    buffer-sized ranges, grouped stably without a comparison sort.
+    """
+    span = tag.shape[0]
+    if bound <= span:
+        tag[key] = ids
+        return tag.take(key) == ids
+    one = np.empty(key.shape, dtype=bool)
+    order, at = gridmod.group_by_rank(key // span, -(-bound // span))
+    for c in np.flatnonzero(np.diff(at)):
+        sel = order[at[c]:at[c + 1]]
+        local, own = key.take(sel) - c * span, ids.take(sel)
+        tag[local] = own
+        one[sel] = tag.take(local) == own
+    return one
+
+
+def _route_offsets(sample, P, depth):
+    """Each sample's routing offset at every tree level: after level lev,
+    sample s sits on real rank leaf s mod n_real under its node.  A level's
+    nodes hold their full width of real leaves but for the one holding
+    leaf P - 1, so a level needs remainders by at most two counts, whatever
+    mode walks it.  Returns per level the offsets under full nodes, the
+    edge node, and the offsets under it (None where it is full).
+    """
+    levels = []
+    for lev in range(depth):
+        width = 1 << (depth - 1 - lev)
+        real = (P - 1) % width + 1
+        levels.append((sample % width, (P - 1) // width, sample % real if real < width else None))
+    return levels
+
+
 def _route_meter(ledger, round_id, old_owner, new_owner, payload_words, P):
     """Meter the level-boundary all-to-allvs that move samples between ranks.
 
     Row l of ``old_owner`` and ``new_owner`` holds each sample's rank before
-    and after level l (1-D arrays are one level); one ``meter`` call
-    records every level.
+    and after level l (1-D arrays are one level).  ``payload_words`` is
+    the words one sample adds to its message: one number, or one per
+    sample and level (shaped like ``old_owner``).  ``sts_sample`` gives a
+    sample N + 2 words, and N + R + 2 if it is the one sample of its
+    (prefix, sender, receiver) whose message carries the shared H row.
+    One weighted ``bincount`` per level sums a level's messages, and one
+    ``meter`` call records every level.
     """
-    sent = [np.bincount(old.astype(np.int64) * P + new, minlength=P * P)
-            for old, new in zip(np.atleast_2d(old_owner), np.atleast_2d(new_owner))]
-    gridmod.meter(ledger, round_id, gridmod.ALL_TO_ALLV, range(P),
-                  np.stack(sent) * payload_words)
+    old, new = np.atleast_2d(old_owner), np.atleast_2d(new_owner)
+    words = np.broadcast_to(payload_words, old.shape)
+    pair = old.astype(np.min_scalar_type(P * P - 1)) * P
+    pair += new.astype(pair.dtype, copy=False)
+    sent = [np.bincount(c, weights=w, minlength=P * P) for c, w in zip(pair, words)]
+    gridmod.meter(ledger, round_id, gridmod.ALL_TO_ALLV, range(P), np.stack(sent))
 
 
 def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
@@ -465,7 +514,12 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
     children: one per tree level over the two child nodes (routing
     samples between ranks; one ``meter`` call at the end records every
     level), one over the terminal rank's leaf blocks and one over the
-    chosen block's rows.  Each sample then multiplies its H row by the
+    chosen block's rows.  Sample s moves to real rank leaf s mod n_real
+    under its node; each all-to-allv is metered as N + 2 words per moved
+    sample plus R words per distinct (prefix, sender, receiver), the H row
+    a message carries once for all its samples of that prefix.  One
+    sample of each is marked through a tag buffer (``_one_per_key``), with
+    no sort.  Each sample then multiplies its H row by the
     selected factor row, which that rank owns.  The last walked mode
     extends no prefix.
 
@@ -487,20 +541,29 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
     R = gram_chain_pinv.shape[0]
     if J == 0:
         return _empty_batch(N)
-    P = trees[next(i for i in range(N) if i != k)].factor.n_blocks
-    payload_words = N + R + 2  # X row + H row + residual + running probability
+    first = trees[next(i for i in range(N) if i != k)]  # every tree spans the same P ranks
+    P = first.factor.n_blocks
 
     X = np.full((J, N), -1, dtype=np.int64)
     per_mode_prob = np.ones((J, N))
-    sample = np.arange(J, dtype=np.int64)
-    owner = (sample * P) // J
+    # Sample ids, in the narrowest dtype holding a sample or a rank, name the
+    # samples in the tag buffer and give each routing offset.
+    sample = np.arange(J, dtype=np.min_scalar_type(max(J - 1, P)))
+    owner = np.arange(J) * P // J
     prefix = np.zeros(J, dtype=np.int64)  # index of each sample's row in H_prefix
     H_prefix = np.ones((1, R))
     # Each sample's rank before and after every routed level, in the narrowest
-    # dtype holding a rank; one meter call at the end records every level.
-    route = np.empty((sum(trees[i].depth for i in range(N) if i != k) + 1, J),
-                     dtype=np.min_scalar_type(P - 1))
+    # dtype holding a rank, and the words it adds to its message there: N + 2
+    # (X row, residual, running probability), and R more for the one sample
+    # of each (prefix, sender, receiver) that carries the shared H row.  One
+    # meter call at the end records every level.
+    hops = sum(trees[i].depth for i in range(N) if i != k)
+    route = np.empty((hops + 1, J), dtype=np.min_scalar_type(P - 1))
     route[0] = owner
+    words = np.empty((hops, J), dtype=np.min_scalar_type(N + R + 2))
+    tag = np.empty(max(J, LEAF_SEARCH_BUDGET), dtype=sample.dtype)
+    offsets = _route_offsets(sample, P, first.depth)
+    offset = owner  # the sending position of the call's first hop
     hop = 0
     last = N - 1 if k != N - 1 else N - 2
 
@@ -517,6 +580,7 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
         walk_node = np.zeros(H_prefix.shape[0], dtype=np.int64)
         walk_prefix = np.arange(H_prefix.shape[0])
         walk_of, group_at = prefix, np.array([0, H_prefix.shape[0]])
+        walks = []
         for lev in range(tree.depth):
             kids = tree.node_grams[lev + 1].reshape(-1, 2, R, R) * M
             pair_of, parent, branch, p, r = _descend(
@@ -526,15 +590,41 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
             order, walk_of, group_at = _children(pair_of, node, 2 << lev)
             walk_node, walk_prefix = node[order], walk_prefix[parent[order]]
 
-            # Sample s moves to real rank leaf s mod n_real under its node.
-            width = 1 << (tree.depth - 1 - lev)
-            leaf_lo = walk_node * width
-            n_real = np.minimum(leaf_lo + width, P) - leaf_lo
-            if (n_real <= 0).any():
+            if walk_node[-1] << (tree.depth - 1 - lev) >= P:  # walks go by node
                 raise DegenerateWalkError("walk branched into an empty padded subtree")
-            owner = tree.leaf_rank.take(leaf_lo.take(walk_of) + sample % n_real.take(walk_of))
+            walks.append((walk_of, walk_node.shape[0]))
+
+        # Route: after level lev sample s sits on real rank leaf s mod n_real
+        # under its node there, an ancestor of its final leaf.
+        final = walk_node.astype(sample.dtype).take(walk_of)
+        position = np.empty((tree.depth, J), dtype=sample.dtype)
+        for lev, (on, n_walks) in enumerate(walks):
+            shift = tree.depth - 1 - lev
+            width = 1 << shift
+            full, edge, edge_offset = offsets[lev]
+            node = final >> shift
+            sent_from, offset = offset, (full if edge_offset is None
+                                         else np.where(node == edge, edge_offset, full))
+            np.left_shift(node, shift, out=position[lev])
+            position[lev] += offset
+            # Each (prefix, sender, receiver) moves its H row once.  The walk
+            # fixes the prefix and the node, so (walk, sending offset in the
+            # parent, receiving offset) names it, less any part the others
+            # fix: at a later mode's first hop a prefix sends from one rank,
+            # the owner of its last row, and below the root the receiving
+            # offset is the sending one mod n_real unless an edge node's
+            # real leaves do not divide its parent's (P not a power of two).
+            # The call's first hop keeps both offsets.
+            if lev == 0 and hop:
+                key, span = on * width + offset, width
+            elif lev and not width < (P - 1) % (2 * width) + 1 < 2 * width:
+                key, span = on * (2 * width) + sent_from, 2 * width
+            else:
+                key = (on * (2 * width) + sent_from) * width + offset
+                span = 2 * width * width
+            words[hop] = _one_per_key(key, n_walks * span, tag, sample)
             hop += 1
-            route[hop] = owner
+        route[hop + 1 - tree.depth:hop + 1] = tree.leaf_rank.take(position)
 
         # The rank's leaf blocks, then the chosen block's rows.  Leaf cell
         # node * width + leaf spans rows lo[cell]..hi[cell]-1.
@@ -567,6 +657,8 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
         H_prefix = H_prefix[kept[order]] * U[rows[order]]
 
     if hop:
-        _route_meter(ledger, round_id, route[:-1], route[1:], payload_words, P)
+        words *= R
+        words += N + 2
+        _route_meter(ledger, round_id, route[:-1], route[1:], words, P)
     prob = joint_prob(per_mode_prob)
-    return SampleBatch(X, per_mode_prob, prob, owner=owner)
+    return SampleBatch(X, per_mode_prob, prob, owner=route[hop].astype(np.int64))

@@ -164,8 +164,9 @@ def test_walk_routing_total_words_scale():
         led = gridmod.CommLedger()
         sts_sample(trees, 2, J, seed=8, ledger=led)
         words[J] = led.words(kind=gridmod.ALL_TO_ALLV)
-        # payload is N + R + 2 words per routed sample; at most J per level
-        assert words[J] <= (3 + R + 2) * J * 2 * 2  # modes x levels
+        # N + 2 words per routed sample plus R per distinct (prefix, sender,
+        # receiver) of a level; at most J samples move per level
+        assert words[J] <= ((3 + 2) * J + R * J) * 2 * 2  # modes x levels
     assert words[256] > words[128]
 
 

@@ -22,9 +22,9 @@ GOLDEN = {
     (6, "arls-lev", "accumulator-stationary"):
         "a23fe75cb73eedbc1349743b0ffa700f7e1d0e9c6cb486ec5b6440c5cbf7c3de",
     (6, "sts", "tensor-stationary"):
-        "4aa9c4c02366838bd6391df9f1d2ebd000bcd7feab96f6ca91d2279b3f6a0e2c",
+        "1cd81cf4697b977b5a233e51bd73194ac5b33fbe8d59b71b610fd1244db7f55f",
     (6, "sts", "accumulator-stationary"):
-        "2ec32b73b326f19ba9518bda0d4ba597103731585e4c2e32538765b607c120c8",
+        "a4f20454128aa26febb316b21830708c96fd0345550e5404827ff868768ad749",
     (8, "exact", "tensor-stationary"):
         "dafc722efb4e59c1e2763f7f0c76ab80fe1abb435da96b7e336e3f22da1c0fe7",
     (8, "arls-lev", "tensor-stationary"):
@@ -32,9 +32,9 @@ GOLDEN = {
     (8, "arls-lev", "accumulator-stationary"):
         "8fddd8dce94f4a2eb61a15fc918d72cbe58b730d27c80d534ea394e08bb06c1a",
     (8, "sts", "tensor-stationary"):
-        "dd25f01fad70e60965cd43f8b54407c0707c8488d1bdfc3232cf1c8f0675c11c",
+        "e90082bdb170cdc6007a52dac32719e92be0ac457cbd9edfdc1d98cddfbe893f",
     (8, "sts", "accumulator-stationary"):
-        "8dcf2a532c73d28387ae4367d825fe46a7cb3a18e474601dff3600716df0714b",
+        "c5d5b7c7c58c06014a6b788261b9676a62861e25ab0ebf904cd352766ca53f62",
 }
 
 

@@ -6,12 +6,12 @@ import pytest
 from randcp import grid as gridmod
 from randcp.linalg import FactorBlocks, gram
 from randcp.matricization import column_keys
-from randcp import samplers
+from randcp import als, samplers, schedules
 from randcp.samplers import (DegenerateWalkError, arls_lev_build, arls_lev_sample,
                              consistent_multinomial, exact_krp_leverage_oracle, joint_prob,
                              krp_leverage_scores, sample_weights, sts_build, sts_sample)
 from randcp.schedules import distinct_columns
-from conftest import block_owner
+from conftest import block_owner, make_sparse
 
 
 def single_grid(dims):
@@ -659,6 +659,68 @@ def test_route_meter_sums_stacked_levels():
         samplers._route_meter(per_level, 2, old, new, payload, P)
     assert stacked.records() == per_level.records()
     assert stacked.messages() > stacked.messages(rank=0) > 0
+
+
+@pytest.mark.parametrize("span", [1000, 64, 7])
+def test_one_per_key_marks_one_sample_per_value(span):
+    # Keys beyond the tag buffer's span are handled a span at a time.
+    gen = np.random.default_rng(35)
+    key = gen.integers(0, 40, 500) * 25 + gen.integers(0, 3, 500)
+    ids = np.arange(500, dtype=np.uint16)
+    one = samplers._one_per_key(key, 1000, np.empty(span, dtype=np.uint16), ids)
+    assert np.array_equal(np.sort(key[one]), np.unique(key))
+
+
+@pytest.mark.parametrize("schedule", ["tensor-stationary", "accumulator-stationary"])
+@pytest.mark.parametrize("P", [4, 6, 7, 8, 12])
+def test_route_words_send_a_shared_row_once_per_message(monkeypatch, P, schedule):
+    # A routed sample costs N + 2 words, and each distinct (hop, prefix,
+    # sender, receiver) adds its H row's R words once: counted here from
+    # the recorded route and the batch's drawn rows (a sample's prefix at
+    # a mode is its tuple of rows drawn at the modes walked before).  At 7
+    # ranks an edge node's real leaves do not divide its parent's.
+    routes, batches = [], []
+    meter, sample, build = samplers._route_meter, schedules.sts_sample, als.sts_build
+
+    def record_route(ledger, round_id, old, new, payload, P_):
+        routes.append((round_id, old.astype(np.int64), new.astype(np.int64)))
+        meter(ledger, round_id, old, new, payload, P_)
+
+    def record_batch(states, k, *args, **kwargs):
+        batch = sample(states, k, *args, **kwargs)
+        batches.append((k, batch.X))
+        return batch
+
+    monkeypatch.setattr(samplers, "_route_meter", record_route)
+    monkeypatch.setattr(schedules, "sts_sample", record_batch)
+    # The tree builds' exchange goes unmetered, so the ledger's all-to-allv
+    # words are the routing alone.
+    monkeypatch.setattr(als, "sts_build", lambda fb, **kwargs: build(fb))
+    N, R = 4, 4
+    cfg = als.AlsConfig(rank=R, rounds=2, sampler="sts", samples=128, schedule=schedule,
+                        procs=P, seed=5, permute=False, compute_fits=False)
+    led = als.run_als(cfg, tensor=make_sparse((9, 7, 6, 5), 500, seed=21)).ledger
+    assert len(routes) == len(batches) == 2 * N
+    words = {r: np.zeros(P, dtype=np.int64) for r in (1, 2)}
+    msgs = {r: np.zeros(P, dtype=np.int64) for r in (1, 2)}
+    bound = {r: np.zeros(P, dtype=np.int64) for r in (1, 2)}
+    for (round_id, old, new), (k, X) in zip(routes, batches):
+        walked = [i for i in range(N) if i != k]
+        depth = old.shape[0] // len(walked)
+        for hop, (o, n) in enumerate(zip(old, new)):
+            moved = o != n
+            prefix = X[moved][:, walked[:hop // depth]]
+            triples = np.unique(np.column_stack([prefix, o[moved], n[moved]]), axis=0)
+            words[round_id] += (N + 2) * np.bincount(n[moved], minlength=P) \
+                + R * np.bincount(triples[:, -1], minlength=P)
+            msgs[round_id] += np.bincount(np.unique(np.column_stack([o, n])[moved], axis=0)[:, 1],
+                                          minlength=P)
+            bound[round_id] += (N + R + 2) * np.bincount(n[moved], minlength=P)
+    for r in (1, 2):
+        got_words, got_msgs = led.per_rank(gridmod.ALL_TO_ALLV, r, P)
+        assert np.array_equal(got_words, words[r])
+        assert np.array_equal(got_msgs, msgs[r])
+        assert (got_words <= bound[r]).all() and (got_words < bound[r]).any()
 
 
 class TestSampleWeights:
