@@ -24,6 +24,7 @@ run goes on as a model of lower rank.  Only a sketched solve that leaves
 a whole factor zero stops the run (``DegenerateSketchError``).
 """
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -92,9 +93,7 @@ class AlsConfig:
 class DecompResult:
     factors: list
     sigma: np.ndarray
-    fit_history: list
-    running_max: list
-    final_fit: float
+    fit_history: list           # (round, fit) per evaluated round
     ledger: object
     timings: dict
     config: AlsConfig
@@ -103,6 +102,14 @@ class DecompResult:
     sample_log: list = field(default_factory=list)
     distinct_samples: int = 0   # distinct sample tuples per sketched solve, summed
     sampled_nnz: int = 0        # nonzeros extracted for those distinct columns
+
+    @property
+    def final_fit(self) -> float:
+        return self.fit_history[-1][1] if self.fit_history else float("nan")
+
+    @property
+    def running_max(self) -> list:
+        return list(itertools.accumulate((f for _, f in self.fit_history), max))
 
     def summary(self) -> str:
         lines = ["config rank=%d rounds=%d sampler=%s samples=%d schedule=%s "
@@ -229,11 +236,10 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     ``fit_mat``, a last-mode view of ``tensor``, replaces the partition's
     own in a sketched run's fit; an exact run does not read it."""
     cfg.validate()
-    timings = {"load": 0.0, "fit": 0.0}
     t0 = time.perf_counter()
     tensor, perms, grid, partition, fit_mat = _set_up(cfg, tensor, perms, grid,
                                                       partition, fit_mat)
-    timings["load"] = time.perf_counter() - t0
+    load_s = time.perf_counter() - t0
 
     N = tensor.mode_count
     R = cfg.rank
@@ -243,25 +249,13 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     ledger = gridmod.CommLedger()
     ctx = SolveContext(grid, cfg.schedule, cfg.sampler, cfg.samples, blocks, partition,
                        ledger, cfg.seed, workers=cfg.workers)
+    ctx.timings["load"] = load_s
     ctx.round_id = 0
     for j in range(N):
         _rebuild_mode_state(ctx, j, renormalize=False)
 
     fit_history = []
-    running_max = []
     sample_log = []
-    best = -np.inf
-
-    def evaluate_fit(round_id):
-        nonlocal best
-        t_fit = time.perf_counter()
-        f = compute_fit(tensor, [fb.U for fb in ctx.factors], sigma, mode_mat=fit_mat,
-                        workers=cfg.workers, mttkrp=ctx.last_mttkrp, grams=ctx.grams)
-        best = max(best, f)
-        fit_history.append((round_id, f))
-        running_max.append(best)
-        timings["fit"] += time.perf_counter() - t_fit
-
     for rnd in range(1, cfg.rounds + 1):
         ctx.round_id = rnd
         for k in range(N):
@@ -276,16 +270,17 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
                     "(J=%d samples hit %d sampled nonzeros)"
                     % (k, rnd, ctx.J, ctx.stats["sampled_nnz"] - nnz_before))
         if cfg.compute_fits and (rnd % cfg.fit_every == 0 or rnd == cfg.rounds):
-            evaluate_fit(rnd)
+            t0 = time.perf_counter()
+            fit_history.append((rnd, compute_fit(
+                tensor, [fb.U for fb in ctx.factors], sigma, mode_mat=fit_mat,
+                workers=cfg.workers, mttkrp=ctx.last_mttkrp, grams=ctx.grams)))
+            ctx.tick("fit", t0)
         ctx.last_mttkrp = None  # only this round's fit reads it
 
-    final_fit = fit_history[-1][1] if fit_history else float("nan")
     factors_out = [perms.unpermute_factor(fb.U, j)
                    for j, fb in enumerate(ctx.factors)]
-    timings.update(ctx.timings)
-    return DecompResult(factors_out, sigma, fit_history, running_max, final_fit,
-                        ledger, timings, cfg, grid.grid_dims,
-                        partition.stored_nnz(), sample_log,
+    return DecompResult(factors_out, sigma, fit_history, ledger, ctx.timings, cfg,
+                        grid.grid_dims, partition.stored_nnz(), sample_log,
                         distinct_samples=ctx.stats["distinct_samples"],
                         sampled_nnz=ctx.stats["sampled_nnz"])
 

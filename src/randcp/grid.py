@@ -129,20 +129,13 @@ def optimal_grid(tensor_dims, P) -> ProcessorGrid:
     if P < 1:
         raise ValueError("P must be >= 1")
     dims = tuple(int(d) for d in tensor_dims)
-    N = len(dims)
-    best = None
-    best_feasible = None
-    for fac in factorizations(P, N):
-        cost = sum(I / p for I, p in zip(dims, fac))
-        key = (cost, fac)
-        if best is None or key < best[0]:
-            best = (key, fac)
-        if all(p <= I for I, p in zip(dims, fac)):
-            if best_feasible is None or key < best_feasible[0]:
-                best_feasible = (key, fac)
-    if best_feasible is not None:
-        return ProcessorGrid(dims, best_feasible[1], warning=False)
-    return ProcessorGrid(dims, best[1], warning=True)
+
+    def key(fac):
+        return (any(p > I for I, p in zip(dims, fac)),
+                sum(I / p for I, p in zip(dims, fac)), fac)
+
+    fac = min(factorizations(P, len(dims)), key=key)
+    return ProcessorGrid(dims, fac, warning=key(fac)[0])
 
 
 def _words(arr) -> int:

@@ -7,10 +7,11 @@ compressed-sparse-row storage:
 - the CSC analogue orders the nonzeros by off-mode column (all indices
   except mode j, earlier modes varying fastest) and then by row index.
   Its columns form a compressed-sparse-fiber tree whose levels are int64
-  words of bit-packed indices, each level after the first below its
-  prefix's id one level up (``column_levels``), so a column lookup is one
-  binary search per level.  It holds the entry order in the narrowest
-  unsigned dtype.  Only sampled extraction reads it.
+  words of indices bit-packed by ``tensor.pack_word``, each level after
+  the first below its prefix's id one level up (``column_levels``), so a
+  column lookup is one binary search per level.  It holds the entry
+  order in the narrowest unsigned dtype.  Only sampled extraction reads
+  it.
 - the CSR analogue stores, in row order, what the exact MTTKRP streams:
   each entry's last off-mode index, its deepest prefix id and its value,
   with the row pointers.  With it comes the table of the distinct
@@ -37,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import grid as gridmod
-from .tensor import BoundsError, SparseTensorCOO, pack_word, plan_words
+from .tensor import SparseTensorCOO, check_columns, pack_word, plan_words
 
 
 def column_keys(idx, dims, skip):
@@ -46,15 +47,6 @@ def column_keys(idx, dims, skip):
     ValueError when the off-mode index space does not fit int64."""
     off = [m for m in reversed(range(len(dims))) if m != skip]
     return np.ravel_multi_index(idx[:, off].T, [dims[m] for m in off])
-
-
-def check_columns(X, dims, skip):
-    """X as int64, its off-mode indices checked against ``dims``."""
-    X = np.asarray(X, dtype=np.int64)
-    for m, d in enumerate(dims):
-        if m != skip and int(X[:, m].view(np.uint64).max(initial=0)) >= d:  # -1: 2^64 - 1
-            raise BoundsError("mode-%d index outside [0, %d)" % (m, d))
-    return X
 
 
 def column_levels(X, dims, skip, rows=None):
@@ -76,15 +68,8 @@ def column_levels(X, dims, skip, rows=None):
                       reserve=max(n - 1, 0).bit_length())
     codes, ids = [], None
     for word in plan:
-        # Packed in place, so no shifted copy is alive beside the key; ids
-        # is the previous level's, this function's own array.
-        key = ids
-        for m, w in word:
-            if key is None:
-                key = X[:, m].copy()
-            else:
-                key <<= w
-                key |= X[:, m]
+        # ids is the previous level's, this function's own array.
+        key = pack_word(X, word, high=ids)
         # Without rows (the draws' merge), numpy's fastest sort, an unstable one.
         order = np.argsort(key) if rows is None else np.lexsort((rows, key))
         key = key.take(order)

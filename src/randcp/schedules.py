@@ -50,9 +50,10 @@ import numpy as np
 
 from . import grid as gridmod
 from .linalg import hadamard_gram_chain, pseudo_inverse
-from .matricization import check_columns, column_levels
+from .matricization import column_levels
 from .mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
 from .samplers import arls_lev_sample, sample_weights, sts_sample
+from .tensor import check_columns
 
 
 class ScheduleError(ValueError):
@@ -81,8 +82,9 @@ class SolveContext:
         # The reduced last-mode MTTKRP of an exact solve, which the fit after
         # the round reads (``linalg.compute_fit(mttkrp=)``); None otherwise.
         self.last_mttkrp = None
-        self.timings = {"sampling": 0.0, "gather": 0.0, "extract": 0.0, "mttkrp": 0.0,
-                        "reduction": 0.0, "postprocess": 0.0}
+        # Seconds per phase; ``run_als`` sets "load" and ticks "fit".
+        self.timings = {"load": 0.0, "sampling": 0.0, "gather": 0.0, "extract": 0.0,
+                        "mttkrp": 0.0, "reduction": 0.0, "postprocess": 0.0, "fit": 0.0}
         self.stats = {"distinct_samples": 0, "sampled_nnz": 0}
 
     def tick(self, phase, t0):

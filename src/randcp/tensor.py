@@ -7,7 +7,8 @@ reader (``np.loadtxt``), with no Python work per line; file line numbers
 for error messages are recovered by a rescan, only when the input is
 rejected.  Duplicate coordinates are summed at ingestion, after one
 stable sort over the index tuples packed into int64 words, after which
-index tuples are unique and in lexicographic order.
+index tuples are unique and in lexicographic order.  ``pack_word``, the
+one bit-packer, also packs the column keys of ``matricization``.
 
 Memory: ingest holds at most one extra copy of the nonzeros, and a few
 nnz-long index vectors, beside the tensor it returns; on a four-mode
@@ -34,6 +35,15 @@ class ParseError(ValueError):
 
 class BoundsError(ValueError):
     """Index outside the declared mode dimensions."""
+
+
+def check_columns(X, dims, skip=None):
+    """X as int64, its indices in every mode but ``skip`` checked against ``dims``."""
+    X = np.asarray(X, dtype=np.int64)
+    for m, d in enumerate(dims):
+        if m != skip and int(X[:, m].view(np.uint64).max(initial=0)) >= d:  # -1: 2^64 - 1
+            raise BoundsError("mode-%d index outside [0, %d)" % (m, d))
+    return X
 
 
 class SparseTensorCOO:
@@ -66,10 +76,7 @@ class SparseTensorCOO:
             if self.vals.shape != (self.idx.shape[0],):
                 raise ValueError("value count %d != index row count %d"
                                  % (self.vals.size, self.idx.shape[0]))
-            # Column by column, negative indices wrapping to 2^64 - 1.
-            if any(int(c.view(np.uint64).max(initial=0)) >= d
-                   for c, d in zip(self.idx.T, self.dims)):
-                raise BoundsError("tensor index out of bounds for dims %s" % (self.dims,))
+            check_columns(self.idx, self.dims)
 
     @property
     def mode_count(self):
@@ -101,10 +108,15 @@ def plan_words(fields, reserve=0):
 
 
 def pack_word(idx, word, high=None):
-    """Shift-or the (mode, bits) fields of ``idx``, first most significant, below ``high``."""
+    """Shift-or the (mode, bits) fields of ``idx``, first most significant, into
+    ``high`` in place (a copy of the first field if None); returns the key."""
     key = high
     for m, w in word:
-        key = idx[:, m] if key is None else (key << w) | idx[:, m]
+        if key is None:
+            key = idx[:, m].copy()
+        else:
+            key <<= w
+            key |= idx[:, m]
     return key
 
 
@@ -277,14 +289,6 @@ class ModePermutations:
         perms = [rng.stream(seed, rng.TENSOR_PERM, j).permutation(d)
                  for j, d in enumerate(dims)]
         return cls(perms)
-
-    def inverse(self):
-        inv = []
-        for p in self.perms:
-            q = np.empty_like(p)
-            q[p] = np.arange(p.size, dtype=np.int64)
-            inv.append(q)
-        return ModePermutations(inv)
 
     def unpermute_factor(self, U, mode):
         """Reorder a factor computed in permuted space back to original rows,

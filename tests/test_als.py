@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,29 @@ class TestSketchedAls:
             assert res.final_fit == alone.final_fit and res.ledger == alone.ledger
             assert all(np.array_equal(a, b) for a, b in zip(res.factors, alone.factors))
         assert trials[0].final_fit != trials[1].final_fit
+
+    def test_fit_record_derives_final_fit_and_running_max(self):
+        t = make_sparse((10, 9, 8), 200, seed=8)
+        cfg = AlsConfig(rank=2, rounds=5, sampler="sts", samples=64,
+                        schedule="accumulator-stationary", procs=4, seed=11,
+                        fit_every=2, permute=False)
+        res = run_als(cfg, tensor=t)
+        assert [r for r, _ in res.fit_history] == [2, 4, 5]
+        best, running_max = -np.inf, []  # the best fit so far, by a plain loop
+        for _, f in res.fit_history:
+            best = max(best, f)
+            running_max.append(best)
+        assert res.running_max == running_max
+        assert res.final_fit == res.fit_history[-1][1]
+        dipped = replace(res, fit_history=[(1, 0.5), (2, 0.4), (3, 0.7)])
+        assert dipped.running_max == [0.5, 0.5, 0.7] and dipped.final_fit == 0.7
+        assert set(res.timings) == {"load", "sampling", "gather", "extract", "mttkrp",
+                                    "reduction", "postprocess", "fit"}
+        assert res.timings["fit"] > 0.0
+
+        quiet = run_als(replace(cfg, compute_fits=False), tensor=t)
+        assert np.isnan(quiet.final_fit) and quiet.running_max == []
+        assert quiet.fit_history == [] and quiet.timings["fit"] == 0.0
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nan_abort(self):

@@ -15,17 +15,17 @@ class TestOptimalGrid:
     def test_p1(self):
         assert optimal_grid((5, 6, 7), 1).grid_dims == (1, 1, 1)
 
-    def test_matches_exhaustive_oracle(self):
-        dims, P = (4, 2, 2), 4
-        best = None
-        for fac in factorizations(P, 3):
-            if any(p > d for p, d in zip(fac, dims)):
-                continue
-            cost = sum(d / p for d, p in zip(dims, fac))
-            if best is None or (cost, fac) < best:
-                best = (cost, fac)
+    # (4, 4, 4) at P=2 ties three grids, 12 is not a power of two, and no
+    # grid of 64 ranks fits (3, 3, 3).
+    @pytest.mark.parametrize("dims,P", [((4, 2, 2), 4), ((4, 4, 4), 2), ((6, 4, 10), 12),
+                                        ((5, 7, 3, 9), 12), ((3, 3, 3), 64)])
+    def test_matches_exhaustive_oracle(self, dims, P):
+        ranked = sorted((sum(d / p for d, p in zip(dims, fac)), fac)
+                        for fac in factorizations(P, len(dims)))
+        feasible = [r for r in ranked if all(p <= d for p, d in zip(r[1], dims))]
         g = optimal_grid(dims, P)
-        assert g.grid_dims == best[1]
+        assert g.grid_dims == (feasible or ranked)[0][1]
+        assert g.warning == (not feasible)
 
     def test_infeasible_warns(self):
         g = optimal_grid((3, 3, 3), 64)  # no factorization fits 3x3x3

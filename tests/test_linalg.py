@@ -195,8 +195,7 @@ class TestComputeFit:
         sigma = np.array([1.3, 0.4])
         f0 = compute_fit(t, factors, sigma)
         t2, mp = permute_modes(t, seed=15)
-        inv = mp.inverse()
-        factors2 = [U[inv.perms[j]] for j, U in enumerate(factors)]
+        factors2 = [U[np.argsort(p)] for U, p in zip(factors, mp.perms)]
         assert abs(compute_fit(t2, factors2, sigma) - f0) < 1e-12
 
 

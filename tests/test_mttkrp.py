@@ -5,7 +5,7 @@ import pytest
 
 from randcp import grid as gridmod, mttkrp
 from randcp.linalg import khatri_rao
-from randcp.matricization import Matricization, column_keys, matricize
+from randcp.matricization import Matricization, column_keys, column_levels, matricize
 from randcp.mttkrp import downsampled_mttkrp, gather_sampled_nonzeros_to_csr, mttkrp_exact
 from randcp.tensor import SparseTensorCOO
 from conftest import dense_matricization, dense_of, make_sparse
@@ -289,6 +289,21 @@ class TestGatherSampled:
                 for r, v in zip(t.idx[mask, k], t.vals[mask]):
                     ref.append((int(r), s, v))
             assert sorted(got) == sorted(ref)
+
+    # (4, 2^40, 2^40) packs its off-mode columns into two levels, the second
+    # packed below the first level's ids.
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (4, 1 << 40, 1 << 40)])
+    def test_sample_tuples_not_written(self, dims):
+        gen = np.random.default_rng(9)
+        idx = np.unique(np.stack([gen.integers(0, d, 60) for d in dims], 1), axis=0)
+        m = matricize(SparseTensorCOO(dims, idx, gen.standard_normal(idx.shape[0])), 0)
+        X = np.concatenate([idx[::2], np.stack([gen.integers(0, d, 20) for d in dims], 1)])
+        assert X.dtype == np.int64 and X.flags.c_contiguous
+        before = X.tobytes()
+        column_levels(X, dims, 0)
+        m.lookup_columns(X)
+        gather_sampled_nonzeros_to_csr(m, X, 0)
+        assert X.tobytes() == before
 
     def test_duplicate_samples_kept(self):
         t = SparseTensorCOO((2, 2, 2), np.array([[0, 1, 1], [1, 1, 1]]),

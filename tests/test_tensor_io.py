@@ -311,6 +311,18 @@ def test_load_frostt_matches_reference(tmp_path_factory, case, pad, declare):
     assert_same_bits([t.vals], [ref_vals])
 
 
+class TestIndexBounds:
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_index_outside_its_mode_names_the_mode(self, mode, past_end):
+        dims = (3, 4, 5)
+        idx = np.array([[0, 1, 2], [2, 3, 4]])
+        idx[1, mode] = dims[mode] if past_end else -1
+        with pytest.raises(BoundsError, match=r"mode-%d index outside \[0, %d\)"
+                           % (mode, dims[mode])):
+            SparseTensorCOO(dims, idx, np.ones(2))
+
+
 class TestPermutations:
     def test_identity_hook(self):
         t = make_sparse((5, 4, 3), 20, seed=0)
@@ -328,7 +340,7 @@ class TestPermutations:
     def test_round_trip(self):
         t = make_sparse((5, 4, 3), 25, seed=2)
         t2, mp = permute_modes(t, seed=7)
-        t3 = apply_permutations(t2, mp.inverse())
+        t3 = apply_permutations(t2, ModePermutations([np.argsort(p) for p in mp.perms]))
         assert np.array_equal(t3.idx, t.idx) and np.array_equal(t3.vals, t.vals)
 
     def test_input_not_written_and_values_shared(self):
