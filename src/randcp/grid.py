@@ -4,7 +4,8 @@ Ranks are arranged in a hypercube of dimensions P_1 x ... x P_N.  Each
 mode j is split into P_j contiguous index chunks; the ranks sharing
 chunk c of mode j (the mode-j slice group) subdivide that chunk's factor
 rows among themselves, so factor ownership is aligned with the tensor
-partition.
+partition.  ``slice_groups[j]`` is the (P_j, P/P_j) table of rank ids
+whose row c is the group of chunk c.
 
 Collectives operate on explicit per-member payload lists (the simulation
 is bulk-synchronous: ranks compute independently between collectives and
@@ -13,7 +14,8 @@ numpy operation plus one ``meter`` call, and ``meter`` holds the whole
 cost model: words (64-bit units) and messages received per member, under
 ring allgather / reduce-scatter and bidirectional-exchange allreduce
 (Chan et al., CCPE 2007).  Samplers and schedules that move data without
-materializing it call ``meter`` directly with the same model.
+materializing it call ``meter`` directly with the same model; an exchange
+within every slice group of a mode is one call over the mode's table.
 """
 
 import numpy as np
@@ -27,19 +29,17 @@ KINDS = (ALLGATHER, REDUCE_SCATTER, ALLREDUCE, ALL_TO_ALLV)
 
 
 def balanced_offsets(n, parts):
-    """Offsets splitting range(n) into ``parts`` near-equal contiguous blocks."""
-    base, extra = divmod(n, parts)
-    sizes = np.full(parts, base, dtype=np.int64)
-    sizes[:extra] += 1
-    off = np.zeros(parts + 1, dtype=np.int64)
-    np.cumsum(sizes, out=off[1:])
-    return off
+    """Offsets splitting range(n) into ``parts`` near-equal contiguous blocks;
+    an array of sizes ``n`` gets its offsets along a new last axis."""
+    base, extra = np.divmod(np.asarray(n, dtype=np.int64)[..., None], parts)
+    m = np.arange(parts + 1, dtype=np.int64)
+    return m * base + np.minimum(m, extra)
 
 
 class ProcessorGrid:
     """Cartesian rank layout plus per-mode chunk and factor-row partitions."""
 
-    def __init__(self, tensor_dims, grid_dims, warning=False):
+    def __init__(self, tensor_dims, grid_dims):
         self.tensor_dims = tuple(int(d) for d in tensor_dims)
         self.grid_dims = tuple(int(p) for p in grid_dims)
         if len(self.grid_dims) != len(self.tensor_dims):
@@ -49,31 +49,21 @@ class ProcessorGrid:
             raise ValueError("grid dims must be positive: %s" % (self.grid_dims,))
         self.P = int(np.prod(self.grid_dims))
         self.N = len(self.grid_dims)
-        self.warning = warning
+        # Infeasible: a mode has more chunks than indices, so a chunk is empty.
+        self.warning = any(p > I for I, p in zip(self.tensor_dims, self.grid_dims))
 
-        coords = np.stack(np.unravel_index(np.arange(self.P), self.grid_dims), axis=1)
         self.chunk_offsets = [balanced_offsets(I, Pj)
                               for I, Pj in zip(self.tensor_dims, self.grid_dims)]
-
-        # Factor-row partition: chunk c of mode j is subdivided among the
-        # slice group {ranks with coord_j == c}, ordered by rank id.
-        self._block_lo = np.zeros((self.N, self.P), dtype=np.int64)
-        self._block_hi = np.zeros((self.N, self.P), dtype=np.int64)
-        self._slice_groups = []
-        for j in range(self.N):
-            groups = [np.flatnonzero(coords[:, j] == c) for c in range(self.grid_dims[j])]
-            self._slice_groups.append(groups)
-            for c, members in enumerate(groups):
-                lo = int(self.chunk_offsets[j][c])
-                hi = int(self.chunk_offsets[j][c + 1])
-                sub = balanced_offsets(hi - lo, len(members))
-                for m, p in enumerate(members):
-                    self._block_lo[j, p] = lo + sub[m]
-                    self._block_hi[j, p] = lo + sub[m + 1]
-
-    def slice_group(self, j, c):
-        """Ranks sharing mode-j chunk c, ordered by rank id."""
-        return self._slice_groups[j][c]
+        # Row c of slice_groups[j]: the ranks with coord_j == c in rank-id
+        # order, which split chunk c's factor rows among themselves in order.
+        ranks = np.arange(self.P).reshape(self.grid_dims)
+        self.slice_groups = [np.moveaxis(ranks, j, 0).reshape(Pj, -1)
+                             for j, Pj in enumerate(self.grid_dims)]
+        self._block_lo, self._block_hi = np.zeros((2, self.N, self.P), dtype=np.int64)
+        for j, (off, groups) in enumerate(zip(self.chunk_offsets, self.slice_groups)):
+            sub = off[:-1, None] + balanced_offsets(np.diff(off), groups.shape[1])
+            self._block_lo[j, groups] = sub[:, :-1]
+            self._block_hi[j, groups] = sub[:, 1:]
 
     def block_ranges(self, j):
         return self._block_lo[j], self._block_hi[j]
@@ -123,8 +113,8 @@ def optimal_grid(tensor_dims, P) -> ProcessorGrid:
     This is the integer version of the continuous optimum
     P_k = I_k * (P / prod_i I_i)^(1/N).  Feasible grids (every P_k <=
     I_k) are preferred; if none exists the best infeasible grid is
-    returned with a warning flag.  Ties break to the lexicographically
-    smallest dimension tuple.
+    returned; its ``warning`` flag, like any grid's, is derived from the
+    dims.  Ties break to the lexicographically smallest dimension tuple.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
@@ -134,8 +124,7 @@ def optimal_grid(tensor_dims, P) -> ProcessorGrid:
         return (any(p > I for I, p in zip(dims, fac)),
                 sum(I / p for I, p in zip(dims, fac)), fac)
 
-    fac = min(factorizations(P, len(dims)), key=key)
-    return ProcessorGrid(dims, fac, warning=key(fac)[0])
+    return ProcessorGrid(dims, min(factorizations(P, len(dims)), key=key))
 
 
 def _words(arr) -> int:
@@ -239,31 +228,36 @@ def meter(ledger, round_id, kind, ranks, member_words):
       its off-diagonal column sums, one message per nonzero sender per
       exchange.  Only members that receive something are recorded.
 
-    Nothing is recorded without a ledger or for a one-member group.
+    Except for all_to_allv, ``ranks`` may be a (groups, q) table, one group
+    per row (per-member words shaped alike), recorded as one call per row.
+    Nothing is recorded without a ledger or for one-member groups.
     """
-    q = len(ranks)
+    ranks = np.asarray(ranks)
+    q = ranks.shape[-1]
     if ledger is None or q <= 1:
         return
-    members = range(q)
-    messages = [q - 1] * q
+    messages = q - 1
     if kind == ALLGATHER:
         w = np.asarray(member_words, dtype=np.int64)
-        words = w.sum() - w
+        words = w.sum(axis=-1, keepdims=True) - w
     elif kind == REDUCE_SCATTER:
         words = np.asarray(member_words, dtype=np.int64) * (q - 1)
     elif kind == ALLREDUCE:
-        words = [(2 * int(member_words) * (q - 1) + q - 1) // q] * q  # ceil
-        messages = [2 * (q - 1)] * q
+        words = (2 * int(member_words) * (q - 1) + q - 1) // q  # ceil
+        messages = 2 * (q - 1)
     elif kind == ALL_TO_ALLV:
+        if ranks.ndim != 1:
+            raise ValueError("all_to_allv meters one group per call")
         sent = np.array(member_words, dtype=np.int64).reshape(-1, q, q)
         sent[:, np.arange(q), np.arange(q)] = 0
-        words = sent.sum(axis=(0, 1))
         messages = np.count_nonzero(sent, axis=1).sum(axis=0)
-        members = np.flatnonzero(messages)
+        members = messages > 0
+        ranks, words, messages = ranks[members], sent.sum(axis=(0, 1))[members], messages[members]
     else:
         raise ValueError("unknown collective kind %r" % kind)
-    for i in members:
-        ledger.add(round_id, kind, ranks[i], words[i], messages[i])
+    words, messages = (np.broadcast_to(a, ranks.shape).ravel().tolist() for a in (words, messages))
+    for rank, w, m in zip(ranks.ravel().tolist(), words, messages):
+        ledger.add(round_id, kind, rank, w, m)
 
 
 def _check_group(ranks, payloads):
@@ -325,11 +319,7 @@ def ts_exact_round_words_total(grid: ProcessorGrid, R: int) -> int:
     round, summed over all ranks: 2 * sum_k (q_k - 1) * I_k * R with
     q_k = P / P_k the mode-k slice group size.  Per rank this averages
     2 * sum_k (I_k / P_k) * R * (1 - 1/q_k)."""
-    total = 0
-    for I, Pk in zip(grid.tensor_dims, grid.grid_dims):
-        q = grid.P // Pk
-        total += (q - 1) * I * R
-    return 2 * total
+    return 2 * R * sum((grid.P // Pk - 1) * I for I, Pk in zip(grid.tensor_dims, grid.grid_dims))
 
 
 def as_gather_words_total_per_solve(J, R, N, P) -> int:

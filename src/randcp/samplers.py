@@ -156,8 +156,8 @@ def arls_lev_build(blocks, ledger=None, round_id=0, gram_matrix=None) -> ArlsLev
     G = gram(blocks, ledger=ledger, round_id=round_id) if gram_matrix is None else gram_matrix
     U = blocks.U
     d = np.maximum(np.einsum("ir,ir->i", U @ pseudo_inverse(G), U), 0.0)
-    cs = np.concatenate(([0.0], d.cumsum()))
-    dist = d / cs[-1] if cs[-1] > 0.0 else d
+    total = d.cumsum()[-1]  # the sequential sum, not np.sum's pairwise one
+    dist = d / total if total > 0.0 else d
     # Every rank's block mass, the sum of its rows' d, is allgathered: one
     # word per rank.
     gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(blocks.n_blocks),

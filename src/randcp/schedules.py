@@ -97,10 +97,8 @@ def refresh_gathered(ctx: SolveContext, mode: int):
     """Meter the allgather of mode's factor blocks within each of its slice
     groups; after it each rank reads its chunk's rows in place."""
     fb = ctx.factors[mode]
-    words = (fb.his - fb.lows) * fb.R
-    for c in range(ctx.grid.grid_dims[mode]):
-        group = ctx.grid.slice_group(mode, c)
-        _meter_allgather_model(ctx.ledger, ctx.round_id, group, words[group])
+    groups = ctx.grid.slice_groups[mode]
+    _meter_allgather_model(ctx.ledger, ctx.round_id, groups, ((fb.his - fb.lows) * fb.R)[groups])
 
 
 def _meter_allgather_model(ledger, round_id, ranks, member_words):
@@ -265,10 +263,9 @@ def _reduce_along_mode(ctx, k, acc):
     accumulator-stationary row has one holder, so it is only scattered."""
     if ctx.schedule == "tensor-stationary":
         fb = ctx.factors[k]
-        words = (fb.his - fb.lows) * fb.R
-        for c in range(ctx.grid.grid_dims[k]):
-            group = ctx.grid.slice_group(k, c)
-            gridmod.meter(ctx.ledger, ctx.round_id, gridmod.REDUCE_SCATTER, group, words[group])
+        groups = ctx.grid.slice_groups[k]
+        gridmod.meter(ctx.ledger, ctx.round_id, gridmod.REDUCE_SCATTER, groups,
+                      ((fb.his - fb.lows) * fb.R)[groups])
     return acc
 
 
@@ -298,12 +295,12 @@ def _meter_sampled_gathers_ts(ctx, k, batch):
     for i in range(grid.N):
         if i == k:
             continue
-        # A row's owner sits in the slice group of the row's chunk.
-        words = _drawn_rows(batch.X, i, ctx.factors[i]) * ctx.factors[i].R
-        for c in range(grid.grid_dims[i]):
-            group = grid.slice_group(i, c)
-            if words[group].any():  # some sample drew a row of chunk c
-                _meter_allgather_model(ctx.ledger, ctx.round_id, group, words[group])
+        # A row's owner sits in the slice group of the row's chunk; only
+        # the groups of chunks some sample drew a row of exchange anything.
+        groups = grid.slice_groups[i]
+        words = (_drawn_rows(batch.X, i, ctx.factors[i]) * ctx.factors[i].R)[groups]
+        drawn = words.any(axis=1)
+        _meter_allgather_model(ctx.ledger, ctx.round_id, groups[drawn], words[drawn])
 
 
 def _meter_sampled_gathers_as(ctx, k, batch):

@@ -47,10 +47,57 @@ class TestGridPartitions:
     def test_slice_groups_partition_ranks(self):
         g = ProcessorGrid((8, 8, 8), (2, 2, 2))
         for j in range(3):
-            all_ranks = sorted(r for c in range(2) for r in g.slice_group(j, c))
+            all_ranks = sorted(r for c in range(2) for r in g.slice_groups[j][c])
             assert all_ranks == list(range(8))
-            assert all(len(g.slice_group(j, c)) == g.P // g.grid_dims[j]
+            assert all(len(g.slice_groups[j][c]) == g.P // g.grid_dims[j]
                        for c in range(2))
+
+
+def _loop_partition(dims, gdims):
+    """The per-member construction the grid's tables replace: each slice
+    group found by scanning coordinates, each chunk split member by member."""
+    P = int(np.prod(gdims))
+    coords = np.stack(np.unravel_index(np.arange(P), gdims), axis=1)
+    chunks, groups = [], []
+    lo_hi = np.zeros((2, len(dims), P), dtype=np.int64)
+    for j, (I, Pj) in enumerate(zip(dims, gdims)):
+        sizes = [I // Pj + (c < I % Pj) for c in range(Pj)]
+        off = np.concatenate(([0], np.cumsum(sizes)))
+        chunks.append(off)
+        groups.append([np.flatnonzero(coords[:, j] == c) for c in range(Pj)])
+        for c, members in enumerate(groups[-1]):
+            n, q = off[c + 1] - off[c], len(members)
+            sub = np.concatenate(([0], np.cumsum([n // q + (m < n % q) for m in range(q)])))
+            for m, p in enumerate(members):
+                lo_hi[:, j, p] = off[c] + sub[m], off[c] + sub[m + 1]
+    return chunks, groups, lo_hi
+
+
+class TestGridTables:
+    """The grid's slice-group tables and block ranges against the loop oracle."""
+
+    @pytest.mark.parametrize("dims,gdims", [
+        ((5, 6, 7), (1, 1, 1)), ((13, 7, 5), (2, 3, 1)), ((10, 9, 8), (1, 7, 1)),
+        ((20, 3, 11), (3, 2, 2)), ((4, 4, 4), (2, 3, 2)), ((2, 5, 3), (4, 1, 3)),
+        ((9, 8, 7, 6, 5, 4), (2, 1, 3, 2, 1, 2)), ((3, 3, 3, 3, 3, 3), (2, 2, 2, 2, 2, 2)),
+        ((1, 6, 2), (3, 2, 2)), ((64, 32, 16), (4, 8, 8))])
+    def test_tables_match_loop(self, dims, gdims):
+        g = ProcessorGrid(dims, gdims)
+        chunks, groups, lo_hi = _loop_partition(dims, gdims)
+        for j in range(len(dims)):
+            assert np.array_equal(g.chunk_offsets[j], chunks[j])
+            assert g.slice_groups[j].shape == (gdims[j], g.P // gdims[j])
+            for c, members in enumerate(groups[j]):
+                assert np.array_equal(g.slice_groups[j][c], members)
+            lows, his = g.block_ranges(j)
+            assert np.array_equal(lows, lo_hi[0, j]) and np.array_equal(his, lo_hi[1, j])
+        assert g.warning == any(p > I for I, p in zip(dims, gdims))
+
+    def test_explicit_infeasible_grid_warns(self):
+        g = ProcessorGrid((2, 5, 3), (4, 1, 3))  # mode 0 has 4 chunks of 2 rows
+        assert g.warning
+        assert np.diff(g.chunk_offsets[0]).tolist() == [1, 1, 0, 0]
+        assert not ProcessorGrid((4, 5, 3), (4, 1, 3)).warning
 
 
 class TestStableArgsort:
@@ -177,6 +224,35 @@ class TestMeter:
         send = [[None, np.ones(4)], [None, None]]
         all_to_allv(send, [0, 1], ledger=led)
         assert led.records() == {(0, "all_to_allv", 1): (4, 1)}
+
+    @pytest.mark.parametrize("kind", [gridmod.ALLGATHER, gridmod.REDUCE_SCATTER])
+    def test_group_table_records_as_one_call_per_row(self, kind):
+        ranks = np.array([[0, 3, 6], [1, 4, 7], [2, 5, 8]])
+        words = np.array([[2, 0, 5], [1, 1, 1], [0, 0, 0]])
+        table, rows = CommLedger(), CommLedger()
+        gridmod.meter(table, 4, kind, ranks, words)
+        for group, w in zip(ranks, words):
+            gridmod.meter(rows, 4, kind, group, w)
+        assert table.records() == rows.records()
+        assert len(table.records()) == ranks.size
+
+    def test_allreduce_table_and_all_to_allv_table(self):
+        ranks = np.array([[0, 2], [1, 3]])
+        table, rows = CommLedger(), CommLedger()
+        gridmod.meter(table, 0, gridmod.ALLREDUCE, ranks, 5)
+        for group in ranks:
+            gridmod.meter(rows, 0, gridmod.ALLREDUCE, group, 5)
+        assert table.records() == rows.records()
+        with pytest.raises(ValueError):  # one exchange matrix fits one group
+            gridmod.meter(table, 0, gridmod.ALL_TO_ALLV, ranks, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("kind", [gridmod.ALLGATHER, gridmod.REDUCE_SCATTER])
+    @pytest.mark.parametrize("shape", [(4, 1), (0, 3)])
+    def test_single_member_or_empty_table_records_nothing(self, kind, shape):
+        led = CommLedger()
+        ranks = np.arange(int(np.prod(shape))).reshape(shape)
+        gridmod.meter(led, 0, kind, ranks, np.ones(shape, dtype=np.int64))
+        assert led.records() == {}
 
     @pytest.mark.parametrize("kind, one, two", [
         (gridmod.ALLGATHER, [10], [10, 10]), (gridmod.REDUCE_SCATTER, [10], [10, 10]),

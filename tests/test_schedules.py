@@ -287,7 +287,7 @@ def direct_gather_count(grid, batch, k, schedule, R):
         rows = np.unique(batch.X[:, i])
         chunks = np.searchsorted(grid.chunk_offsets[i], rows, side="right") - 1
         for c in range(grid.grid_dims[i]):
-            group = grid.slice_group(i, c)
+            group = grid.slice_groups[i][c]
             owners = block_owner(grid, i, rows[chunks == c])
             if owners.size and len(group) > 1:
                 gather(group, R * np.array([np.count_nonzero(owners == p) for p in group]))
