@@ -33,13 +33,12 @@ import numpy as np
 from . import grid as gridmod
 from . import rng
 from .linalg import FactorBlocks, compute_fit, gram, gram_scale, normalize_columns
-from .matricization import partition_to_grid
+from .matricization import SCHEDULES, partition_to_grid
 from .samplers import arls_lev_build, sts_build
 from .schedules import ScheduleError, SolveContext, refresh_gathered, solve_mode
 from .tensor import ModePermutations, load_frostt, permute_modes
 
 SAMPLERS = ("exact", "arls-lev", "sts")
-SCHEDULES = ("tensor-stationary", "accumulator-stationary")
 
 
 class DegenerateSketchError(RuntimeError):
@@ -87,6 +86,9 @@ class AlsConfig:
             raise ValueError("fit_every must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.grid_dims is not None and int(np.prod(self.grid_dims)) != self.procs:
+            raise ValueError("grid_dims %s has %d ranks, procs is %d"
+                             % (self.grid_dims, np.prod(self.grid_dims), self.procs))
 
 
 @dataclass
@@ -142,12 +144,6 @@ def init_factors(dims, R, seed, trial=0):
         U = rng.stream(seed, rng.INIT, trial, j).standard_normal((d, R))
         factors.append(normalize_columns(U, inplace=True)[0])
     return factors, np.ones(R)
-
-
-def build_grid(dims, cfg: AlsConfig):
-    if cfg.grid_dims is not None:
-        return gridmod.ProcessorGrid(dims, cfg.grid_dims)
-    return gridmod.optimal_grid(dims, cfg.procs)
 
 
 def _rebuild_mode_state(ctx, k, renormalize=True):
@@ -208,9 +204,11 @@ def _set_up(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
             fit_mat=None):
     """File to ready state: load, permute, grid, partition, fit view.
 
-    Pieces passed in are kept.  A sketched run with fits and no ``fit_mat``
-    takes the partition's last-mode view as its fit view, so no view is
-    built for the fit.  Returns the five in ``run_als``'s argument order.
+    Pieces passed in are kept; a partition under another schedule raises
+    ScheduleError, and a tensor with a zero or non-finite sum of squares
+    ValueError or FloatingPointError.  A sketched run with fits and no
+    ``fit_mat`` takes the partition's last-mode view as its fit view.
+    Returns the five in ``run_als``'s argument order.
     """
     if tensor is None:
         if cfg.tensor_path is None:
@@ -218,12 +216,22 @@ def _set_up(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
         tensor = load_frostt(cfg.tensor_path, log_transform=cfg.log_transform)
         if cfg.permute:
             tensor, perms = permute_modes(tensor, cfg.seed)
+    with np.errstate(over="ignore"):
+        norm_sq = tensor.norm_squared()
+    if not np.isfinite(norm_sq):
+        raise FloatingPointError("tensor sum of squares is %r, not finite" % norm_sq)
+    if norm_sq == 0.0:
+        raise ValueError("tensor has no nonzero value to fit")
     if perms is None:
         perms = ModePermutations.identity(tensor.dims)
     if grid is None:
-        grid = build_grid(tensor.dims, cfg)
+        grid = (gridmod.optimal_grid(tensor.dims, cfg.procs) if cfg.grid_dims is None
+                else gridmod.ProcessorGrid(tensor.dims, cfg.grid_dims))
     if partition is None:
         partition = partition_to_grid(tensor, grid, cfg.schedule)
+    elif partition.schedule != cfg.schedule:
+        raise ScheduleError("configured schedule is %r, the partition's %r"
+                            % (cfg.schedule, partition.schedule))
     if fit_mat is None and cfg.compute_fits and cfg.sampler != "exact":
         fit_mat = partition.views[-1]
     return tensor, perms, grid, partition, fit_mat
@@ -247,8 +255,8 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     blocks = [FactorBlocks(U, *grid.block_ranges(j)) for j, U in enumerate(factors)]
 
     ledger = gridmod.CommLedger()
-    ctx = SolveContext(grid, cfg.schedule, cfg.sampler, cfg.samples, blocks, partition,
-                       ledger, cfg.seed, workers=cfg.workers)
+    ctx = SolveContext(grid, cfg.sampler, cfg.samples, blocks, partition, ledger, cfg.seed,
+                       workers=cfg.workers)
     ctx.timings["load"] = load_s
     ctx.round_id = 0
     for j in range(N):

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import grid as gridmod
 from . import verify as verifymod
-from .als import AlsConfig, run_als, run_trials
+from .als import SAMPLERS, SCHEDULES, AlsConfig, run_als, run_trials
 from .grid import ledger_report
 from .tensor import load_frostt, permute_modes, write_matrix
 
@@ -44,10 +44,9 @@ def build_parser():
     d.add_argument("--tensor", required=True, help="FROSTT .tns input path")
     d.add_argument("--rank", type=int, required=True)
     d.add_argument("--rounds", type=int, default=40)
-    d.add_argument("--sampler", choices=["exact", "arls-lev", "sts"], default="exact")
+    d.add_argument("--sampler", choices=SAMPLERS, default="exact")
     d.add_argument("--samples", type=int, default=0, help="sample count J per solve")
-    d.add_argument("--schedule", choices=["tensor-stationary", "accumulator-stationary"],
-                   default="tensor-stationary")
+    d.add_argument("--schedule", choices=SCHEDULES, default="tensor-stationary")
     grp = d.add_mutually_exclusive_group()
     grp.add_argument("--grid", type=_parse_grid, default=None, help="explicit P1xP2x... grid")
     grp.add_argument("--procs", type=_positive_int, default=1,
@@ -82,7 +81,8 @@ def build_parser():
 def _cfg_from_args(args):
     return AlsConfig(rank=args.rank, rounds=args.rounds, tensor_path=args.tensor,
                      sampler=args.sampler, samples=args.samples, schedule=args.schedule,
-                     grid_dims=args.grid, procs=args.procs, seed=args.seed,
+                     grid_dims=args.grid, seed=args.seed,
+                     procs=int(np.prod(args.grid)) if args.grid else args.procs,
                      fit_every=args.fit_every, log_transform=args.log_transform,
                      permute=not args.no_permute, workers=args.workers)
 

@@ -237,6 +237,9 @@ class LocalTensorSet:
         return sum(m.nnz for m in self.views)
 
 
+SCHEDULES = ("tensor-stationary", "accumulator-stationary")
+
+
 def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet:
     """The N mode views of ``t`` under a schedule on ``grid``.
 
@@ -251,7 +254,7 @@ def partition_to_grid(t: SparseTensorCOO, grid, schedule: str) -> LocalTensorSet
     if tuple(grid.tensor_dims) != tuple(t.dims):
         raise ValueError("grid built for dims %s, tensor has %s"
                          % (grid.tensor_dims, t.dims))
-    if schedule not in ("tensor-stationary", "accumulator-stationary"):
+    if schedule not in SCHEDULES:
         raise ValueError("unknown schedule %r" % schedule)
     return LocalTensorSet(schedule, [Matricization(t.dims, t.idx, t.vals, j)
                                      for j in range(t.mode_count)])

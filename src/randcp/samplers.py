@@ -42,10 +42,11 @@ Sampled rows are reweighted by 1 / sqrt(J * p_s), the scaling that makes
 the sketched normal equations unbiased.  A batch keeps all J draws,
 repeats included, as the solve's weights need them; what moves is
 metered per distinct row wherever the tuples are replicated first
-(``schedules``).  A batch holds the drawn index tuples and probabilities,
-not design rows: the solve merges repeated draws into one column whose
-squared weight is the sum of its copies' squared weights, and forms the
-design row of each distinct column once (``schedules.distinct_columns``).
+(``schedules``).  A batch holds the drawn index tuples and each draw's
+joint probability, not design rows: the solve merges repeated draws into
+one column whose squared weight is the sum of its copies' squared
+weights, and forms the design row of each distinct column once
+(``schedules.distinct_columns``).
 """
 
 import numpy as np
@@ -91,17 +92,16 @@ def exact_krp_leverage_oracle(factors, skip=None):
 class SampleBatch:
     """J sampled design-matrix rows for one mode-k solve, by index.
 
-    X[:, i] holds the mode-i row index of each sample (column k is -1);
-    per_mode_prob[:, i] the probability of its mode-i draw and prob the
-    joint sampling probability.  The design row of a sample is the
-    Hadamard product of the factor rows X names, formed by the solve.
-    ``owner`` is the rank holding each sample at the end of sampling, or
-    None when the batch ended replicated on every rank.
+    X[:, i] holds the mode-i row index of each sample (column k is -1)
+    and prob its joint sampling probability, the product of its per-mode
+    draw probabilities in ascending mode order.  The design row of a
+    sample is the Hadamard product of the factor rows X names, formed by
+    the solve.  ``owner`` is the rank holding each sample at the end of
+    sampling, or None when the batch ended replicated on every rank.
     """
 
-    def __init__(self, X, per_mode_prob, prob, owner=None):
+    def __init__(self, X, prob, owner=None):
         self.X = X
-        self.per_mode_prob = per_mode_prob
         self.prob = prob
         self.owner = owner
         self.weights = None
@@ -119,19 +119,8 @@ def sample_weights(batch: SampleBatch):
     return batch.weights
 
 
-def joint_prob(per_mode_prob):
-    """Each draw's joint probability, the product of its row of the (J, N)
-    ``per_mode_prob`` taken in column order: the bits of
-    ``per_mode_prob.prod(axis=1)``, without numpy's slow reduction over a
-    short axis."""
-    prob = per_mode_prob[:, 0].copy()
-    for col in per_mode_prob.T[1:]:
-        prob *= col
-    return prob
-
-
 def _empty_batch(N):
-    return SampleBatch(np.full((0, N), -1, dtype=np.int64), np.ones((0, N)), np.ones(0))
+    return SampleBatch(np.full((0, N), -1, dtype=np.int64), np.ones(0))
 
 
 class ArlsLevState:
@@ -190,7 +179,7 @@ def arls_lev_sample(states, k, J, seed, round_id=0, ledger=None) -> SampleBatch:
     if J == 0:
         return _empty_batch(N)
     X = np.full((J, N), -1, dtype=np.int64)
-    per_mode_prob = np.ones((J, N))
+    prob = np.ones(J)
     for i in range(N):
         if i == k:
             continue
@@ -201,9 +190,8 @@ def arls_lev_sample(states, k, J, seed, round_id=0, ledger=None) -> SampleBatch:
                       3 * st.factor.block_sums(counts > 0))
         perm = rng.stream(seed, rng.SHUFFLE, round_id, k, i).permutation(J)
         X[:, i] = rows = np.repeat(np.arange(counts.size), counts)[perm]
-        per_mode_prob[:, i] = st.dist.take(rows)
-    prob = joint_prob(per_mode_prob)
-    return SampleBatch(X, per_mode_prob, prob, owner=None)
+        prob *= st.dist.take(rows)
+    return SampleBatch(X, prob, owner=None)
 
 
 class LeverageTree:
@@ -545,7 +533,7 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
     P = first.factor.n_blocks
 
     X = np.full((J, N), -1, dtype=np.int64)
-    per_mode_prob = np.ones((J, N))
+    prob = np.ones(J)
     # Sample ids, in the narrowest dtype holding a sample or a rank, name the
     # samples in the tag buffer and give each routing offset.
     sample = np.arange(J, dtype=np.min_scalar_type(max(J - 1, P)))
@@ -644,7 +632,7 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
             lambda c: U[lo[c]:hi[c], :, None] * U[lo[c]:hi[c], None, :] * M,
             int((hi - lo)[cell].max()))
         prob_i *= p
-        per_mode_prob[:, i] = prob_i
+        prob *= prob_i
         rows = lo[cell[parent]] + q
         X[:, i] = rows.take(pair_of)
         if i == last:
@@ -660,5 +648,4 @@ def sts_sample(trees, k, J, seed, round_id=0, ledger=None,
         words *= R
         words += N + 2
         _route_meter(ledger, round_id, route[:-1], route[1:], words, P)
-    prob = joint_prob(per_mode_prob)
-    return SampleBatch(X, per_mode_prob, prob, owner=route[hop].astype(np.int64))
+    return SampleBatch(X, prob, owner=route[hop].astype(np.int64))

@@ -27,13 +27,13 @@ So a solve's result does not depend on the grid or the schedule.
 
 Sketched solves minimize the sketched problem: the right-hand side is
 the exact kernel run on the sketched submatrix, whose values carry the
-weights, and the sampled design rows, weighted once per solve; the
-system matrix is the Gram matrix of those weighted rows.  Once per
-solve the J draws are merged into their distinct off-mode columns, each
-carrying the summed squared weight of its copies (the sketch S^T S is
-unchanged), and each distinct column's design row is formed once from
-the factors.  One extraction then searches each distinct column once
-over the view.
+weights 1 / sqrt(J p_s) (a batch holds its tuples and each joint p_s),
+and the sampled design rows, weighted once per solve; the system matrix
+is the Gram matrix of those weighted rows.  Once per solve the J draws
+are merged into their distinct off-mode columns, each carrying the
+summed squared weight of its copies (the sketch S^T S is unchanged), and
+each distinct column's design row is formed once from the factors.  One
+extraction then searches each distinct column once over the view.
 
 Sampled rows move once per distinct row wherever the tuples are
 replicated first: every ARLS-LEV batch (its sampler allgathers the
@@ -63,10 +63,8 @@ class ScheduleError(ValueError):
 class SolveContext:
     """Everything one mode solve needs, shared across a run."""
 
-    def __init__(self, grid, schedule, sampler, J, factors, local, ledger, seed,
-                 workers=1):
+    def __init__(self, grid, sampler, J, factors, local, ledger, seed, workers=1):
         self.grid = grid
-        self.schedule = schedule
         self.sampler = sampler          # 'exact' | 'arls-lev' | 'sts'
         self.J = J
         self.factors = factors          # list of FactorBlocks per mode
@@ -172,7 +170,7 @@ def _sketched_gram(ctx: SolveContext, k: int, batch):
     t0 = ctx.tick("sampling", t0)
     Hw *= weights[:, None]
     Gs = Hw.T @ Hw
-    if ctx.schedule == "tensor-stationary":
+    if ctx.local.schedule == "tensor-stationary":
         gridmod.meter(ctx.ledger, ctx.round_id, gridmod.ALLREDUCE, list(range(ctx.grid.P)),
                       Gs.size)
     ctx.tick("postprocess", t0)
@@ -221,10 +219,7 @@ def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
     exact solve of the last mode keeps its reduced MTTKRP in
     ``ctx.last_mttkrp``.
     """
-    if ctx.local.schedule != ctx.schedule:  # a partition's schedule is a known one
-        raise ScheduleError("context schedule is %r, its partition's %r"
-                            % (ctx.schedule, ctx.local.schedule))
-    ts = ctx.schedule == "tensor-stationary"
+    ts = ctx.local.schedule == "tensor-stationary"
     batch = injected_batch
     if ctx.sampler == "exact" and batch is None:
         if not ts:
@@ -261,7 +256,7 @@ def _reduce_along_mode(ctx, k, acc):
     """The reduced mode-k rows ``acc``; a tensor-stationary solve meters
     their reduce-scatter along the mode's slice groups, while an
     accumulator-stationary row has one holder, so it is only scattered."""
-    if ctx.schedule == "tensor-stationary":
+    if ctx.local.schedule == "tensor-stationary":
         fb = ctx.factors[k]
         groups = ctx.grid.slice_groups[k]
         gridmod.meter(ctx.ledger, ctx.round_id, gridmod.REDUCE_SCATTER, groups,

@@ -150,25 +150,23 @@ def sum_duplicates(idx, vals):
     return idx.take(rows, axis=0), summed
 
 
-def load_frostt(path, *, log_transform=False, dims=None) -> SparseTensorCOO:
+def load_frostt(path, *, log_transform=False) -> SparseTensorCOO:
     """Read a FROSTT ``.tns`` file.
 
     Each data line holds N 1-based indices followed by a value, whitespace
-    separated.  Text from ``#`` to the end of a line is a comment, blank
-    lines are skipped, and the values of repeated index tuples are summed.
-    The file is parsed in one pass by numpy's C reader; line numbers are
-    recovered by a rescan only when the input is rejected.  The text
-    table lives only until its index and values are split off, so the
-    peak is one extra copy of the nonzeros, beside the returned tensor,
-    plus a few nnz-long vectors (see the module docstring).
+    separated, and each mode's dimension is its largest index.  Text from
+    ``#`` to the end of a line is a comment, blank lines are skipped, and
+    the values of repeated index tuples are summed.  The file is parsed in
+    one pass by numpy's C reader; line numbers are recovered by a rescan
+    only when the input is rejected.  The text table lives only until its
+    index and values are split off, so the peak is one extra copy of the
+    nonzeros, beside the returned tensor, plus a few nnz-long vectors (see
+    the module docstring).
 
     Parameters
     ----------
     log_transform : bool
         Replace each value v by ln(1 + v).
-    dims : sequence of int, optional
-        Declared mode dimensions.  When given, indices are validated
-        against them; otherwise dimensions are inferred from the data.
     """
     with warnings.catch_warnings():
         # An input without data lines is reported below as a ParseError.
@@ -199,18 +197,7 @@ def load_frostt(path, *, log_transform=False, dims=None) -> SparseTensorCOO:
         raise BoundsError("%s: line %d: indices are 1-based and must be >= 1"
                           % (path, _line_of_row(path, bad)))
     idx -= 1
-
-    if dims is not None:
-        dims = tuple(int(d) for d in dims)
-        if len(dims) != n_modes:
-            raise ParseError("%s: file has %d modes but %d dims declared"
-                             % (path, n_modes, len(dims)))
-        bad = _first_row(c >= d for c, d in zip(idx.T, dims))
-        if bad is not None:
-            raise BoundsError("%s: line %d: index exceeds declared dims %s"
-                              % (path, _line_of_row(path, bad), dims))
-    else:
-        dims = tuple(int(c.max()) + 1 for c in idx.T)
+    dims = tuple(int(c.max()) + 1 for c in idx.T)
 
     idx, vals = sum_duplicates(idx, vals)
     if log_transform:

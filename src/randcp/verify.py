@@ -184,10 +184,10 @@ def suite_schedules(seed=0):
     sample_weights(batch)
     pt = partition_to_grid(t, g, "tensor-stationary")
     pa = partition_to_grid(t, g, "accumulator-stationary")
-    ctx_t = SolveContext(g, "tensor-stationary", "sts", 128,
-                         [b.copy() for b in blocks], pt, gridmod.CommLedger(), seed)
-    ctx_a = SolveContext(g, "accumulator-stationary", "sts", 128,
-                         [b.copy() for b in blocks], pa, gridmod.CommLedger(), seed)
+    ctx_t = SolveContext(g, "sts", 128, [b.copy() for b in blocks], pt,
+                         gridmod.CommLedger(), seed)
+    ctx_a = SolveContext(g, "sts", 128, [b.copy() for b in blocks], pa,
+                         gridmod.CommLedger(), seed)
     solve_mode(ctx_t, 0, injected_batch=batch)
     solve_mode(ctx_a, 0, injected_batch=batch)
     diff = np.abs(ctx_t.factors[0].U - ctx_a.factors[0].U).max()

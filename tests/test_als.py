@@ -215,6 +215,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AlsConfig(rank=1, rounds=1, sampler="bogus").validate()
 
+    @pytest.mark.parametrize("procs", [1, 8])
+    def test_grid_dims_and_procs_must_agree(self, procs):
+        cfg = AlsConfig(rank=2, rounds=1, grid_dims=(2, 2, 1), procs=procs, permute=False)
+        with pytest.raises(ValueError, match=r"grid_dims \(2, 2, 1\) has 4 ranks, procs "
+                                             r"is %d" % procs):
+            run_als(cfg, tensor=make_sparse((6, 6, 6), 60, seed=11))
+
     def test_summary_mentions_fits_and_ledger(self):
         t = make_sparse((6, 6, 6), 60, seed=11)
         cfg = AlsConfig(rank=2, rounds=2, sampler="exact", procs=2, seed=14,
@@ -279,8 +286,7 @@ def renormalize_ctx(U, round_id=3):
     g = ProcessorGrid((U.shape[0], 3), (2, 1))
     blocks = [FactorBlocks(U, *g.block_ranges(0)),
               FactorBlocks.from_global(np.ones((3, U.shape[1])), g, 1)]
-    ctx = SolveContext(g, "tensor-stationary", "exact", 0, blocks, None, CommLedger(),
-                       seed=0)
+    ctx = SolveContext(g, "exact", 0, blocks, None, CommLedger(), seed=0)
     ctx.round_id = round_id
     return ctx
 

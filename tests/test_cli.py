@@ -5,7 +5,7 @@ import pytest
 
 from randcp.als import AlsConfig
 from randcp import verify as verifymod
-from randcp.cli import build_parser, main
+from randcp.cli import _cfg_from_args, build_parser, main
 from randcp.tensor import read_matrix
 from conftest import make_sparse
 
@@ -51,6 +51,11 @@ class TestDecompose:
         rc = main(["decompose", "--tensor", tns_file, "--rank", "2", "--rounds", "1",
                    "--grid", "2x2x1", "--fit-every", "1"])
         assert rc == 0
+
+    def test_grid_sets_procs(self):
+        args = build_parser().parse_args(["decompose", "--tensor", "x.tns", "--rank", "2",
+                                          "--grid", "2x2x1"])
+        assert _cfg_from_args(args).procs == 4
 
     def test_missing_tensor_flag_usage_error(self):
         with pytest.raises(SystemExit) as e:

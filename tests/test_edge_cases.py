@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from randcp import grid as gridmod
+from randcp import als, grid as gridmod
 from randcp.als import AlsConfig, run_als
 from randcp.linalg import FactorBlocks
 from randcp.matricization import matricize, partition_to_grid
@@ -10,7 +10,7 @@ from randcp.samplers import (SampleBatch, arls_lev_build, arls_lev_sample, sampl
                              sts_build, sts_sample)
 from randcp.schedules import SolveContext, distinct_columns, solve_mode
 from randcp.tensor import BoundsError, SparseTensorCOO
-from conftest import make_sparse, unit_factors
+from conftest import PAIRS, make_sparse, unit_factors
 
 
 class TestFourModeEndToEnd:
@@ -37,11 +37,11 @@ class TestFourModeEndToEnd:
         for k in range(4):
             batch = sts_sample(trees, k, 64, seed=4 + k)
             sample_weights(batch)
-            ctx_t = SolveContext(g, "tensor-stationary", "sts", 64,
+            ctx_t = SolveContext(g, "sts", 64,
                                  [b.copy() for b in blocks],
                                  partition_to_grid(t, g, "tensor-stationary"),
                                  gridmod.CommLedger(), seed=0)
-            ctx_a = SolveContext(g, "accumulator-stationary", "sts", 64,
+            ctx_a = SolveContext(g, "sts", 64,
                                  [b.copy() for b in blocks],
                                  partition_to_grid(t, g, "accumulator-stationary"),
                                  gridmod.CommLedger(), seed=0)
@@ -83,7 +83,7 @@ def test_hyper6_injected_solves_keep_int64_columns(sampler, schedule):
     build, sample = ((arls_lev_build, arls_lev_sample) if sampler == "arls-lev"
                      else (sts_build, sts_sample))
     states = [build(b) for b in blocks]
-    ctx = SolveContext(g, schedule, sampler, 48, blocks, partition_to_grid(t, g, schedule),
+    ctx = SolveContext(g, sampler, 48, blocks, partition_to_grid(t, g, schedule),
                        gridmod.CommLedger(), seed=0)
     batches = [sample(states, k, 48, seed=11 + k) for k in range(6)]  # before any solve
     for k, batch in enumerate(batches):
@@ -131,9 +131,9 @@ class TestExtractionBounds:
         g = gridmod.ProcessorGrid(t.dims, (1, 1, 1))
         blocks = [FactorBlocks.from_global(U, g, j)
                   for j, U in enumerate(unit_factors(t.dims, 2, seed=3))]
-        ctx = SolveContext(g, schedule, "sts", 2, blocks, partition_to_grid(t, g, schedule),
+        ctx = SolveContext(g, "sts", 2, blocks, partition_to_grid(t, g, schedule),
                            gridmod.CommLedger(), seed=0)
-        batch = SampleBatch(np.array([[0, 1, -1], bad]), np.ones((2, 3)), np.full(2, 0.5))
+        batch = SampleBatch(np.array([[0, 1, -1], bad]), np.full(2, 0.5))
         with pytest.raises(BoundsError):
             solve_mode(ctx, 2, injected_batch=batch)
 
@@ -191,7 +191,7 @@ def test_grid_dimension_exceeding_mode_dimension():
     for sampler, sched in (("sts", "accumulator-stationary"),
                            ("exact", "tensor-stationary")):
         cfg = AlsConfig(rank=2, rounds=4, sampler=sampler, samples=64, schedule=sched,
-                        grid_dims=(1, 4, 1), seed=3, fit_every=4, permute=False)
+                        grid_dims=(1, 4, 1), procs=4, seed=3, fit_every=4, permute=False)
         res = run_als(cfg, tensor=t)
         assert np.isfinite(res.final_fit)
 
@@ -230,3 +230,27 @@ def test_empty_batch_paths():
     m = matricize(t, 0)
     sub = gather_sampled_nonzeros_to_csr(m, np.full((0, 3), -1, dtype=np.int64), 0)
     assert sub.nnz == 0 and sub.dims == (5, 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("P", [1, 7])
+@pytest.mark.parametrize("vals,error,match", [
+    ([], ValueError, "tensor has no nonzero value to fit"),
+    ([0.0, 0.0], ValueError, "tensor has no nonzero value to fit"),
+    ([1e200, 1.0], FloatingPointError, "tensor sum of squares is inf, not finite"),
+], ids=["empty", "all-zero", "huge"])
+def test_nothing_to_fit_rejected_before_any_solve(monkeypatch, P, vals, error, match):
+    """An empty or all-zero tensor, or one whose sum of squares overflows,
+    raises its typed error in set-up, under every sampler and schedule."""
+    idx = np.array([[0, 0, 0], [4, 3, 2]])[:len(vals)]
+    t = SparseTensorCOO((5, 4, 3), idx, np.array(vals, dtype=np.float64))
+
+    def no_solve(ctx, k, injected_batch=None):
+        raise AssertionError("a mode solve ran")
+
+    monkeypatch.setattr(als, "solve_mode", no_solve)
+    for sampler, schedule in PAIRS:
+        cfg = AlsConfig(rank=2, rounds=6, sampler=sampler, samples=16, schedule=schedule,
+                        procs=P, fit_every=1, permute=False)
+        with pytest.raises(error, match=match):
+            run_als(cfg, tensor=t)

@@ -2,18 +2,20 @@
 that is not a power of two, grids with more chunks than rows (so some
 ranks hold nothing), and rank R above a mode dimension."""
 
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from randcp import grid as gridmod, schedules
-from randcp.als import AlsConfig, run_als
+from randcp.als import AlsConfig, DegenerateSketchError, run_als
 from randcp.matricization import Matricization, column_levels
 from randcp.samplers import SampleBatch
-from randcp.schedules import distinct_columns
-from randcp.tensor import SparseTensorCOO
-from conftest import OnesFactor, py_column_key
+from randcp.schedules import ScheduleError, distinct_columns
+from randcp.tensor import BoundsError, SparseTensorCOO, sum_duplicates
+from conftest import PAIRS, OnesFactor, py_column_key
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -40,7 +42,8 @@ def test_round_ledger_matches_closed_forms(case, R, sampler, J):
     t, g = case
     schedule = "tensor-stationary" if sampler == "exact" else "accumulator-stationary"
     cfg = AlsConfig(rank=R, rounds=1, sampler=sampler, samples=J, schedule=schedule,
-                    grid_dims=g.grid_dims, seed=J, permute=False, compute_fits=False)
+                    grid_dims=g.grid_dims, procs=g.P, seed=J, permute=False,
+                    compute_fits=False)
     batches, draw = [], schedules.draw_batch
 
     def recording_draw(ctx, k):
@@ -112,7 +115,7 @@ def test_column_levels_sort_lookup_and_merge_as_mixed_radix_keys(case):
     # the draw merge: distinct tuples in column order, root-sum-square weights
     X = idx.copy()
     X[:, skip] = -1
-    batch = SampleBatch(X, np.ones(X.shape), np.ones(X.shape[0]))
+    batch = SampleBatch(X, np.ones(X.shape[0]))
     batch.weights = weights
     Xd, _, merged = distinct_columns(batch, [OnesFactor(d) for d in dims], skip)
     distinct = sorted(set(keys))
@@ -148,3 +151,50 @@ def test_all_to_allv_conserves_words(sizes):
     for j, rank in enumerate(ranks):
         assert led.words(rank=rank) == n[:, j].sum()
         assert led.messages(rank=rank) == np.count_nonzero(n[:, j])
+
+
+@st.composite
+def aim3_runs(draw):
+    """A tensor of 3 to 5 modes of size 1 to 40 with up to 60 nonzeros, some
+    all zero (or empty) and some with one value of 1e200 or more, and a
+    two-round run on it: any of the five sampler/schedule pairs, R in
+    {1, 2, 5, 12}, J in {1, 16, 257}, P in {1, 3, 4, 7, 8} and an optimal
+    or an explicit grid, infeasible ones (P_j > I_j) included."""
+    dims = tuple(draw(st.lists(st.integers(1, 40), min_size=3, max_size=5)))
+    P = draw(st.sampled_from([1, 3, 4, 7, 8]))
+    grid_dims = draw(st.none() | st.sampled_from(list(gridmod.factorizations(P, len(dims)))))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nnz = draw(st.integers(0, 60))
+    idx = gen.integers(0, dims, size=(nnz, len(dims)))
+    vals = gen.standard_normal(nnz)
+    kind = draw(st.sampled_from(["normal", "zero", "huge"]))
+    if kind == "zero":
+        vals[:] = 0.0
+    elif kind == "huge" and nnz:
+        vals[-1] = draw(st.sampled_from([1e200, -1e250, 1e308]))
+    sampler, schedule = draw(st.sampled_from(PAIRS))
+    cfg = AlsConfig(rank=draw(st.sampled_from([1, 2, 5, 12])), rounds=2, sampler=sampler,
+                    samples=draw(st.sampled_from([1, 16, 257])), schedule=schedule,
+                    grid_dims=grid_dims, procs=P, seed=draw(st.integers(0, 99)),
+                    fit_every=1, permute=False)
+    return SparseTensorCOO(dims, *sum_duplicates(idx, vals)), cfg
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(case=aim3_runs())
+def test_aim3_inputs_finish_or_raise_a_typed_error(case):
+    """Each run ends with finite factors, sigma and fits, or in a typed
+    error; numpy's RuntimeWarnings are errors here, as in CI."""
+    t, cfg = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            res = run_als(cfg, tensor=t)
+        except (DegenerateSketchError, ScheduleError, BoundsError, FloatingPointError):
+            return
+        except ValueError as e:  # one that names the input
+            assert re.search(r"\b(tensor|grid_dims|procs|rank|samples)\b", str(e)), e
+            return
+    assert all(np.isfinite(U).all() for U in res.factors) and np.isfinite(res.sigma).all()
+    assert [r for r, _ in res.fit_history] == [1, 2]
+    assert np.isfinite([f for _, f in res.fit_history]).all()

@@ -12,16 +12,11 @@ import numpy as np
 import pytest
 
 from randcp import grid as gridmod
-from randcp.als import AlsConfig, _rebuild_mode_state, run_als
+from randcp.als import SAMPLERS, AlsConfig, _rebuild_mode_state, run_als
 from randcp.linalg import FactorBlocks
 from randcp.samplers import sts_build, tree_exchange
 from randcp.schedules import SolveContext
-from conftest import make_sparse
-
-PAIRS = [("exact", "tensor-stationary"), ("arls-lev", "tensor-stationary"),
-         ("arls-lev", "accumulator-stationary"), ("sts", "tensor-stationary"),
-         ("sts", "accumulator-stationary")]
-SAMPLERS = ("exact", "arls-lev", "sts")
+from conftest import PAIRS, make_sparse
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +53,7 @@ def update_ctx(U, sampler, P, round_id=2):
     g = gridmod.ProcessorGrid((U.shape[0], 3, 2), (P, 1, 1))
     blocks = [FactorBlocks(U, *g.block_ranges(0))] + [
         FactorBlocks.from_global(np.ones((d, U.shape[1])), g, j) for j, d in ((1, 3), (2, 2))]
-    schedule = "tensor-stationary" if sampler == "exact" else "accumulator-stationary"
-    ctx = SolveContext(g, schedule, sampler, 16, blocks, None, gridmod.CommLedger(), seed=0)
+    ctx = SolveContext(g, sampler, 16, blocks, None, gridmod.CommLedger(), seed=0)
     ctx.round_id = round_id
     return ctx
 

@@ -8,7 +8,7 @@ from randcp.linalg import FactorBlocks, gram
 from randcp.matricization import column_keys
 from randcp import als, samplers, schedules
 from randcp.samplers import (DegenerateWalkError, arls_lev_build, arls_lev_sample,
-                             consistent_multinomial, exact_krp_leverage_oracle, joint_prob,
+                             consistent_multinomial, exact_krp_leverage_oracle,
                              krp_leverage_scores, sample_weights, sts_build, sts_sample)
 from randcp.schedules import distinct_columns
 from conftest import block_owner, make_sparse
@@ -173,23 +173,23 @@ class TestArlsSample:
         assert set(np.unique(batch.X[:, 1])) == {0, 1, 3}
 
 
-@pytest.mark.parametrize("N", [3, 4, 6])
-def test_joint_prob_has_the_bits_of_the_row_product(N):
+@pytest.mark.parametrize("N,k", [(3, 0), (4, 1), (6, 5)])
+def test_arls_lev_prob_has_the_bits_of_the_leverage_product(N, k):
+    """An ARLS-LEV draw's probability is the product of its off-mode rows'
+    leverage, bit for bit the row product of the (J, N) table of those
+    leverages with ones in column k."""
     gen = np.random.default_rng(N)
-    per_mode = gen.random((4096, N)) ** 8  # spread exponents, some subnormal products
-    per_mode[:, N // 2] = 1.0              # the solved mode's column
-    per_mode[:3] = [1e-300, 1e-10, 0.5] + [0.25] * (N - 3)
-    want = per_mode.prod(axis=1)
-    assert np.array_equal(joint_prob(per_mode).view(np.int64), want.view(np.int64))
-    # and what both samplers attach to their batches
     dims = (7, 6, 5, 4, 3, 2)[:N]
-    factors = [gen.standard_normal((d, 2)) for d in dims]
-    g = single_grid(dims)
-    for batch in (sts_sample(sts_setup(factors, g), 1, 512, seed=N),
-                  arls_lev_sample([arls_lev_build(b) for b in blocks_for(factors, g)],
-                                  1, 512, seed=N)):
-        want = batch.per_mode_prob.prod(axis=1)
-        assert np.array_equal(batch.prob.view(np.int64), want.view(np.int64))
+    factors = [gen.standard_normal((d, 2)) * gen.random((d, 1)) ** 8 for d in dims]
+    states = [arls_lev_build(b) for b in blocks_for(factors, single_grid(dims))]
+    batch = arls_lev_sample(states, k, 4096, seed=N)
+    table = np.ones((batch.J, N))
+    for i in range(N):
+        if i != k:
+            table[:, i] = states[i].dist[batch.X[:, i]]
+    want = table.prod(axis=1)
+    assert (batch.X[:, k] == -1).all()
+    assert np.array_equal(batch.prob.view(np.int64), want.view(np.int64))
 
 
 class TestStsBuild:
@@ -727,19 +727,18 @@ class TestSampleWeights:
     def test_uniform_probability(self):
         from randcp.samplers import SampleBatch
         I, J = 16, 4
-        batch = SampleBatch(np.zeros((J, 3), dtype=np.int64), np.ones((J, 3)),
-                            np.full(J, 1.0 / I))
+        batch = SampleBatch(np.zeros((J, 3), dtype=np.int64), np.full(J, 1.0 / I))
         w = sample_weights(batch)
         assert np.allclose(w, np.sqrt(I / J))
 
     def test_single_certain_sample(self):
         from randcp.samplers import SampleBatch
-        batch = SampleBatch(np.zeros((1, 3), dtype=np.int64), np.ones((1, 3)), np.ones(1))
+        batch = SampleBatch(np.zeros((1, 3), dtype=np.int64), np.ones(1))
         assert np.allclose(sample_weights(batch), [1.0])
 
     def test_zero_probability_rejected(self):
         from randcp.samplers import SampleBatch
-        batch = SampleBatch(np.zeros((1, 3), dtype=np.int64), np.ones((1, 3)), np.zeros(1))
+        batch = SampleBatch(np.zeros((1, 3), dtype=np.int64), np.zeros(1))
         with pytest.raises(ValueError):
             sample_weights(batch)
 

@@ -19,7 +19,7 @@ from conftest import OnesFactor, block_owner, make_sparse, unit_factors
 def make_ctx(t, grid, schedule, sampler, factors, J=0, ledger=None):
     blocks = [FactorBlocks.from_global(U, grid, j) for j, U in enumerate(factors)]
     part = partition_to_grid(t, grid, schedule)
-    ctx = SolveContext(grid, schedule, sampler, J, blocks, part,
+    ctx = SolveContext(grid, sampler, J, blocks, part,
                        ledger if ledger is not None else gridmod.CommLedger(),
                        seed=0)
     ctx.grams = [gram(b) for b in blocks]
@@ -199,15 +199,16 @@ class TestAccumulatorStationary:
 
     def test_mismatched_partition_rejected(self):
         t = make_sparse((6, 6, 6), 50, seed=17)
-        factors = unit_factors(t.dims, 2, seed=18)
         g = gridmod.ProcessorGrid(t.dims, (2, 1, 1))
-        batch = injected_sts_batch(t, g, factors, 0, 16, seed=19)
         for schedule, partition in (("accumulator-stationary", "tensor-stationary"),
                                     ("tensor-stationary", "accumulator-stationary")):
-            ctx = make_ctx(t, g, partition, "sts", factors, J=16)
-            ctx.schedule = schedule
-            with pytest.raises(ScheduleError):
-                solve_mode(ctx, 0, injected_batch=batch)
+            for sampler in ("arls-lev", "sts"):
+                cfg = AlsConfig(rank=2, rounds=1, sampler=sampler, samples=16,
+                                schedule=schedule, procs=2, permute=False)
+                with pytest.raises(ScheduleError, match="configured schedule is %r, the "
+                                   "partition's %r" % (schedule, partition)):
+                    run_als(cfg, tensor=t, grid=g,
+                            partition=partition_to_grid(t, g, partition))
 
 
 class TestSingleRank:
@@ -250,7 +251,7 @@ def repeated_batch(dims, factors, k, n_distinct, J, seed):
     for i, U in enumerate(factors):
         if i != k:
             H *= U[X[:, i]]
-    batch = SampleBatch(X, np.ones(X.shape), gen.random(J) + 0.05)
+    batch = SampleBatch(X, gen.random(J) + 0.05)
     sample_weights(batch)
     return batch, H
 
@@ -307,7 +308,7 @@ class TestDistinctRowGathers:
         arls = arls_lev_sample([arls_lev_build(b) for b in blocks], k, J, seed=seed)
         sts = sts_sample([sts_build(b) for b in blocks], k, J, seed=seed)
         repeated, _ = repeated_batch(t.dims, factors, k, n_distinct=4, J=J, seed=seed)
-        owned = SampleBatch(repeated.X, repeated.per_mode_prob, repeated.prob,
+        owned = SampleBatch(repeated.X, repeated.prob,
                             owner=np.arange(J) * g.P // max(J, 1))
         return {"arls-lev": arls, "sts": sts, "repeated": repeated, "owned": owned}
 
@@ -341,7 +342,7 @@ class TestDistinctRowGathers:
         factors = unit_factors(t.dims, 3, seed=64)
         g = gridmod.ProcessorGrid(t.dims, (2, 2, 2, 1))
         repeated, _ = repeated_batch(t.dims, factors, 0, n_distinct=4, J=400, seed=65)
-        unique = SampleBatch(np.unique(repeated.X, axis=0), None, None)
+        unique = SampleBatch(np.unique(repeated.X, axis=0), None)
         per_draw = 3 * (g.P - 1) * 400 * 3  # R words per draw and off mode, to P-1 ranks
         for schedule, meter in (("tensor-stationary", schedules._meter_sampled_gathers_ts),
                                 ("accumulator-stationary", schedules._meter_sampled_gathers_as)):
@@ -421,7 +422,7 @@ class TestDistinctColumns:
         gen = np.random.default_rng(60)
         X = np.stack([gen.integers(0, d, J) for d in dims], 1)
         X[:, 0] = -1
-        batch = SampleBatch(X, np.ones((J, 4)), gen.random(J) + 0.5)
+        batch = SampleBatch(X, gen.random(J) + 0.5)
         sample_weights(batch)
         factors = [gen.standard_normal((d, R)) for d in dims]
         tracemalloc.start()
@@ -442,7 +443,7 @@ class TestDistinctColumns:
 
     def test_merged_weight_is_root_sum_of_squares(self):
         X = np.array([[-1, 1, 2], [-1, 0, 0], [-1, 1, 2], [-1, 1, 2]], dtype=np.int64)
-        batch = SampleBatch(X, np.ones((4, 3)), np.ones(4))
+        batch = SampleBatch(X, np.ones(4))
         batch.weights = np.array([1.0, 2.0, 3.0, 4.0])
         Xd, _, weights = distinct_columns(batch, [np.ones((3, 2))] * 3, 0)
         assert Xd.dtype == np.int64
@@ -456,7 +457,7 @@ class TestDistinctColumns:
         dims = (4, 1 << 40, 1 << 40, 3)
         X = np.array([[-1, 5, 1 << 39, 2], [-1, 5, 1 << 39, 2], [-1, 7, 3, 0]],
                      dtype=np.int64)
-        batch = SampleBatch(X, np.ones((3, 4)), np.full(3, 0.5))
+        batch = SampleBatch(X, np.full(3, 0.5))
         sample_weights(batch)
         plan, codes, ids, _, _ = column_levels(X, dims, 0)
         assert len(plan) == 2 and all(a.dtype == np.int64 for a in codes + [ids])

@@ -26,7 +26,7 @@ def write_tns(tmp_path, text, name="t.tns"):
 class TestLoadFrostt:
     def test_direct_parse(self, tmp_path):
         path = write_tns(tmp_path, "1 1 1 2.0\n2 1 1 3.0\n")
-        t = load_frostt(path, dims=(2, 1, 1))
+        t = load_frostt(path)
         assert t.dims == (2, 1, 1)
         entries = {(tuple(i), v) for i, v in zip(t.idx.tolist(), t.vals.tolist())}
         assert entries == {((0, 0, 0), 2.0), ((1, 0, 0), 3.0)}
@@ -64,9 +64,9 @@ class TestLoadFrostt:
             load_frostt(path)
 
     def test_out_of_bounds_declared_dims(self, tmp_path):
-        path = write_tns(tmp_path, "1 1 5 2.0\n")
-        with pytest.raises(BoundsError):
-            load_frostt(path, dims=(2, 2, 2))
+        t = load_frostt(write_tns(tmp_path, "1 1 5 2.0\n"))
+        with pytest.raises(BoundsError, match=r"mode-2 index outside \[0, 2\)"):
+            SparseTensorCOO((2, 2, 2), t.idx, t.vals)
 
     def test_zero_index_rejected(self, tmp_path):
         path = write_tns(tmp_path, "0 1 1 2.0\n")
@@ -90,19 +90,18 @@ class TestLoaderErrors:
     comment and blank lines before it."""
 
     @pytest.mark.parametrize("nl", ["\n", "\r\n"])
-    @pytest.mark.parametrize("bad,exc,message,dims", [
-        ("1 1 oops 3.0", ParseError, "cannot parse 'oops'", None),
-        ("1 1 1", ParseError, "expected 4 fields, got 3", None),
-        ("1 1.5 1 3.0", ParseError, "non-integer index", None),
-        ("1 0 1 3.0", BoundsError, "indices are 1-based", None),
-        ("1 1 3 3.0", BoundsError, "index exceeds declared dims", (2, 2, 2)),
+    @pytest.mark.parametrize("bad,exc,message", [
+        ("1 1 oops 3.0", ParseError, "cannot parse 'oops'"),
+        ("1 1 1", ParseError, "expected 4 fields, got 3"),
+        ("1 1.5 1 3.0", ParseError, "non-integer index"),
+        ("1 0 1 3.0", BoundsError, "indices are 1-based"),
     ])
-    def test_line_number_after_comments(self, tmp_path, nl, bad, exc, message, dims):
+    def test_line_number_after_comments(self, tmp_path, nl, bad, exc, message):
         text = (PREAMBLE + "2 2 2 1.0{nl}" + bad + "{nl}# after{nl}2 1 1 4.0{nl}").format(nl=nl)
         p = tmp_path / "t.tns"
         p.write_bytes(text.encode())
         with pytest.raises(exc, match=r"line %d: %s" % (PREAMBLE_LINES + 2, message)):
-            load_frostt(str(p), dims=dims)
+            load_frostt(str(p))
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
     @pytest.mark.parametrize("bad,exc,message", [
@@ -280,7 +279,7 @@ def frostt_files(draw):
     return text, entries, log_transform
 
 
-def reference_load(entries, n_modes, dims=None, log_transform=False):
+def reference_load(entries, n_modes, log_transform=False):
     """Values summed per tuple in file order, tuples in lexicographic order."""
     sums = {}
     for tup, v in entries:
@@ -288,24 +287,19 @@ def reference_load(entries, n_modes, dims=None, log_transform=False):
     keys = sorted(sums)
     idx = np.array(keys, dtype=np.int64).reshape(-1, n_modes)
     vals = np.array([sums[k] for k in keys], dtype=np.float64)
-    if dims is None:
-        dims = tuple(int(m) + 1 for m in idx.max(axis=0))
+    dims = tuple(int(m) + 1 for m in idx.max(axis=0))
     return dims, idx, np.log1p(vals) if log_transform else vals
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
-@given(case=frostt_files(), pad=st.lists(st.integers(0, 3), min_size=6, max_size=6),
-       declare=st.booleans())
-def test_load_frostt_matches_reference(tmp_path_factory, case, pad, declare):
+@given(case=frostt_files())
+def test_load_frostt_matches_reference(tmp_path_factory, case):
     text, entries, log_transform = case
     n_modes = len(entries[0][0])
-    dims = None
-    if declare:
-        dims = tuple(max(t[j] for t, _ in entries) + 1 + pad[j] for j in range(n_modes))
     path = tmp_path_factory.mktemp("frostt") / "t.tns"
     path.write_bytes(text.encode())
-    t = load_frostt(str(path), log_transform=log_transform, dims=dims)
-    ref_dims, ref_idx, ref_vals = reference_load(entries, n_modes, dims, log_transform)
+    t = load_frostt(str(path), log_transform=log_transform)
+    ref_dims, ref_idx, ref_vals = reference_load(entries, n_modes, log_transform)
     assert t.dims == ref_dims
     assert np.array_equal(t.idx, ref_idx)
     assert_same_bits([t.vals], [ref_vals])
