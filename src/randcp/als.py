@@ -12,10 +12,12 @@ the partition's last-mode view, or over a last-mode view passed in as
 
 Each factor update reduces once: every rank forms the Gram of its block
 of the solved factor, and one reduction (an allreduce, or the STS tree
-build's own upward exchange) sums them.  The column norms, sigma, are
-the square roots of its diagonal, and the Gram of the unit-norm factor
-that the solves and samplers read is the same sum rescaled, so no second
-collective runs.
+build's own upward exchange) sums them.  An exact run's slice-group
+gather of the factor comes first, so the allreduce runs across the
+mode's P_k chunks only.  The column norms, sigma, are the square roots
+of its diagonal, and the Gram of the unit-norm factor that the solves
+and samplers read is the same sum rescaled, so no second collective
+runs.
 
 A column whose scale reaches zero stays exactly zero, with scale zero,
 in every later solve: ``linalg.pseudo_inverse`` is zero on each row and
@@ -151,21 +153,28 @@ def _rebuild_mode_state(ctx, k, renormalize=True):
 
     Every rank forms the Gram of its block of the factor and one reduction
     sums them: ``gram``'s allreduce, or for STS the upward exchange of the
-    tree build, whose root every rank reads.  With ``renormalize`` the
-    columns are scaled to unit norm from that Gram's diagonal
-    (``_renormalize``) and the kept Grams are scaled to match
-    (``gram_scale``); the unit-norm initial factors keep the Gram as
-    reduced.  Every run keeps the Gram in ``ctx.grams[k]``, the STS tree's
-    root for STS, which exact solves and the fit read.  A sampled run
-    keeps the mode's sampler state.  An exact run (tensor-stationary, as
-    ``AlsConfig.validate`` requires) meters the factor's slice-group
-    gathers.
+    tree build, whose root every rank reads.  An exact run
+    (tensor-stationary, as ``AlsConfig.validate`` requires) meters the
+    factor's slice-group gathers first; each member of chunk c's group
+    then holds all of chunk c's rows, so the allreduce runs over the
+    (P/P_k, P_k) table of one rank per chunk, ``slice_groups[k].T``.
+    With ``renormalize`` the columns are scaled to unit norm from that
+    Gram's diagonal (``_renormalize``), on every rank without a message,
+    and the kept Grams are scaled to match (``gram_scale``); the unit-norm
+    initial factors keep the Gram as reduced.  Every run keeps the Gram
+    in ``ctx.grams[k]``, the STS tree's root for STS, which exact solves
+    and the fit read.  A sampled run keeps the mode's sampler state.
     Returns the column norms, None without ``renormalize``.
     """
     fb = ctx.factors[k]
+    ranks = None
+    if ctx.sampler == "exact":
+        refresh_gathered(ctx, k)
+        ranks = ctx.grid.slice_groups[k].T
     state = sts_build(fb, ledger=ctx.ledger, round_id=ctx.round_id) \
         if ctx.sampler == "sts" else None
-    G = gram(fb, ledger=ctx.ledger, round_id=ctx.round_id) if state is None else state.gram
+    G = gram(fb, ledger=ctx.ledger, round_id=ctx.round_id, ranks=ranks) \
+        if state is None else state.gram
     norms = None
     if renormalize:
         norms = _renormalize(ctx, k, G)
@@ -176,9 +185,7 @@ def _rebuild_mode_state(ctx, k, renormalize=True):
             state.rescale(scale)
             G = state.gram
     ctx.grams[k] = G
-    if ctx.sampler == "exact":
-        refresh_gathered(ctx, k)
-    elif ctx.sampler == "arls-lev":
+    if ctx.sampler == "arls-lev":
         state = arls_lev_build(fb, ledger=ctx.ledger, round_id=ctx.round_id, gram_matrix=G)
     ctx.states[k] = state
     return norms
@@ -247,6 +254,8 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     t0 = time.perf_counter()
     tensor, perms, grid, partition, fit_mat = _set_up(cfg, tensor, perms, grid,
                                                       partition, fit_mat)
+    if grid.P != cfg.procs:  # a grid passed in sets P in the result's config
+        cfg = replace(cfg, procs=grid.P, grid_dims=grid.grid_dims)
     load_s = time.perf_counter() - t0
 
     N = tensor.mode_count

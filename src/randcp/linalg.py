@@ -59,19 +59,21 @@ class FactorBlocks:
         return FactorBlocks(self.U.copy(), self.lows, self.his)
 
 
-def gram(blocks, ledger=None, round_id=0):
+def gram(blocks, ledger=None, round_id=0, ranks=None):
     """U^T U.  For ``FactorBlocks`` each rank forms its block's Gram and one
-    metered allreduce sums them in block order: a factor update's one
-    reduction, whose diagonal also gives the column norms
-    (``als._rebuild_mode_state``).  Overflow to a non-finite Gram is left
-    to that caller's finiteness check, so it raises no warning here."""
+    allreduce over ``ranks`` (every block's rank by default, or a (groups,
+    q) table) is metered; the sum runs in block order whatever ``ranks``.
+    It is a factor update's one reduction, whose diagonal also gives the
+    column norms (``als._rebuild_mode_state``).  Overflow to a non-finite
+    Gram is left to that caller's finiteness check, so no warning here."""
     if isinstance(blocks, np.ndarray):
         return blocks.T @ blocks
     with np.errstate(over="ignore", invalid="ignore"):
         G = blocks.blocks[0].T @ blocks.blocks[0]
         for b in blocks.blocks[1:]:
             G += b.T @ b
-    gridmod.meter(ledger, round_id, gridmod.ALLREDUCE, range(blocks.n_blocks), G.size)
+    gridmod.meter(ledger, round_id, gridmod.ALLREDUCE,
+                  range(blocks.n_blocks) if ranks is None else ranks, G.size)
     return G
 
 

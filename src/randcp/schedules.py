@@ -14,10 +14,10 @@ shrink the reduction.
 
 accumulator-stationary: each rank's output block stays put.  Only
 sampled rows (with an STS sample's index and probability) are
-allgathered to everyone, each rank's downsampled MTTKRP rows are
-scattered into its stationary block, and no reduction occurs.  Defined
-only for sketched solves; exact solves must use the tensor-stationary
-schedule.
+allgathered to everyone in one allgather per solve, each rank's
+downsampled MTTKRP rows are scattered into its stationary block, and no
+reduction occurs.  Defined only for sketched solves; exact solves must
+use the tensor-stationary schedule.
 
 Every rank's MTTKRP is one kernel call over the mode's whole-mode view
 of the nonzeros (``LocalTensorSet.views``), which returns the reduced
@@ -37,11 +37,11 @@ extraction then searches each distinct column once over the view.
 
 Sampled rows move once per distinct row wherever the tuples are
 replicated first: every ARLS-LEV batch (its sampler allgathers the
-drawn rows with their counts) and every tensor-stationary batch (an STS
-batch's tuples are broadcast first).  Each rank then indexes the rows
-per draw on its own.  Only an STS batch under accumulator-stationary
-moves a row with each sample, since only the sample's owner knows its
-tuple.
+drawn rows of all off modes with their counts in one allgather) and
+every tensor-stationary batch (an STS batch's tuples are broadcast
+first).  Each rank then indexes the rows per draw on its own.  Only an
+STS batch under accumulator-stationary moves a row with each sample,
+since only the sample's owner knows its tuple.
 """
 
 import time
@@ -299,19 +299,21 @@ def _meter_sampled_gathers_ts(ctx, k, batch):
 
 
 def _meter_sampled_gathers_as(ctx, k, batch):
-    """Ledger traffic for the sampled-row allgathers of an accumulator-stationary
+    """Ledger traffic for the sampled-row allgather of an accumulator-stationary
     solve: every rank receives every sampled row.  A replicated batch
     (``owner`` None) moves each distinct drawn row once; an exact-sampler
     batch's tuples are known only to their owners, so each sample's row
-    travels with its index and probability."""
+    travels with its index and probability.  Each rank knows its rows of
+    every off mode by the end of sampling, so they all go in one allgather."""
     grid = ctx.grid
     R = ctx.factors[k].R
+    words = np.zeros(grid.P, dtype=np.int64)
     for i in range(grid.N):
         if i == k:
             continue
         fb = ctx.factors[i]
         if batch.owner is None:
-            words = _drawn_rows(batch.X, i, fb) * R
+            words += _drawn_rows(batch.X, i, fb) * R
         else:
-            words = fb.block_sums(np.bincount(batch.X[:, i], minlength=fb.U.shape[0])) * (R + 2)
-        _meter_allgather_model(ctx.ledger, ctx.round_id, list(range(grid.P)), words)
+            words += fb.block_sums(np.bincount(batch.X[:, i], minlength=fb.U.shape[0])) * (R + 2)
+    _meter_allgather_model(ctx.ledger, ctx.round_id, list(range(grid.P)), words)

@@ -222,6 +222,18 @@ class TestConfigValidation:
                                              r"is %d" % procs):
             run_als(cfg, tensor=make_sparse((6, 6, 6), 60, seed=11))
 
+    def test_grid_passed_in_sets_the_results_procs(self):
+        t = make_sparse((6, 6, 6), 60, seed=11)
+        cfg = AlsConfig(rank=2, rounds=1, permute=False)
+        res = run_als(cfg, tensor=t, grid=ProcessorGrid(t.dims, (2, 2, 1)))
+        assert (res.config.procs, res.config.grid_dims, res.grid_dims) == (4, (2, 2, 1),
+                                                                           (2, 2, 1))
+        res.config.validate()
+        assert cfg.procs == 1 and cfg.grid_dims is None  # the caller's config is kept
+        # per-rank tables sized by the result's config count every rank
+        words, _ = res.ledger.per_rank("allgather", 1, res.config.procs)
+        assert words.sum() == res.ledger.words(kind="allgather", round_id=1) > 0
+
     def test_summary_mentions_fits_and_ledger(self):
         t = make_sparse((6, 6, 6), 60, seed=11)
         cfg = AlsConfig(rank=2, rounds=2, sampler="exact", procs=2, seed=14,

@@ -246,6 +246,25 @@ class TestMeter:
         with pytest.raises(ValueError):  # one exchange matrix fits one group
             gridmod.meter(table, 0, gridmod.ALL_TO_ALLV, ranks, np.ones((2, 2)))
 
+    @pytest.mark.parametrize("gdims, k, words, messages", [
+        ((2, 3, 2), 1, 34, 4),     # ceil(2*25*2/3) = 34
+        ((4, 1, 3), 0, 38, 6),     # ceil(2*25*3/4) = 38
+        ((4, 1, 3), 2, 34, 4),
+        ((2, 2, 2), 2, 25, 2),     # ceil(2*25*1/2) = 25
+        ((4, 1, 3), 1, None, 0)])  # one chunk: nothing to reduce
+    def test_allreduce_across_chunks(self, gdims, k, words, messages):
+        # An exact factor update's Gram allreduce, over the (P/P_k, P_k)
+        # table of one rank per mode-k chunk: every rank is in one row.
+        g = ProcessorGrid((8, 8, 8), gdims)
+        table = g.slice_groups[k].T
+        assert table.shape == (g.P // gdims[k], gdims[k])
+        assert sorted(table.ravel().tolist()) == list(range(g.P))
+        led = CommLedger()
+        gridmod.meter(led, 3, gridmod.ALLREDUCE, table, 25)
+        expected = {} if words is None else {(3, "allreduce", p): (words, messages)
+                                             for p in range(g.P)}
+        assert led.records() == expected
+
     @pytest.mark.parametrize("kind", [gridmod.ALLGATHER, gridmod.REDUCE_SCATTER])
     @pytest.mark.parametrize("shape", [(4, 1), (0, 3)])
     def test_single_member_or_empty_table_records_nothing(self, kind, shape):

@@ -16,25 +16,25 @@ from conftest import make_sparse
 
 GOLDEN = {
     (6, "exact", "tensor-stationary"):
-        "e20041491d8671933590792651f333c0695fa42edeca338e111ad4fb58afa97f",
+        "12bcd6180ddb2cad4d36860c5b70b7d2a9e3a48a1e3b0329e2e03ae904ee5d59",
     (6, "arls-lev", "tensor-stationary"):
-        "ad26051f1221d279efbc5d10320652dd241ddf2ab41d1b8f04c490a39135634e",
+        "ff4d61a8d1a4f8e97d21b256eaa231a1f980bef1d41e186c5e7ca2c46921c309",
     (6, "arls-lev", "accumulator-stationary"):
-        "a23fe75cb73eedbc1349743b0ffa700f7e1d0e9c6cb486ec5b6440c5cbf7c3de",
+        "18a91c600561c14ff2d059d4aa0919764b31404649d2b78aa03ef4d7e8fd0b54",
     (6, "sts", "tensor-stationary"):
         "1cd81cf4697b977b5a233e51bd73194ac5b33fbe8d59b71b610fd1244db7f55f",
     (6, "sts", "accumulator-stationary"):
-        "a4f20454128aa26febb316b21830708c96fd0345550e5404827ff868768ad749",
+        "d7e171db11a5b3f3288d73280bfa4af846644bb495f49e896b49c8cf62703b3b",
     (8, "exact", "tensor-stationary"):
-        "dafc722efb4e59c1e2763f7f0c76ab80fe1abb435da96b7e336e3f22da1c0fe7",
+        "9c9edd8f1ea5642b9d1fcfc298b1c1dbf43b7464e76aadd425a322aa23059fa2",
     (8, "arls-lev", "tensor-stationary"):
-        "6c3f607978feda21f517a33973a7b07d6c84eacde9c2ca5f2e5d4078157f2466",
+        "8e872c2bfc81fd6c6ad54c69a983b5df1dcebf1928b05e370cc80353da28f4a5",
     (8, "arls-lev", "accumulator-stationary"):
-        "8fddd8dce94f4a2eb61a15fc918d72cbe58b730d27c80d534ea394e08bb06c1a",
+        "d64f68b158453f66072e2064d780adece2c8155b02b64db14a02da9d5083a62a",
     (8, "sts", "tensor-stationary"):
         "e90082bdb170cdc6007a52dac32719e92be0ac457cbd9edfdc1d98cddfbe893f",
     (8, "sts", "accumulator-stationary"):
-        "c5d5b7c7c58c06014a6b788261b9676a62861e25ab0ebf904cd352766ca53f62",
+        "bb0059919572a6d765d701adeb68c7560f00f1f49cbcfa28d79713d54ac2d43d",
 }
 
 

@@ -2,7 +2,9 @@
 
 Every rank forms the Gram of its block of the solved factor and one
 reduction sums them: ``gram``'s allreduce for exact and ARLS-LEV runs,
-the tree build's upward exchange for STS.  The norms are read off its
+the tree build's upward exchange for STS.  An exact run's allreduce
+follows the factor's slice-group gather, so it runs across the mode's
+chunks only, over P_k ranks.  The norms are read off its
 diagonal and the kept Grams are the same sum rescaled, so the ledger
 holds no other collective for the update, and the padded exchange of the
 STS build must leave the root on every rank.
@@ -31,20 +33,27 @@ def test_one_allreduce_per_factor_update(tensor, P, sampler, schedule):
     cfg = AlsConfig(rank=R, rounds=rounds, sampler=sampler,
                     samples=0 if sampler == "exact" else 128, schedule=schedule,
                     procs=P, seed=5, permute=False, compute_fits=False)
-    ledger = run_als(cfg, tensor=tensor).ledger
-    # exact and ARLS-LEV reduce each updated factor's Gram once; STS takes it
-    # from the tree build's exchange; a tensor-stationary sketched solve
-    # still allreduces its own sketched Gram.
-    per_round = N * (sampler != "sts") \
-        + N * (sampler != "exact" and schedule == "tensor-stationary")
-    words = -(-2 * R * R * (P - 1) // P)
+    res = run_als(cfg, tensor=tensor)
+    ledger = res.ledger
+
+    def allreduce(q):  # (words, messages) per member of a q-rank allreduce
+        return -(-2 * R * R * (q - 1) // q), 2 * (q - 1)
+    # exact and ARLS-LEV reduce each updated factor's Gram once: exact over
+    # the mode's P_k chunks, ARLS-LEV over all P ranks; STS takes it from
+    # the tree build's exchange.  A tensor-stationary sketched solve still
+    # allreduces its own sketched Gram over all P ranks.
+    if sampler == "exact":
+        update = np.sum([allreduce(Pk) for Pk in res.grid_dims], axis=0)
+    else:
+        update = N * np.array(allreduce(P)) * (sampler != "sts")
+    solve = N * np.array(allreduce(P)) * (sampler != "exact" and schedule == "tensor-stationary")
     for r in range(1, rounds + 1):
         w, m = ledger.per_rank(gridmod.ALLREDUCE, r, P)
-        assert np.array_equal(m, np.full(P, per_round * 2 * (P - 1)))
-        assert np.array_equal(w, np.full(P, per_round * words))
+        assert np.array_equal(w, np.full(P, update[0] + solve[0]))
+        assert np.array_equal(m, np.full(P, update[1] + solve[1]))
     # round 0 reduces each unit-norm initial factor's Gram once
     w0, m0 = ledger.per_rank(gridmod.ALLREDUCE, 0, P)
-    assert np.array_equal(m0, np.full(P, N * (sampler != "sts") * 2 * (P - 1)))
+    assert np.array_equal(m0, np.full(P, update[1]))
 
 
 def update_ctx(U, sampler, P, round_id=2):

@@ -159,8 +159,9 @@ class TestArlsSample:
         words = [ledger.words(kind=gridmod.ALLGATHER, round_id=1, rank=p) for p in range(g.P)]
         assert words == received.tolist()
         assert sum(words) == (g.P - 1) * 3 * sum(np.unique(batch.X[:, i]).size for i in (0, 1))
+        # both off modes' triples go in one allgather
         assert [ledger.messages(kind=gridmod.ALLGATHER, round_id=1, rank=p)
-                for p in range(g.P)] == [2 * (g.P - 1)] * g.P
+                for p in range(g.P)] == [g.P - 1] * g.P
 
     def test_zero_leverage_row_never_drawn(self):
         gen = np.random.default_rng(10)

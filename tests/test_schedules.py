@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from randcp import grid as gridmod, schedules
+from randcp import als, grid as gridmod, schedules
 from randcp.als import AlsConfig, run_als
 from randcp.linalg import FactorBlocks, gram, hadamard_gram_chain, pseudo_inverse
 from randcp.matricization import column_keys, column_levels, matricize, partition_to_grid
@@ -13,7 +13,7 @@ from randcp.samplers import (SampleBatch, arls_lev_build, arls_lev_sample, sampl
 from randcp.schedules import (ScheduleError, SolveContext, _exact_mttkrp, _reduce_along_mode,
                               _sampled_mttkrp, _sketched_gram, distinct_columns,
                               refresh_gathered, solve_mode)
-from conftest import OnesFactor, block_owner, make_sparse, unit_factors
+from conftest import PAIRS, OnesFactor, block_owner, make_sparse, unit_factors
 
 
 def make_ctx(t, grid, schedule, sampler, factors, J=0, ledger=None):
@@ -263,7 +263,9 @@ def direct_gather_count(grid, batch, k, schedule, R):
     drawn row (``np.unique``) goes once from its owner to its chunk's slice
     group or to every rank; an STS batch under accumulator-stationary sends
     a row, index and probability per sample, and under tensor-stationary
-    first broadcasts every sample's tuple and probability."""
+    first broadcasts every sample's tuple and probability.  Under
+    accumulator-stationary the rows of all off modes go in one allgather
+    over every rank."""
     P, N = grid.P, grid.N
     words = np.zeros(P, dtype=np.int64)
     msgs = np.zeros(P, dtype=np.int64)
@@ -274,17 +276,18 @@ def direct_gather_count(grid, batch, k, schedule, R):
 
     if P == 1:
         return words, msgs
-    ts = schedule == "tensor-stationary"
-    if ts and batch.owner is not None:
-        gather(np.arange(P), N * np.bincount(batch.owner, minlength=P))
-    for i in range(N):
-        if i == k:
-            continue
-        if not ts:
+    off = [i for i in range(N) if i != k]
+    if schedule == "accumulator-stationary":
+        sent = np.zeros(P, dtype=np.int64)
+        for i in off:
             rows, per_row = ((np.unique(batch.X[:, i]), R) if batch.owner is None
                              else (batch.X[:, i], R + 2))
-            gather(np.arange(P), per_row * np.bincount(block_owner(grid, i, rows), minlength=P))
-            continue
+            sent += per_row * np.bincount(block_owner(grid, i, rows), minlength=P)
+        gather(np.arange(P), sent)
+        return words, msgs
+    if batch.owner is not None:
+        gather(np.arange(P), N * np.bincount(batch.owner, minlength=P))
+    for i in off:
         rows = np.unique(batch.X[:, i])
         chunks = np.searchsorted(grid.chunk_offsets[i], rows, side="right") - 1
         for c in range(grid.grid_dims[i]):
@@ -354,6 +357,97 @@ class TestDistinctRowGathers:
                 words.append(ctx.ledger.words(kind=gridmod.ALLGATHER) - before)
             # repeats move nothing more than the distinct tuples alone
             assert 0 < words[0] == words[1] < per_draw
+
+
+def direct_solve_count(grid, batch, k, sampler, schedule, R):
+    """Allgather and allreduce (words, messages) each rank receives for one
+    mode-k solve and the factor update after it, counted from the batch
+    (None for an exact solve or no solve) and the grid alone.
+
+    A sketched solve moves its sampled rows (``direct_gather_count``); an
+    ARLS-LEV draw first allgathers every rank's distinct drawn rows of all
+    off modes as one set of (row, count, leverage) triples, and a
+    tensor-stationary sketched solve allreduces its R x R Gram over every
+    rank.  The update of an exact run gathers the factor within each
+    mode-k slice group and then allreduces the Gram among the ranks that
+    differ only in their mode-k grid coordinate, one per chunk; an
+    ARLS-LEV update allreduces it over every rank and allgathers one mass
+    word per rank; an STS update moves nothing by either collective."""
+    P = grid.P
+    counts = {kind: np.zeros((2, P), dtype=np.int64)
+              for kind in (gridmod.ALLGATHER, gridmod.ALLREDUCE)}
+    everyone = np.arange(P)
+
+    def collective(kind, group, w):
+        q = len(group)
+        if q > 1:
+            recv = w.sum() - w if kind == gridmod.ALLGATHER else -(-2 * w * (q - 1) // q)
+            counts[kind][0, group] += recv
+            counts[kind][1, group] += (q - 1) * (1 if kind == gridmod.ALLGATHER else 2)
+
+    if batch is not None:
+        counts[gridmod.ALLGATHER] += direct_gather_count(grid, batch, k, schedule, R)
+        if sampler == "arls-lev":
+            collective(gridmod.ALLGATHER, everyone, 3 * sum(
+                np.bincount(block_owner(grid, i, np.unique(batch.X[:, i])), minlength=P)
+                for i in range(grid.N) if i != k))
+        if schedule == "tensor-stationary":
+            collective(gridmod.ALLREDUCE, everyone, R * R)
+    if sampler == "exact":
+        lows, his = grid.block_ranges(k)
+        for c in range(grid.grid_dims[k]):
+            group = grid.slice_groups[k][c]
+            collective(gridmod.ALLGATHER, group, R * (his - lows)[group])
+        coords = np.array(np.unravel_index(everyone, grid.grid_dims))
+        others = np.delete(coords, k, axis=0)
+        for p in everyone[coords[k] == 0]:
+            fiber = everyone[(others == others[:, [p]]).all(axis=0)]
+            collective(gridmod.ALLREDUCE, fiber, R * R)
+    elif sampler == "arls-lev":
+        collective(gridmod.ALLREDUCE, everyone, R * R)
+        collective(gridmod.ALLGATHER, everyone, np.ones(P, dtype=np.int64))
+    return counts
+
+
+class TestSolveCounts:
+    """Every allgather and allreduce of whole runs, solve by solve, against
+    a direct count from each solve's batch and the grid."""
+
+    @pytest.mark.parametrize("P", [1, 3, 6, 8])
+    @pytest.mark.parametrize("sampler, schedule", PAIRS)
+    def test_ledger_matches_direct_count_per_solve(self, monkeypatch, sampler, schedule, P):
+        t = make_sparse((9, 7, 6, 5), 500, seed=21)
+        R, N = 4, t.mode_count
+        kinds = (gridmod.ALLGATHER, gridmod.ALLREDUCE)
+        solves = []  # (round, mode, batch, ledger counts of the round before the solve)
+
+        def recording_solve(ctx, k, injected_batch=None):
+            before = {kind: np.array(ctx.ledger.per_rank(kind, ctx.round_id, P))
+                      for kind in kinds}
+            batch = solve_mode(ctx, k, injected_batch)
+            solves.append((ctx.round_id, k, batch, before))
+            return batch
+        monkeypatch.setattr(als, "solve_mode", recording_solve)
+        cfg = AlsConfig(rank=R, rounds=2, sampler=sampler,
+                        samples=0 if sampler == "exact" else 64, schedule=schedule,
+                        procs=P, seed=5, permute=False, compute_fits=False)
+        res = run_als(cfg, tensor=t)
+        g = gridmod.ProcessorGrid(t.dims, res.grid_dims)
+        assert len(solves) == 2 * N
+
+        def direct(batch, k):
+            return direct_solve_count(g, batch, k, sampler, schedule, R)
+        # round 0 holds only the N updates of the initial factors
+        for kind in kinds:
+            expected = sum(direct(None, k)[kind] for k in range(N))
+            assert np.array_equal(res.ledger.per_rank(kind, 0, P), expected), kind
+        for n, (rnd, k, batch, before) in enumerate(solves):
+            assert (batch is None) == (sampler == "exact")
+            for kind in kinds:
+                after = (solves[n + 1][3][kind] if n + 1 < len(solves) and solves[n + 1][0] == rnd
+                         else np.array(res.ledger.per_rank(kind, rnd, P)))
+                assert np.array_equal(after - before[kind], direct(batch, k)[kind]), \
+                    (kind, rnd, k)
 
 
 def rel_err(got, ref):
