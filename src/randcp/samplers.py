@@ -13,10 +13,11 @@ states of all modes, ``(states, k, J, seed)``.
   factor's rows on the shared stream, expanded and shuffled.  A
   multinomial over rows, grouped by block, is a multinomial over the
   ranks' masses followed by each rank's local draw, so each rank
-  allgathers only its block's drawn rows with their counts, every off
-  mode's in one allgather: the ledger meters 3 words per distinct drawn
-  row, and every rank rebuilds the same J draws from the counts and the
-  shared permutation.
+  allgathers only its block's drawn rows with their counts, 3 words per
+  distinct drawn row of every off mode, and every rank rebuilds the same
+  J draws from the counts and the shared permutation.  The sampler meters
+  nothing: the triples ride in the solve's one all-rank allgather
+  (``schedules``).
 
 * exact sampler (``sts_build`` -> ``LeverageTree``): draws from the exact
   Khatri-Rao leverage distribution by walking a binary tree of partial
@@ -166,34 +167,31 @@ def consistent_multinomial(masses, J, seed, round_id, k, mode):
     return gen.multinomial(int(J), masses / total)
 
 
-def arls_lev_sample(states, k, J, seed, round_id=0, ledger=None) -> SampleBatch:
+def arls_lev_sample(states, k, J, seed, round_id=0) -> SampleBatch:
     """Draw J rows from the product-of-factor-leverage distribution.
 
     For each constant mode independently: count every row's draws by a
     consistent multinomial over its leverage distribution, expand the
     counts into rows and apply the shared-stream permutation.  Each rank
     allgathers its block's distinct drawn rows of every off mode as (row,
-    count, leverage) triples in one allgather, from which every rank
-    rebuilds the same draws, so every rank holds the result.
+    count, leverage) triples, from which every rank rebuilds the same
+    draws, so every rank holds the result.  The triples need no exchange
+    first, so they go in the solve's one all-rank allgather, which the
+    solve meters (``schedules._meter_world_gather``).
     """
     N = len(states)
     if J == 0:
         return _empty_batch(N)
     X = np.full((J, N), -1, dtype=np.int64)
     prob = np.ones(J)
-    drawn = 0
     for i in range(N):
         if i == k:
             continue
         st = states[i]
         counts = consistent_multinomial(st.dist, J, seed, round_id, k, i)
-        drawn = drawn + st.factor.block_sums(counts > 0)
         perm = rng.stream(seed, rng.SHUFFLE, round_id, k, i).permutation(J)
         X[:, i] = rows = np.repeat(np.arange(counts.size), counts)[perm]
         prob *= st.dist.take(rows)
-    # One allgather of every rank's distinct drawn (row, count, leverage)
-    # triples of all off modes, whose counts need no exchange first.
-    gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(st.factor.n_blocks), 3 * drawn)
     return SampleBatch(X, prob, owner=None)
 
 

@@ -7,17 +7,26 @@ communication schedules differ only in what they move:
 tensor-stationary: nonzeros stay on their grid cell.  Factor blocks are
 allgathered within per-mode slice groups (``refresh_gathered`` meters
 this after every update of an exact run; a rank then reads its chunk's
-rows in place), sketched solves gather only the distinct sampled rows and
-allreduce the sketched Gram, and the MTTKRP accumulator is
+rows in place), sketched solves gather only the distinct sampled rows
+and allreduce the sketched Gram within the solved mode's slice groups,
+one rank per off-mode cell, and the MTTKRP accumulator is
 reduce-scattered along the solved mode's slices.  Sampling does not
 shrink the reduction.
 
 accumulator-stationary: each rank's output block stays put.  Only
 sampled rows (with an STS sample's index and probability) are
-allgathered to everyone in one allgather per solve, each rank's
-downsampled MTTKRP rows are scattered into its stationary block, and no
-reduction occurs.  Defined only for sketched solves; exact solves must
-use the tensor-stationary schedule.
+allgathered to everyone, each rank's downsampled MTTKRP rows are
+scattered into its stationary block, and no reduction occurs.  Defined
+only for sketched solves; exact solves must use the tensor-stationary
+schedule.
+
+A sampled solve makes one allgather over every rank
+(``_meter_world_gather``): each row owner knows its drawn rows by the
+end of sampling, so one allgatherv carries the batch's index words (an
+ARLS-LEV batch's (row, count, leverage) triples, or an STS batch's
+tuples under tensor-stationary) and the rows of every off mode whose
+slice group is every rank: all of them under accumulator-stationary,
+those with P_i = 1 under tensor-stationary.
 
 Every rank's MTTKRP is one kernel call over the mode's whole-mode view
 of the nonzeros (``LocalTensorSet.views``), which returns the reduced
@@ -36,12 +45,11 @@ each distinct column's design row is formed once from the factors.  One
 extraction then searches each distinct column once over the view.
 
 Sampled rows move once per distinct row wherever the tuples are
-replicated first: every ARLS-LEV batch (its sampler allgathers the
-drawn rows of all off modes with their counts in one allgather) and
-every tensor-stationary batch (an STS batch's tuples are broadcast
-first).  Each rank then indexes the rows per draw on its own.  Only an
-STS batch under accumulator-stationary moves a row with each sample,
-since only the sample's owner knows its tuple.
+replicated: every ARLS-LEV batch (its drawn rows of all off modes are
+allgathered with their counts) and every tensor-stationary batch (an STS
+batch's tuples are broadcast).  Each rank then indexes the rows per draw
+on its own.  Only an STS batch under accumulator-stationary moves a row
+with each sample, since only the sample's owner knows its tuple.
 """
 
 import time
@@ -144,13 +152,13 @@ def distinct_columns(batch, factors, k):
 def draw_batch(ctx: SolveContext, k: int):
     """Run the configured sampler for a mode-k solve."""
     t0 = time.perf_counter()
-    if ctx.sampler == "arls-lev":
-        sample = arls_lev_sample
+    if ctx.sampler == "arls-lev":  # its triples are metered with the rows
+        batch = arls_lev_sample(ctx.states, k, ctx.J, ctx.seed, round_id=ctx.round_id)
     elif ctx.sampler == "sts":
-        sample = sts_sample
+        batch = sts_sample(ctx.states, k, ctx.J, ctx.seed, round_id=ctx.round_id,
+                           ledger=ctx.ledger)
     else:
         raise ScheduleError("no sampler configured (sampler=%r)" % ctx.sampler)
-    batch = sample(ctx.states, k, ctx.J, ctx.seed, round_id=ctx.round_id, ledger=ctx.ledger)
     ctx.tick("sampling", t0)
     return batch
 
@@ -158,10 +166,14 @@ def draw_batch(ctx: SolveContext, k: int):
 def _sketched_gram(ctx: SolveContext, k: int, batch):
     """Merge the batch's repeated draws; Gram of the weighted distinct columns.
 
-    A tensor-stationary solve meters the allreduce of the R x R Gram over
-    all ranks.  Returns the Gram and the columns as
-    ``distinct_columns`` gives them, but with the design rows weighted
-    (X, Hw, weights).  The merge is timed as sampling, the Gram as
+    A tensor-stationary solve meters the allreduce of the R x R Gram
+    within each mode-k slice group (``grid.slice_groups[k]``), none when
+    P_k = P.  After the row gathers each rank holds its chunk's drawn rows
+    of every off mode, so it forms the partial Gram of the columns in its
+    off-mode cell; a mode-k slice group holds one rank per off-mode cell,
+    so its members' partials sum to the Gram.  Returns the Gram and the
+    columns as ``distinct_columns`` gives them, but with the design rows
+    weighted (X, Hw, weights).  The merge is timed as sampling, the Gram as
     postprocessing.
     """
     t0 = time.perf_counter()
@@ -171,7 +183,7 @@ def _sketched_gram(ctx: SolveContext, k: int, batch):
     Hw *= weights[:, None]
     Gs = Hw.T @ Hw
     if ctx.local.schedule == "tensor-stationary":
-        gridmod.meter(ctx.ledger, ctx.round_id, gridmod.ALLREDUCE, list(range(ctx.grid.P)),
+        gridmod.meter(ctx.ledger, ctx.round_id, gridmod.ALLREDUCE, ctx.grid.slice_groups[k],
                       Gs.size)
     ctx.tick("postprocess", t0)
     return Gs, (X, Hw, weights)
@@ -275,20 +287,18 @@ def _drawn_rows(X, i, fb):
 def _meter_sampled_gathers_ts(ctx, k, batch):
     """Ledger traffic for the sampled-row gathers of a tensor-stationary solve.
 
-    Every rank holds the batch's tuples before any row moves (an STS batch
-    has its tuples broadcast first), so each distinct drawn row goes once
-    from its owner to the slice group of the row's chunk, and every rank
-    indexes the rows per draw on its own."""
+    Every rank holds the batch's tuples before any row is read (an STS
+    batch has its tuples broadcast first), so each distinct drawn row goes
+    once from its owner to the slice group of the row's chunk, and every
+    rank indexes the rows per draw on its own.  A mode with P_i = 1 has one
+    slice group, every rank, so its rows go in the solve's all-rank
+    allgather (``_meter_world_gather``); each other off mode's rows take
+    one call over its slice-group table."""
     grid = ctx.grid
-    if grid.P == 1:
-        return
-    if batch.owner is not None:
-        # exact-sampler batches end distributed: broadcast indices + probability
-        counts = np.bincount(batch.owner, minlength=grid.P)
-        _meter_allgather_model(ctx.ledger, ctx.round_id, list(range(grid.P)),
-                               counts * grid.N)
-    for i in range(grid.N):
-        if i == k:
+    off = [i for i in range(grid.N) if i != k]
+    _meter_world_gather(ctx, k, batch, [i for i in off if grid.grid_dims[i] == 1])
+    for i in off:
+        if grid.grid_dims[i] == 1:
             continue
         # A row's owner sits in the slice group of the row's chunk; only
         # the groups of chunks some sample drew a row of exchange anything.
@@ -300,20 +310,35 @@ def _meter_sampled_gathers_ts(ctx, k, batch):
 
 def _meter_sampled_gathers_as(ctx, k, batch):
     """Ledger traffic for the sampled-row allgather of an accumulator-stationary
-    solve: every rank receives every sampled row.  A replicated batch
-    (``owner`` None) moves each distinct drawn row once; an exact-sampler
-    batch's tuples are known only to their owners, so each sample's row
-    travels with its index and probability.  Each rank knows its rows of
-    every off mode by the end of sampling, so they all go in one allgather."""
-    grid = ctx.grid
-    R = ctx.factors[k].R
-    words = np.zeros(grid.P, dtype=np.int64)
-    for i in range(grid.N):
-        if i == k:
-            continue
-        fb = ctx.factors[i]
-        if batch.owner is None:
-            words += _drawn_rows(batch.X, i, fb) * R
-        else:
-            words += fb.block_sums(np.bincount(batch.X[:, i], minlength=fb.U.shape[0])) * (R + 2)
-    _meter_allgather_model(ctx.ledger, ctx.round_id, list(range(grid.P)), words)
+    solve: every rank receives every sampled row, in the solve's one
+    all-rank allgather (``_meter_world_gather``)."""
+    _meter_world_gather(ctx, k, batch, [i for i in range(ctx.grid.N) if i != k])
+
+
+def _meter_world_gather(ctx, k, batch, modes):
+    """Meter a sampled solve's one allgatherv over every rank.
+
+    Each row owner knows its drawn rows by the end of sampling, so one
+    allgatherv carries both the batch's index words and R words per
+    distinct drawn row of each off mode in ``modes``, whose slice group is
+    every rank.  A replicated batch (``owner`` None) sends 3 index words
+    per distinct drawn row of every off mode: the (row, count, leverage)
+    triples from which every rank rebuilds the same draws.  An
+    exact-sampler batch's tuples are known only to their owners: under
+    tensor-stationary each owner sends N words per sample (its tuple and
+    probability); under accumulator-stationary each sample's row travels
+    with its index and probability, R + 2 words per sample and off mode.
+    Nothing is metered when no rank sends anything."""
+    grid, R = ctx.grid, ctx.factors[k].R
+    off = [i for i in range(grid.N) if i != k]
+    if batch.owner is None:
+        words = sum(_drawn_rows(batch.X, i, ctx.factors[i]) * (3 + R * (i in modes))
+                    for i in off)
+    elif ctx.local.schedule == "accumulator-stationary":
+        words = (R + 2) * sum(ctx.factors[i].block_sums(
+            np.bincount(batch.X[:, i], minlength=grid.tensor_dims[i])) for i in off)
+    else:
+        words = np.bincount(batch.owner, minlength=grid.P) * grid.N + sum(
+            _drawn_rows(batch.X, i, ctx.factors[i]) * R for i in modes)
+    if words.any():
+        _meter_allgather_model(ctx.ledger, ctx.round_id, list(range(grid.P)), words)

@@ -18,21 +18,21 @@ GOLDEN = {
     (6, "exact", "tensor-stationary"):
         "12bcd6180ddb2cad4d36860c5b70b7d2a9e3a48a1e3b0329e2e03ae904ee5d59",
     (6, "arls-lev", "tensor-stationary"):
-        "ff4d61a8d1a4f8e97d21b256eaa231a1f980bef1d41e186c5e7ca2c46921c309",
+        "26081436ddb11b117bc2eaa585e3883af629be76fed789a00307cdefe66530e9",
     (6, "arls-lev", "accumulator-stationary"):
-        "18a91c600561c14ff2d059d4aa0919764b31404649d2b78aa03ef4d7e8fd0b54",
+        "b7f2fac35019fd2145f8e09084959b6a5569b140534f4929a1e364a66a141a8d",
     (6, "sts", "tensor-stationary"):
-        "1cd81cf4697b977b5a233e51bd73194ac5b33fbe8d59b71b610fd1244db7f55f",
+        "1011224787af214bec538ec6b9df957f72c98aa0ca0525b4f26ef63fa6d584f5",
     (6, "sts", "accumulator-stationary"):
         "d7e171db11a5b3f3288d73280bfa4af846644bb495f49e896b49c8cf62703b3b",
     (8, "exact", "tensor-stationary"):
         "9c9edd8f1ea5642b9d1fcfc298b1c1dbf43b7464e76aadd425a322aa23059fa2",
     (8, "arls-lev", "tensor-stationary"):
-        "8e872c2bfc81fd6c6ad54c69a983b5df1dcebf1928b05e370cc80353da28f4a5",
+        "8888d808ac82fada77964ce5800f02088172af9b8098182d97ee2ddc2cd6f6a0",
     (8, "arls-lev", "accumulator-stationary"):
-        "d64f68b158453f66072e2064d780adece2c8155b02b64db14a02da9d5083a62a",
+        "71f10b28d811281675a30dfd5ffc3d97b015387fce7171c79164aa335f3582d5",
     (8, "sts", "tensor-stationary"):
-        "e90082bdb170cdc6007a52dac32719e92be0ac457cbd9edfdc1d98cddfbe893f",
+        "029cd7e3abd71def1eca199a38b2cb92b3ab0685533ad791ed5568825cb7e284",
     (8, "sts", "accumulator-stationary"):
         "bb0059919572a6d765d701adeb68c7560f00f1f49cbcfa28d79713d54ac2d43d",
 }

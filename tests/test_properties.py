@@ -158,10 +158,11 @@ def aim3_runs(draw):
     """A tensor of 3 to 5 modes of size 1 to 40 with up to 60 nonzeros, some
     all zero (or empty) and some with one value of 1e200 or more, and a
     two-round run on it: any of the five sampler/schedule pairs, R in
-    {1, 2, 5, 12}, J in {1, 16, 257}, P in {1, 3, 4, 7, 8} and an optimal
-    or an explicit grid, infeasible ones (P_j > I_j) included."""
+    {1, 2, 5, 12, 45}, J in {1, 3, 16, 257, 2048}, P in {1, 2, 3, 4, 6, 7,
+    8, 12, 16} and an optimal or an explicit grid, infeasible ones
+    (P_j > I_j) included."""
     dims = tuple(draw(st.lists(st.integers(1, 40), min_size=3, max_size=5)))
-    P = draw(st.sampled_from([1, 3, 4, 7, 8]))
+    P = draw(st.sampled_from([1, 2, 3, 4, 6, 7, 8, 12, 16]))
     grid_dims = draw(st.none() | st.sampled_from(list(gridmod.factorizations(P, len(dims)))))
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     nnz = draw(st.integers(0, 60))
@@ -173,8 +174,8 @@ def aim3_runs(draw):
     elif kind == "huge" and nnz:
         vals[-1] = draw(st.sampled_from([1e200, -1e250, 1e308]))
     sampler, schedule = draw(st.sampled_from(PAIRS))
-    cfg = AlsConfig(rank=draw(st.sampled_from([1, 2, 5, 12])), rounds=2, sampler=sampler,
-                    samples=draw(st.sampled_from([1, 16, 257])), schedule=schedule,
+    cfg = AlsConfig(rank=draw(st.sampled_from([1, 2, 5, 12, 45])), rounds=2, sampler=sampler,
+                    samples=draw(st.sampled_from([1, 3, 16, 257, 2048])), schedule=schedule,
                     grid_dims=grid_dims, procs=P, seed=draw(st.integers(0, 99)),
                     fit_every=1, permute=False)
     return SparseTensorCOO(dims, *sum_duplicates(idx, vals)), cfg

@@ -40,13 +40,15 @@ def test_one_allreduce_per_factor_update(tensor, P, sampler, schedule):
         return -(-2 * R * R * (q - 1) // q), 2 * (q - 1)
     # exact and ARLS-LEV reduce each updated factor's Gram once: exact over
     # the mode's P_k chunks, ARLS-LEV over all P ranks; STS takes it from
-    # the tree build's exchange.  A tensor-stationary sketched solve still
-    # allreduces its own sketched Gram over all P ranks.
+    # the tree build's exchange.  A tensor-stationary sketched solve
+    # allreduces its own sketched Gram within the mode's slice groups of
+    # P/P_k ranks, one per off-mode cell.
     if sampler == "exact":
         update = np.sum([allreduce(Pk) for Pk in res.grid_dims], axis=0)
     else:
         update = N * np.array(allreduce(P)) * (sampler != "sts")
-    solve = N * np.array(allreduce(P)) * (sampler != "exact" and schedule == "tensor-stationary")
+    solve = np.sum([allreduce(P // Pk) for Pk in res.grid_dims], axis=0) * (
+        sampler != "exact" and schedule == "tensor-stationary")
     for r in range(1, rounds + 1):
         w, m = ledger.per_rank(gridmod.ALLREDUCE, r, P)
         assert np.array_equal(w, np.full(P, update[0] + solve[0]))

@@ -146,8 +146,14 @@ class TestArlsSample:
         gen = np.random.default_rng(8)
         g, states = self.six_rank_states([gen.standard_normal((d, 2)) for d in (4, 4, 3)])
         J = 1000
+        batch = arls_lev_sample(states, 2, J, seed=9, round_id=1)
+        # The draw meters nothing itself: its triples ride in the solve's one
+        # all-rank allgather, here with no factor rows beside them.
         ledger = gridmod.CommLedger()
-        batch = arls_lev_sample(states, 2, J, seed=9, round_id=1, ledger=ledger)
+        ctx = schedules.SolveContext(g, "arls-lev", J, [st.factor for st in states], None,
+                                     ledger, seed=9)
+        ctx.round_id = 1
+        schedules._meter_world_gather(ctx, 2, batch, [])
         received = np.zeros(g.P, dtype=np.int64)
         for i in (0, 1):
             rows, counts = np.unique(batch.X[:, i], return_counts=True)

@@ -258,43 +258,46 @@ def repeated_batch(dims, factors, k, n_distinct, J, seed):
 
 def direct_gather_count(grid, batch, k, schedule, R):
     """Allgather words and messages each rank receives for a solve's sampled
-    rows, counted directly.  Under tensor-stationary, and for a replicated
-    batch (``owner`` None) under accumulator-stationary, each distinct
-    drawn row (``np.unique``) goes once from its owner to its chunk's slice
-    group or to every rank; an STS batch under accumulator-stationary sends
-    a row, index and probability per sample, and under tensor-stationary
-    first broadcasts every sample's tuple and probability.  Under
-    accumulator-stationary the rows of all off modes go in one allgather
-    over every rank."""
+    rows and index words, counted directly.  Each distinct drawn row
+    (``np.unique``) of a replicated batch (``owner`` None), and of any
+    batch under tensor-stationary, goes once from its owner: to every rank
+    under accumulator-stationary or when its mode has one chunk, else to
+    the slice group of the row's chunk.  A replicated batch adds 3 index
+    words per distinct drawn row of every off mode, an STS batch under
+    tensor-stationary N per sample at its owner; under
+    accumulator-stationary an STS batch sends a row, index and probability
+    per sample and off mode.  What goes to every rank goes in one
+    allgather, and only when some rank sends a word."""
     P, N = grid.P, grid.N
     words = np.zeros(P, dtype=np.int64)
     msgs = np.zeros(P, dtype=np.int64)
 
     def gather(group, sent):
-        words[group] += sent.sum() - sent
-        msgs[group] += len(group) - 1
+        if len(group) > 1 and sent.any():
+            words[group] += sent.sum() - sent
+            msgs[group] += len(group) - 1
 
-    if P == 1:
-        return words, msgs
-    off = [i for i in range(N) if i != k]
-    if schedule == "accumulator-stationary":
-        sent = np.zeros(P, dtype=np.int64)
-        for i in off:
-            rows, per_row = ((np.unique(batch.X[:, i]), R) if batch.owner is None
-                             else (batch.X[:, i], R + 2))
-            sent += per_row * np.bincount(block_owner(grid, i, rows), minlength=P)
-        gather(np.arange(P), sent)
-        return words, msgs
-    if batch.owner is not None:
-        gather(np.arange(P), N * np.bincount(batch.owner, minlength=P))
-    for i in off:
+    def per_rank(i, rows):
+        return np.bincount(block_owner(grid, i, rows), minlength=P)
+
+    world = np.zeros(P, dtype=np.int64)
+    for i in (i for i in range(N) if i != k):
+        if schedule == "accumulator-stationary" and batch.owner is not None:
+            world += (R + 2) * per_rank(i, batch.X[:, i])
+            continue
         rows = np.unique(batch.X[:, i])
+        if batch.owner is None:
+            world += 3 * per_rank(i, rows)
+        if schedule == "accumulator-stationary" or grid.grid_dims[i] == 1:
+            world += R * per_rank(i, rows)
+            continue
         chunks = np.searchsorted(grid.chunk_offsets[i], rows, side="right") - 1
         for c in range(grid.grid_dims[i]):
             group = grid.slice_groups[i][c]
-            owners = block_owner(grid, i, rows[chunks == c])
-            if owners.size and len(group) > 1:
-                gather(group, R * np.array([np.count_nonzero(owners == p) for p in group]))
+            gather(group, R * per_rank(i, rows[chunks == c])[group])
+    if schedule == "tensor-stationary" and batch.owner is not None:
+        world += N * np.bincount(batch.owner, minlength=P)
+    gather(np.arange(P), world)
     return words, msgs
 
 
@@ -364,11 +367,10 @@ def direct_solve_count(grid, batch, k, sampler, schedule, R):
     mode-k solve and the factor update after it, counted from the batch
     (None for an exact solve or no solve) and the grid alone.
 
-    A sketched solve moves its sampled rows (``direct_gather_count``); an
-    ARLS-LEV draw first allgathers every rank's distinct drawn rows of all
-    off modes as one set of (row, count, leverage) triples, and a
-    tensor-stationary sketched solve allreduces its R x R Gram over every
-    rank.  The update of an exact run gathers the factor within each
+    A sketched solve moves its sampled rows and index words
+    (``direct_gather_count``), and a tensor-stationary one allreduces its
+    R x R Gram among the ranks that share its mode-k grid coordinate, one
+    per off-mode cell.  The update of an exact run gathers the factor within each
     mode-k slice group and then allreduces the Gram among the ranks that
     differ only in their mode-k grid coordinate, one per chunk; an
     ARLS-LEV update allreduces it over every rank and allgathers one mass
@@ -385,20 +387,17 @@ def direct_solve_count(grid, batch, k, sampler, schedule, R):
             counts[kind][0, group] += recv
             counts[kind][1, group] += (q - 1) * (1 if kind == gridmod.ALLGATHER else 2)
 
+    coords = np.array(np.unravel_index(everyone, grid.grid_dims))
     if batch is not None:
         counts[gridmod.ALLGATHER] += direct_gather_count(grid, batch, k, schedule, R)
-        if sampler == "arls-lev":
-            collective(gridmod.ALLGATHER, everyone, 3 * sum(
-                np.bincount(block_owner(grid, i, np.unique(batch.X[:, i])), minlength=P)
-                for i in range(grid.N) if i != k))
         if schedule == "tensor-stationary":
-            collective(gridmod.ALLREDUCE, everyone, R * R)
+            for c in range(grid.grid_dims[k]):
+                collective(gridmod.ALLREDUCE, everyone[coords[k] == c], R * R)
     if sampler == "exact":
         lows, his = grid.block_ranges(k)
         for c in range(grid.grid_dims[k]):
             group = grid.slice_groups[k][c]
             collective(gridmod.ALLGATHER, group, R * (his - lows)[group])
-        coords = np.array(np.unravel_index(everyone, grid.grid_dims))
         others = np.delete(coords, k, axis=0)
         for p in everyone[coords[k] == 0]:
             fiber = everyone[(others == others[:, [p]]).all(axis=0)]
@@ -452,6 +451,56 @@ class TestSolveCounts:
 
 def rel_err(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+class TestSketchedGramAcrossCells:
+    """A tensor-stationary sketched Gram needs its allreduce only within the
+    solved mode's slice groups: after the row gathers a rank holds its
+    chunk's drawn rows of every off mode, and a mode-k slice group holds
+    one rank per off-mode cell, so the partial Grams of its members, each
+    formed from those rows alone, sum to the Gram."""
+
+    @pytest.mark.parametrize("gdims", [(2, 3, 1), (2, 2, 2)])
+    @pytest.mark.parametrize("build,sample", [(arls_lev_build, arls_lev_sample),
+                                              (sts_build, sts_sample)])
+    def test_one_rank_per_off_mode_cell_sums_to_the_gram(self, gdims, build, sample):
+        t = make_sparse((8, 9, 6), 200, seed=70)
+        R, N = 3, 3
+        factors = unit_factors(t.dims, R, seed=71)
+        g = gridmod.ProcessorGrid(t.dims, gdims)
+        states = [build(FactorBlocks.from_global(U, g, j)) for j, U in enumerate(factors)]
+        coords = np.array(np.unravel_index(np.arange(g.P), gdims))
+        for k in range(N):
+            batch = sample(states, k, 300, seed=72 + k)
+            sample_weights(batch)
+            ctx = make_ctx(t, g, "tensor-stationary", "sts", factors, J=batch.J)
+            Gs, (X, _, weights) = _sketched_gram(ctx, k, batch)
+            off = [i for i in range(N) if i != k]
+            q = g.P // gdims[k]
+            for c in range(gdims[k]):
+                group = np.flatnonzero(coords[k] == c)
+                assert len(group) == q == np.prod([gdims[i] for i in off])
+                total, covered = np.zeros((R, R)), 0
+                for p in group:
+                    mine = np.ones(X.shape[0], dtype=bool)
+                    H = np.ones((X.shape[0], R))
+                    for i in off:  # ascending mode order, as the solve multiplies
+                        lo, hi = g.chunk_offsets[i][coords[i, p]:coords[i, p] + 2]
+                        drawn = np.unique(batch.X[:, i])
+                        drawn = drawn[(lo <= drawn) & (drawn < hi)]
+                        held = np.full_like(factors[i], np.nan)  # a row p lacks poisons
+                        held[drawn] = factors[i][drawn]
+                        mine &= (lo <= X[:, i]) & (X[:, i] < hi)
+                        H *= held[X[:, i]]
+                    H = H[mine] * weights[mine, None]
+                    total += H.T @ H
+                    covered += np.count_nonzero(mine)
+                assert covered == X.shape[0]  # each column lies in one member's cell
+                assert rel_err(total, Gs) < 1e-12
+            # 2(q - 1) messages per rank, within the slice groups alone
+            w, m = ctx.ledger.per_rank(gridmod.ALLREDUCE, 0, g.P)
+            assert m.tolist() == [2 * (q - 1)] * g.P
+            assert w.tolist() == [-(-2 * R * R * (q - 1) // q)] * g.P
 
 
 class TestDistinctColumns:
