@@ -41,6 +41,8 @@ from .schedules import ScheduleError, SolveContext, refresh_gathered, solve_mode
 from .tensor import ModePermutations, load_frostt, permute_modes
 
 SAMPLERS = ("exact", "arls-lev", "sts")
+PAIRS = tuple((s, q) for s in SAMPLERS for q in SCHEDULES  # the pairs a run accepts
+              if (s, q) != ("exact", "accumulator-stationary"))
 
 
 class DegenerateSketchError(RuntimeError):
@@ -64,12 +66,11 @@ class AlsConfig:
     procs: int = 1
     seed: int = 0
     trial: int = 0
-    fit_every: int = 5
+    fit_every: int = 5          # 0: no fit
     log_transform: bool = False
     permute: bool = True
     workers: int = 1
     record_samples: bool = False
-    compute_fits: bool = True
 
     def validate(self):
         if self.rank < 1:
@@ -82,10 +83,10 @@ class AlsConfig:
             raise ValueError("schedule must be one of %s" % (SCHEDULES,))
         if self.sampler != "exact" and self.samples < 1:
             raise ValueError("samples must be >= 1 for sketched solves")
-        if self.schedule == "accumulator-stationary" and self.sampler == "exact":
+        if (self.sampler, self.schedule) not in PAIRS:
             raise ScheduleError("accumulator-stationary schedule requires a sampler")
-        if self.fit_every < 1:
-            raise ValueError("fit_every must be >= 1")
+        if self.fit_every < 0:
+            raise ValueError("fit_every must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.grid_dims is not None and int(np.prod(self.grid_dims)) != self.procs:
@@ -100,12 +101,13 @@ class DecompResult:
     fit_history: list           # (round, fit) per evaluated round
     ledger: object
     timings: dict
-    config: AlsConfig
-    grid_dims: tuple
+    config: AlsConfig           # procs and grid_dims name the grid the run used
     stored_nnz: int
     sample_log: list = field(default_factory=list)
     distinct_samples: int = 0   # distinct sample tuples per sketched solve, summed
     sampled_nnz: int = 0        # nonzeros extracted for those distinct columns
+
+    grid_dims = property(lambda self: self.config.grid_dims)
 
     @property
     def final_fit(self) -> float:
@@ -212,10 +214,12 @@ def _set_up(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     """File to ready state: load, permute, grid, partition, fit view.
 
     Pieces passed in are kept; a partition under another schedule raises
-    ScheduleError, and a tensor with a zero or non-finite sum of squares
-    ValueError or FloatingPointError.  A sketched run with fits and no
-    ``fit_mat`` takes the partition's last-mode view as its fit view.
-    Returns the five in ``run_als``'s argument order.
+    ScheduleError, a tensor with a zero or non-finite sum of squares
+    ValueError or FloatingPointError, and a grid, partition or ``fit_mat``
+    built for other dims, other nonzeros or (``fit_mat``) a mode but the
+    last ValueError.  A sampled run with fits and no ``fit_mat`` takes the
+    partition's last-mode view as its fit view.  Returns the five in
+    ``run_als``'s argument order.
     """
     if tensor is None:
         if cfg.tensor_path is None:
@@ -234,12 +238,19 @@ def _set_up(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     if grid is None:
         grid = (gridmod.optimal_grid(tensor.dims, cfg.procs) if cfg.grid_dims is None
                 else gridmod.ProcessorGrid(tensor.dims, cfg.grid_dims))
+    elif grid.tensor_dims != tensor.dims:
+        raise ValueError("grid built for dims %s, tensor has %s" % (grid.tensor_dims, tensor.dims))
     if partition is None:
         partition = partition_to_grid(tensor, grid, cfg.schedule)
     elif partition.schedule != cfg.schedule:
         raise ScheduleError("configured schedule is %r, the partition's %r"
                             % (cfg.schedule, partition.schedule))
-    if fit_mat is None and cfg.compute_fits and cfg.sampler != "exact":
+    want = (tensor.mode_count - 1, tensor.dims, tensor.nnz)
+    for name, v in (("partition", partition.views[-1]), ("fit_mat", fit_mat)):
+        if v is not None and (v.mode, v.dims, v.nnz) != want:
+            raise ValueError("%s holds a mode-%d view over dims %s of %d nonzeros; the run "
+                             "needs mode %d over %s of %d" % (name, v.mode, v.dims, v.nnz, *want))
+    if fit_mat is None and cfg.fit_every and cfg.sampler != "exact":
         fit_mat = partition.views[-1]
     return tensor, perms, grid, partition, fit_mat
 
@@ -254,20 +265,16 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
     t0 = time.perf_counter()
     tensor, perms, grid, partition, fit_mat = _set_up(cfg, tensor, perms, grid,
                                                       partition, fit_mat)
-    if grid.P != cfg.procs:  # a grid passed in sets P in the result's config
-        cfg = replace(cfg, procs=grid.P, grid_dims=grid.grid_dims)
+    cfg = replace(cfg, procs=grid.P, grid_dims=grid.grid_dims)
     load_s = time.perf_counter() - t0
 
     N = tensor.mode_count
-    R = cfg.rank
-    factors, sigma = init_factors(tensor.dims, R, cfg.seed, cfg.trial)
+    factors, sigma = init_factors(tensor.dims, cfg.rank, cfg.seed, cfg.trial)
     blocks = [FactorBlocks(U, *grid.block_ranges(j)) for j, U in enumerate(factors)]
 
-    ledger = gridmod.CommLedger()
-    ctx = SolveContext(grid, cfg.sampler, cfg.samples, blocks, partition, ledger, cfg.seed,
-                       workers=cfg.workers)
+    ctx = SolveContext(grid, cfg.sampler, cfg.samples, blocks, partition, gridmod.CommLedger(),
+                       cfg.seed, workers=cfg.workers)
     ctx.timings["load"] = load_s
-    ctx.round_id = 0
     for j in range(N):
         _rebuild_mode_state(ctx, j, renormalize=False)
 
@@ -286,7 +293,7 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
                     "sketched solve left the mode-%d factor all zero in round %d "
                     "(J=%d samples hit %d sampled nonzeros)"
                     % (k, rnd, ctx.J, ctx.stats["sampled_nnz"] - nnz_before))
-        if cfg.compute_fits and (rnd % cfg.fit_every == 0 or rnd == cfg.rounds):
+        if cfg.fit_every and (rnd % cfg.fit_every == 0 or rnd == cfg.rounds):
             t0 = time.perf_counter()
             fit_history.append((rnd, compute_fit(
                 tensor, [fb.U for fb in ctx.factors], sigma, mode_mat=fit_mat,
@@ -296,8 +303,8 @@ def run_als(cfg: AlsConfig, tensor=None, perms=None, grid=None, partition=None,
 
     factors_out = [perms.unpermute_factor(fb.U, j)
                    for j, fb in enumerate(ctx.factors)]
-    return DecompResult(factors_out, sigma, fit_history, ledger, ctx.timings, cfg,
-                        grid.grid_dims, partition.stored_nnz(), sample_log,
+    return DecompResult(factors_out, sigma, fit_history, ctx.ledger, ctx.timings, cfg,
+                        partition.stored_nnz(), sample_log,
                         distinct_samples=ctx.stats["distinct_samples"],
                         sampled_nnz=ctx.stats["sampled_nnz"])
 

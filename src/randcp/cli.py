@@ -9,7 +9,7 @@ import numpy as np
 
 from . import grid as gridmod
 from . import verify as verifymod
-from .als import SAMPLERS, SCHEDULES, AlsConfig, run_als, run_trials
+from .als import PAIRS, SAMPLERS, SCHEDULES, AlsConfig, run_als, run_trials
 from .grid import ledger_report
 from .tensor import load_frostt, permute_modes, write_matrix
 
@@ -57,7 +57,8 @@ def build_parser():
     d.add_argument("--no-permute", action="store_true",
                    help="skip the load-balancing index permutation")
     d.add_argument("--out", default=None, help="output directory for factors and reports")
-    d.add_argument("--fit-every", type=int, default=5)
+    d.add_argument("--fit-every", type=int, default=5,
+                   help="fit every N rounds and after the last; 0 fits never")
     d.add_argument("--workers", type=_positive_int,
                    default=os.environ.get("RANDCP_WORKERS", "1"),
                    help="threads per kernel (default $RANDCP_WORKERS or 1)")
@@ -146,15 +147,20 @@ def cmd_comm_report(args) -> int:
           % gridmod.ts_exact_round_words_total(grid, R))
     print("analytic accumulator gather words/solve (all ranks, sts): %d"
           % gridmod.as_gather_words_total_per_solve(args.samples, R, grid.N, grid.P))
-    for sampler, schedule in [(a, b) for a in SAMPLERS for b in SCHEDULES
-                              if (a, b) != ("exact", "accumulator-stationary")]:
+    rc = 0
+    for sampler, schedule in PAIRS:
         cfg = AlsConfig(rank=R, rounds=1, tensor_path=None, sampler=sampler,
                         samples=args.samples, schedule=schedule, procs=args.procs,
-                        seed=args.seed, fit_every=1, permute=False, compute_fits=False)
-        res = run_als(cfg, tensor=tensor, grid=grid)
+                        seed=args.seed, fit_every=0, permute=False)
+        try:
+            res = run_als(cfg, tensor=tensor, grid=grid)
+        except Exception as e:
+            print("error: %s / %s: %s" % (sampler, schedule, e), file=sys.stderr)
+            rc = 1
+            continue
         print("--- %s / %s ---" % (sampler, schedule))
         print(ledger_report(res.ledger, P=grid.P))
-    return 0
+    return rc
 
 
 def main(argv=None) -> int:

@@ -2,24 +2,24 @@
 
 Two production samplers plus a brute-force oracle.  Each sampler is a
 build/sample pair: the build turns one factor and its Gram, the sum of
-one metered reduction, into its per-mode state, which keeps that
-``FactorBlocks`` (read in place, so the state is rebuilt after every
-update of the factor); the sample call draws a mode-k batch from the
-states of all modes, ``(states, k, J, seed)``.
+one metered reduction, into its per-mode state, which is rebuilt after
+every update of the factor; the sample call draws a mode-k batch from
+the states of all modes, ``(states, k, J, seed)``.
 
-* approximate sampler (``arls_lev_build`` -> ``ArlsLevState``): weighs
-  each candidate row by the product of per-factor leverage scores.  For
-  each off mode it draws J iid rows at once, as one multinomial over the
-  factor's rows on the shared stream, expanded and shuffled.  A
-  multinomial over rows, grouped by block, is a multinomial over the
-  ranks' masses followed by each rank's local draw, so each rank
-  allgathers only its block's drawn rows with their counts, 3 words per
-  distinct drawn row of every off mode, and every rank rebuilds the same
-  J draws from the counts and the shared permutation.  The sampler meters
-  nothing: the triples ride in the solve's one all-rank allgather
-  (``schedules``).
+* approximate sampler (``arls_lev_build`` -> the factor's leverage
+  distribution, one array): weighs each candidate row by the product of
+  per-factor leverage scores.  For each off mode it draws J iid rows at
+  once, as one multinomial over the factor's rows on the shared stream,
+  expanded and shuffled.  A multinomial over rows, grouped by block, is
+  a multinomial over the ranks' masses followed by each rank's local
+  draw, so each rank allgathers only its block's drawn rows with their
+  counts, 3 words per distinct drawn row of every off mode, and every
+  rank rebuilds the same J draws from the counts and the shared
+  permutation.  The sampler meters nothing: the triples ride in the
+  solve's one all-rank allgather (``schedules``).
 
-* exact sampler (``sts_build`` -> ``LeverageTree``): draws from the exact
+* exact sampler (``sts_build`` -> ``LeverageTree``, which keeps its
+  ``FactorBlocks`` and reads it in place): draws from the exact
   Khatri-Rao leverage distribution by walking a binary tree of partial
   Gram matrices once per constant factor, conditioning each mode's draw
   on the rows already chosen; the chain pseudo-inverse comes from the
@@ -125,21 +125,11 @@ def _empty_batch(N):
     return SampleBatch(np.full((0, N), -1, dtype=np.int64), np.ones(0))
 
 
-class ArlsLevState:
-    """Per-mode sampling state: the factor and its leverage distribution.
-
-    ``dist`` is the normalized leverage distribution over every row of the
-    factor (all zero when the factor has no leverage mass).
-    """
-
-    def __init__(self, factor, dist):
-        self.factor = factor
-        self.dist = dist
-
-
-def arls_lev_build(blocks, ledger=None, round_id=0, gram_matrix=None) -> ArlsLevState:
-    """Build the approximate-leverage state for one factor's blocks, from the
-    whole factor at once, so its leverage does not depend on the blocks.
+def arls_lev_build(blocks, ledger=None, round_id=0, gram_matrix=None) -> np.ndarray:
+    """The approximate-leverage state of one factor's blocks: the normalized
+    leverage distribution over every row of the factor (all zero when it
+    has no leverage mass), from the whole factor at once, so it does not
+    depend on the blocks.
 
     ``gram_matrix`` is the factor's Gram when the caller has reduced it
     already (a factor update reduces once, ``als._rebuild_mode_state``);
@@ -153,7 +143,7 @@ def arls_lev_build(blocks, ledger=None, round_id=0, gram_matrix=None) -> ArlsLev
     # word per rank.
     gridmod.meter(ledger, round_id, gridmod.ALLGATHER, range(blocks.n_blocks),
                   np.ones(blocks.n_blocks, dtype=np.int64))
-    return ArlsLevState(blocks, dist)
+    return dist
 
 
 def consistent_multinomial(masses, J, seed, round_id, k, mode):
@@ -168,7 +158,8 @@ def consistent_multinomial(masses, J, seed, round_id, k, mode):
 
 
 def arls_lev_sample(states, k, J, seed, round_id=0) -> SampleBatch:
-    """Draw J rows from the product-of-factor-leverage distribution.
+    """Draw J rows from the product-of-factor-leverage distribution;
+    ``states[i]`` is mode i's leverage distribution (``arls_lev_build``).
 
     For each constant mode independently: count every row's draws by a
     consistent multinomial over its leverage distribution, expand the
@@ -187,11 +178,10 @@ def arls_lev_sample(states, k, J, seed, round_id=0) -> SampleBatch:
     for i in range(N):
         if i == k:
             continue
-        st = states[i]
-        counts = consistent_multinomial(st.dist, J, seed, round_id, k, i)
+        counts = consistent_multinomial(states[i], J, seed, round_id, k, i)
         perm = rng.stream(seed, rng.SHUFFLE, round_id, k, i).permutation(J)
         X[:, i] = rows = np.repeat(np.arange(counts.size), counts)[perm]
-        prob *= st.dist.take(rows)
+        prob *= states[i].take(rows)
     return SampleBatch(X, prob, owner=None)
 
 

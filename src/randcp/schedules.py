@@ -26,7 +26,8 @@ end of sampling, so one allgatherv carries the batch's index words (an
 ARLS-LEV batch's (row, count, leverage) triples, or an STS batch's
 tuples under tensor-stationary) and the rows of every off mode whose
 slice group is every rank: all of them under accumulator-stationary,
-those with P_i = 1 under tensor-stationary.
+those with P_i = 1 under tensor-stationary, where each other off mode
+adds one gather over its slice groups (``_meter_sampled_gathers_ts``).
 
 Every rank's MTTKRP is one kernel call over the mode's whole-mode view
 of the nonzeros (``LocalTensorSet.views``), which returns the reduced
@@ -250,7 +251,7 @@ def solve_mode(ctx: SolveContext, k: int, injected_batch=None):
         if ts:
             _meter_sampled_gathers_ts(ctx, k, batch)
         else:
-            _meter_sampled_gathers_as(ctx, k, batch)
+            _meter_world_gather(ctx, k, batch)
         ctx.tick("gather", t0)
         Gs, cols = _sketched_gram(ctx, k, batch)
         acc = _sampled_mttkrp(ctx, k, cols)
@@ -295,10 +296,9 @@ def _meter_sampled_gathers_ts(ctx, k, batch):
     allgather (``_meter_world_gather``); each other off mode's rows take
     one call over its slice-group table."""
     grid = ctx.grid
-    off = [i for i in range(grid.N) if i != k]
-    _meter_world_gather(ctx, k, batch, [i for i in off if grid.grid_dims[i] == 1])
-    for i in off:
-        if grid.grid_dims[i] == 1:
+    _meter_world_gather(ctx, k, batch)
+    for i in range(grid.N):
+        if i == k or grid.grid_dims[i] == 1:
             continue
         # A row's owner sits in the slice group of the row's chunk; only
         # the groups of chunks some sample drew a row of exchange anything.
@@ -308,37 +308,33 @@ def _meter_sampled_gathers_ts(ctx, k, batch):
         _meter_allgather_model(ctx.ledger, ctx.round_id, groups[drawn], words[drawn])
 
 
-def _meter_sampled_gathers_as(ctx, k, batch):
-    """Ledger traffic for the sampled-row allgather of an accumulator-stationary
-    solve: every rank receives every sampled row, in the solve's one
-    all-rank allgather (``_meter_world_gather``)."""
-    _meter_world_gather(ctx, k, batch, [i for i in range(ctx.grid.N) if i != k])
-
-
-def _meter_world_gather(ctx, k, batch, modes):
+def _meter_world_gather(ctx, k, batch):
     """Meter a sampled solve's one allgatherv over every rank.
 
     Each row owner knows its drawn rows by the end of sampling, so one
     allgatherv carries both the batch's index words and R words per
-    distinct drawn row of each off mode in ``modes``, whose slice group is
-    every rank.  A replicated batch (``owner`` None) sends 3 index words
-    per distinct drawn row of every off mode: the (row, count, leverage)
-    triples from which every rank rebuilds the same draws.  An
-    exact-sampler batch's tuples are known only to their owners: under
-    tensor-stationary each owner sends N words per sample (its tuple and
-    probability); under accumulator-stationary each sample's row travels
-    with its index and probability, R + 2 words per sample and off mode.
-    Nothing is metered when no rank sends anything."""
+    distinct drawn row of each off mode whose slice group is every rank:
+    every off mode under accumulator-stationary, and those with P_i = 1
+    under tensor-stationary.  A replicated batch (``owner`` None) sends 3
+    index words per distinct drawn row of every off mode: the (row,
+    count, leverage) triples from which every rank rebuilds the same
+    draws.  An exact-sampler batch's tuples are known only to their
+    owners: under tensor-stationary each owner sends N words per sample
+    (its tuple and probability); under accumulator-stationary each
+    sample's row travels with its index and probability, R + 2 words per
+    sample and off mode.  Nothing is metered when no rank sends anything."""
     grid, R = ctx.grid, ctx.factors[k].R
     off = [i for i in range(grid.N) if i != k]
+    ts = ctx.local.schedule == "tensor-stationary"
+    world = [i for i in off if not ts or grid.grid_dims[i] == 1]
     if batch.owner is None:
-        words = sum(_drawn_rows(batch.X, i, ctx.factors[i]) * (3 + R * (i in modes))
+        words = sum(_drawn_rows(batch.X, i, ctx.factors[i]) * (3 + R * (i in world))
                     for i in off)
-    elif ctx.local.schedule == "accumulator-stationary":
+    elif not ts:
         words = (R + 2) * sum(ctx.factors[i].block_sums(
             np.bincount(batch.X[:, i], minlength=grid.tensor_dims[i])) for i in off)
     else:
         words = np.bincount(batch.owner, minlength=grid.P) * grid.N + sum(
-            _drawn_rows(batch.X, i, ctx.factors[i]) * R for i in modes)
+            _drawn_rows(batch.X, i, ctx.factors[i]) * R for i in world)
     if words.any():
         _meter_allgather_model(ctx.ledger, ctx.round_id, list(range(grid.P)), words)

@@ -231,7 +231,7 @@ def suite_comm(seed=0):
     dims = (12, 10, 8)
     t = random_sparse_tensor(dims, 300, seed + 11)
     cfg = AlsConfig(rank=3, rounds=2, sampler="exact", schedule="tensor-stationary",
-                    procs=8, seed=seed, fit_every=4, permute=False, compute_fits=False)
+                    procs=8, seed=seed, fit_every=0, permute=False)
     res = run_als(cfg, tensor=t)
     g = gridmod.optimal_grid(dims, 8)
     pred = gridmod.ts_exact_round_words_total(g, 3)
@@ -244,7 +244,7 @@ def suite_comm(seed=0):
     for J in (1 << 10, 1 << 12):
         cfg = AlsConfig(rank=3, rounds=2, sampler="sts", samples=J,
                         schedule="accumulator-stationary", procs=4, seed=seed,
-                        fit_every=4, permute=False, compute_fits=False)
+                        fit_every=0, permute=False)
         res = run_als(cfg, tensor=t)
         words[J] = res.ledger.words(kind=gridmod.ALLGATHER, round_id=1)
         rs = res.ledger.words(kind=gridmod.REDUCE_SCATTER)

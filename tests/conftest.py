@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from randcp.als import SAMPLERS, SCHEDULES
+from randcp.als import PAIRS  # noqa: F401  (the five sampler/schedule pairs a run accepts)
 from randcp.tensor import SparseTensorCOO
 from randcp.verify import dense_matricization, dense_of  # noqa: F401  (shared oracles)
-
-# The five sampler/schedule pairs a run accepts.
-PAIRS = [(s, q) for s in SAMPLERS for q in SCHEDULES
-         if (s, q) != ("exact", "accumulator-stationary")]
 
 
 def make_sparse(dims, nnz, seed, dense=False):

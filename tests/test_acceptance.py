@@ -270,7 +270,7 @@ def test_criterion_7_ledger_cost_shapes():
     for J in (1 << 10, 1 << 12):
         cfg = AlsConfig(rank=R, rounds=2, sampler="sts", samples=J,
                         schedule="accumulator-stationary", procs=4, seed=12,
-                        permute=False, compute_fits=False)
+                        permute=False, fit_every=0)
         res = run_als(cfg, tensor=t)
         assert res.ledger.words(kind=gridmod.REDUCE_SCATTER) == 0
         gather_words[J] = res.ledger.words(kind=gridmod.ALLGATHER, round_id=1)
@@ -282,7 +282,7 @@ def test_criterion_7_ledger_cost_shapes():
     for J in (1 << 10, 1 << 12):
         cfg = AlsConfig(rank=R, rounds=2, sampler="sts", samples=J,
                         schedule="tensor-stationary", procs=4, seed=12,
-                        permute=False, compute_fits=False)
+                        permute=False, fit_every=0)
         res = run_als(cfg, tensor=t)
         rs_words[J] = res.ledger.words(kind=gridmod.REDUCE_SCATTER, round_id=1)
     assert rs_words[1 << 10] == rs_words[1 << 12] > 0
@@ -291,7 +291,7 @@ def test_criterion_7_ledger_cost_shapes():
     for P in (4, 8):
         cfg = AlsConfig(rank=R, rounds=2, sampler="exact",
                         schedule="tensor-stationary", procs=P, seed=13,
-                        permute=False, compute_fits=False)
+                        permute=False, fit_every=0)
         res = run_als(cfg, tensor=t)
         g = gridmod.optimal_grid(t.dims, P)
         pred = gridmod.ts_exact_round_words_total(g, R)

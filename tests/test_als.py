@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from randcp import als
 from randcp.als import (AlsConfig, _rebuild_mode_state, _renormalize, init_factors,
                         run_als, run_trials)
-from randcp.grid import CommLedger, ProcessorGrid
+from randcp.grid import CommLedger, ProcessorGrid, optimal_grid
 from randcp.linalg import FactorBlocks, normalize_columns
+from randcp.matricization import matricize, partition_to_grid
 from randcp.schedules import SolveContext
 from randcp.tensor import SparseTensorCOO
 from conftest import make_sparse
@@ -190,16 +192,28 @@ class TestSketchedAls:
                                     "reduction", "postprocess", "fit"}
         assert res.timings["fit"] > 0.0
 
-        quiet = run_als(replace(cfg, compute_fits=False), tensor=t)
+        quiet = run_als(replace(cfg, fit_every=0), tensor=t)
         assert np.isnan(quiet.final_fit) and quiet.running_max == []
         assert quiet.fit_history == [] and quiet.timings["fit"] == 0.0
+        assert "\nfinal_fit nan\n" in quiet.summary()
+
+    @pytest.mark.parametrize("fit_every", [0, 2])
+    def test_sampled_run_builds_the_fit_layout_only_to_fit(self, fit_every):
+        t = make_sparse((10, 9, 8), 200, seed=8)
+        cfg = AlsConfig(rank=2, rounds=2, sampler="arls-lev", samples=64, procs=4,
+                        seed=11, fit_every=fit_every, permute=False)
+        part = partition_to_grid(t, optimal_grid(t.dims, 4), cfg.schedule)
+        res = run_als(cfg, tensor=t, partition=part)
+        assert len(res.fit_history) == (fit_every > 0)
+        # the exact MTTKRP's row layout of the last view serves only the fit
+        assert ("_csr" in part.views[-1].__dict__) == (fit_every > 0)
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nan_abort(self):
         t = make_sparse((6, 6, 6), 60, seed=10)
         t.vals[0] = np.inf
         cfg = AlsConfig(rank=2, rounds=2, sampler="exact", procs=1, seed=13,
-                        fit_every=2, permute=False, compute_fits=False)
+                        fit_every=0, permute=False)
         with pytest.raises(FloatingPointError):
             run_als(cfg, tensor=t)
 
@@ -214,6 +228,9 @@ class TestConfigValidation:
             AlsConfig(rank=1, rounds=1, sampler="sts", samples=0).validate()
         with pytest.raises(ValueError):
             AlsConfig(rank=1, rounds=1, sampler="bogus").validate()
+        with pytest.raises(ValueError, match="fit_every must be >= 0"):
+            AlsConfig(rank=1, rounds=1, fit_every=-1).validate()
+        AlsConfig(rank=1, rounds=1, fit_every=0).validate()  # 0: no fit
 
     @pytest.mark.parametrize("procs", [1, 8])
     def test_grid_dims_and_procs_must_agree(self, procs):
@@ -234,6 +251,11 @@ class TestConfigValidation:
         words, _ = res.ledger.per_rank("allgather", 1, res.config.procs)
         assert words.sum() == res.ledger.words(kind="allgather", round_id=1) > 0
 
+    def test_auto_grid_is_named_in_the_results_config(self):
+        t = make_sparse((6, 6, 6), 60, seed=11)
+        res = run_als(AlsConfig(rank=2, rounds=1, procs=4, permute=False), tensor=t)
+        assert res.config.grid_dims == res.grid_dims == optimal_grid(t.dims, 4).grid_dims
+
     def test_summary_mentions_fits_and_ledger(self):
         t = make_sparse((6, 6, 6), 60, seed=11)
         cfg = AlsConfig(rank=2, rounds=2, sampler="exact", procs=2, seed=14,
@@ -241,6 +263,44 @@ class TestConfigValidation:
         res = run_als(cfg, tensor=t)
         text = res.summary()
         assert "final_fit" in text and "ledger_total" in text and "time" in text
+
+
+class TestPiecesMustMatchTheTensor:
+    """A grid, partition or fit view built for another tensor is rejected
+    by name before the first factor is formed."""
+
+    @staticmethod
+    def run(monkeypatch, sampler="arls-lev", **pieces):
+        monkeypatch.setattr(als, "init_factors",
+                            lambda *a, **k: pytest.fail("set-up let a mismatched piece in"))
+        cfg = AlsConfig(rank=3, rounds=2, sampler=sampler, samples=64, procs=4, seed=3,
+                        fit_every=1, permute=False)
+        run_als(cfg, tensor=make_sparse((12, 10, 8), 300, seed=5), **pieces)
+
+    @pytest.mark.parametrize("dims,nnz,mode", [((12, 9, 8), 300, 2), ((12, 10, 9), 300, 2),
+                                               ((12, 10, 8), 200, 2), ((12, 10, 8), 300, 0)])
+    def test_fit_view(self, monkeypatch, dims, nnz, mode):
+        view = matricize(make_sparse(dims, nnz, seed=5), mode)
+        with pytest.raises(ValueError, match=r"^fit_mat holds a mode-%d view over dims "
+                                             r"\(%d, %d, %d\) of %d nonzeros; the run needs "
+                                             r"mode 2 over \(12, 10, 8\) of 300$"
+                                             % ((mode,) + dims + (nnz,))):
+            self.run(monkeypatch, fit_mat=view)
+
+    @pytest.mark.parametrize("sampler", ["exact", "arls-lev"])
+    def test_partition(self, monkeypatch, sampler):
+        other = make_sparse((12, 9, 8), 300, seed=5)
+        part = partition_to_grid(other, optimal_grid(other.dims, 4), "tensor-stationary")
+        with pytest.raises(ValueError, match=r"^partition holds a mode-2 view over dims "
+                                             r"\(12, 9, 8\) of 300 nonzeros"):
+            self.run(monkeypatch, sampler, partition=part)
+
+    def test_grid(self, monkeypatch):
+        t = make_sparse((12, 10, 8), 300, seed=5)
+        part = partition_to_grid(t, optimal_grid(t.dims, 4), "tensor-stationary")
+        with pytest.raises(ValueError, match=r"^grid built for dims \(12, 9, 8\), tensor "
+                                             r"has \(12, 10, 8\)"):
+            self.run(monkeypatch, grid=optimal_grid((12, 9, 8), 4), partition=part)
 
 
 class TestSketchReport:
@@ -287,7 +347,7 @@ def test_zeroed_factor_raises_degenerate_sketch_error(sampler):
     from randcp.als import DegenerateSketchError
     cfg = AlsConfig(rank=4, rounds=1, sampler=sampler, samples=256,
                     schedule="accumulator-stationary", procs=4, seed=20,
-                    permute=False, compute_fits=False)
+                    permute=False, fit_every=0)
     with pytest.raises(DegenerateSketchError,
                        match=r"mode-0 factor all zero in round 1 \(J=256 samples hit 0 "
                              r"sampled nonzeros\)"):

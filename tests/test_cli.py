@@ -47,6 +47,22 @@ class TestDecompose:
         assert rc == 0
         assert "mean" in capsys.readouterr().out
 
+    def test_fit_every_zero_fits_never(self, tns_file, tmp_path, capsys):
+        out = str(tmp_path / "nofit")
+        rc = main(["decompose", "--tensor", tns_file, "--rank", "2", "--rounds", "2",
+                   "--sampler", "arls-lev", "--samples", "64", "--procs", "2",
+                   "--fit-every", "0", "--out", out])
+        assert rc == 0
+        assert "trial 0 final_fit nan" in capsys.readouterr().out
+        with open(os.path.join(out, "trial0", "summary.txt")) as fh:
+            text = fh.read()
+        assert "\nfinal_fit nan\n" in text and "fit round=" not in text
+
+    def test_negative_fit_every_usage_error(self, tns_file, capsys):
+        rc = main(["decompose", "--tensor", tns_file, "--rank", "2", "--fit-every", "-1"])
+        assert rc == 2
+        assert "error: fit_every must be >= 0" in capsys.readouterr().err
+
     def test_explicit_grid(self, tns_file):
         rc = main(["decompose", "--tensor", tns_file, "--rank", "2", "--rounds", "1",
                    "--grid", "2x2x1", "--fit-every", "1"])
@@ -159,16 +175,34 @@ def test_comm_report_nonpositive_count_usage_error(tns_file, flag, capsys):
     assert "%s: expected a positive integer" % flag in capsys.readouterr().err
 
 
-def test_degenerate_sketch_exits_1_with_cause(tmp_path, capsys):
-    # 300 nonzeros spread over a 65,536^3 x 5 index space: no sampled column hits.
+def hypersparse_file(tmp_path, dims, nnz):
+    """A FROSTT file of ``nnz`` random nonzeros over ``dims``."""
     gen = np.random.default_rng(1)
-    dims = (1 << 16, 1 << 16, 1 << 16, 5)
     path = tmp_path / "hyper.tns"
     with open(path, "w") as fh:
-        for row, v in zip(np.stack([gen.integers(0, d, 300) for d in dims], 1),
-                          gen.standard_normal(300)):
+        for row, v in zip(np.stack([gen.integers(0, d, nnz) for d in dims], 1),
+                          gen.standard_normal(nnz)):
             fh.write(" ".join(str(i + 1) for i in row) + " %.17g\n" % v)
-    rc = main(["decompose", "--tensor", str(path), "--rank", "4", "--rounds", "2",
+    return str(path)
+
+
+def test_comm_report_reports_a_failing_pair_and_runs_the_rest(tmp_path, capsys):
+    # 40 nonzeros over 5000^3: no sampled column hits, so every sketched solve fails.
+    path = hypersparse_file(tmp_path, (5000,) * 3, 40)
+    rc = main(["comm-report", "--tensor", path, "--procs", "4", "--rank", "2",
+               "--samples", "8"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert "--- exact / tensor-stationary ---" in out and "Traceback" not in err
+    assert err.splitlines() == [
+        "error: %s / %s: sketched solve left the mode-0 factor all zero in round 1 "
+        "(J=8 samples hit 0 sampled nonzeros)" % pair for pair in PAIRS if pair[0] != "exact"]
+
+
+def test_degenerate_sketch_exits_1_with_cause(tmp_path, capsys):
+    # 300 nonzeros spread over a 65,536^3 x 5 index space: no sampled column hits.
+    path = hypersparse_file(tmp_path, (1 << 16, 1 << 16, 1 << 16, 5), 300)
+    rc = main(["decompose", "--tensor", path, "--rank", "4", "--rounds", "2",
                "--sampler", "sts", "--samples", "256",
                "--schedule", "accumulator-stationary", "--procs", "4"])
     assert rc == 1

@@ -47,7 +47,7 @@ def tensor():
 def test_ledger_report_matches_golden(tensor, P, sampler, schedule):
     cfg = AlsConfig(rank=4, rounds=2, sampler=sampler,
                     samples=0 if sampler == "exact" else 128, schedule=schedule,
-                    procs=P, seed=5, permute=False, compute_fits=False)
+                    procs=P, seed=5, permute=False, fit_every=0)
     report = ledger_report(run_als(cfg, tensor=tensor).ledger, P=P)
     digest = hashlib.sha256(report.encode()).hexdigest()
     assert digest == GOLDEN[(P, sampler, schedule)], report

@@ -43,7 +43,7 @@ def test_round_ledger_matches_closed_forms(case, R, sampler, J):
     schedule = "tensor-stationary" if sampler == "exact" else "accumulator-stationary"
     cfg = AlsConfig(rank=R, rounds=1, sampler=sampler, samples=J, schedule=schedule,
                     grid_dims=g.grid_dims, procs=g.P, seed=J, permute=False,
-                    compute_fits=False)
+                    fit_every=0)
     batches, draw = [], schedules.draw_batch
 
     def recording_draw(ctx, k):

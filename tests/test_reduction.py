@@ -32,7 +32,7 @@ def test_one_allreduce_per_factor_update(tensor, P, sampler, schedule):
     R, N, rounds = 4, tensor.mode_count, 3
     cfg = AlsConfig(rank=R, rounds=rounds, sampler=sampler,
                     samples=0 if sampler == "exact" else 128, schedule=schedule,
-                    procs=P, seed=5, permute=False, compute_fits=False)
+                    procs=P, seed=5, permute=False, fit_every=0)
     res = run_als(cfg, tensor=tensor)
     ledger = res.ledger
 

@@ -32,7 +32,7 @@ def tensor():
 
 def sample_digest(tensor, P, sampler, schedule):
     cfg = AlsConfig(rank=4, rounds=2, sampler=sampler, samples=128, schedule=schedule,
-                    procs=P, seed=5, permute=False, compute_fits=False,
+                    procs=P, seed=5, permute=False, fit_every=0,
                     record_samples=True)
     log = run_als(cfg, tensor=tensor).sample_log
     assert len(log) == 8   # 2 rounds x 4 modes

@@ -5,7 +5,7 @@ import pytest
 
 from randcp import grid as gridmod
 from randcp.linalg import FactorBlocks, gram
-from randcp.matricization import column_keys
+from randcp.matricization import column_keys, partition_to_grid
 from randcp import als, samplers, schedules
 from randcp.samplers import (DegenerateWalkError, arls_lev_build, arls_lev_sample,
                              consistent_multinomial, exact_krp_leverage_oracle,
@@ -56,13 +56,13 @@ class TestArlsBuild:
     def test_identity_block(self):
         fb = FactorBlocks(np.eye(2), [0], [2])
         st = arls_lev_build(fb)
-        assert np.allclose(st.dist, [0.5, 0.5])
+        assert np.allclose(st, [0.5, 0.5])
 
     def test_duplicate_rows_equal_weights(self):
         row = np.array([1.0, 2.0, -1.0])
         fb = FactorBlocks(np.tile(row, (4, 1)), [0], [4])
         st = arls_lev_build(fb)
-        assert np.allclose(st.dist, 0.25)
+        assert np.allclose(st, 0.25)
 
     def test_blocks_concatenate_to_exact_leverage(self):
         gen = np.random.default_rng(2)
@@ -71,7 +71,7 @@ class TestArlsBuild:
         fb = FactorBlocks.from_global(U, g, 0)
         st = arls_lev_build(fb)
         ref = exact_krp_leverage_oracle([U])
-        assert np.abs(st.dist - ref).max() < 1e-12
+        assert np.abs(st - ref).max() < 1e-12
 
 
 class TestArlsSample:
@@ -144,16 +144,20 @@ class TestArlsSample:
 
     def test_ledger_words_are_block_counts(self):
         gen = np.random.default_rng(8)
-        g, states = self.six_rank_states([gen.standard_normal((d, 2)) for d in (4, 4, 3)])
+        factors = [gen.standard_normal((d, 2)) for d in (4, 4, 3)]
+        g, states = self.six_rank_states(factors)
         J = 1000
         batch = arls_lev_sample(states, 2, J, seed=9, round_id=1)
         # The draw meters nothing itself: its triples ride in the solve's one
-        # all-rank allgather, here with no factor rows beside them.
+        # all-rank allgather.  Under tensor-stationary both off modes have
+        # P_i > 1, so their rows go in slice-group gathers, not beside them.
         ledger = gridmod.CommLedger()
-        ctx = schedules.SolveContext(g, "arls-lev", J, [st.factor for st in states], None,
+        part = partition_to_grid(make_sparse(g.tensor_dims, 20, seed=8), g,
+                                 "tensor-stationary")
+        ctx = schedules.SolveContext(g, "arls-lev", J, blocks_for(factors, g), part,
                                      ledger, seed=9)
         ctx.round_id = 1
-        schedules._meter_world_gather(ctx, 2, batch, [])
+        schedules._meter_world_gather(ctx, 2, batch)
         received = np.zeros(g.P, dtype=np.int64)
         for i in (0, 1):
             rows, counts = np.unique(batch.X[:, i], return_counts=True)
@@ -174,7 +178,7 @@ class TestArlsSample:
         factors = [gen.standard_normal((d, 2)) for d in (4, 4, 3)]
         factors[1][2] = 0.0
         _, states = self.six_rank_states(factors)
-        assert states[1].dist[2] == 0.0
+        assert states[1][2] == 0.0
         batch = arls_lev_sample(states, 2, 20000, seed=11)
         assert not (batch.X[:, 1] == 2).any()
         assert set(np.unique(batch.X[:, 1])) == {0, 1, 3}
@@ -193,7 +197,7 @@ def test_arls_lev_prob_has_the_bits_of_the_leverage_product(N, k):
     table = np.ones((batch.J, N))
     for i in range(N):
         if i != k:
-            table[:, i] = states[i].dist[batch.X[:, i]]
+            table[:, i] = states[i][batch.X[:, i]]
     want = table.prod(axis=1)
     assert (batch.X[:, k] == -1).all()
     assert np.array_equal(batch.prob.view(np.int64), want.view(np.int64))
@@ -705,7 +709,7 @@ def test_route_words_send_a_shared_row_once_per_message(monkeypatch, P, schedule
     monkeypatch.setattr(als, "sts_build", lambda fb, **kwargs: build(fb))
     N, R = 4, 4
     cfg = als.AlsConfig(rank=R, rounds=2, sampler="sts", samples=128, schedule=schedule,
-                        procs=P, seed=5, permute=False, compute_fits=False)
+                        procs=P, seed=5, permute=False, fit_every=0)
     led = als.run_als(cfg, tensor=make_sparse((9, 7, 6, 5), 500, seed=21)).ledger
     assert len(routes) == len(batches) == 2 * N
     words = {r: np.zeros(P, dtype=np.int64) for r in (1, 2)}
@@ -776,18 +780,18 @@ def test_state_owns_its_factor_and_gram(build, sample):
     blocks = blocks_for([gen.standard_normal((d, 3)) for d in dims], g)
     states = [build(b) for b in blocks]
     for st, fb in zip(states, blocks):
-        assert st.factor is fb
         if build is sts_build:  # the tree's upward exchange sums it: the root
+            assert st.factor is fb
             assert np.array_equal(st.gram, st.node_grams[0][0])
             assert np.abs(st.gram - gram(fb)).max() <= 1e-13 * np.abs(st.gram).max()
         else:  # the leverage comes from the factor's Gram, given or reduced
-            assert np.array_equal(st.dist, arls_lev_build(fb, gram_matrix=gram(fb)).dist)
+            assert np.array_equal(st, arls_lev_build(fb, gram_matrix=gram(fb)))
     # Update mode 0 in place so that only row 3 keeps leverage mass, then
     # rebuild its state: every draw must read the new rows.
     blocks[0].U[:] = 0.0
     blocks[0].U[3] = [1.0, -2.0, 0.5]
     states[0] = build(blocks[0])
-    assert states[0].factor is blocks[0]
+    assert build is arls_lev_build or states[0].factor is blocks[0]
     batch = sample(states, 2, 64, seed=41)
     assert (batch.X[:, 0] == 3).all()
     sample_weights(batch)

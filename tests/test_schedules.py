@@ -180,7 +180,7 @@ class TestAccumulatorStationary:
         t = make_sparse((8, 7, 6), 120, seed=15)
         cfg = AlsConfig(rank=2, rounds=2, sampler="sts", samples=64,
                         schedule="accumulator-stationary", procs=4, seed=3,
-                        permute=False, compute_fits=False)
+                        permute=False, fit_every=0)
         res = run_als(cfg, tensor=t)
         assert res.ledger.words(kind=gridmod.REDUCE_SCATTER) == 0
 
@@ -190,7 +190,7 @@ class TestAccumulatorStationary:
         for J in (64, 128):
             cfg = AlsConfig(rank=2, rounds=2, sampler="sts", samples=J,
                             schedule="accumulator-stationary", procs=4, seed=3,
-                            permute=False, compute_fits=False)
+                            permute=False, fit_every=0)
             res = run_als(cfg, tensor=t)
             words[J] = res.ledger.words(kind=gridmod.ALLGATHER, round_id=1)
             pred = 3 * gridmod.as_gather_words_total_per_solve(J, 2, 3, 4)
@@ -231,7 +231,7 @@ class TestExactRoundCost:
         for P in (4, 8):
             cfg = AlsConfig(rank=3, rounds=3, sampler="exact",
                             schedule="tensor-stationary", procs=P, seed=4,
-                            permute=False, compute_fits=False)
+                            permute=False, fit_every=0)
             res = run_als(cfg, tensor=t)
             g = gridmod.optimal_grid(t.dims, P)
             pred = gridmod.ts_exact_round_words_total(g, 3)
@@ -351,7 +351,7 @@ class TestDistinctRowGathers:
         unique = SampleBatch(np.unique(repeated.X, axis=0), None)
         per_draw = 3 * (g.P - 1) * 400 * 3  # R words per draw and off mode, to P-1 ranks
         for schedule, meter in (("tensor-stationary", schedules._meter_sampled_gathers_ts),
-                                ("accumulator-stationary", schedules._meter_sampled_gathers_as)):
+                                ("accumulator-stationary", schedules._meter_world_gather)):
             ctx = make_ctx(t, g, schedule, "sts", factors, J=400)
             words = []
             for batch in (repeated, unique):
@@ -429,7 +429,7 @@ class TestSolveCounts:
         monkeypatch.setattr(als, "solve_mode", recording_solve)
         cfg = AlsConfig(rank=R, rounds=2, sampler=sampler,
                         samples=0 if sampler == "exact" else 64, schedule=schedule,
-                        procs=P, seed=5, permute=False, compute_fits=False)
+                        procs=P, seed=5, permute=False, fit_every=0)
         res = run_als(cfg, tensor=t)
         g = gridmod.ProcessorGrid(t.dims, res.grid_dims)
         assert len(solves) == 2 * N
@@ -629,7 +629,7 @@ class TestLedgerReportClosedForms:
         R, J, P = 3, 512, 4
         cfg = AlsConfig(rank=R, rounds=2, sampler="sts", samples=J,
                         schedule="accumulator-stationary", procs=P, seed=51,
-                        permute=False, compute_fits=False)
+                        permute=False, fit_every=0)
         report = gridmod.ledger_report(run_als(cfg, tensor=t).ledger, P=P)
         per_solve = gridmod.as_gather_words_total_per_solve(J, R, 3, P)
         assert _record_words(report, gridmod.ALLGATHER) == {1: 3 * per_solve,
@@ -641,7 +641,7 @@ class TestLedgerReportClosedForms:
         R, P = 3, 4
         cfg = AlsConfig(rank=R, rounds=2, sampler="arls-lev", samples=512,
                         schedule="tensor-stationary", procs=P, seed=53,
-                        permute=False, compute_fits=False)
+                        permute=False, fit_every=0)
         report = gridmod.ledger_report(run_als(cfg, tensor=t).ledger, P=P)
         # sampling leaves the reduce-scatter at its exact-round size, which is
         # half of the closed-form gather + reduce total
